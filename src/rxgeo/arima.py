@@ -445,15 +445,16 @@ def select_differencing(
 # Hannan-Rissanen regressions and tentative orders
 # ---------------------------------------------------------------------------
 
-def _long_ar_residuals(v: np.ndarray, order: int) -> np.ndarray:
-    """Residuals of a long AR fit; entries before ``order`` are NaN."""
+def _long_ar(v: np.ndarray) -> tuple[int, np.ndarray]:
+    """Order and residuals (NaN before the order) of the long AR fit."""
     n = v.size
+    order = max(1, min(math.ceil(min(n / 10.0, 20.0)), n // 2 - 2))
     rows = np.arange(order, n)
     x = np.column_stack([v[rows - j] for j in range(1, order + 1)])
     beta, _ = _ols(x, v[rows])
     e = np.full(n, np.nan)
     e[rows] = v[rows] - x @ beta
-    return e
+    return order, e
 
 
 def _regression_bic(v: np.ndarray, e: np.ndarray, rows: np.ndarray,
@@ -468,6 +469,28 @@ def _regression_bic(v: np.ndarray, e: np.ndarray, rows: np.ndarray,
     return n_c * math.log(max(rss / n_c, 1e-300)) + k * math.log(n_c)
 
 
+def _bic_grid(v: np.ndarray, e: np.ndarray, long_order: int, p_max: int,
+              q_max: int, step: int = 1) -> np.ndarray:
+    """Regression BICs of every (p, q) cell, lags in multiples of ``step``,
+    on the common sample that the largest cell allows."""
+    rows = np.arange(max(long_order + step * q_max, step * p_max), v.size)
+    table = np.empty((p_max + 1, q_max + 1))
+    for p in range(p_max + 1):
+        for q in range(q_max + 1):
+            table[p, q] = _regression_bic(v, e, rows, range(step, step * p + 1, step),
+                                          range(step, step * q + 1, step))
+    return table
+
+
+def _first_min_cell(table: np.ndarray) -> tuple[int, int]:
+    """Row-major first cell whose BIC beats every earlier one by > 1e-12."""
+    best = (math.inf, 0, 0)
+    for (i, j), bic in np.ndenumerate(table):
+        if bic < best[0] - 1e-12:
+            best = (bic, i, j)
+    return best[1], best[2]
+
+
 def minic_bic_table(z: Sequence[float] | np.ndarray, p_max: int = 5,
                     q_max: int = 5) -> np.ndarray:
     """
@@ -475,17 +498,9 @@ def minic_bic_table(z: Sequence[float] | np.ndarray, p_max: int = 5,
     nonseasonal order choice, on the common sample used for selection.
     """
     z = np.asarray(z, dtype=float)
-    n = z.size
     v = z - z.mean()
-    long_order = max(1, min(math.ceil(min(n / 10.0, 20.0)), n // 2 - 2))
-    e = _long_ar_residuals(v, long_order)
-    rows = np.arange(max(long_order + q_max, p_max), n)
-    table = np.empty((p_max + 1, q_max + 1))
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            table[p, q] = _regression_bic(v, e, rows, range(1, p + 1),
-                                          range(1, q + 1))
-    return table
+    long_order, e = _long_ar(v)
+    return _bic_grid(v, e, long_order, p_max, q_max)
 
 
 def tentative_orders(
@@ -511,8 +526,7 @@ def tentative_orders(
     if np.ptp(v) == 0.0:
         return TentativeOrders(0, 0, 0, 0)
 
-    long_order = max(1, min(math.ceil(min(n / 10.0, 20.0)), n // 2 - 2))
-    e = _long_ar_residuals(v, long_order)
+    long_order, e = _long_ar(v)
 
     while p_max + q_max > 0:
         start = max(long_order + q_max, p_max)
@@ -521,17 +535,7 @@ def tentative_orders(
         warnings.warn("series too short for the full order grid; shrinking")
         p_max = max(p_max - 1, 0)
         q_max = max(q_max - 1, 0)
-    start = max(long_order + q_max, p_max)
-    rows = np.arange(start, n)
-
-    best = (math.inf, 0, 0)
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            bic = _regression_bic(v, e, rows, range(1, p + 1),
-                                  range(1, q + 1))
-            if bic < best[0] - 1e-12:
-                best = (bic, p, q)
-    p_star, q_star = best[1], best[2]
+    p_star, q_star = _first_min_cell(_bic_grid(v, e, long_order, p_max, q_max))
 
     P_cap = 2
     while P_cap > 0 and n - (long_order + P_cap * s) < 12:
@@ -541,16 +545,8 @@ def tentative_orders(
             warnings.warn("series too short for seasonal order detection")
         return TentativeOrders(p_star, q_star, 0, 0)
 
-    start_s = long_order + P_cap * s
-    rows_s = np.arange(start_s, n)
-    best_s = (math.inf, 0, 0)
-    for P in range(P_cap + 1):
-        for Q in range(P_cap + 1):
-            bic = _regression_bic(v, e, rows_s, [s * i for i in range(1, P + 1)],
-                                  [s * j for j in range(1, Q + 1)])
-            if bic < best_s[0] - 1e-12:
-                best_s = (bic, P, Q)
-    return TentativeOrders(p_star, q_star, best_s[1], best_s[2])
+    P_star, Q_star = _first_min_cell(_bic_grid(v, e, long_order, P_cap, P_cap, step=s))
+    return TentativeOrders(p_star, q_star, P_star, Q_star)
 
 
 def hannan_rissanen_start(z: np.ndarray, orders: ArimaOrders) -> ArimaParams:
@@ -567,8 +563,7 @@ def hannan_rissanen_start(z: np.ndarray, orders: ArimaOrders) -> ArimaParams:
     Phi = np.zeros(o.P)
     Theta = np.zeros(o.Q)
     if max_lag:
-        long_order = max(1, min(math.ceil(min(n / 10.0, 20.0)), n // 2 - 2))
-        e = _long_ar_residuals(v, long_order)
+        long_order, e = _long_ar(v)
         start = max(long_order + max(lags_e, default=0), max(lags_v, default=0))
         rows = np.arange(start, n)
         if rows.size > len(lags_v) + len(lags_e) + 2:
@@ -657,9 +652,10 @@ def _pack(params: ArimaParams) -> np.ndarray:
     ))
 
 
-def _unpack(x: np.ndarray, orders: ArimaOrders) -> ArimaParams:
+def _unpack(x: np.ndarray, orders: ArimaOrders, n_events: int = 0) -> ArimaParams:
+    """Model parameters from optimizer coordinates [c, betas..., ARMA...]."""
     o = orders
-    k = 1
+    k = 1 + n_events
     phi = _coefs_from_unconstrained(x[k:k + o.p]); k += o.p
     theta = -_coefs_from_unconstrained(x[k:k + o.q]); k += o.q
     Phi = _coefs_from_unconstrained(x[k:k + o.P]); k += o.P
@@ -689,33 +685,68 @@ def _fd_hessian(func, x0: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
     return hess
 
 
-def _coefficient_std_errors(z: np.ndarray, orders: ArimaOrders,
-                            params: ArimaParams, sigma2: float) -> np.ndarray:
+def _regression_css(z: np.ndarray, x: np.ndarray, orders: ArimaOrders,
+                    params: ArimaParams, betas: np.ndarray) -> float:
+    """CSS of regression with ARMA errors, z - x betas following the model."""
+    a, m = _ar_ma_lag_coefs(orders, params)
+    w = z - x @ betas if betas.size else z
+    return _css_value(w, orders, params.c, a, m)
+
+
+def _css_objective(z: np.ndarray, x: np.ndarray, orders: ArimaOrders):
+    """CSS in optimizer coordinates [c, betas..., unconstrained ARMA...];
+    ``x`` has one differenced event regressor per column, none for ARIMA."""
+    n_events = x.shape[1]
+
+    def objective(vec: np.ndarray) -> float:
+        return _regression_css(z, x, orders, _unpack(vec, orders, n_events),
+                               vec[1:1 + n_events])
+    return objective
+
+
+def _css_finish(z: np.ndarray, x: np.ndarray, orders: ArimaOrders,
+                vec: np.ndarray) -> dict:
     """
-    Asymptotic standard errors from the finite-difference Hessian of the
-    CSS objective in raw coefficient space: cov = 2 sigma2 H^{-1}.
+    Fit fields at the optimizer point ``vec``: residuals, sigma2 = CSS/n, the
+    BIC and standard errors aligned with [c, betas..., phi.., theta.., Phi..,
+    Theta..] from the finite-difference Hessian of the CSS in raw
+    coefficient space, cov = 2 sigma2 H^{-1}.
     """
-    vec0 = params.vector()
     o = orders
+    n_events = x.shape[1]
+    params = _unpack(vec, o, n_events)
+    betas = vec[1:1 + n_events]
+    a, m = _ar_ma_lag_coefs(o, params)
+    w = z - x @ betas if n_events else z
+    css = _css_value(w, o, params.c, a, m)
+    n_eff = z.size
+    sigma2 = css / n_eff
+    params.sigma2 = sigma2
+    residuals = _residuals_from_lags(w - params.c / (1.0 - a.sum()), a, m)
+    k = o.n_coefficients + n_events
+    bic = n_eff * math.log(sigma2) + k * math.log(n_eff) if sigma2 > 0 else -math.inf
 
-    def raw_objective(vec: np.ndarray) -> float:
-        k = 1
-        p = ArimaParams(c=float(vec[0]),
-                        phi=vec[k:k + o.p], theta=vec[k + o.p:k + o.p + o.q],
-                        Phi=vec[k + o.p + o.q:k + o.p + o.q + o.P],
-                        Theta=vec[k + o.p + o.q + o.P:])
-        a, m = _ar_ma_lag_coefs(o, p)
-        return _css_value(z, o, p.c, a, m)
+    vec0 = np.concatenate(([params.c], betas, params.phi, params.theta,
+                           params.Phi, params.Theta))
+    i = 1 + n_events
+    cuts = np.cumsum([i, o.p, o.q, o.P])
 
-    if sigma2 <= 0.0:
-        return np.zeros(vec0.size)
-    hess = _fd_hessian(raw_objective, vec0)
-    if not np.all(np.isfinite(hess)):
-        return np.full(vec0.size, np.nan)
-    cov = 2.0 * sigma2 * np.linalg.pinv(hess)
-    diag = np.diag(cov).copy()
-    diag[diag < 0] = np.nan
-    return np.sqrt(diag)
+    def raw_objective(raw: np.ndarray) -> float:
+        phi, theta, Phi, Theta = np.split(raw, cuts)[1:]
+        p = ArimaParams(c=float(raw[0]), phi=phi, theta=theta, Phi=Phi, Theta=Theta)
+        return _regression_css(z, x, o, p, raw[1:i])
+
+    std_errors = np.zeros(vec0.size)
+    if sigma2 > 0:
+        hess = _fd_hessian(raw_objective, vec0)
+        diag = np.full(vec0.size, np.nan)
+        if np.all(np.isfinite(hess)):
+            diag = np.diag(2.0 * sigma2 * np.linalg.pinv(hess)).copy()
+            diag[diag < 0] = np.nan
+        std_errors = np.sqrt(diag)
+    return dict(params=params, std_errors=std_errors,
+                log_css=math.log(css) if css > 0 else -math.inf, bic=bic,
+                residuals=residuals, n_effective=n_eff)
 
 
 def _degenerate_fit(y: np.ndarray, orders: ArimaOrders, n_interp: int) -> ArimaFit:
@@ -754,6 +785,7 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders,
 
     Notes
     -----
+    The zero-event case of the CSS estimator behind ``fit_arimax``.
     Starting values come from Hannan-Rissanen least squares; coefficients
     are optimized through a partial-autocorrelation transform, so every
     point the optimizer visits is stationary and invertible.
@@ -770,41 +802,20 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders,
     if np.ptp(z) == 0.0:
         return _degenerate_fit(y, orders, n_interp)
 
-    start = hannan_rissanen_start(z, orders)
-    x0 = _pack(start)
-
-    def objective(x: np.ndarray) -> float:
-        p = _unpack(x, orders)
-        a, m = _ar_ma_lag_coefs(orders, p)
-        return _css_value(z, orders, p.c, a, m)
-
-    result = nelder_mead(objective, x0, max_evals=max_evals, rel_tol=1e-10)
+    no_events = np.zeros((z.size, 0))
+    x0 = _pack(hannan_rissanen_start(z, orders))
+    result = nelder_mead(_css_objective(z, no_events, orders), x0,
+                         max_evals=max_evals, rel_tol=1e-10)
+    params = _unpack(result.x, orders)
     if not result.converged:
         raise FitError(
             f"CSS optimization did not converge for {orders.label()}",
             diagnostics={"best_objective": result.fun, "n_evals": result.n_evals,
-                         "best_params": _unpack(result.x, orders)})
-
-    params = _unpack(result.x, orders)
+                         "best_params": params})
     if not (params.is_stationary and params.is_invertible):
         raise FitError(f"optimum for {orders.label()} fails the root check")
-
-    a, m = _ar_ma_lag_coefs(orders, params)
-    css = _css_value(z, orders, params.c, a, m)
-    n_eff = z.size
-    sigma2 = css / n_eff
-    params.sigma2 = sigma2
-    mu = params.c / (1.0 - a.sum())
-    residuals = _residuals_from_lags(z - mu, a, m)
-
-    k = orders.n_coefficients
-    bic = (n_eff * math.log(sigma2) + k * math.log(n_eff)
-           if sigma2 > 0.0 else -math.inf)
-    std_errors = _coefficient_std_errors(z, orders, params, sigma2)
-    return ArimaFit(orders=orders, params=params, std_errors=std_errors,
-                    log_css=math.log(css) if css > 0.0 else -math.inf,
-                    bic=bic, residuals=residuals, n_effective=n_eff, y=y,
-                    n_interpolated=n_interp)
+    return ArimaFit(orders=orders, y=y, n_interpolated=n_interp,
+                    **_css_finish(z, no_events, orders, result.x))
 
 
 def auto_fit(

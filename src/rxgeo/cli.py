@@ -147,15 +147,34 @@ def _read_classified_csv(path: Path, manifest: RunManifest) -> list[geo.Classifi
             raise DataError(f"{path}: not a classified CSV "
                             f"(missing columns {sorted(need - have)})")
         for row in reader:
-            base = {k: row[k] for k in records.CSV_COLUMNS}
-            rec = records._parse_row(base)
-            g = geo.TriangleGeometry(float(row["d_pp"]), float(row["d_pd"]),
-                                     float(row["d_rd"]))
-            code = row["class_code"]
-            cc = geo.ClassCode(int(code[0]), geo.DisparityLabel(int(code[1])))
-            out.append(geo.ClassifiedRecord(rec, g, cc,
-                                            geo.RiskLevel(int(row["risk_level"]))))
+            try:
+                out.append(_parse_classified_row(row))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
+
+
+def _parse_classified_row(row: dict) -> geo.ClassifiedRecord:
+    """One classified-CSV row; ValueError reasons follow ``records._parse_row``."""
+    if None in row or None in row.values():
+        raise ValueError("wrong field count")
+    rec = records._parse_row({k: row[k] for k in records.CSV_COLUMNS})
+    dists = []
+    for col in ("d_pp", "d_pd", "d_rd"):
+        try:
+            dists.append(records._parse_float(row[col], col))
+        except ValueError:
+            raise ValueError(f"invalid {col}") from None
+    code = row["class_code"]
+    if code not in geo.ALL_CLASS_CODES:
+        raise ValueError("invalid class_code")
+    risk = row["risk_level"]
+    if not (risk.isdigit() and int(risk) in geo.RISK_HAZARD_RATIOS):
+        raise ValueError("invalid risk_level")
+    return geo.ClassifiedRecord(
+        rec, geo.TriangleGeometry(*dists),
+        geo.ClassCode(int(code[0]), geo.DisparityLabel(int(code[1]))),
+        geo.RiskLevel(int(risk)))
 
 
 def _monthly_groups(classified, family: str) -> dict[str, list[float]]:
@@ -385,8 +404,15 @@ def _read_series_csv(path: Path, manifest: RunManifest) -> np.ndarray:
             raise DataError(f"{path}: expected an aggregate series CSV "
                             "(missing mean_mme_day column)")
         for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if None in row or None in row.values():
+                raise DataError(f"{where}: wrong field count")
             raw = row["mean_mme_day"]
-            values.append(float(raw) if raw not in ("", None) else math.nan)
+            try:
+                values.append(records._parse_float(raw, "mean_mme_day")
+                              if raw else math.nan)
+            except ValueError:
+                raise DataError(f"{where}: invalid mean_mme_day") from None
     if not values:
         raise DataError(f"{path}: empty series")
     return np.asarray(values)
@@ -464,6 +490,8 @@ def _its_result_payload(res) -> dict:
 
 
 def _cmd_its(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"rxgeo its: --alpha must be in (0, 1), got {args.alpha}")
     manifest = _start_manifest(args, "its")
     classified = _read_classified_csv(Path(args.input), manifest)
     outdir = Path(args.outdir)
@@ -489,7 +517,7 @@ def _cmd_its(args) -> int:
 
     batch = its_batch(all_series, policy_month=args.policy_month,
                       event_kinds=event_kinds, alpha=args.alpha,
-                      announce_month=args.announce_month, threads=args.threads)
+                      announce_month=args.announce_month)
     by_key = {(s.drug_family, s.class_code): s for s in all_series}
     payload = {"results": [_its_result_payload(r) for r in batch.results],
                "failures": batch.failures}
@@ -638,7 +666,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--announce-month", type=_month_arg, default=None,
                    help="optional second onset for announcement effects")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_its)
 
     p = sub.add_parser("report", help="assemble the Markdown report bundle")
@@ -667,6 +694,11 @@ def _apply_config_file(argv: list[str], subparsers) -> list[str] | None:
     if command in subparsers and isinstance(section, dict):
         sp = subparsers[command]
         kv = {key.replace("-", "_"): value for key, value in section.items()}
+        flags = {a.dest for a in sp._actions} - {"help"}
+        unknown = sorted(key for key in section if key.replace("-", "_") not in flags)
+        if unknown:
+            raise UsageError(f"rxgeo: unknown {command} flag(s) in --config-file "
+                             f"{path}: {', '.join(unknown)}")
         sp.set_defaults(**kv)
         for action in sp._actions:
             if action.dest in kv:
@@ -678,20 +710,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = build_parser()
     try:
-        argv = _apply_config_file(argv, subparsers)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(argv, subparsers))
+        return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, records.SchemaError) as exc:
+    except (DataError, OSError, records.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import arima
 from .arima import (ArimaFit, ArimaOrders, ArimaParams, FitError, Forecast,
-                    _ar_ma_lag_coefs, _css_value, _fd_hessian, _pack, _unpack,
-                    difference)
+                    _css_finish, _css_objective, _pack, difference)
 from ._optimize import nelder_mead
 from .series import ClassSeries, MonthKey, split_pre_post
 
@@ -175,7 +174,9 @@ def fit_arimax(
     like the series, so the regression lives in one stationary frame.  The
     optimizer starts from the better of an OLS+Hannan-Rissanen point and
     the no-event base fit with zero betas, which makes the optimized CSS
-    never exceed the base model's (nested-model property).
+    never exceed the base model's (nested-model property).  The base fit is
+    computed here unless ``base_fit`` supplies it.  Objective, residuals,
+    BIC and standard errors come from the CSS core that ``arima.fit`` uses.
     """
     y = np.asarray(y, dtype=float)
     y, n_interp = arima.fill_missing(y)
@@ -199,15 +200,7 @@ def fit_arimax(
 
     m_events = x.shape[1]
     o = orders
-
-    def split_vec(vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        return float(vec[0]), vec[1:1 + m_events], vec[1 + m_events:]
-
-    def objective(vec: np.ndarray) -> float:
-        c, betas, u = split_vec(vec)
-        p = _unpack(np.r_[c, u], o)
-        a, m = _ar_ma_lag_coefs(o, p)
-        return _css_value(z - x @ betas, o, c, a, m)
+    objective = _css_objective(z, x, o)
 
     # Start 1: OLS for betas, Hannan-Rissanen on the OLS residuals.
     design = np.column_stack([np.ones(z.size), x])
@@ -235,51 +228,8 @@ def fit_arimax(
         if f_cand < best_f:
             best_x, best_f = cand, f_cand
 
-    c, betas, u = split_vec(best_x)
-    params = _unpack(np.r_[c, u], o)
-    a, m = _ar_ma_lag_coefs(o, params)
-    w = z - x @ betas
-    css = _css_value(w, o, c, a, m)
-    n_eff = z.size
-    sigma2 = css / n_eff
-    params.sigma2 = sigma2
-    ar_at_one = 1.0 - a.sum()
-    mu = c / ar_at_one if ar_at_one != 0.0 else 0.0
-    residuals = arima._residuals_from_lags(w - mu, a, m)
-
-    k = 1 + m_events + o.p + o.q + o.P + o.Q
-    bic = n_eff * math.log(sigma2) + k * math.log(n_eff) if sigma2 > 0 else -math.inf
-
-    vec0 = np.concatenate(([c], betas, params.phi, params.theta,
-                           params.Phi, params.Theta))
-
-    def raw_objective(vec: np.ndarray) -> float:
-        cc = float(vec[0])
-        bb = vec[1:1 + m_events]
-        i = 1 + m_events
-        p = ArimaParams(c=cc, phi=vec[i:i + o.p],
-                        theta=vec[i + o.p:i + o.p + o.q],
-                        Phi=vec[i + o.p + o.q:i + o.p + o.q + o.P],
-                        Theta=vec[i + o.p + o.q + o.P:])
-        aa, mm = _ar_ma_lag_coefs(o, p)
-        return _css_value(z - x @ bb, o, cc, aa, mm)
-
-    if sigma2 > 0:
-        hess = _fd_hessian(raw_objective, vec0)
-        if np.all(np.isfinite(hess)):
-            cov = 2.0 * sigma2 * np.linalg.pinv(hess)
-            diag = np.diag(cov).copy()
-            diag[diag < 0] = np.nan
-            std_errors = np.sqrt(diag)
-        else:
-            std_errors = np.full(vec0.size, np.nan)
-    else:
-        std_errors = np.zeros(vec0.size)
-
-    return ArimaxFit(orders=o, params=params, betas=np.asarray(betas, dtype=float),
-                     event_names=list(names), std_errors=std_errors,
-                     log_css=math.log(css) if css > 0 else -math.inf, bic=bic,
-                     residuals=residuals, n_effective=n_eff)
+    return ArimaxFit(orders=o, betas=np.asarray(best_x[1:1 + m_events], dtype=float),
+                     event_names=list(names), **_css_finish(z, x, o, best_x))
 
 
 class MismatchPoint(NamedTuple):
@@ -325,7 +275,8 @@ def its_analysis(
        retention threshold is Bonferroni-corrected, ``alpha / #events
        initially included``, so the chance of keeping any spurious event on
        a null series stays near ``alpha`` overall; with a single event it
-       reduces to plain ``alpha``.
+       reduces to plain ``alpha``.  The no-event base model of the full
+       series is fitted once and seeds every refit.
     """
     if policy_month is None:
         policy_month = series.policy_month
@@ -356,12 +307,17 @@ def its_analysis(
         events += [EventInput(kind, announce_month, name=f"{kind}@announce")
                    for kind in event_kinds]
 
-    y_full = series.values()
+    y_full, _ = arima.fill_missing(series.values())
     orders = pre_fit.orders
     dropped: list[str] = []
     current = list(events)
     keep_level = alpha / max(len(events), 1)
-    arimax_fit = fit_arimax(y_full, orders, current, start_month=start_month)
+    try:
+        base_fit = arima.fit(y_full, orders)
+    except (FitError, ValueError):
+        base_fit = None
+    arimax_fit = fit_arimax(y_full, orders, current, start_month=start_month,
+                            base_fit=base_fit)
     while current:
         evs = arimax_fit.event_coefficients()
         weakest = max(evs, key=lambda cf: (cf.p_value if not math.isnan(cf.p_value)
@@ -371,7 +327,8 @@ def its_analysis(
             break
         dropped.append(weakest.name)
         current = [e for e in current if e.label != weakest.name]
-        arimax_fit = fit_arimax(y_full, orders, current, start_month=start_month)
+        arimax_fit = fit_arimax(y_full, orders, current, start_month=start_month,
+                                base_fit=base_fit)
 
     return ItsResult(drug_family=series.drug_family, class_code=series.class_code,
                      policy_month=policy_month, pre_fit=pre_fit, post_forecast=fc,
@@ -394,7 +351,6 @@ def its_batch(
     event_kinds: Sequence[str] = EVENT_KINDS,
     alpha: float = 0.05,
     announce_month: MonthKey | None = None,
-    threads: int = 1,
     auto_kwargs: dict | None = None,
 ) -> ItsBatchResult:
     """
@@ -402,28 +358,14 @@ def its_batch(
     recorded and the batch continues.  Output order is deterministic:
     by family, overall series first, then class codes ascending.
     """
-    ordered = sorted(all_series, key=_series_sort_key)
-
-    def run(s: ClassSeries):
-        return its_analysis(s, policy_month=policy_month, event_kinds=event_kinds,
-                            alpha=alpha, announce_month=announce_month,
-                            auto_kwargs=auto_kwargs)
-
     results: list[ItsResult] = []
     failures: dict[str, str] = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(s, pool.submit(run, s)) for s in ordered]
-        for s, fut in futures:
-            try:
-                results.append(fut.result())
-            except Exception as exc:  # noqa: BLE001 - failures are data
-                failures[f"{s.drug_family}/{s.class_code}"] = str(exc)
-    else:
-        for s in ordered:
-            try:
-                results.append(run(s))
-            except Exception as exc:  # noqa: BLE001 - failures are data
-                failures[f"{s.drug_family}/{s.class_code}"] = str(exc)
+    for s in sorted(all_series, key=_series_sort_key):
+        try:
+            results.append(its_analysis(s, policy_month=policy_month,
+                                        event_kinds=event_kinds, alpha=alpha,
+                                        announce_month=announce_month,
+                                        auto_kwargs=auto_kwargs))
+        except Exception as exc:  # noqa: BLE001 - failures are data
+            failures[f"{s.drug_family}/{s.class_code}"] = str(exc)
     return ItsBatchResult(results=results, failures=failures)

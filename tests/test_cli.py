@@ -119,6 +119,57 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "summary-table" in err or "missing stage output" in err
 
 
+def _rewrite_csv(src, dst, column, value):
+    """Copy a CSV, setting ``column`` of the first data row to ``value``."""
+    with open(src, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0][column] = value
+    with open(dst, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("column,value", [("class_code", "9z"),
+                                          ("mme_total", "abc")])
+def test_malformed_classified_row_exits_2(pipeline, tmp_path, capsys,
+                                          column, value):
+    bad = tmp_path / "classified.csv"
+    _rewrite_csv(pipeline / "classified.csv", bad, column, value)
+    capsys.readouterr()
+    assert run("aggregate", "--input", bad, "--outdir", tmp_path / "s") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(bad) in err and "line 2" in err and f"invalid {column}" in err
+
+
+def test_malformed_series_row_exits_2(pipeline, tmp_path, capsys):
+    series = tmp_path / "series"
+    assert run("aggregate", "--input", pipeline / "classified.csv",
+               "--outdir", series) == 0
+    bad = tmp_path / "bad_series.csv"
+    _rewrite_csv(series / "series_opioid_overall.csv", bad, "mean_mme_day", "abc")
+    short = tmp_path / "short_series.csv"
+    lines = (series / "series_opioid_overall.csv").read_text().splitlines()
+    short.write_text("\n".join(lines[:2] + ["3,2014,3"] + lines[3:]) + "\n")
+    for path, line, reason in ((bad, 2, "invalid mean_mme_day"),
+                               (short, 3, "wrong field count")):
+        capsys.readouterr()
+        assert run("fit", "--input", path, "--out", tmp_path / "fit.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{path}: line {line}: {reason}" in err
+
+
+@pytest.mark.parametrize("alpha", ["7", "0", "1", "-0.5", "nan"])
+def test_its_alpha_outside_unit_interval_is_usage_error(pipeline, tmp_path,
+                                                        capsys, alpha):
+    assert run("its", "--input", pipeline / "classified.csv",
+               "--outdir", tmp_path / "its", "--alpha", alpha) == 1
+    assert "--alpha" in capsys.readouterr().err
+    assert not (tmp_path / "its").exists()
+
+
 def test_report_requires_its_outputs(pipeline, tmp_path, capsys):
     results = pipeline / "results"
     if not (results / "class_summary_opioid.md").exists():
@@ -141,6 +192,19 @@ def test_config_file_supplies_flags(tmp_path):
     assert run("--config-file", cfg, "simulate", "--out", out2) == 0
     assert out2.exists()
     assert run("--config-file", tmp_path / "absent.json", "simulate") == 2
+
+
+def test_config_file_rejects_unknown_keys(pipeline, tmp_path, capsys):
+    # a misspelt flag, and the removed its --threads flag
+    for command, key, flag in (("anova", "unti", "--out"),
+                               ("its", "threads", "--outdir")):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({command: {key: 2}}))
+        capsys.readouterr()
+        assert run("--config-file", cfg, command, "--input",
+                   pipeline / "classified.csv", flag, tmp_path / "out") == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_determinism(tmp_path):

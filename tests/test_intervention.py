@@ -219,6 +219,24 @@ def test_its_mismatch_covers_post_months():
     assert len(months) == 43
 
 
+def test_its_fits_base_model_once(monkeypatch):
+    # a null series: events get dropped one by one, and every refit reuses
+    # the single no-event base fit of the full-length series
+    rng = np.random.default_rng(78)
+    vals = 50 + rng.normal(0, 1, 95)
+    lengths = []
+    real_fit = arima.fit
+
+    def counting_fit(y, *args, **kwargs):
+        lengths.append(len(y))
+        return real_fit(y, *args, **kwargs)
+
+    monkeypatch.setattr(arima, "fit", counting_fit)
+    res = its_analysis(make_series(vals))
+    assert len(res.dropped_events) >= 2
+    assert lengths.count(95) == 1
+
+
 # --- its_batch ---------------------------------------------------------------------
 
 def test_its_batch_ordering_and_failures():
@@ -292,13 +310,3 @@ def test_its_batch_flags_only_true_effect_classes():
         flagged = {r.class_code for r in batch.results if r.significant_events()}
         hits += ({"03", "30"} <= flagged) and not ({"22", "32"} & flagged)
     assert hits >= 4  # >= 80% of seeds
-
-
-def test_its_batch_threads_match_serial():
-    rng = np.random.default_rng(80)
-    series = [make_series(50 + rng.normal(0, 1, 95), code=c)
-              for c in ("overall", "00", "01")]
-    serial = its_batch(series, threads=1)
-    threaded = its_batch(series, threads=3)
-    assert [(r.class_code, r.arimax.bic) for r in serial.results] == \
-           [(r.class_code, r.arimax.bic) for r in threaded.results]
