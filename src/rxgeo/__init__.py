@@ -9,8 +9,9 @@ from .geo import (ALL_CLASS_CODES, ClassCode, ClassThresholds, ClassifiedRecord,
                   DisparityLabel, RiskLevel, TriangleGeometry, class_code,
                   classify_records, disparity, distance_level, geometry,
                   haversine, risk_level)
-from .series import (ClassSeries, ClassSummaryRow, MonthKey, aggregate_monthly,
-                     pre_post_table, split_pre_post, summarize_classes)
+from .series import (ClassSeries, ClassSummaryRow, MonthKey, RecordTable,
+                     aggregate_monthly, pre_post_table, split_pre_post,
+                     summarize_classes)
 from .stats import MeanCI, TestResult, mean_ci, one_way_anova, pct_change, t_test_greater
 from .arima import (ArimaFit, ArimaOrders, ArimaParams, Forecast, adf_test,
                     auto_fit, css_objective, difference, fit, forecast,

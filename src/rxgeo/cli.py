@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, arima, geo, records, report, syngen
 from .intervention import EVENT_KINDS, its_batch
 from .records import PrescriptionRecord, parse_csv, write_csv
-from .series import (MonthKey, aggregate_monthly, pre_post_table,
+from .series import (MonthKey, RecordTable, aggregate_monthly, pre_post_table,
                      summarize_classes)
 from .stats import mean_ci, one_way_anova, t_test_greater
 
@@ -136,51 +136,118 @@ def _write_classified_csv(path: Path, classified) -> None:
             ])
 
 
-def _read_classified_csv(path: Path, manifest: RunManifest) -> list[geo.ClassifiedRecord]:
+READ_CHUNK_ROWS = 4096
+_CODES = frozenset(geo.ALL_CLASS_CODES)
+_FLOAT_COLUMNS = ("patient_lat", "patient_lon", "prescriber_lat", "prescriber_lon",
+                  "dispenser_lat", "dispenser_lon", "d_pp", "d_pd", "d_rd",
+                  "mme_total")
+
+
+def _read_classified_csv(path: Path, manifest: RunManifest) -> RecordTable:
+    """The columns of a classified CSV that the reader stages use.
+
+    Rows are checked a chunk at a time, column by column.  A chunk with a bad
+    row goes through the row check, so the error names the first bad row.
+    """
     _track_input(manifest, path)
-    out = []
+    parts = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
         need = set(records.CSV_COLUMNS) | set(CLASSIFIED_EXTRA)
-        have = set(reader.fieldnames or ())
-        if not need <= have:
+        if not need <= set(header):
             raise DataError(f"{path}: not a classified CSV "
-                            f"(missing columns {sorted(need - have)})")
+                            f"(missing columns {sorted(need - set(header))})")
+        rows: list[list[str]] = []
+        lines: list[int] = []
         for row in reader:
-            try:
-                out.append(_parse_classified_row(row))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    return out
+            if not row:  # blank line, skipped as csv.DictReader does
+                continue
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == READ_CHUNK_ROWS:
+                parts.append(_classified_columns(path, header, rows, lines))
+                rows, lines = [], []
+        if rows:
+            parts.append(_classified_columns(path, header, rows, lines))
+    if not parts:
+        return RecordTable.from_records([])
+    family, month, mme_total, days_supply, code = (
+        np.concatenate(col) for col in zip(*parts))
+    return RecordTable(family, month, mme_total, days_supply, code,
+                       mme_total / days_supply)
 
 
-def _parse_classified_row(row: dict) -> geo.ClassifiedRecord:
-    """One classified-CSV row; ValueError reasons follow ``records._parse_row``."""
-    if None in row or None in row.values():
-        raise ValueError("wrong field count")
+def _classified_columns(path: Path, header: list[str], rows: list[list[str]],
+                        lines: list[int]) -> tuple[np.ndarray, ...]:
+    """Check one chunk of rows; return its family, month index, mme_total,
+    days_supply and class_code columns."""
+    try:
+        if set(map(len, rows)) != {len(header)}:
+            raise ValueError
+        col = dict(zip(header, zip(*rows)))  # the last of duplicate names wins
+        if not all(map(str.strip, col["record_id"])):
+            raise ValueError
+        floats = {name: np.fromiter(map(float, col[name]), float, len(rows))
+                  for name in _FLOAT_COLUMNS}
+        days_supply = np.fromiter(map(int, col["days_supply"]), float, len(rows))
+        mme_total = floats["mme_total"]
+        if not (all(np.isfinite(x).all() for x in floats.values())
+                and (mme_total >= 0).all() and (days_supply >= 1).all()):
+            raise ValueError
+        month_of = {text: MonthKey.from_date(date.fromisoformat(text.strip())).index
+                    for text in set(col["fill_date"])}
+        family_of = {text: text.strip() for text in set(col["drug_family"])}
+        if not (set(family_of.values()) <= set(records.FAMILIES)
+                and set(col["class_code"]) <= _CODES
+                and all(v.isdigit() and int(v) in geo.RISK_HAZARD_RATIOS
+                        for v in set(col["risk_level"]))):
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise _first_row_error(path, header, rows, lines) from None
+    return (np.array([family_of[v] for v in col["drug_family"]], dtype=str),
+            np.array([month_of[v] for v in col["fill_date"]], dtype=np.int64),
+            mme_total, days_supply, np.array(col["class_code"], dtype=str))
+
+
+def _first_row_error(path: Path, header: list[str], rows: list[list[str]],
+                     lines: list[int]) -> DataError:
+    for row, line in zip(rows, lines):
+        try:
+            if len(row) != len(header):
+                raise ValueError("wrong field count")
+            _check_classified_row(dict(zip(header, row)))
+        except ValueError as exc:
+            return DataError(f"{path}: line {line}: {exc}")
+    raise RuntimeError(f"{path}: the chunk check rejected rows the row check accepts")
+
+
+def _check_classified_row(row: dict[str, str]) -> None:
+    """Check one classified-CSV row; ValueError reasons follow ``records._parse_row``."""
     rec = records._parse_row({k: row[k] for k in records.CSV_COLUMNS})
-    dists = []
+    # A classified CSV comes after clean(), so days_supply >= 1; MME/day
+    # divides by it as a float.
+    try:
+        if float(rec.days_supply) < 1:
+            raise ValueError("below 1")
+    except (ValueError, OverflowError):
+        raise ValueError("invalid days_supply") from None
     for col in ("d_pp", "d_pd", "d_rd"):
         try:
-            dists.append(records._parse_float(row[col], col))
+            records._parse_float(row[col], col)
         except ValueError:
             raise ValueError(f"invalid {col}") from None
-    code = row["class_code"]
-    if code not in geo.ALL_CLASS_CODES:
+    if row["class_code"] not in _CODES:
         raise ValueError("invalid class_code")
     risk = row["risk_level"]
     if not (risk.isdigit() and int(risk) in geo.RISK_HAZARD_RATIOS):
         raise ValueError("invalid risk_level")
-    return geo.ClassifiedRecord(
-        rec, geo.TriangleGeometry(*dists),
-        geo.ClassCode(int(code[0]), geo.DisparityLabel(int(code[1]))),
-        geo.RiskLevel(int(risk)))
 
 
-def _monthly_groups(classified, family: str) -> dict[str, list[float]]:
+def _monthly_groups(table: RecordTable, family: str) -> dict[str, list[float]]:
     """Per-class lists of monthly means (months with records only)."""
     groups: dict[str, list[float]] = {}
-    for s in aggregate_monthly(classified, group_by="class", family=family):
+    for s in aggregate_monthly(table, group_by="class", family=family):
         vals = [p.mean_mme_day for p in s.points if p.n_records > 0]
         groups[s.class_code] = vals
     return groups
@@ -276,14 +343,14 @@ def _write_series_csv(path: Path, s) -> None:
 
 def _cmd_aggregate(args) -> int:
     manifest = _start_manifest(args, "aggregate")
-    classified = _read_classified_csv(Path(args.input), manifest)
+    table = _read_classified_csv(Path(args.input), manifest)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {}
     for family in _families(args.family):
-        all_series = aggregate_monthly(classified, group_by="class", family=family,
+        all_series = aggregate_monthly(table, group_by="class", family=family,
                                        policy_month=args.policy_month)
-        all_series += aggregate_monthly(classified, group_by="overall", family=family,
+        all_series += aggregate_monthly(table, group_by="overall", family=family,
                                         policy_month=args.policy_month)
         for s in all_series:
             path = outdir / _series_filename(family, s.class_code)
@@ -304,16 +371,16 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_summary_table(args) -> int:
     manifest = _start_manifest(args, "summary-table")
-    classified = _read_classified_csv(Path(args.input), manifest)
+    table = _read_classified_csv(Path(args.input), manifest)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for family in _families(args.family):
-        rows = summarize_classes(classified, family=family)
+        rows = summarize_classes(table, family=family)
         md = report.class_summary_markdown(rows, family)
         (outdir / f"class_summary_{family}.md").write_text(md)
         _write_csv_rows(outdir / f"class_summary_{family}.csv",
                         report.class_summary_csv_rows(rows))
-        grid = pre_post_table(classified, family=family,
+        grid = pre_post_table(table, family=family,
                               policy_month=args.policy_month)
         (outdir / f"pre_post_{family}.md").write_text(
             report.pre_post_markdown(grid, family))
@@ -330,16 +397,17 @@ def _cmd_summary_table(args) -> int:
 
 def _cmd_anova(args) -> int:
     manifest = _start_manifest(args, "anova")
-    classified = _read_classified_csv(Path(args.input), manifest)
+    table = _read_classified_csv(Path(args.input), manifest)
     if args.unit == "monthly":
-        groups = [v for v in _monthly_groups(classified, args.family).values()
+        groups = [v for v in _monthly_groups(table, args.family).values()
                   if len(v) >= 2]
     else:
-        by_code: dict[str, list[float]] = {}
-        for c in classified:
-            if c.record.drug_family == args.family:
-                by_code.setdefault(c.class_code.code, []).append(c.mme_day)
-        groups = [v for v in by_code.values() if len(v) >= 2]
+        fam = table.drug_family == args.family
+        codes, values = table.class_code[fam], table.mme_day[fam]
+        found, first = np.unique(codes, return_index=True)
+        groups = [values[codes == code].tolist()
+                  for code in found[np.argsort(first)]]  # first-appearance order
+        groups = [v for v in groups if len(v) >= 2]
     if len(groups) < 2:
         raise DataError("fewer than 2 classes have enough data for ANOVA")
     res = one_way_anova(groups)
@@ -357,13 +425,12 @@ def _cmd_anova(args) -> int:
 
 def _cmd_ttest(args) -> int:
     manifest = _start_manifest(args, "ttest")
-    classified = _read_classified_csv(Path(args.input), manifest)
+    table = _read_classified_csv(Path(args.input), manifest)
     if args.unit == "monthly":
-        values = _monthly_groups(classified, args.family).get(args.class_code, [])
+        values = _monthly_groups(table, args.family).get(args.class_code, [])
     else:
-        values = [c.mme_day for c in classified
-                  if c.record.drug_family == args.family
-                  and c.class_code.code == args.class_code]
+        values = table.mme_day[(table.drug_family == args.family)
+                               & (table.class_code == args.class_code)].tolist()
     if len(values) < 2:
         raise DataError(f"class {args.class_code} has fewer than 2 {args.unit} values")
     res = t_test_greater(values, args.mu0)
@@ -493,7 +560,7 @@ def _cmd_its(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"rxgeo its: --alpha must be in (0, 1), got {args.alpha}")
     manifest = _start_manifest(args, "its")
-    classified = _read_classified_csv(Path(args.input), manifest)
+    table = _read_classified_csv(Path(args.input), manifest)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     event_kinds = args.events.split(",")
@@ -503,15 +570,15 @@ def _cmd_its(args) -> int:
 
     all_series = []
     for family in _families(args.family):
-        fam_records = [c for c in classified if c.record.drug_family == family]
-        if not fam_records:
+        months = table.month_index[table.drug_family == family]
+        if not months.size:
             continue
-        months = [MonthKey.from_date(c.record.fill_date) for c in fam_records]
-        span = (min(months), max(months))
-        all_series += aggregate_monthly(fam_records, group_by="overall",
+        span = (MonthKey.from_index(int(months.min())),
+                MonthKey.from_index(int(months.max())))
+        all_series += aggregate_monthly(table, group_by="overall",
                                         family=family, span=span,
                                         policy_month=args.policy_month)
-        all_series += aggregate_monthly(fam_records, group_by="class",
+        all_series += aggregate_monthly(table, group_by="class",
                                         family=family, span=span,
                                         policy_month=args.policy_month)
 
@@ -676,8 +743,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, dict(sub.choices)
 
 
-def _apply_config_file(argv: list[str], subparsers) -> list[str] | None:
-    """Inject per-subcommand flag defaults from a --config-file JSON."""
+def _apply_config_file(argv: list[str], subparsers) -> list[str]:
+    """Insert a --config-file JSON section as ``--flag=value`` tokens.
+
+    They go right after the subcommand, so argparse converts and checks them
+    like typed flags and the user's own flags, coming later, win.
+    """
     if "--config-file" not in argv:
         return argv
     i = argv.index("--config-file")
@@ -691,19 +762,19 @@ def _apply_config_file(argv: list[str], subparsers) -> list[str] | None:
         raise DataError(f"bad --config-file {path}: {exc}") from exc
     command = next((a for a in argv if not a.startswith("-")), None)
     section = defaults.get(command) if isinstance(defaults, dict) else None
-    if command in subparsers and isinstance(section, dict):
-        sp = subparsers[command]
-        kv = {key.replace("-", "_"): value for key, value in section.items()}
-        flags = {a.dest for a in sp._actions} - {"help"}
-        unknown = sorted(key for key in section if key.replace("-", "_") not in flags)
-        if unknown:
-            raise UsageError(f"rxgeo: unknown {command} flag(s) in --config-file "
-                             f"{path}: {', '.join(unknown)}")
-        sp.set_defaults(**kv)
-        for action in sp._actions:
-            if action.dest in kv:
-                action.required = False
-    return argv
+    if command not in subparsers or not isinstance(section, dict):
+        return argv
+    option = {a.dest: a.option_strings[0] for a in subparsers[command]._actions
+              if a.dest != "help"}
+    unknown = sorted(key for key in section if key.replace("-", "_") not in option)
+    if unknown:
+        raise UsageError(f"rxgeo: unknown {command} flag(s) in --config-file "
+                         f"{path}: {', '.join(unknown)}")
+    tokens = [f"{option[key.replace('-', '_')]}="
+              f"{value if isinstance(value, str) else json.dumps(value)}"
+              for key, value in section.items()]
+    at = argv.index(command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv: list[str] | None = None) -> int:

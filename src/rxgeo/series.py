@@ -86,18 +86,58 @@ class ClassSeries:
         return len(self.points)
 
 
-def _as_pairs(records) -> list[tuple[PrescriptionRecord, str | None]]:
-    pairs = []
-    for r in records:
-        if isinstance(r, ClassifiedRecord):
-            pairs.append((r.record, r.class_code.code))
-        else:
-            pairs.append((r, None))
-    return pairs
+@dataclass(frozen=True)
+class RecordTable:
+    """The record columns the aggregation and statistics stages read.
+
+    One entry per record, in input order.  ``class_code`` is ``""`` for a
+    record that is not classified; ``days_supply`` holds whole numbers as
+    float64, and ``mme_day`` is ``mme_total / days_supply``.
+    """
+
+    drug_family: np.ndarray  # str
+    month_index: np.ndarray  # int64, months since 2014-01
+    mme_total: np.ndarray  # float64
+    days_supply: np.ndarray  # float64
+    class_code: np.ndarray  # str
+    mme_day: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return self.mme_day.size
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[PrescriptionRecord | ClassifiedRecord],
+    ) -> "RecordTable":
+        """Columns of plain or classified records (``ValueError`` if a
+        record has ``days_supply < 1``)."""
+        recs, codes = [], []
+        for r in records:
+            if isinstance(r, ClassifiedRecord):
+                codes.append(r.class_code.code)
+                r = r.record
+            else:
+                codes.append("")
+            recs.append(r)
+        return cls(
+            drug_family=np.array([r.drug_family for r in recs], dtype=str),
+            month_index=np.array([MonthKey.from_date(r.fill_date).index
+                                  for r in recs], dtype=np.int64),
+            mme_total=np.array([r.mme_total for r in recs], dtype=float),
+            days_supply=np.array([r.days_supply for r in recs], dtype=float),
+            class_code=np.array(codes, dtype=str),
+            mme_day=np.array([mme_per_day(r) for r in recs], dtype=float),
+        )
+
+
+def _as_table(records) -> RecordTable:
+    if isinstance(records, RecordTable):
+        return records
+    return RecordTable.from_records(records)
 
 
 def aggregate_monthly(
-    records: Sequence[PrescriptionRecord | ClassifiedRecord],
+    records: RecordTable | Sequence[PrescriptionRecord | ClassifiedRecord],
     group_by: str = "class",
     family: str = "opioid",
     span: tuple[MonthKey, MonthKey] | None = None,
@@ -113,32 +153,42 @@ def aggregate_monthly(
     """
     if group_by not in ("class", "overall"):
         raise ValueError(f"group_by must be 'class' or 'overall', got {group_by!r}")
-    pairs = [(r, c) for r, c in _as_pairs(records) if r.drug_family == family]
-    if group_by == "class" and any(c is None for _, c in pairs):
-        raise ValueError("group_by='class' requires classified records")
+    table = _as_table(records)
+    fam = table.drug_family == family
+    months = table.month_index[fam]
+    if not months.size:
+        return []
+    if group_by == "overall":
+        names, keys = [OVERALL], np.zeros(months.size, dtype=np.intp)
+    else:
+        codes = table.class_code[fam]
+        if np.any(codes == ""):
+            raise ValueError("group_by='class' requires classified records")
+        names, keys = np.unique(codes, return_inverse=True)
 
-    buckets: dict[str, dict[int, list[float]]] = {}
-    for record, code in pairs:
-        key = OVERALL if group_by == "overall" else code
-        idx = MonthKey.from_date(record.fill_date).index
-        buckets.setdefault(key, {}).setdefault(idx, []).append(mme_per_day(record))
+    # One stable sort on (key, month); each (key, month) group is a slice.
+    order = np.lexsort((months, keys))
+    keys, months = keys[order], months[order]
+    cut = (np.flatnonzero((np.diff(keys) != 0) | (np.diff(months) != 0)) + 1).tolist()
+    values = table.mme_day[fam][order].tolist()
+    keys, months = keys.tolist(), months.tolist()
+    groups: dict[int, dict[int, tuple[float, int]]] = {}
+    for a, b in zip([0, *cut], [*cut, len(values)]):
+        # fsum is correctly rounded, so the mean is exactly permutation-
+        # invariant in record order.
+        groups.setdefault(keys[a], {})[months[a]] = (
+            math.fsum(values[a:b]) / (b - a), b - a)
 
     out: list[ClassSeries] = []
-    for key in sorted(buckets):
-        months = buckets[key]
+    for key, by_month in groups.items():
         if span is None:
-            lo, hi = min(months), max(months)
+            lo, hi = min(by_month), max(by_month)
         else:
             lo, hi = span[0].index, span[1].index
-        points = []
-        for idx in range(lo, hi + 1):
-            values = months.get(idx, ())
-            n = len(values)
-            # fsum is correctly rounded, so the mean is exactly permutation-
-            # invariant in record order.
-            mean = math.fsum(values) / n if n else math.nan
-            points.append(SeriesPoint(MonthKey.from_index(idx), mean, n))
-        out.append(ClassSeries(family, key, points, policy_month))
+        points = [SeriesPoint(MonthKey.from_index(idx),
+                              *by_month.get(idx, (math.nan, 0)))
+                  for idx in range(lo, hi + 1)]
+        out.append(ClassSeries(family, str(names[key]), points, policy_month))
     return out
 
 
@@ -173,7 +223,7 @@ def _sd(x: np.ndarray) -> float:
 
 
 def summarize_classes(
-    classified: Sequence[ClassifiedRecord],
+    classified: RecordTable | Sequence[ClassifiedRecord],
     family: str = "opioid",
 ) -> list[ClassSummaryRow]:
     """Per-class record statistics plus the CI of the monthly mean MME/day.
@@ -181,30 +231,30 @@ def summarize_classes(
     Both the MME share and the record share are reported; they answer
     different questions and do not generally agree.
     """
-    fam = [c for c in classified if c.record.drug_family == family]
-    total_records = len(fam)
-    total_mme = sum(c.record.mme_total for c in fam)
-
-    by_code: dict[str, list[ClassifiedRecord]] = {code: [] for code in ALL_CLASS_CODES}
-    for c in fam:
-        by_code[c.class_code.code].append(c)
+    table = _as_table(classified)
+    fam = table.drug_family == family
+    codes = table.class_code[fam]
+    days_all, mme_all = table.days_supply[fam], table.mme_total[fam]
+    total_records = int(codes.size)
+    total_mme = sum(mme_all.tolist())  # builtin sum in record order
+    monthly_by_code = {
+        s.class_code: np.array([p.mean_mme_day for p in s.points if p.n_records > 0])
+        for s in aggregate_monthly(table, group_by="class", family=family)}
 
     rows: list[ClassSummaryRow] = []
     for code in ALL_CLASS_CODES:
-        group = by_code[code]
-        if not group:
+        in_class = codes == code
+        n = int(np.count_nonzero(in_class))
+        if not n:
             rows.append(ClassSummaryRow(code, 0, 0, math.nan, math.nan, math.nan,
                                         math.nan, None, 0.0, 0.0))
             continue
-        days = np.array([c.record.days_supply for c in group], dtype=float)
-        mme = np.array([c.record.mme_total for c in group], dtype=float)
-        series = aggregate_monthly(group, group_by="class", family=family)
-        pts = [p for s in series if s.class_code == code for p in s.points]
-        monthly = np.array([p.mean_mme_day for p in pts if p.n_records > 0])
+        days, mme = days_all[in_class], mme_all[in_class]
+        monthly = monthly_by_code[code]
         ci = mean_ci(monthly) if monthly.size >= 2 else None
         rows.append(ClassSummaryRow(
             class_code=code,
-            n_records=len(group),
+            n_records=n,
             n_months=int(monthly.size),
             mean_days_supply=float(np.mean(days)),
             sd_days_supply=_sd(days),
@@ -212,7 +262,7 @@ def summarize_classes(
             sd_mme=_sd(mme),
             mean_mme_day=ci,
             pct_of_mme=100.0 * float(np.sum(mme)) / total_mme if total_mme else 0.0,
-            pct_of_records=100.0 * len(group) / total_records if total_records else 0.0,
+            pct_of_records=100.0 * n / total_records if total_records else 0.0,
         ))
     return rows
 
@@ -237,7 +287,7 @@ def _window_cell(monthly: np.ndarray) -> PrePostCell | None:
 
 
 def pre_post_table(
-    classified: Sequence[ClassifiedRecord],
+    classified: RecordTable | Sequence[ClassifiedRecord],
     family: str = "opioid",
     policy_month: MonthKey = DEFAULT_POLICY_MONTH,
 ) -> dict[str, tuple[PrePostCell | None, PrePostCell | None]]:

@@ -131,7 +131,8 @@ def _rewrite_csv(src, dst, column, value):
 
 
 @pytest.mark.parametrize("column,value", [("class_code", "9z"),
-                                          ("mme_total", "abc")])
+                                          ("mme_total", "abc"),
+                                          ("days_supply", "0")])
 def test_malformed_classified_row_exits_2(pipeline, tmp_path, capsys,
                                           column, value):
     bad = tmp_path / "classified.csv"
@@ -205,6 +206,25 @@ def test_config_file_rejects_unknown_keys(pipeline, tmp_path, capsys):
                    pipeline / "classified.csv", flag, tmp_path / "out") == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,section,flag,argv", [
+    ("anova", {"unit": "bogus"}, "--unit", ["--out", "out"]),
+    ("simulate", {"n": 1.5}, "--n", ["--out", "out"]),
+    ("its", {"alpha": [1]}, "--alpha", ["--outdir", "out"]),
+])
+def test_config_file_values_are_checked_like_flags(pipeline, tmp_path, capsys,
+                                                   command, section, flag, argv):
+    cfg = tmp_path / "flags.json"
+    cfg.write_text(json.dumps({command: section}))
+    if command != "simulate":
+        argv = ["--input", pipeline / "classified.csv", *argv]
+    argv = [tmp_path / a if a == "out" else a for a in argv]
+    capsys.readouterr()
+    assert run("--config-file", cfg, command, *argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_determinism(tmp_path):
