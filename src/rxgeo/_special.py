@@ -28,6 +28,33 @@ def normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+# Acklam's rational approximation of the normal quantile: central form in
+# q = p - 0.5, lower-tail form in q = sqrt(-2 log p), switching at _P_LOW.
+_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+      6.680131188771972e+01, -1.328068155288572e+01)
+_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+      3.754408661907416e+00)
+_P_LOW = 0.02425
+
+
+def _acklam_central(q):
+    """Acklam's central form at q = p - 0.5 (a float or an array)."""
+    r = q * q
+    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
+        (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+
+
+def _acklam_tail(q):
+    """Acklam's lower-tail form at q = sqrt(-2 log p) (a float or an array);
+    the upper tail is its negation at q = sqrt(-2 log(1 - p))."""
+    return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
+        ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+
+
 def normal_ppf(p: float) -> float:
     """
     Standard normal quantile.
@@ -42,30 +69,12 @@ def normal_ppf(p: float) -> float:
             return math.inf
         raise ValueError(f"p must be in [0, 1], got {p}")
 
-    # Acklam coefficients.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    if p < _P_LOW:
+        x = _acklam_tail(math.sqrt(-2.0 * math.log(p)))
+    elif p <= 1.0 - _P_LOW:
+        x = _acklam_central(p - 0.5)
     else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        x = -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
 
     # One Halley refinement step.
     e = normal_cdf(x) - p
@@ -85,35 +94,17 @@ def normal_ppf_vec(p):
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("all probabilities must lie strictly inside (0, 1)")
 
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-
     out = np.empty_like(p)
-    p_low = 0.02425
-
-    lo = p < p_low
-    hi = p > 1.0 - p_low
+    lo = p < _P_LOW
+    hi = p > 1.0 - _P_LOW
     mid = ~(lo | hi)
 
     if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        out[lo] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                  ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        out[lo] = _acklam_tail(np.sqrt(-2.0 * np.log(p[lo])))
     if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        out[hi] = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                  ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        out[hi] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[hi])))
     if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        out[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-                   (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+        out[mid] = _acklam_central(p[mid] - 0.5)
     return out
 
 

@@ -266,12 +266,7 @@ def difference(y: Sequence[float] | np.ndarray, d: int, D: int, s: int = 12) -> 
     if y.size <= need:
         raise ValueError(f"series of length {y.size} too short to difference "
                          f"(needs > {need})")
-    z = y
-    for _ in range(d):
-        z = z[1:] - z[:-1]
-    for _ in range(D):
-        z = z[s:] - z[:-s]
-    return z
+    return _difference_chain(y, d, D, s)[0][-1]
 
 
 def _difference_chain(y: np.ndarray, d: int, D: int, s: int) -> tuple[list[np.ndarray], list[int]]:
@@ -890,6 +885,47 @@ def _full_ar_with_differencing(orders: ArimaOrders, params: ArimaParams) -> np.n
     return -poly[1:]
 
 
+def _arma_recursion(v: list[float], eps: list[float], a: list[float],
+                    m: list[float]) -> list[float]:
+    """
+    Extend the deviation series ``v`` in place to the length of the shock
+    series ``eps`` by v_t = eps_t + sum_k a_k v_{t-k} + sum_l m_l eps_{t-l},
+    counting lags before index 0 as zero.
+    """
+    for t in range(len(v), len(eps)):
+        acc = eps[t]
+        for k in range(1, len(a) + 1):
+            if a[k - 1] != 0.0 and t - k >= 0:
+                acc += a[k - 1] * v[t - k]
+        for l in range(1, len(m) + 1):
+            if m[l - 1] != 0.0 and t - l >= 0:
+                acc += m[l - 1] * eps[t - l]
+        v.append(acc)
+    return v
+
+
+def _continuations(fit_result: ArimaFit, shocks: list[list[float]]) -> np.ndarray:
+    """
+    Continue the fitted series past its end on the original scale, one row
+    per row of future shocks; zero shocks give the point forecast.
+    """
+    o = fit_result.orders
+    params = fit_result.params
+    chain, lags = _difference_chain(fit_result.y, o.d, o.D, o.s)
+    a, m = _ar_ma_lag_coefs(o, params)
+    ar_at_one = 1.0 - a.sum()
+    mu = params.c / ar_at_one if ar_at_one != 0.0 else 0.0
+
+    history = (chain[-1] - mu).tolist()
+    residuals = fit_result.residuals.tolist()
+    alist, mlist = a.tolist(), m.tolist()
+    out = np.empty((len(shocks), len(shocks[0])))
+    for i, row in enumerate(shocks):
+        v = _arma_recursion(history.copy(), residuals + row, alist, mlist)
+        out[i] = _integrate_extension(chain, lags, mu + np.asarray(v[len(history):]))
+    return out
+
+
 def forecast(fit_result: ArimaFit, h: int, level: float = 0.95) -> Forecast:
     """
     Iterated-expectation point forecasts with normal prediction intervals.
@@ -903,32 +939,10 @@ def forecast(fit_result: ArimaFit, h: int, level: float = 0.95) -> Forecast:
         raise ValueError(f"level must be in (0, 1), got {level}")
     o = fit_result.orders
     params = fit_result.params
-
-    chain, lags = _difference_chain(fit_result.y, o.d, o.D, o.s)
-    z = chain[-1]
-    a, m = _ar_ma_lag_coefs(o, params)
-    ar_at_one = 1.0 - a.sum()
-    mu = params.c / ar_at_one if ar_at_one != 0.0 else 0.0
-
-    v = (z - mu).tolist()
-    eps = fit_result.residuals.tolist()
-    z_fc = np.empty(h)
-    for j in range(h):
-        acc = 0.0
-        for k in range(1, a.size + 1):
-            if a[k - 1] != 0.0 and len(v) - k >= 0:
-                acc += a[k - 1] * v[len(v) - k]
-        for l in range(1, m.size + 1):
-            if m[l - 1] != 0.0 and len(eps) - l >= 0:
-                acc += m[l - 1] * eps[len(eps) - l]
-        v.append(acc)
-        eps.append(0.0)
-        z_fc[j] = mu + acc
-
-    point = _integrate_extension(chain, lags, z_fc)
+    point = _continuations(fit_result, [[0.0] * h])[0]
 
     a_full = _full_ar_with_differencing(o, params)
-    psi = _psi_weights(a_full, m, h)
+    psi = _psi_weights(a_full, _ar_ma_lag_coefs(o, params)[1], h)
     var = params.sigma2 * np.cumsum(psi**2)
     zq = normal_ppf(1.0 - (1.0 - level) / 2.0)
     half = zq * np.sqrt(np.maximum(var, 0.0))
@@ -955,20 +969,9 @@ def simulate(orders: ArimaOrders, params: ArimaParams, n: int, seed: int,
     mu = params.c / ar_at_one
 
     rng = np.random.default_rng(seed)
-    total = n + burnin
-    eps = rng.normal(0.0, sigma, total)
-    v = np.zeros(total)
-    alist, mlist = a.tolist(), m.tolist()
-    for t in range(total):
-        acc = eps[t]
-        for k in range(1, len(alist) + 1):
-            if alist[k - 1] != 0.0 and t - k >= 0:
-                acc += alist[k - 1] * v[t - k]
-        for l in range(1, len(mlist) + 1):
-            if mlist[l - 1] != 0.0 and t - l >= 0:
-                acc += mlist[l - 1] * eps[t - l]
-        v[t] = acc
-    z = mu + v[burnin:]
+    eps = rng.normal(0.0, sigma, n + burnin).tolist()
+    v = _arma_recursion([], eps, a.tolist(), m.tolist())
+    z = mu + np.asarray(v[burnin:])
 
     y = z
     for _ in range(orders.d):
@@ -986,41 +989,13 @@ def simulate_forecast_paths(fit_result: ArimaFit, h: int, n_paths: int,
     """
     Conditional continuation paths from the end of the fitted series,
     shape (n_paths, h); used to check prediction-interval calibration.
+    Paths drawn with zero shock variance equal ``forecast(...).point``.
     """
     if h <= 0 or n_paths <= 0:
         raise ValueError("h and n_paths must be positive")
-    o = fit_result.orders
-    params = fit_result.params
-    chain, lags = _difference_chain(fit_result.y, o.d, o.D, o.s)
-    z = chain[-1]
-    a, m = _ar_ma_lag_coefs(o, params)
-    mu = params.c / (1.0 - a.sum())
-
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(max(params.sigma2, 0.0))
-    hist = z.size
-    v = np.tile(z - mu, (n_paths, 1))
-    v = np.concatenate([v, np.zeros((n_paths, h))], axis=1)
-    eps = np.tile(fit_result.residuals, (n_paths, 1))
-    new_eps = rng.normal(0.0, sigma, (n_paths, h))
-    eps = np.concatenate([eps, new_eps], axis=1)
-
-    for j in range(h):
-        t = hist + j
-        acc = eps[:, t].copy()
-        for k in range(1, a.size + 1):
-            if a[k - 1] != 0.0:
-                acc += a[k - 1] * v[:, t - k]
-        for l in range(1, m.size + 1):
-            if m[l - 1] != 0.0:
-                acc += m[l - 1] * eps[:, t - l]
-        v[:, t] = acc
-    z_paths = mu + v[:, hist:]
-
-    out = np.empty((n_paths, h))
-    for i in range(n_paths):
-        out[i] = _integrate_extension(chain, lags, z_paths[i])
-    return out
+    sigma = math.sqrt(max(fit_result.params.sigma2, 0.0))
+    return _continuations(fit_result, rng.normal(0.0, sigma, (n_paths, h)).tolist())
 
 
 def ljung_box(residuals: Sequence[float] | np.ndarray, lag: int = 12,

@@ -140,7 +140,7 @@ READ_CHUNK_ROWS = 4096
 _CODES = frozenset(geo.ALL_CLASS_CODES)
 _FLOAT_COLUMNS = ("patient_lat", "patient_lon", "prescriber_lat", "prescriber_lon",
                   "dispenser_lat", "dispenser_lon", "d_pp", "d_pd", "d_rd",
-                  "mme_total")
+                  "pi_total", "mme_total")
 
 
 def _read_classified_csv(path: Path, manifest: RunManifest) -> RecordTable:
@@ -200,7 +200,7 @@ def _classified_columns(path: Path, header: list[str], rows: list[list[str]],
         family_of = {text: text.strip() for text in set(col["drug_family"])}
         if not (set(family_of.values()) <= set(records.FAMILIES)
                 and set(col["class_code"]) <= _CODES
-                and all(v.isdigit() and int(v) in geo.RISK_HAZARD_RATIOS
+                and all(v.isdecimal() and int(v) in geo.RISK_HAZARD_RATIOS
                         for v in set(col["risk_level"]))):
             raise ValueError
     except (ValueError, OverflowError):
@@ -232,7 +232,7 @@ def _check_classified_row(row: dict[str, str]) -> None:
             raise ValueError("below 1")
     except (ValueError, OverflowError):
         raise ValueError("invalid days_supply") from None
-    for col in ("d_pp", "d_pd", "d_rd"):
+    for col in ("d_pp", "d_pd", "d_rd", "pi_total"):
         try:
             records._parse_float(row[col], col)
         except ValueError:
@@ -240,7 +240,7 @@ def _check_classified_row(row: dict[str, str]) -> None:
     if row["class_code"] not in _CODES:
         raise ValueError("invalid class_code")
     risk = row["risk_level"]
-    if not (risk.isdigit() and int(risk) in geo.RISK_HAZARD_RATIOS):
+    if not (risk.isdecimal() and int(risk) in geo.RISK_HAZARD_RATIOS):
         raise ValueError("invalid risk_level")
 
 

@@ -9,7 +9,6 @@ stakeholder, if any, sits far from the other two) forms the second.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -90,12 +89,11 @@ class ClassifiedRecord:
 
 
 def haversine(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in miles between two points."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
-    s_lat = math.sin((lat2 - lat1) / 2.0)
-    s_lon = math.sin((lon2 - lon1) / 2.0)
-    h = s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * s_lon * s_lon
-    return 2.0 * EARTH_RADIUS_MILES * math.asin(min(1.0, math.sqrt(h)))
+    """Great-circle distance in miles between two points, equal to the one
+    :func:`classify_records` computes.  The points go in as one-element
+    arrays: on numpy scalars ``**`` calls ``pow``, which can differ from the
+    array loop's square in the last bit."""
+    return float(_pairwise_miles([a.lat], [a.lon], [b.lat], [b.lon])[0])
 
 
 def geometry(record: PrescriptionRecord) -> TriangleGeometry:

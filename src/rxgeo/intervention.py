@@ -261,7 +261,6 @@ def its_analysis(
     alpha: float = 0.05,
     announce_month: MonthKey | None = None,
     s: int = 12,
-    auto_kwargs: dict | None = None,
 ) -> ItsResult:
     """
     Three-step interrupted-time-series analysis of one monthly series.
@@ -286,8 +285,7 @@ def its_analysis(
     if len(post) < MIN_POST_MONTHS:
         raise ValueError(f"need >= {MIN_POST_MONTHS} post-policy months, got {len(post)}")
 
-    kwargs = auto_kwargs or {}
-    pre_fit = arima.auto_fit(pre.values(), s=s, **kwargs)
+    pre_fit = arima.auto_fit(pre.values(), s=s)
     h = len(post)
     fc = arima.forecast(pre_fit, h)
 
@@ -351,7 +349,6 @@ def its_batch(
     event_kinds: Sequence[str] = EVENT_KINDS,
     alpha: float = 0.05,
     announce_month: MonthKey | None = None,
-    auto_kwargs: dict | None = None,
 ) -> ItsBatchResult:
     """
     Run :func:`its_analysis` over many series; per-series failures are
@@ -364,8 +361,7 @@ def its_batch(
         try:
             results.append(its_analysis(s, policy_month=policy_month,
                                         event_kinds=event_kinds, alpha=alpha,
-                                        announce_month=announce_month,
-                                        auto_kwargs=auto_kwargs))
+                                        announce_month=announce_month))
         except Exception as exc:  # noqa: BLE001 - failures are data
             failures[f"{s.drug_family}/{s.class_code}"] = str(exc)
     return ItsBatchResult(results=results, failures=failures)

@@ -170,11 +170,12 @@ def parse_csv(stream: TextIO | str) -> tuple[list[PrescriptionRecord], list[RowE
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
         raise SchemaError("empty input: missing header row")
-    got = tuple(name.strip() for name in reader.fieldnames)
+    got = [name.strip() for name in reader.fieldnames]
     if set(got) != set(CSV_COLUMNS):
         missing = sorted(set(CSV_COLUMNS) - set(got))
         unknown = sorted(set(got) - set(CSV_COLUMNS))
         raise SchemaError(f"bad header: missing columns {missing}, unknown columns {unknown}")
+    reader.fieldnames = got  # rows are keyed by the stripped names
 
     records: list[PrescriptionRecord] = []
     errors: list[RowError] = []

@@ -18,10 +18,9 @@ from datetime import date
 import numpy as np
 
 from ._special import normal_cdf, normal_ppf_vec
+from .geo import EARTH_RADIUS_MILES
 from .records import FAMILIES, GeoPoint, PrescriptionRecord, write_csv  # noqa: F401
 from .series import MonthKey, DEFAULT_POLICY_MONTH
-
-EARTH_RADIUS_MILES = 3958.7613
 
 # Per-class defaults: record share, days-supply and total-MME moments, and
 # the mean MME/day the generator is calibrated to reproduce.

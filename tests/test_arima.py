@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -487,6 +488,21 @@ def test_forecast_coverage_against_simulated_futures():
     paths = simulate_forecast_paths(f, 12, 500, seed=60)
     cov = float(np.mean((paths >= fc.lower) & (paths <= fc.upper)))
     assert 0.91 <= cov <= 0.99
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_zero_shock_paths_equal_forecast_on_short_history(h):
+    # 14 points against a 24-month AR lag span: the recursion must count the
+    # lags before the first observation as zero, as forecast does
+    orders = ArimaOrders(P=2, s=12)
+    y = simulate(orders, ArimaParams(c=1.0, Phi=[0.4, 0.2], sigma2=1.0), 14, seed=70)
+    f = fit(y, orders)
+    mu = f.params.c / (1.0 - f.params.Phi.sum())
+    expected = mu + f.params.Phi[0] * (f.y[2:2 + h] - mu)  # lag 24 adds nothing
+    assert forecast(f, h).point == pytest.approx(expected, rel=1e-12)
+    still = dataclasses.replace(f, params=dataclasses.replace(f.params, sigma2=0.0))
+    paths = simulate_forecast_paths(still, h, 3, seed=71)
+    assert np.array_equal(paths, np.tile(forecast(f, h).point, (3, 1)))
 
 
 def test_forecast_integrates_differenced_models():

@@ -48,7 +48,7 @@ def _oracle(text):
                     raise ValueError
             except (ValueError, OverflowError):
                 raise ValueError("invalid days_supply") from None
-            for col in ("d_pp", "d_pd", "d_rd"):
+            for col in ("d_pp", "d_pd", "d_rd", "pi_total"):
                 try:
                     records._parse_float(row[col], col)
                 except ValueError:
@@ -56,7 +56,7 @@ def _oracle(text):
             if row["class_code"] not in geo.ALL_CLASS_CODES:
                 raise ValueError("invalid class_code")
             risk = row["risk_level"]
-            if not (risk.isdigit() and int(risk) in geo.RISK_HAZARD_RATIOS):
+            if not (risk.isdecimal() and int(risk) in geo.RISK_HAZARD_RATIOS):
                 raise ValueError("invalid risk_level")
         except ValueError as exc:
             return reader.line_num, str(exc)
@@ -65,7 +65,7 @@ def _oracle(text):
 
 COLUMNS = records.CSV_COLUMNS + cli.CLASSIFIED_EXTRA
 POOL = ["", " ", "nan", "inf", "1e400", "-1", "0", "1_0", " 5 ", "+5", "abc",
-        "9z", "01", "١", "2018-02-30", "2018-02-03", " 2016-07-01 ", "-0.0",
+        "9z", "01", "١", "²", "2018-02-30", "2018-02-03", " 2016-07-01 ", "-0.0",
         "1.5", "3", "23", " opioid", "benzodiazepine", "Opioid"]
 
 

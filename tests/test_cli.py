@@ -119,6 +119,18 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "summary-table" in err or "missing stage output" in err
 
 
+def test_ingest_reads_padded_header_names(pipeline, tmp_path):
+    data = (pipeline / "data.csv").read_bytes()
+    header, rest = data.split(b"\r\n", 1)
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(header.replace(b"record_id,", b" record_id,")
+                       .replace(b",mme_total,", b", mme_total ,") + b"\r\n" + rest)
+    assert run("ingest", "--input", padded, "--out", tmp_path / "clean.csv",
+               "--report", tmp_path / "filter.json") == 0
+    assert (tmp_path / "clean.csv").read_bytes() == (pipeline / "clean.csv").read_bytes()
+    assert (tmp_path / "filter.json").read_bytes() == (pipeline / "filter.json").read_bytes()
+
+
 def _rewrite_csv(src, dst, column, value):
     """Copy a CSV, setting ``column`` of the first data row to ``value``."""
     with open(src, newline="") as fh:
@@ -132,7 +144,9 @@ def _rewrite_csv(src, dst, column, value):
 
 @pytest.mark.parametrize("column,value", [("class_code", "9z"),
                                           ("mme_total", "abc"),
-                                          ("days_supply", "0")])
+                                          ("days_supply", "0"),
+                                          ("pi_total", "abc"),
+                                          ("risk_level", "²")])
 def test_malformed_classified_row_exits_2(pipeline, tmp_path, capsys,
                                           column, value):
     bad = tmp_path / "classified.csv"

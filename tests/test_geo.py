@@ -253,7 +253,7 @@ def test_classification_partition_totality():
 def test_classify_records_matches_scalar_path():
     rng = np.random.default_rng(9)
     records = []
-    for _ in range(100):
+    for _ in range(300):
         pts = [GeoPoint(rng.uniform(-60, 60), rng.uniform(-120, 120))
                for _ in range(3)]
         records.append(make_record(*pts))
@@ -261,4 +261,7 @@ def test_classify_records_matches_scalar_path():
     for rec, cls in zip(records, bulk):
         assert class_code(rec).code == cls.class_code.code
         g = geometry(rec)
-        assert cls.geometry.pi_total == pytest.approx(g.pi_total, abs=1e-9)
+        # equal to the last bit, so both paths bucket a record alike at an edge
+        assert (cls.geometry.d_pp, cls.geometry.d_pd, cls.geometry.d_rd) == \
+            (g.d_pp, g.d_pd, g.d_rd)
+        assert cls.geometry.pi_total == g.pi_total
