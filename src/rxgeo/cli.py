@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, arima, geo, records, report, syngen
 from .intervention import EVENT_KINDS, its_batch
-from .records import PrescriptionRecord, parse_csv, write_csv
+from .records import TransactionTable
 from .series import (MonthKey, RecordTable, aggregate_monthly, pre_post_table,
                      summarize_classes)
 from .stats import mean_ci, one_way_anova, t_test_greater
@@ -109,38 +109,22 @@ def _track_input(manifest: RunManifest, path: Path) -> None:
 
 # --- shared I/O --------------------------------------------------------------
 
-def _read_records(path: Path, manifest: RunManifest) -> list[PrescriptionRecord]:
+def _parse_transactions(path: Path, manifest: RunManifest
+                        ) -> tuple[TransactionTable, list[records.RowError]]:
     _track_input(manifest, path)
     with open(path, newline="") as fh:
-        recs, errors = parse_csv(fh)
-    if errors:
-        raise DataError(f"{path}: {len(errors)} malformed rows "
-                        f"(first: line {errors[0].line}: {errors[0].reason})")
-    return recs
+        try:
+            return records.read_table(fh)
+        except records.SchemaError as exc:
+            raise DataError(str(exc)) from exc
 
 
-def _write_classified_csv(path: Path, classified) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(records.CSV_COLUMNS + CLASSIFIED_EXTRA)
-        for c in classified:
-            r = c.record
-            writer.writerow([
-                r.record_id, r.fill_date.isoformat(),
-                repr(r.patient.lat), repr(r.patient.lon),
-                repr(r.prescriber.lat), repr(r.prescriber.lon),
-                repr(r.dispenser.lat), repr(r.dispenser.lon),
-                repr(r.mme_total), r.days_supply, r.drug_family,
-                repr(c.geometry.d_pp), repr(c.geometry.d_pd), repr(c.geometry.d_rd),
-                repr(c.geometry.pi_total), c.class_code.code, c.risk.level,
-            ])
+def _write_classified_csv(path: Path, c: geo.ClassifiedTable) -> None:
+    records.write_table(c.records, path, extra=zip(CLASSIFIED_EXTRA, (
+        c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)))
 
 
-READ_CHUNK_ROWS = 4096
 _CODES = frozenset(geo.ALL_CLASS_CODES)
-_FLOAT_COLUMNS = ("patient_lat", "patient_lon", "prescriber_lat", "prescriber_lon",
-                  "dispenser_lat", "dispenser_lon", "d_pp", "d_pd", "d_rd",
-                  "pi_total", "mme_total")
 
 
 def _read_classified_csv(path: Path, manifest: RunManifest) -> RecordTable:
@@ -150,7 +134,6 @@ def _read_classified_csv(path: Path, manifest: RunManifest) -> RecordTable:
     row goes through the row check, so the error names the first bad row.
     """
     _track_input(manifest, path)
-    parts = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -158,18 +141,11 @@ def _read_classified_csv(path: Path, manifest: RunManifest) -> RecordTable:
         if not need <= set(header):
             raise DataError(f"{path}: not a classified CSV "
                             f"(missing columns {sorted(need - set(header))})")
-        rows: list[list[str]] = []
-        lines: list[int] = []
-        for row in reader:
-            if not row:  # blank line, skipped as csv.DictReader does
-                continue
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == READ_CHUNK_ROWS:
-                parts.append(_classified_columns(path, header, rows, lines))
-                rows, lines = [], []
-        if rows:
-            parts.append(_classified_columns(path, header, rows, lines))
+        twice = records.duplicate_names(header)
+        if twice:
+            raise DataError(f"{path}: duplicate columns {twice}")
+        parts = [_classified_columns(path, header, rows, lines)
+                 for rows, lines in records.row_chunks(reader, records.CHUNK_ROWS)]
     if not parts:
         return RecordTable.from_records([])
     family, month, mme_total, days_supply, code = (
@@ -183,31 +159,24 @@ def _classified_columns(path: Path, header: list[str], rows: list[list[str]],
     """Check one chunk of rows; return its family, month index, mme_total,
     days_supply and class_code columns."""
     try:
-        if set(map(len, rows)) != {len(header)}:
+        col = records._transpose(header, rows)
+        table = None if col is None else records._chunk_columns(col)
+        if table is None:  # a row fails a check of the ingest columns
             raise ValueError
-        col = dict(zip(header, zip(*rows)))  # the last of duplicate names wins
-        if not all(map(str.strip, col["record_id"])):
-            raise ValueError
-        floats = {name: np.fromiter(map(float, col[name]), float, len(rows))
-                  for name in _FLOAT_COLUMNS}
-        days_supply = np.fromiter(map(int, col["days_supply"]), float, len(rows))
-        mme_total = floats["mme_total"]
-        if not (all(np.isfinite(x).all() for x in floats.values())
-                and (mme_total >= 0).all() and (days_supply >= 1).all()):
-            raise ValueError
-        month_of = {text: MonthKey.from_date(date.fromisoformat(text.strip())).index
-                    for text in set(col["fill_date"])}
-        family_of = {text: text.strip() for text in set(col["drug_family"])}
-        if not (set(family_of.values()) <= set(records.FAMILIES)
+        days_supply = table.days_supply.astype(float)
+        if not ((days_supply >= 1).all()
+                and all(np.isfinite(np.fromiter(map(float, col[name]), float, len(rows))).all()
+                        for name in ("d_pp", "d_pd", "d_rd", "pi_total"))
                 and set(col["class_code"]) <= _CODES
                 and all(v.isdecimal() and int(v) in geo.RISK_HAZARD_RATIOS
                         for v in set(col["risk_level"]))):
             raise ValueError
     except (ValueError, OverflowError):
         raise _first_row_error(path, header, rows, lines) from None
-    return (np.array([family_of[v] for v in col["drug_family"]], dtype=str),
-            np.array([month_of[v] for v in col["fill_date"]], dtype=np.int64),
-            mme_total, days_supply, np.array(col["class_code"], dtype=str))
+    days = table.fill_date.tolist()
+    month_of = {d: MonthKey.from_date(date.fromordinal(d)).index for d in set(days)}
+    return (table.drug_family, np.fromiter(map(month_of.__getitem__, days), np.int64, len(days)),
+            table.mme_total, days_supply, np.array(col["class_code"], dtype=str))
 
 
 def _first_row_error(path: Path, header: list[str], rows: list[list[str]],
@@ -275,34 +244,28 @@ def _cmd_simulate(args) -> int:
             raise DataError(f"bad scenario config {cfg_path}: {exc}") from exc
     else:
         cfg = syngen.default_config()
-    recs = syngen.generate(cfg, args.n, seed=args.seed)
+    table = syngen.generate_table(cfg, args.n, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(recs, out)
+    records.write_table(table, out)
     manifest.outputs.append(str(out))
     if args.dump_config:
         dump = Path(args.dump_config)
         _write_json(dump, syngen.config_to_dict(cfg))
         manifest.outputs.append(str(dump))
     manifest.write(out.parent)
-    print(f"simulate: wrote {len(recs)} records to {out}")
+    print(f"simulate: wrote {len(table)} records to {out}")
     return 0
 
 
 def _cmd_ingest(args) -> int:
     manifest = _start_manifest(args, "ingest")
-    in_path = Path(args.input)
-    _track_input(manifest, in_path)
-    with open(in_path, newline="") as fh:
-        try:
-            recs, errors = parse_csv(fh)
-        except records.SchemaError as exc:
-            raise DataError(str(exc)) from exc
-    kept, rep = records.clean(recs, cap=args.cap, cutoff_date=args.cutoff_date,
-                              n_malformed=len(errors))
+    table, errors = _parse_transactions(Path(args.input), manifest)
+    kept, rep = records.clean_table(table, cap=args.cap, cutoff_date=args.cutoff_date,
+                                    n_malformed=len(errors))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(kept, out)
+    records.write_table(kept, out)
     payload = rep.to_dict()
     payload["row_errors"] = [{"line": e.line, "reason": e.reason} for e in errors]
     _write_json(Path(args.report), payload)
@@ -315,17 +278,25 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_classify(args) -> int:
     manifest = _start_manifest(args, "classify")
-    recs = _read_records(Path(args.input), manifest)
+    path = Path(args.input)
+    table, errors = _parse_transactions(path, manifest)
+    if errors:
+        raise DataError(f"{path}: {len(errors)} malformed rows "
+                        f"(first: line {errors[0].line}: {errors[0].reason})")
     thresholds = geo.ClassThresholds(near_miles=args.near_miles,
                                      isolation_ratio=args.isolation_ratio)
-    classified = geo.classify_records(recs, thresholds)
+    try:
+        classified = geo.classify_table(table, thresholds)
+    except ValueError as exc:  # days_supply < 1: the input was not cleaned
+        raise DataError(f"{path}: {exc}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_classified_csv(out, classified)
     manifest.outputs.append(str(out))
     manifest.write(out.parent)
-    counts = geo.class_counts(classified)
-    print("classify: " + " ".join(f"{k}={v}" for k, v in counts.items() if v))
+    counts = np.bincount(classified.code, minlength=len(geo.ALL_CLASS_CODES))
+    print("classify: " + " ".join(f"{k}={v}" for k, v
+                                  in zip(geo.ALL_CLASS_CODES, counts.tolist()) if v))
     return 0
 
 

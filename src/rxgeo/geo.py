@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .records import GeoPoint, PrescriptionRecord, mme_per_day
+from .records import GeoPoint, PrescriptionRecord, TransactionTable, mme_per_day
 
 # Mean Earth radius; fixed so distances are bit-reproducible.
 EARTH_RADIUS_MILES = 3958.7613
@@ -88,6 +88,25 @@ class ClassifiedRecord:
         return mme_per_day(self.record)
 
 
+@dataclass(frozen=True)
+class ClassifiedTable:
+    """A list of :class:`ClassifiedRecord` as columns: the records' table,
+    the three distances and their sum, the class (its index in
+    ``ALL_CLASS_CODES``, 4 * distance level + disparity) and the risk tier."""
+
+    records: TransactionTable
+    d_pp: np.ndarray  # float64
+    d_pd: np.ndarray
+    d_rd: np.ndarray
+    pi_total: np.ndarray
+    code: np.ndarray  # int64
+    risk_level: np.ndarray  # int64
+
+    def class_codes(self) -> np.ndarray:
+        """The two-digit class code of each record."""
+        return np.array(ALL_CLASS_CODES)[self.code]
+
+
 def haversine(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in miles between two points, equal to the one
     :func:`classify_records` computes.  The points go in as one-element
@@ -109,10 +128,7 @@ def distance_level(pi_total: float) -> int:
     """Bucket of the total traveled distance (0..3)."""
     if pi_total < 0:
         raise ValueError(f"total distance must be nonnegative, got {pi_total}")
-    for level, edge in enumerate(DISTANCE_EDGES):
-        if pi_total <= edge:
-            return level
-    return 3
+    return int(_distance_levels(np.array([pi_total], dtype=float))[0])
 
 
 def disparity(g: TriangleGeometry, thresholds: ClassThresholds = ClassThresholds()) -> DisparityLabel:
@@ -126,20 +142,8 @@ def disparity(g: TriangleGeometry, thresholds: ClassThresholds = ClassThresholds
     edges tie for shortest, the candidate is chosen by the fixed priority
     patient > prescriber > dispenser.
     """
-    # Edge list with the vertex opposite each edge as the candidate isolate.
-    edges = (
-        (g.d_rd, DisparityLabel.patient_isolated, g.d_pp, g.d_pd),
-        (g.d_pd, DisparityLabel.prescriber_isolated, g.d_pp, g.d_rd),
-        (g.d_pp, DisparityLabel.dispenser_isolated, g.d_pd, g.d_rd),
-    )
-    e_min = min(e[0] for e in edges)
-    for edge, candidate, inc_a, inc_b in edges:
-        if edge == e_min:
-            cut = max(thresholds.near_miles, thresholds.isolation_ratio * e_min)
-            if e_min <= thresholds.near_miles and inc_a > cut and inc_b > cut:
-                return candidate
-            return DisparityLabel.otherwise
-    raise AssertionError("unreachable")
+    d_pp, d_pd, d_rd = (np.array([d], dtype=float) for d in (g.d_pp, g.d_pd, g.d_rd))
+    return DisparityLabel(int(_disparities(d_pp, d_pd, d_rd, thresholds)[0]))
 
 
 def class_code(record: PrescriptionRecord,
@@ -153,10 +157,7 @@ def risk_level(mme_day: float) -> RiskLevel:
     """CDC dose-hazard tier for a daily MME value."""
     if mme_day < 0:
         raise ValueError(f"MME/day must be nonnegative, got {mme_day}")
-    for level, edge in enumerate(RISK_EDGES, start=1):
-        if mme_day < edge:
-            return RiskLevel(level)
-    return RiskLevel(4)
+    return RiskLevel(int(_risk_levels(np.array([mme_day], dtype=float))[0]))
 
 
 def _pairwise_miles(lat1, lon1, lat2, lon2) -> np.ndarray:
@@ -168,29 +169,61 @@ def _pairwise_miles(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
+def _distance_levels(pi_total: np.ndarray) -> np.ndarray:
+    """Level of each total: the number of ``DISTANCE_EDGES`` it exceeds."""
+    return np.searchsorted(DISTANCE_EDGES, pi_total, side="left")
+
+
+def _disparities(d_pp: np.ndarray, d_pd: np.ndarray, d_rd: np.ndarray,
+                 thresholds: ClassThresholds) -> np.ndarray:
+    """:func:`disparity` of each triangle, as a ``DisparityLabel`` value."""
+    # Column k is the edge opposite candidate k: patient, prescriber, dispenser.
+    edges = np.column_stack([d_rd, d_pd, d_pp])
+    candidate = np.argmin(edges, axis=1)  # the first minimum wins a tie
+    # The candidate's own edges are the other two, so the shorter of them is
+    # the second smallest edge.
+    ordered = np.sort(edges, axis=1)
+    shortest, second = ordered[:, 0], ordered[:, 1]
+    cut = np.maximum(thresholds.near_miles, thresholds.isolation_ratio * shortest)
+    isolated = (shortest <= thresholds.near_miles) & (second > cut)
+    return np.where(isolated, candidate, DisparityLabel.otherwise.value)
+
+
+def _risk_levels(mme_day: np.ndarray) -> np.ndarray:
+    """Tier of each daily dose: 1 plus the number of ``RISK_EDGES`` it
+    reaches."""
+    return 1 + np.searchsorted(RISK_EDGES, mme_day, side="right")
+
+
+def classify_table(table: TransactionTable,
+                   thresholds: ClassThresholds = ClassThresholds()) -> ClassifiedTable:
+    """Classify every record of a table (``ValueError`` if one has
+    ``days_supply < 1``)."""
+    mme_day = table.mme_per_day()
+    patient = table.patient_lat, table.patient_lon
+    prescriber = table.prescriber_lat, table.prescriber_lon
+    dispenser = table.dispenser_lat, table.dispenser_lon
+    d_pp = _pairwise_miles(*patient, *prescriber)
+    d_pd = _pairwise_miles(*patient, *dispenser)
+    d_rd = _pairwise_miles(*prescriber, *dispenser)
+    pi_total = d_pp + d_rd + d_pd  # the order of TriangleGeometry.pi_total
+    code = 4 * _distance_levels(pi_total) + _disparities(d_pp, d_pd, d_rd, thresholds)
+    return ClassifiedTable(table, d_pp, d_pd, d_rd, pi_total, code,
+                           _risk_levels(mme_day))
+
+
 def classify_records(
     records: Sequence[PrescriptionRecord],
     thresholds: ClassThresholds = ClassThresholds(),
 ) -> list[ClassifiedRecord]:
-    """Classify records in bulk (vectorized distance math)."""
-    if not records:
-        return []
-    plat = [r.patient.lat for r in records]
-    plon = [r.patient.lon for r in records]
-    rlat = [r.prescriber.lat for r in records]
-    rlon = [r.prescriber.lon for r in records]
-    dlat = [r.dispenser.lat for r in records]
-    dlon = [r.dispenser.lon for r in records]
-    d_pp = _pairwise_miles(plat, plon, rlat, rlon)
-    d_pd = _pairwise_miles(plat, plon, dlat, dlon)
-    d_rd = _pairwise_miles(rlat, rlon, dlat, dlon)
-
-    out: list[ClassifiedRecord] = []
-    for i, r in enumerate(records):
-        g = TriangleGeometry(float(d_pp[i]), float(d_pd[i]), float(d_rd[i]))
-        code = ClassCode(distance_level(g.pi_total), disparity(g, thresholds))
-        out.append(ClassifiedRecord(r, g, code, risk_level(mme_per_day(r))))
-    return out
+    """Classify records in bulk (:func:`classify_table` on their table)."""
+    c = classify_table(TransactionTable.from_records(records), thresholds)
+    return [ClassifiedRecord(r, TriangleGeometry(d_pp, d_pd, d_rd),
+                             ClassCode(code // 4, DisparityLabel(code % 4)),
+                             RiskLevel(risk))
+            for r, d_pp, d_pd, d_rd, code, risk
+            in zip(records, c.d_pp.tolist(), c.d_pd.tolist(), c.d_rd.tolist(),
+                   c.code.tolist(), c.risk_level.tolist())]
 
 
 def class_counts(classified: Iterable[ClassifiedRecord]) -> dict[str, int]:

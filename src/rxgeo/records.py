@@ -7,8 +7,11 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 FAMILIES = ("opioid", "benzodiazepine")
 
@@ -26,8 +29,14 @@ CSV_COLUMNS = (
     "drug_family",
 )
 
+COORDINATE_COLUMNS = CSV_COLUMNS[2:8]
+
 DEFAULT_MME_CAP = 1e5
 DEFAULT_CUTOFF = date(2014, 1, 1)
+
+# Rows parsed and written per chunk: whole-file string columns cost more
+# memory than the rows they come from.
+CHUNK_ROWS = 4096
 
 
 class SchemaError(ValueError):
@@ -43,8 +52,12 @@ class GeoPoint:
 
     @property
     def is_valid(self) -> bool:
-        return (math.isfinite(self.lat) and math.isfinite(self.lon)
-                and -90.0 <= self.lat <= 90.0 and -180.0 <= self.lon <= 180.0)
+        return bool(_valid_coordinates(self.lat, self.lon))
+
+
+def _valid_coordinates(lat, lon):
+    """Whether each latitude/longitude pair is finite and in range."""
+    return (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,90 @@ class PrescriptionRecord:
     mme_total: float
     days_supply: int
     drug_family: str
+
+
+def _int_column(values: Sequence[int]) -> np.ndarray:
+    """int64, or Python ints in an object array when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _require_days_supply(record_ids: Sequence[str], days_supply: Sequence[int]) -> None:
+    """ValueError naming the first record with ``days_supply < 1``, whose
+    daily dose is undefined."""
+    short = np.flatnonzero(np.asarray(days_supply) < 1)
+    if short.size:
+        i = short[0]
+        raise ValueError(f"record {record_ids[i]}: days_supply must be >= 1, "
+                         f"got {days_supply[i]}; run clean() first")
+
+
+@dataclass(frozen=True)
+class TransactionTable:
+    """A list of :class:`PrescriptionRecord` as one column per CSV field.
+
+    Field names and order follow ``CSV_COLUMNS``.  ``fill_date`` holds day
+    ordinals (``date.toordinal``); ``days_supply`` is int64, or an object
+    array of Python ints when a value does not fit in 64 bits.
+    """
+
+    record_id: list[str]
+    fill_date: np.ndarray  # int64
+    patient_lat: np.ndarray  # float64, as are the other coordinates
+    patient_lon: np.ndarray
+    prescriber_lat: np.ndarray
+    prescriber_lon: np.ndarray
+    dispenser_lat: np.ndarray
+    dispenser_lon: np.ndarray
+    mme_total: np.ndarray  # float64
+    days_supply: np.ndarray
+    drug_family: np.ndarray  # str
+
+    def __len__(self) -> int:
+        return len(self.record_id)
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in CSV_COLUMNS[1:]]
+
+    @classmethod
+    def from_records(cls, records: Sequence[PrescriptionRecord]) -> "TransactionTable":
+        return cls(
+            [r.record_id for r in records],
+            np.array([r.fill_date.toordinal() for r in records], dtype=np.int64),
+            *(np.array([getattr(getattr(r, point), axis) for r in records], dtype=float)
+              for point in ("patient", "prescriber", "dispenser")
+              for axis in ("lat", "lon")),
+            np.array([r.mme_total for r in records], dtype=float),
+            _int_column([r.days_supply for r in records]),
+            np.array([r.drug_family for r in records], dtype=str),
+        )
+
+    def to_records(self) -> list[PrescriptionRecord]:
+        dates = {d: date.fromordinal(d) for d in set(self.fill_date.tolist())}
+        return [PrescriptionRecord(rid, dates[day], GeoPoint(plat, plon),
+                                   GeoPoint(rlat, rlon), GeoPoint(dlat, dlon),
+                                   mme, days, family)
+                for rid, day, plat, plon, rlat, rlon, dlat, dlon, mme, days, family
+                in zip(self.record_id, *(a.tolist() for a in self._arrays()))]
+
+    @classmethod
+    def concat(cls, parts: Sequence["TransactionTable"]) -> "TransactionTable":
+        if not parts:
+            return cls.from_records([])
+        return cls(list(chain.from_iterable(p.record_id for p in parts)),
+                   *(np.concatenate(cols) for cols in zip(*(p._arrays() for p in parts))))
+
+    def take(self, keep: np.ndarray) -> "TransactionTable":
+        """The records where the boolean mask ``keep`` is true."""
+        return TransactionTable(list(compress(self.record_id, keep.tolist())),
+                                *(a[keep] for a in self._arrays()))
+
+    def mme_per_day(self) -> np.ndarray:
+        """Daily dose of each record, as :func:`mme_per_day` computes it."""
+        _require_days_supply(self.record_id, self.days_supply)
+        return np.asarray(self.mme_total / self.days_supply, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -97,10 +194,7 @@ class FilterReport:
 
 def mme_per_day(record: PrescriptionRecord) -> float:
     """Daily dose for one record: total MME divided by days of supply."""
-    if record.days_supply < 1:
-        raise ValueError(
-            f"record {record.record_id}: days_supply must be >= 1, "
-            f"got {record.days_supply}; run clean() first")
+    _require_days_supply((record.record_id,), (record.days_supply,))
     return record.mme_total / record.days_supply
 
 
@@ -158,6 +252,116 @@ def _parse_row(row: dict[str, str]) -> PrescriptionRecord:
     )
 
 
+def duplicate_names(names: Sequence[str]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted({name for name in names if names.count(name) > 1})
+
+
+def _check_header(names: list[str] | None) -> list[str]:
+    """The stripped header names; :class:`SchemaError` unless they are the
+    ingest columns, each once."""
+    if names is None:
+        raise SchemaError("empty input: missing header row")
+    got = [name.strip() for name in names]
+    if set(got) != set(CSV_COLUMNS):
+        missing = sorted(set(CSV_COLUMNS) - set(got))
+        unknown = sorted(set(got) - set(CSV_COLUMNS))
+        raise SchemaError(f"bad header: missing columns {missing}, unknown columns {unknown}")
+    twice = duplicate_names(got)
+    if twice:
+        raise SchemaError(f"bad header: duplicate columns {twice}")
+    return got
+
+
+def read_table(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
+    """
+    Parse a transaction CSV into a table plus row-level errors.
+
+    Rows are read ``CHUNK_ROWS`` at a time and checked column by column with
+    the same conversions as :func:`_parse_row`.  A chunk that fails the check
+    is parsed row by row, so every bad row is reported with its file line
+    number and reason.  A wrong header raises :class:`SchemaError`.
+    """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    reader = csv.reader(stream)
+    header = _check_header(next(reader, None))
+    errors: list[RowError] = []
+    parts = [_chunk_table(header, rows, lines, errors)
+             for rows, lines in row_chunks(reader, CHUNK_ROWS)]
+    return TransactionTable.concat(parts), errors
+
+
+def row_chunks(reader, size: int) -> Iterator[tuple[list[list[str]], list[int]]]:
+    """The rows of a ``csv.reader`` in lists of ``size``, each with the list
+    of their line numbers.  Blank lines are skipped, as csv.DictReader does."""
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    for row in reader:
+        if not row:
+            continue
+        rows.append(row)
+        lines.append(reader.line_num)
+        if len(rows) == size:
+            yield rows, lines
+            rows, lines = [], []
+    if rows:
+        yield rows, lines
+
+
+def _chunk_table(header: list[str], rows: list[list[str]], lines: list[int],
+                 errors: list[RowError]) -> TransactionTable:
+    """The records of one chunk; its bad rows are appended to ``errors``."""
+    col = _transpose(header, rows)
+    table = None if col is None else _chunk_columns(col)
+    if table is not None:
+        return table
+    good = []
+    for row, line in zip(rows, lines):
+        try:
+            if len(row) != len(header):
+                raise ValueError("wrong field count")
+            good.append(_parse_row(dict(zip(header, row))))
+        except ValueError as exc:
+            errors.append(RowError(line, str(exc)))
+    return TransactionTable.from_records(good)
+
+
+def _transpose(header: list[str], rows: list[list[str]]) -> dict[str, tuple[str, ...]] | None:
+    """Each column's values in a chunk, or None if a row has the wrong
+    number of fields."""
+    if set(map(len, rows)) != {len(header)}:
+        return None
+    return dict(zip(header, zip(*rows)))
+
+
+def _chunk_columns(col: dict[str, tuple[str, ...]]) -> TransactionTable | None:
+    """The ingest columns of a chunk as a table, or None if any row fails a
+    check of :func:`_parse_row`."""
+    n = len(col["record_id"])
+    try:
+        if not all(map(str.strip, col["record_id"])):
+            return None
+        ordinal = {text: date.fromisoformat(text.strip()).toordinal()
+                   for text in set(col["fill_date"])}
+        floats = [np.fromiter(map(float, col[name]), float, n)
+                  for name in (*COORDINATE_COLUMNS, "mme_total")]
+        days_supply = list(map(int, col["days_supply"]))
+    except ValueError:
+        return None
+    family = {text: text.strip() for text in set(col["drug_family"])}
+    if not (all(np.isfinite(x).all() for x in floats) and (floats[-1] >= 0).all()
+            and min(days_supply) >= 0 and set(family.values()) <= set(FAMILIES)):
+        return None
+    return TransactionTable(
+        list(col["record_id"]),
+        np.fromiter(map(ordinal.__getitem__, col["fill_date"]), np.int64, n),
+        *floats,
+        _int_column(days_supply),
+        np.array([family[text] for text in col["drug_family"]], dtype=str),
+    )
+
+
 def parse_csv(stream: TextIO | str) -> tuple[list[PrescriptionRecord], list[RowError]]:
     """
     Parse a transaction CSV into records plus row-level errors.
@@ -165,53 +369,72 @@ def parse_csv(stream: TextIO | str) -> tuple[list[PrescriptionRecord], list[RowE
     A wrong header raises :class:`SchemaError`; bad rows never abort the
     parse, they are reported with their file line number and a reason.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise SchemaError("empty input: missing header row")
-    got = [name.strip() for name in reader.fieldnames]
-    if set(got) != set(CSV_COLUMNS):
-        missing = sorted(set(CSV_COLUMNS) - set(got))
-        unknown = sorted(set(got) - set(CSV_COLUMNS))
-        raise SchemaError(f"bad header: missing columns {missing}, unknown columns {unknown}")
-    reader.fieldnames = got  # rows are keyed by the stripped names
-
-    records: list[PrescriptionRecord] = []
-    errors: list[RowError] = []
-    for row in reader:
-        line = reader.line_num
-        if None in row or any(v is None for v in row.values()):
-            errors.append(RowError(line, "wrong field count"))
-            continue
-        try:
-            records.append(_parse_row(row))
-        except ValueError as exc:
-            errors.append(RowError(line, str(exc)))
-    return records, errors
+    table, errors = read_table(stream)
+    return table.to_records(), errors
 
 
-def write_csv(records: Iterable[PrescriptionRecord], path: str | Path | TextIO) -> None:
-    """Write records in the exact ingest schema; round-trips through parse_csv."""
+def write_table(table: TransactionTable, path: str | Path | TextIO,
+                extra: Iterable[tuple[str, np.ndarray]] = ()) -> None:
+    """Write a table in the exact ingest schema, followed by the ``extra``
+    (name, column) pairs; round-trips through :func:`read_table`.
+
+    ``csv.writer`` writes the Python values ``CHUNK_ROWS`` rows at a time: a
+    float as its repr, an int or a string as its str.
+    """
+    extra = list(extra)
+    arrays = table._arrays()[1:] + [column for _, column in extra]
     own = isinstance(path, (str, Path))
     stream = open(path, "w", newline="") if own else path
     try:
         writer = csv.writer(stream)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.record_id,
-                r.fill_date.isoformat(),
-                repr(r.patient.lat), repr(r.patient.lon),
-                repr(r.prescriber.lat), repr(r.prescriber.lon),
-                repr(r.dispenser.lat), repr(r.dispenser.lon),
-                repr(r.mme_total),
-                r.days_supply,
-                r.drug_family,
-            ])
+        writer.writerow(CSV_COLUMNS + tuple(name for name, _ in extra))
+        for start in range(0, len(table), CHUNK_ROWS):
+            stop = start + CHUNK_ROWS
+            days = table.fill_date[start:stop].tolist()
+            iso = {d: date.fromordinal(d).isoformat() for d in set(days)}
+            writer.writerows(zip(table.record_id[start:stop], map(iso.__getitem__, days),
+                                 *(a[start:stop].tolist() for a in arrays)))
     finally:
         if own:
             stream.close()
+
+
+def write_csv(records: Iterable[PrescriptionRecord], path: str | Path | TextIO) -> None:
+    """Write records in the exact ingest schema; round-trips through parse_csv."""
+    write_table(TransactionTable.from_records(list(records)), path)
+
+
+def _kept(table: TransactionTable, cap: float, cutoff_date: date,
+          n_malformed: int) -> tuple[np.ndarray, FilterReport]:
+    """Mask of the records that pass every filter, and the report."""
+    report = FilterReport(malformed_row=n_malformed, total_in=n_malformed + len(table))
+    keep = np.ones(len(table), dtype=bool)
+    valid = np.ones(len(table), dtype=bool)
+    for point in ("patient", "prescriber", "dispenser"):
+        valid &= _valid_coordinates(getattr(table, f"{point}_lat"),
+                                    getattr(table, f"{point}_lon"))
+    # first matching reason, in the documented order
+    for reason, fails in (("pre_2014", table.fill_date < cutoff_date.toordinal()),
+                          ("mme_exceeds_cap", table.mme_total > cap),
+                          ("missing_or_zero_days_supply", table.days_supply < 1),
+                          ("invalid_coordinates", ~valid)):
+        dropped = keep & fails
+        setattr(report, reason, int(dropped.sum()))
+        keep &= ~dropped
+    report.total_kept = int(keep.sum())
+    return keep, report
+
+
+def clean_table(
+    table: TransactionTable,
+    cap: float = DEFAULT_MME_CAP,
+    cutoff_date: date = DEFAULT_CUTOFF,
+    n_malformed: int = 0,
+) -> tuple[TransactionTable, FilterReport]:
+    """The records of ``table`` that pass the exclusion filters, as
+    :func:`clean` selects them, and the report."""
+    keep, report = _kept(table, cap, cutoff_date, n_malformed)
+    return table.take(keep), report
 
 
 def clean(
@@ -227,20 +450,9 @@ def clean(
     coordinates) so that a record failing several filters is counted once.
     ``n_malformed`` folds upstream parse failures into the report so that
     ``total_in == total_kept + sum(exclusions)`` holds over the whole file.
+    Survivors are the input record objects.
     """
-    report = FilterReport(malformed_row=n_malformed, total_in=n_malformed)
-    kept: list[PrescriptionRecord] = []
-    for r in records:
-        report.total_in += 1
-        if r.fill_date < cutoff_date:
-            report.pre_2014 += 1
-        elif r.mme_total > cap:
-            report.mme_exceeds_cap += 1
-        elif r.days_supply < 1:
-            report.missing_or_zero_days_supply += 1
-        elif not (r.patient.is_valid and r.prescriber.is_valid and r.dispenser.is_valid):
-            report.invalid_coordinates += 1
-        else:
-            kept.append(r)
-    report.total_kept = len(kept)
-    return kept, report
+    records = list(records)
+    keep, report = _kept(TransactionTable.from_records(records), cap, cutoff_date,
+                         n_malformed)
+    return list(compress(records, keep.tolist())), report

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._special import normal_cdf, normal_ppf_vec
 from .geo import EARTH_RADIUS_MILES
-from .records import FAMILIES, GeoPoint, PrescriptionRecord, write_csv  # noqa: F401
+from .records import FAMILIES, PrescriptionRecord, TransactionTable, write_csv  # noqa: F401
 from .series import MonthKey, DEFAULT_POLICY_MONTH
 
 # Per-class defaults: record share, days-supply and total-MME moments, and
@@ -258,8 +258,8 @@ def _truncnorm_draws(rng: np.random.Generator, mu: float, sigma: float,
     return mu + sigma * normal_ppf_vec(u)
 
 
-def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
-             ) -> list[PrescriptionRecord]:
+def generate_table(config: ScenarioConfig, n_records: int, seed: int | None = None
+                   ) -> TransactionTable:
     """
     Draw a synthetic transaction set.
 
@@ -269,6 +269,8 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     class mean MME/day matches its target (times trend/seasonal/noise
     month factors, times the class multiplier after the policy month), and
     coordinates constructed to reproduce the intended class code exactly.
+    Records come in family, month and class order; ids number them in that
+    order and end in the intended class code.
     """
     config.validate()
     if n_records <= 0:
@@ -277,8 +279,8 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     months = config.month_keys()
     n_months = len(months)
 
-    records: list[PrescriptionRecord] = []
-    serial = 0
+    ids: list[str] = []
+    blocks: list[list[np.ndarray]] = []  # one list of columns per (month, class)
     for family in FAMILIES:
         if family not in config.families:
             continue
@@ -309,6 +311,7 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
             class_idx = rng.choice(len(profiles), size=count, p=shares)
             days_in_month = calendar.monthrange(month.year, month.month)[1]
             days_of_month = rng.integers(1, days_in_month + 1, count)
+            day_zero = date(month.year, month.month, 1).toordinal() - 1
 
             for ci in range(len(profiles)):
                 sel = np.where(class_idx == ci)[0]
@@ -327,22 +330,20 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
                 patient, prescriber, dispenser = _place_triangles(
                     sel.size, pi_lo, pi_hi, disp, rng)
 
-                for j, rec_row in enumerate(sel):
-                    serial += 1
-                    records.append(PrescriptionRecord(
-                        record_id=f"r{serial:07d}-{prof.class_code}",
-                        fill_date=date(month.year, month.month,
-                                       int(days_of_month[rec_row])),
-                        patient=GeoPoint(float(patient[0][j]), float(patient[1][j])),
-                        prescriber=GeoPoint(float(prescriber[0][j]),
-                                            float(prescriber[1][j])),
-                        dispenser=GeoPoint(float(dispenser[0][j]),
-                                           float(dispenser[1][j])),
-                        mme_total=float(mme[j]),
-                        days_supply=int(days[j]),
-                        drug_family=family,
-                    ))
-    return records
+                first = len(ids) + 1
+                ids += [f"r{serial:07d}-{prof.class_code}"
+                        for serial in range(first, first + sel.size)]
+                blocks.append([day_zero + days_of_month[sel], *patient, *prescriber,
+                               *dispenser, mme, days, np.full(sel.size, family)])
+    if not blocks:
+        return TransactionTable.from_records([])
+    return TransactionTable(ids, *(np.concatenate(cols) for cols in zip(*blocks)))
+
+
+def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
+             ) -> list[PrescriptionRecord]:
+    """The records of :func:`generate_table`."""
+    return generate_table(config, n_records, seed).to_records()
 
 
 def intended_class_code(record: PrescriptionRecord) -> str:

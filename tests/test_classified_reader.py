@@ -29,6 +29,12 @@ def _classified(n, seed):
     return classified
 
 
+def _classified_table(classified):
+    """The classified records as the table the classify stage writes."""
+    return geo.classify_table(records.TransactionTable.from_records(
+        [c.record for c in classified]))
+
+
 def _read(path):
     return cli._read_classified_csv(path, cli.RunManifest("test", []))
 
@@ -73,7 +79,7 @@ POOL = ["", " ", "nan", "inf", "1e400", "-1", "0", "1_0", " 5 ", "+5", "abc",
 def base_rows(tmp_path_factory):
     """Header plus eight valid rows of a classified CSV."""
     path = tmp_path_factory.mktemp("base") / "classified.csv"
-    cli._write_classified_csv(path, _classified(60, 5)[:8])
+    cli._write_classified_csv(path, _classified_table(_classified(60, 5)[:8]))
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
 
@@ -82,7 +88,7 @@ def _check_reader(path, text, chunk):
     """The reader's verdict on ``text`` equals the oracle's."""
     path.write_text(text, newline="")
     expected = _oracle(text)
-    with mock.patch.object(cli, "READ_CHUNK_ROWS", chunk):
+    with mock.patch.object(records, "CHUNK_ROWS", chunk):
         try:
             table = _read(path)
         except cli.DataError as exc:
@@ -182,7 +188,7 @@ def classified_pair(tmp_path_factory):
     """Shuffled classified records, and the table read back from their CSV."""
     classified = _classified(900, 11)
     path = tmp_path_factory.mktemp("table") / "classified.csv"
-    cli._write_classified_csv(path, classified)
+    cli._write_classified_csv(path, _classified_table(classified))
     return classified, path
 
 

@@ -131,6 +131,43 @@ def test_ingest_reads_padded_header_names(pipeline, tmp_path):
     assert (tmp_path / "filter.json").read_bytes() == (pipeline / "filter.json").read_bytes()
 
 
+def _append_column(src, dst, name, value):
+    """Copy a CSV with one more column, ``name``, set to ``value`` in every row."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0] + [name]] + [r + [value] for r in rows[1:]])
+
+
+def test_a_column_named_twice_exits_2(pipeline, tmp_path, capsys):
+    # The last copy used to win: aggregate exited 0 with mean_mme_day ~ 7.5e7.
+    for command, src, argv in (
+            ("ingest", "data.csv", ["--out", tmp_path / "c.csv",
+                                    "--report", tmp_path / "r.json"]),
+            ("classify", "clean.csv", ["--out", tmp_path / "k.csv"]),
+            ("aggregate", "classified.csv", ["--outdir", tmp_path / "series"])):
+        bad = tmp_path / src
+        _append_column(pipeline / src, bad, "mme_total", "1e9")
+        capsys.readouterr()
+        assert run(command, "--input", bad, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "duplicate columns" in err
+        assert "mme_total" in err and "Traceback" not in err
+    assert not (tmp_path / "series").exists()
+
+
+def test_classify_rejects_uncleaned_input(pipeline, tmp_path, capsys):
+    # days_supply=0 passes the parse but not clean(); it used to end in a
+    # ValueError traceback
+    bad = tmp_path / "unclean.csv"
+    _rewrite_csv(pipeline / "clean.csv", bad, "days_supply", "0")
+    capsys.readouterr()
+    assert run("classify", "--input", bad, "--out", tmp_path / "k.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "days_supply must be >= 1" in err
+    assert not (tmp_path / "k.csv").exists()
+
+
 def _rewrite_csv(src, dst, column, value):
     """Copy a CSV, setting ``column`` of the first data row to ``value``."""
     with open(src, newline="") as fh:

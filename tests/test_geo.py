@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rxgeo import geo
 from rxgeo.geo import (ALL_CLASS_CODES, EARTH_RADIUS_MILES, ClassCode,
                        ClassThresholds, DisparityLabel, TriangleGeometry,
                        class_code, class_counts, classify_records, disparity,
                        distance_level, geometry, haversine, risk_level)
-from rxgeo.records import GeoPoint, PrescriptionRecord
+from rxgeo.records import GeoPoint, PrescriptionRecord, TransactionTable
 
 coord = st.tuples(st.floats(min_value=-89.0, max_value=89.0),
                   st.floats(min_value=-180.0, max_value=180.0))
@@ -187,6 +188,60 @@ def test_disparity_brute_force_agreement_1000():
         g = geometry(make_record(*pts))
         assert disparity(g) == brute_force_disparity(g)
         n_checked += 1
+
+
+def _tie_triangles(near, ratio):
+    """Triangles whose edges tie with each other or sit exactly on a threshold."""
+    s = near / 2.0
+    out = [(0.0, 0.0, 0.0), (7.0, 7.0, 7.0), (near, near, near),
+           (2 * near, 2 * near, 2 * near)]
+    for a, b in ((10.0, 200.0), (near, 500.0), (s, ratio * s), (near, ratio * near)):
+        out += [(a, a, b), (a, b, a), (b, a, a)]  # two edges tied for shortest
+    for shortest in (near, s):
+        cut = max(near, ratio * shortest)
+        for far in (cut, np.nextafter(cut, np.inf)):
+            for other in (cut, far, 2 * far):
+                # each vertex as the candidate, each incident edge on the cut
+                out += [(far, other, shortest), (other, far, shortest),
+                        (far, shortest, other), (shortest, far, other),
+                        (shortest, other, far), (other, shortest, far)]
+    return out
+
+
+@pytest.mark.parametrize("near,ratio", [(50.0, 3.0), (10.0, 2.0), (50.0, 0.5)])
+def test_disparity_kernel_matches_brute_force_on_exact_ties(near, ratio):
+    thresholds = ClassThresholds(near_miles=near, isolation_ratio=ratio)
+    triangles = _tie_triangles(near, ratio)
+    d_pp, d_pd, d_rd = (np.array(col) for col in zip(*triangles))
+    bulk = geo._disparities(d_pp, d_pd, d_rd, thresholds)
+    labels = set()
+    for (pp, pd, rd), got in zip(triangles, bulk.tolist()):
+        g = TriangleGeometry(d_pp=pp, d_pd=pd, d_rd=rd)
+        expected = brute_force_disparity(g, near, ratio)
+        assert got == expected == disparity(g, thresholds), (pp, pd, rd)
+        labels.add(expected)
+    assert labels == set(DisparityLabel)
+
+
+def test_classify_table_on_exact_edges():
+    # all three points identical: every edge ties at 0
+    p = GeoPoint(33.0, -80.0)
+    (c,) = classify_records([make_record(p, p, p)])
+    assert c.class_code.code == "03"
+    # totals and daily doses exactly on the level edges
+    pi = np.array([0.0, 250.0, np.nextafter(250.0, 1e9), 500.0, 1000.0,
+                   np.nextafter(1000.0, 1e9)])
+    assert geo._distance_levels(pi).tolist() == [0, 0, 1, 1, 2, 3] == \
+        [distance_level(x) for x in pi.tolist()]
+    mme_day = np.array([0.0, np.nextafter(20.0, 0), 20.0, 50.0, 100.0, 1e6])
+    assert geo._risk_levels(mme_day).tolist() == [1, 1, 2, 3, 4, 4] == \
+        [risk_level(x).level for x in mme_day.tolist()]
+    # MME/day of exactly 20, 50 and 100 through the table's own division
+    recs = [make_record(p, p, point_at(1.0), mme=mme, days=days)
+            for mme, days in ((140.0, 7), (150.0, 3), (3000.0, 30))]
+    table = TransactionTable.from_records(recs)
+    assert table.mme_per_day().tolist() == [20.0, 50.0, 100.0]
+    assert geo.classify_table(table).risk_level.tolist() == [2, 3, 4]
 
 
 def test_disparity_respects_thresholds():

@@ -84,6 +84,14 @@ def test_parse_bad_header_fatal():
         parse_csv("")
 
 
+def test_parse_rejects_a_column_named_twice():
+    # the last copy used to win silently: mme_total=999999.0, no row error
+    with pytest.raises(SchemaError, match="duplicate columns.*mme_total"):
+        parse_csv(f"{HEADER},mme_total\n{VALID_ROW},999999\n")
+    with pytest.raises(SchemaError, match="duplicate columns.*days_supply"):
+        parse_csv(f"{HEADER}, days_supply\n{VALID_ROW},7\n")
+
+
 def test_parse_errors_never_abort():
     bad = VALID_ROW.replace("opioid", "x")
     recs, errors = parse_csv(f"{HEADER}\n{bad}\n{VALID_ROW}\n{bad}\n")

@@ -1,0 +1,222 @@
+"""The columnar producer path: the chunked ingest parser, the table writer
+and the simulate, ingest and classify stages that run on them.
+
+The parser must give the records and row errors of a per-row parse built on
+``records._parse_row``, and the stages must write what the per-record
+writers below (the ones the table writer replaced) write.
+"""
+
+import csv
+import io
+import json
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rxgeo import cli, geo, records, syngen
+from rxgeo.records import CSV_COLUMNS, FilterReport, mme_per_day
+
+
+# --- chunked parser vs. a per-row oracle ----------------------------------------
+
+def _oracle(text):
+    """Records and (line, reason) errors of a row-at-a-time parse."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader.fieldnames = [name.strip() for name in reader.fieldnames]
+    recs, errors = [], []
+    for row in reader:
+        if None in row or None in row.values():
+            errors.append((reader.line_num, "wrong field count"))
+            continue
+        try:
+            recs.append(records._parse_row(row))
+        except ValueError as exc:
+            errors.append((reader.line_num, str(exc)))
+    return recs, errors
+
+
+POOL = ["", " ", "1_000", " 7 ", "+7", "٣", "²", "nan", "inf", "-inf", "1e400",
+        "-0.0", "0", "-1", "2.5", "abc", str(10**20), "95", "181", "2013-12-31",
+        " 2016-07-01 ", "20190305", "2018-02-30", " opioid", "Opioid",
+        "benzodiazepine"]
+
+
+@pytest.fixture(scope="module")
+def base_rows():
+    """Header plus eight valid rows of a transaction CSV."""
+    buf = io.StringIO(newline="")
+    records.write_csv(syngen.generate(syngen.default_config(), 80, seed=5)[:8], buf)
+    return list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+
+
+def _csv_text(rows):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chunked_parser_matches_row_oracle(base_rows, data):
+    rows = [list(r) for r in base_rows]
+    if data.draw(st.booleans(), label="padded header"):
+        rows[0] = [f" {name} " if i % 3 == 0 else name
+                   for i, name in enumerate(rows[0])]
+    for row in rows[1:]:
+        kind = data.draw(st.sampled_from(["keep", "keep", "cell", "cell", "short",
+                                          "long", "multi-line id"]))
+        if kind == "cell":  # one mutated cell in this row
+            col = data.draw(st.integers(0, len(CSV_COLUMNS) - 1), label="column")
+            row[col] = data.draw(st.sampled_from(POOL), label="value")
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append("x")
+        elif kind == "multi-line id":
+            row[0] = "id with\na line break"
+    text = _csv_text(rows)
+    lines = text.split("\r\n")
+    for _ in range(data.draw(st.integers(0, 2), label="blank lines")):
+        at = data.draw(st.integers(1, len(lines) - 1))
+        lines.insert(at, "")
+    text = "\r\n".join(lines)
+    chunk = data.draw(st.sampled_from([1, 3, 4096]), label="chunk rows")
+
+    expected_recs, expected_errors = _oracle(text)
+    with mock.patch.object(records, "CHUNK_ROWS", chunk):
+        table, errors = records.read_table(text)
+        recs, list_errors = records.parse_csv(text)
+    # repr compares floats bit for bit (-0.0 against 0.0 as well)
+    assert repr(table.to_records()) == repr(recs) == repr(expected_recs)
+    assert [(e.line, e.reason) for e in errors] == expected_errors
+    assert errors == list_errors
+
+
+def test_days_supply_beyond_int64_keeps_its_value(base_rows):
+    rows = [list(r) for r in base_rows]
+    rows[3][CSV_COLUMNS.index("days_supply")] = str(10**20)
+    table, errors = records.read_table(_csv_text(rows))
+    assert not errors and table.days_supply.tolist()[2] == 10**20
+    kept, report = records.clean_table(table)
+    assert report.total_kept == len(kept) == len(rows) - 1
+    buf = io.StringIO(newline="")
+    records.write_table(kept, buf)
+    assert buf.getvalue() == _csv_text(rows)
+
+
+# --- producer stages vs. the per-record writers -----------------------------------
+
+def _reference_write_csv(recs, path):
+    """The per-record ingest-schema writer, kept as the reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for r in recs:
+            writer.writerow([
+                r.record_id, r.fill_date.isoformat(),
+                repr(r.patient.lat), repr(r.patient.lon),
+                repr(r.prescriber.lat), repr(r.prescriber.lon),
+                repr(r.dispenser.lat), repr(r.dispenser.lon),
+                repr(r.mme_total), r.days_supply, r.drug_family,
+            ])
+
+
+def _reference_write_classified(recs, path, thresholds=geo.ClassThresholds()):
+    """The per-record classified writer, on the scalar classification path."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS + cli.CLASSIFIED_EXTRA)
+        for r in recs:
+            g = geo.geometry(r)
+            writer.writerow([
+                r.record_id, r.fill_date.isoformat(),
+                repr(r.patient.lat), repr(r.patient.lon),
+                repr(r.prescriber.lat), repr(r.prescriber.lon),
+                repr(r.dispenser.lat), repr(r.dispenser.lon),
+                repr(r.mme_total), r.days_supply, r.drug_family,
+                repr(g.d_pp), repr(g.d_pd), repr(g.d_rd), repr(g.pi_total),
+                geo.class_code(r, thresholds).code,
+                geo.risk_level(mme_per_day(r)).level,
+            ])
+
+
+def _reference_clean(recs, cap, cutoff, n_malformed):
+    """The per-record filter loop (first matching reason), kept as the reference."""
+    report = FilterReport(malformed_row=n_malformed, total_in=n_malformed)
+    kept = []
+    for r in recs:
+        report.total_in += 1
+        if r.fill_date < cutoff:
+            report.pre_2014 += 1
+        elif r.mme_total > cap:
+            report.mme_exceeds_cap += 1
+        elif r.days_supply < 1:
+            report.missing_or_zero_days_supply += 1
+        elif not (r.patient.is_valid and r.prescriber.is_valid
+                  and r.dispenser.is_valid):
+            report.invalid_coordinates += 1
+        else:
+            kept.append(r)
+    report.total_kept = len(kept)
+    return kept, report
+
+
+def _edit_raw(path):
+    """Rewrite a raw CSV so that every exclusion reason and kinds of
+    malformed rows occur, with blank lines and a multi-line record_id."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = {name: i for i, name in enumerate(rows[0])}
+    edits = [("fill_date", "2013-12-31"), ("mme_total", "2e5"), ("days_supply", "0"),
+             ("patient_lat", "95"), ("dispenser_lon", "-181"), ("mme_total", "abc"),
+             ("days_supply", "1_0"), ("days_supply", str(10**20)), ("fill_date", ""),
+             ("drug_family", " benzodiazepine "), ("record_id", "id\nwith a break"),
+             ("prescriber_lat", "-0.0"), ("mme_total", "nan")]
+    for k, row in enumerate(rows[5::37]):
+        name, value = edits[k % len(edits)]
+        row[col[name]] = value
+    rows[9].pop()
+    rows[12].append("x")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for i, row in enumerate(rows):
+            writer.writerow(row)
+            if i % 500 == 250:
+                fh.write("\r\n")
+
+
+@pytest.mark.parametrize("seed,edited", [(7, False), (21, True)])
+def test_producer_stages_write_what_the_record_writers_wrote(tmp_path, seed, edited):
+    n = 3000
+    raw, clean, classified = (tmp_path / name for name in
+                              ("raw.csv", "clean.csv", "classified.csv"))
+    assert cli.main(["simulate", "--n", str(n), "--seed", str(seed),
+                     "--out", str(raw)]) == 0
+    _reference_write_csv(syngen.generate(syngen.default_config(), n, seed=seed),
+                         tmp_path / "ref_raw.csv")
+    assert raw.read_bytes() == (tmp_path / "ref_raw.csv").read_bytes()
+    if edited:
+        _edit_raw(raw)
+
+    report_path = tmp_path / "filter_report.json"
+    assert cli.main(["ingest", "--input", str(raw), "--out", str(clean),
+                     "--report", str(report_path)]) == 0
+    with open(raw, newline="") as fh:
+        recs, errors = _oracle(fh.read())
+    kept, report = _reference_clean(recs, records.DEFAULT_MME_CAP,
+                                    records.DEFAULT_CUTOFF, len(errors))
+    _reference_write_csv(kept, tmp_path / "ref_clean.csv")
+    assert clean.read_bytes() == (tmp_path / "ref_clean.csv").read_bytes()
+    payload = report.to_dict()
+    payload["row_errors"] = [{"line": line, "reason": reason} for line, reason in errors]
+    assert report_path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if edited:
+        assert all(report.to_dict()[reason] for reason in FilterReport.REASONS)
+
+    assert cli.main(["classify", "--input", str(clean), "--out", str(classified),
+                     "--near-miles", "40", "--isolation-ratio", "2.5"]) == 0
+    _reference_write_classified(kept, tmp_path / "ref_classified.csv",
+                                geo.ClassThresholds(40.0, 2.5))
+    assert classified.read_bytes() == (tmp_path / "ref_classified.csv").read_bytes()
