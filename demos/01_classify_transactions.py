@@ -10,7 +10,8 @@ from the other two, and attaches the dose-hazard tier implied by MME/day.
 import math
 from datetime import date
 
-from rxgeo import GeoPoint, PrescriptionRecord, classify_records, mme_per_day
+from rxgeo import (DisparityLabel, GeoPoint, PrescriptionRecord, TransactionTable,
+                   classify_records)
 from rxgeo.geo import EARTH_RADIUS_MILES
 
 
@@ -43,10 +44,14 @@ records = [
 
 print(f"{'record':<12} {'pi (mi)':>9} {'class':>5} {'disparity':<20} "
       f"{'MME/day':>8} {'risk':>4}")
-for c in classify_records(records):
-    print(f"{c.record.record_id:<12} {c.geometry.pi_total:>9.1f} "
-          f"{c.class_code.code:>5} {c.class_code.disparity.name:<20} "
-          f"{mme_per_day(c.record):>8.1f} {c.risk.level:>4}")
+table = TransactionTable.from_records(records)
+classified = classify_records(table)
+for rid, pi_total, code, disparity, mme_day, risk in zip(
+        table.record_id, classified.pi_total.tolist(), classified.class_codes().tolist(),
+        (classified.code % 4).tolist(), table.mme_per_day().tolist(),
+        classified.risk_level.tolist()):
+    print(f"{rid:<12} {pi_total:>9.1f} {code:>5} {DisparityLabel(disparity).name:<20} "
+          f"{mme_day:>8.1f} {risk:>4}")
 
 print("""
 Reading the class code: first digit is the distance bucket of the loop

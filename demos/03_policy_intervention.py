@@ -17,7 +17,7 @@ from rxgeo.series import aggregate_monthly, split_pre_post
 cfg = default_config()
 records, _ = clean(generate(cfg, 60_000, seed=11))
 print(f"generated {len(records)} records "
-      f"({sum(r.drug_family == 'opioid' for r in records)} treated family)\n")
+      f"({np.count_nonzero(records.drug_family == 'opioid')} treated family)\n")
 
 for family in ("opioid", "benzodiazepine"):
     (series,) = aggregate_monthly(records, group_by="overall", family=family)

@@ -114,13 +114,13 @@ def _parse_transactions(path: Path, manifest: RunManifest
     _track_input(manifest, path)
     with open(path, newline="") as fh:
         try:
-            return records.read_table(fh)
+            return records.parse_csv(fh)
         except records.SchemaError as exc:
             raise DataError(str(exc)) from exc
 
 
 def _write_classified_csv(path: Path, c: geo.ClassifiedTable) -> None:
-    records.write_table(c.records, path, extra=zip(CLASSIFIED_EXTRA, (
+    records.write_csv(c.records, path, extra=zip(CLASSIFIED_EXTRA, (
         c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)))
 
 
@@ -147,7 +147,7 @@ def _read_classified_csv(path: Path, manifest: RunManifest) -> RecordTable:
         parts = [_classified_columns(path, header, rows, lines)
                  for rows, lines in records.row_chunks(reader, records.CHUNK_ROWS)]
     if not parts:
-        return RecordTable.from_records([])
+        return RecordTable.from_table(TransactionTable.from_records([]))
     family, month, mme_total, days_supply, code = (
         np.concatenate(col) for col in zip(*parts))
     return RecordTable(family, month, mme_total, days_supply, code,
@@ -160,23 +160,23 @@ def _classified_columns(path: Path, header: list[str], rows: list[list[str]],
     days_supply and class_code columns."""
     try:
         col = records._transpose(header, rows)
-        table = None if col is None else records._chunk_columns(col)
-        if table is None:  # a row fails a check of the ingest columns
+        checked = None if col is None else records._check_chunk(col)
+        if checked is None:  # a row fails a check of the ingest columns
             raise ValueError
-        days_supply = table.days_supply.astype(float)
-        if not ((days_supply >= 1).all()
+        dates, floats, days_supply, family = checked
+        if not (min(days_supply) >= 1
                 and all(np.isfinite(np.fromiter(map(float, col[name]), float, len(rows))).all()
                         for name in ("d_pp", "d_pd", "d_rd", "pi_total"))
                 and set(col["class_code"]) <= _CODES
                 and all(v.isdecimal() and int(v) in geo.RISK_HAZARD_RATIOS
                         for v in set(col["risk_level"]))):
             raise ValueError
-    except (ValueError, OverflowError):
+    except ValueError:
         raise _first_row_error(path, header, rows, lines) from None
-    days = table.fill_date.tolist()
-    month_of = {d: MonthKey.from_date(date.fromordinal(d)).index for d in set(days)}
-    return (table.drug_family, np.fromiter(map(month_of.__getitem__, days), np.int64, len(days)),
-            table.mme_total, days_supply, np.array(col["class_code"], dtype=str))
+    month_of = {text: MonthKey.from_date(d).index for text, d in dates.items()}
+    month_index = np.fromiter(map(month_of.__getitem__, col["fill_date"]), np.int64, len(rows))
+    return (family, month_index, floats[-1], np.array(days_supply, dtype=float),
+            np.array(col["class_code"], dtype=str))
 
 
 def _first_row_error(path: Path, header: list[str], rows: list[list[str]],
@@ -194,13 +194,8 @@ def _first_row_error(path: Path, header: list[str], rows: list[list[str]],
 def _check_classified_row(row: dict[str, str]) -> None:
     """Check one classified-CSV row; ValueError reasons follow ``records._parse_row``."""
     rec = records._parse_row({k: row[k] for k in records.CSV_COLUMNS})
-    # A classified CSV comes after clean(), so days_supply >= 1; MME/day
-    # divides by it as a float.
-    try:
-        if float(rec.days_supply) < 1:
-            raise ValueError("below 1")
-    except (ValueError, OverflowError):
-        raise ValueError("invalid days_supply") from None
+    if rec.days_supply < 1:  # a classified CSV comes after clean()
+        raise ValueError("invalid days_supply")
     for col in ("d_pp", "d_pd", "d_rd", "pi_total"):
         try:
             records._parse_float(row[col], col)
@@ -244,10 +239,10 @@ def _cmd_simulate(args) -> int:
             raise DataError(f"bad scenario config {cfg_path}: {exc}") from exc
     else:
         cfg = syngen.default_config()
-    table = syngen.generate_table(cfg, args.n, seed=args.seed)
+    table = syngen.generate(cfg, args.n, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    records.write_table(table, out)
+    records.write_csv(table, out)
     manifest.outputs.append(str(out))
     if args.dump_config:
         dump = Path(args.dump_config)
@@ -261,11 +256,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_ingest(args) -> int:
     manifest = _start_manifest(args, "ingest")
     table, errors = _parse_transactions(Path(args.input), manifest)
-    kept, rep = records.clean_table(table, cap=args.cap, cutoff_date=args.cutoff_date,
-                                    n_malformed=len(errors))
+    kept, rep = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
+                              n_malformed=len(errors))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    records.write_table(kept, out)
+    records.write_csv(kept, out)
     payload = rep.to_dict()
     payload["row_errors"] = [{"line": e.line, "reason": e.reason} for e in errors]
     _write_json(Path(args.report), payload)
@@ -286,7 +281,7 @@ def _cmd_classify(args) -> int:
     thresholds = geo.ClassThresholds(near_miles=args.near_miles,
                                      isolation_ratio=args.isolation_ratio)
     try:
-        classified = geo.classify_table(table, thresholds)
+        classified = geo.classify_records(table, thresholds)
     except ValueError as exc:  # days_supply < 1: the input was not cleaned
         raise DataError(f"{path}: {exc}") from exc
     out = Path(args.out)
@@ -294,9 +289,8 @@ def _cmd_classify(args) -> int:
     _write_classified_csv(out, classified)
     manifest.outputs.append(str(out))
     manifest.write(out.parent)
-    counts = np.bincount(classified.code, minlength=len(geo.ALL_CLASS_CODES))
     print("classify: " + " ".join(f"{k}={v}" for k, v
-                                  in zip(geo.ALL_CLASS_CODES, counts.tolist()) if v))
+                                  in classified.class_counts().items() if v))
     return 0
 
 

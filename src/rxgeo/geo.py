@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .records import GeoPoint, PrescriptionRecord, TransactionTable, mme_per_day
+from .records import GeoPoint, PrescriptionRecord, TransactionTable
 
 # Mean Earth radius; fixed so distances are bit-reproducible.
 EARTH_RADIUS_MILES = 3958.7613
@@ -77,21 +76,9 @@ class RiskLevel:
 
 
 @dataclass(frozen=True)
-class ClassifiedRecord:
-    record: PrescriptionRecord
-    geometry: TriangleGeometry
-    class_code: ClassCode
-    risk: RiskLevel
-
-    @property
-    def mme_day(self) -> float:
-        return mme_per_day(self.record)
-
-
-@dataclass(frozen=True)
 class ClassifiedTable:
-    """A list of :class:`ClassifiedRecord` as columns: the records' table,
-    the three distances and their sum, the class (its index in
+    """The classification of a table's records, as columns: the records'
+    table, the three distances and their sum, the class (its index in
     ``ALL_CLASS_CODES``, 4 * distance level + disparity) and the risk tier."""
 
     records: TransactionTable
@@ -102,9 +89,17 @@ class ClassifiedTable:
     code: np.ndarray  # int64
     risk_level: np.ndarray  # int64
 
+    def __len__(self) -> int:
+        return len(self.records)
+
     def class_codes(self) -> np.ndarray:
         """The two-digit class code of each record."""
         return np.array(ALL_CLASS_CODES)[self.code]
+
+    def class_counts(self) -> dict[str, int]:
+        """Record count per class code, including zero-count classes."""
+        counts = np.bincount(self.code, minlength=len(ALL_CLASS_CODES))
+        return dict(zip(ALL_CLASS_CODES, counts.tolist()))
 
 
 def haversine(a: GeoPoint, b: GeoPoint) -> float:
@@ -195,8 +190,8 @@ def _risk_levels(mme_day: np.ndarray) -> np.ndarray:
     return 1 + np.searchsorted(RISK_EDGES, mme_day, side="right")
 
 
-def classify_table(table: TransactionTable,
-                   thresholds: ClassThresholds = ClassThresholds()) -> ClassifiedTable:
+def classify_records(table: TransactionTable,
+                     thresholds: ClassThresholds = ClassThresholds()) -> ClassifiedTable:
     """Classify every record of a table (``ValueError`` if one has
     ``days_supply < 1``)."""
     mme_day = table.mme_per_day()
@@ -210,25 +205,3 @@ def classify_table(table: TransactionTable,
     code = 4 * _distance_levels(pi_total) + _disparities(d_pp, d_pd, d_rd, thresholds)
     return ClassifiedTable(table, d_pp, d_pd, d_rd, pi_total, code,
                            _risk_levels(mme_day))
-
-
-def classify_records(
-    records: Sequence[PrescriptionRecord],
-    thresholds: ClassThresholds = ClassThresholds(),
-) -> list[ClassifiedRecord]:
-    """Classify records in bulk (:func:`classify_table` on their table)."""
-    c = classify_table(TransactionTable.from_records(records), thresholds)
-    return [ClassifiedRecord(r, TriangleGeometry(d_pp, d_pd, d_rd),
-                             ClassCode(code // 4, DisparityLabel(code % 4)),
-                             RiskLevel(risk))
-            for r, d_pp, d_pd, d_rd, code, risk
-            in zip(records, c.d_pp.tolist(), c.d_pd.tolist(), c.d_rd.tolist(),
-                   c.code.tolist(), c.risk_level.tolist())]
-
-
-def class_counts(classified: Iterable[ClassifiedRecord]) -> dict[str, int]:
-    """Record count per class code, including zero-count classes."""
-    counts = {code: 0 for code in ALL_CLASS_CODES}
-    for c in classified:
-        counts[c.class_code.code] += 1
-    return counts

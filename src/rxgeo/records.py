@@ -233,7 +233,8 @@ def _parse_row(row: dict[str, str]) -> PrescriptionRecord:
         days_supply = int(row["days_supply"])
         if days_supply < 0:
             raise ValueError("negative")
-    except ValueError:
+        float(days_supply)  # MME/day divides by it as a float
+    except (ValueError, OverflowError):
         raise ValueError("invalid days_supply") from None
 
     drug_family = row["drug_family"].strip()
@@ -273,14 +274,15 @@ def _check_header(names: list[str] | None) -> list[str]:
     return got
 
 
-def read_table(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
+def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
     """
     Parse a transaction CSV into a table plus row-level errors.
 
     Rows are read ``CHUNK_ROWS`` at a time and checked column by column with
     the same conversions as :func:`_parse_row`.  A chunk that fails the check
     is parsed row by row, so every bad row is reported with its file line
-    number and reason.  A wrong header raises :class:`SchemaError`.
+    number and reason; bad rows never abort the parse.  A wrong header raises
+    :class:`SchemaError`.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -313,9 +315,14 @@ def _chunk_table(header: list[str], rows: list[list[str]], lines: list[int],
                  errors: list[RowError]) -> TransactionTable:
     """The records of one chunk; its bad rows are appended to ``errors``."""
     col = _transpose(header, rows)
-    table = None if col is None else _chunk_columns(col)
-    if table is not None:
-        return table
+    checked = None if col is None else _check_chunk(col)
+    if checked is not None:
+        dates, floats, days_supply, family = checked
+        ordinal = {text: d.toordinal() for text, d in dates.items()}
+        return TransactionTable(
+            list(col["record_id"]),
+            np.fromiter(map(ordinal.__getitem__, col["fill_date"]), np.int64, len(rows)),
+            *floats, _int_column(days_supply), family)
     good = []
     for row, line in zip(rows, lines):
         try:
@@ -335,48 +342,35 @@ def _transpose(header: list[str], rows: list[list[str]]) -> dict[str, tuple[str,
     return dict(zip(header, zip(*rows)))
 
 
-def _chunk_columns(col: dict[str, tuple[str, ...]]) -> TransactionTable | None:
-    """The ingest columns of a chunk as a table, or None if any row fails a
-    check of :func:`_parse_row`."""
+def _check_chunk(col: dict[str, tuple[str, ...]]
+                 ) -> tuple[dict[str, date], list[np.ndarray], list[int], np.ndarray] | None:
+    """The parsed ingest columns of a chunk, or None if any row fails a check
+    of :func:`_parse_row`: the date of each distinct fill_date text, the
+    coordinate and mme_total columns, the days_supply values and the
+    stripped drug_family column."""
     n = len(col["record_id"])
     try:
         if not all(map(str.strip, col["record_id"])):
             return None
-        ordinal = {text: date.fromisoformat(text.strip()).toordinal()
-                   for text in set(col["fill_date"])}
+        dates = {text: date.fromisoformat(text.strip()) for text in set(col["fill_date"])}
         floats = [np.fromiter(map(float, col[name]), float, n)
                   for name in (*COORDINATE_COLUMNS, "mme_total")]
         days_supply = list(map(int, col["days_supply"]))
-    except ValueError:
+        float(max(days_supply))  # MME/day divides by it as a float
+    except (ValueError, OverflowError):
         return None
     family = {text: text.strip() for text in set(col["drug_family"])}
     if not (all(np.isfinite(x).all() for x in floats) and (floats[-1] >= 0).all()
             and min(days_supply) >= 0 and set(family.values()) <= set(FAMILIES)):
         return None
-    return TransactionTable(
-        list(col["record_id"]),
-        np.fromiter(map(ordinal.__getitem__, col["fill_date"]), np.int64, n),
-        *floats,
-        _int_column(days_supply),
-        np.array([family[text] for text in col["drug_family"]], dtype=str),
-    )
+    return (dates, floats, days_supply,
+            np.array([family[text] for text in col["drug_family"]], dtype=str))
 
 
-def parse_csv(stream: TextIO | str) -> tuple[list[PrescriptionRecord], list[RowError]]:
-    """
-    Parse a transaction CSV into records plus row-level errors.
-
-    A wrong header raises :class:`SchemaError`; bad rows never abort the
-    parse, they are reported with their file line number and a reason.
-    """
-    table, errors = read_table(stream)
-    return table.to_records(), errors
-
-
-def write_table(table: TransactionTable, path: str | Path | TextIO,
-                extra: Iterable[tuple[str, np.ndarray]] = ()) -> None:
+def write_csv(table: TransactionTable, path: str | Path | TextIO,
+              extra: Iterable[tuple[str, np.ndarray]] = ()) -> None:
     """Write a table in the exact ingest schema, followed by the ``extra``
-    (name, column) pairs; round-trips through :func:`read_table`.
+    (name, column) pairs; round-trips through :func:`parse_csv`.
 
     ``csv.writer`` writes the Python values ``CHUNK_ROWS`` rows at a time: a
     float as its repr, an int or a string as its str.
@@ -399,14 +393,20 @@ def write_table(table: TransactionTable, path: str | Path | TextIO,
             stream.close()
 
 
-def write_csv(records: Iterable[PrescriptionRecord], path: str | Path | TextIO) -> None:
-    """Write records in the exact ingest schema; round-trips through parse_csv."""
-    write_table(TransactionTable.from_records(list(records)), path)
+def clean(
+    table: TransactionTable,
+    cap: float = DEFAULT_MME_CAP,
+    cutoff_date: date = DEFAULT_CUTOFF,
+    n_malformed: int = 0,
+) -> tuple[TransactionTable, FilterReport]:
+    """
+    Apply the exclusion filters and tally each drop by first-matching reason.
 
-
-def _kept(table: TransactionTable, cap: float, cutoff_date: date,
-          n_malformed: int) -> tuple[np.ndarray, FilterReport]:
-    """Mask of the records that pass every filter, and the report."""
+    Reasons are checked in a fixed order (date, MME cap, days supply,
+    coordinates) so that a record failing several filters is counted once.
+    ``n_malformed`` folds upstream parse failures into the report so that
+    ``total_in == total_kept + sum(exclusions)`` holds over the whole file.
+    """
     report = FilterReport(malformed_row=n_malformed, total_in=n_malformed + len(table))
     keep = np.ones(len(table), dtype=bool)
     valid = np.ones(len(table), dtype=bool)
@@ -422,37 +422,4 @@ def _kept(table: TransactionTable, cap: float, cutoff_date: date,
         setattr(report, reason, int(dropped.sum()))
         keep &= ~dropped
     report.total_kept = int(keep.sum())
-    return keep, report
-
-
-def clean_table(
-    table: TransactionTable,
-    cap: float = DEFAULT_MME_CAP,
-    cutoff_date: date = DEFAULT_CUTOFF,
-    n_malformed: int = 0,
-) -> tuple[TransactionTable, FilterReport]:
-    """The records of ``table`` that pass the exclusion filters, as
-    :func:`clean` selects them, and the report."""
-    keep, report = _kept(table, cap, cutoff_date, n_malformed)
     return table.take(keep), report
-
-
-def clean(
-    records: Iterable[PrescriptionRecord],
-    cap: float = DEFAULT_MME_CAP,
-    cutoff_date: date = DEFAULT_CUTOFF,
-    n_malformed: int = 0,
-) -> tuple[list[PrescriptionRecord], FilterReport]:
-    """
-    Apply the exclusion filters and tally each drop by first-matching reason.
-
-    Reasons are checked in a fixed order (date, MME cap, days supply,
-    coordinates) so that a record failing several filters is counted once.
-    ``n_malformed`` folds upstream parse failures into the report so that
-    ``total_in == total_kept + sum(exclusions)`` holds over the whole file.
-    Survivors are the input record objects.
-    """
-    records = list(records)
-    keep, report = _kept(TransactionTable.from_records(records), cap, cutoff_date,
-                         n_malformed)
-    return list(compress(records, keep.tolist())), report

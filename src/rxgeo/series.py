@@ -6,12 +6,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .geo import ALL_CLASS_CODES, ClassifiedRecord
-from .records import PrescriptionRecord, mme_per_day
+from .geo import ALL_CLASS_CODES, ClassifiedTable
+from .records import TransactionTable
 from .stats import MeanCI, mean_ci
 
 INDEX_BASE_YEAR = 2014
@@ -106,38 +106,29 @@ class RecordTable:
         return self.mme_day.size
 
     @classmethod
-    def from_records(
-        cls, records: Sequence[PrescriptionRecord | ClassifiedRecord],
-    ) -> "RecordTable":
-        """Columns of plain or classified records (``ValueError`` if a
-        record has ``days_supply < 1``)."""
-        recs, codes = [], []
-        for r in records:
-            if isinstance(r, ClassifiedRecord):
-                codes.append(r.class_code.code)
-                r = r.record
-            else:
-                codes.append("")
-            recs.append(r)
-        return cls(
-            drug_family=np.array([r.drug_family for r in recs], dtype=str),
-            month_index=np.array([MonthKey.from_date(r.fill_date).index
-                                  for r in recs], dtype=np.int64),
-            mme_total=np.array([r.mme_total for r in recs], dtype=float),
-            days_supply=np.array([r.days_supply for r in recs], dtype=float),
-            class_code=np.array(codes, dtype=str),
-            mme_day=np.array([mme_per_day(r) for r in recs], dtype=float),
-        )
+    def from_table(cls, table: TransactionTable | ClassifiedTable) -> "RecordTable":
+        """The columns of a transaction or classified table (``ValueError``
+        if a record has ``days_supply < 1``)."""
+        if isinstance(table, ClassifiedTable):
+            codes, table = table.class_codes(), table.records
+        else:
+            codes = np.full(len(table), "")
+        mme_day = table.mme_per_day()
+        days = table.fill_date.tolist()
+        month_of = {d: MonthKey.from_date(date.fromordinal(d)).index for d in set(days)}
+        month_index = np.fromiter(map(month_of.__getitem__, days), np.int64, len(days))
+        return cls(table.drug_family, month_index, table.mme_total,
+                   table.days_supply.astype(float), codes, mme_day)
 
 
 def _as_table(records) -> RecordTable:
     if isinstance(records, RecordTable):
         return records
-    return RecordTable.from_records(records)
+    return RecordTable.from_table(records)
 
 
 def aggregate_monthly(
-    records: RecordTable | Sequence[PrescriptionRecord | ClassifiedRecord],
+    records: RecordTable | TransactionTable | ClassifiedTable,
     group_by: str = "class",
     family: str = "opioid",
     span: tuple[MonthKey, MonthKey] | None = None,
@@ -146,10 +137,11 @@ def aggregate_monthly(
     """
     Build monthly mean-MME/day series for ``family``.
 
-    ``group_by="class"`` yields one series per class code present (records
-    must be classified); ``group_by="overall"`` pools the whole family and
-    also accepts plain records.  ``span`` pins an inclusive month range;
-    by default each series spans its own first..last month with records.
+    ``group_by="class"`` yields one series per class code present (the
+    records must be classified); ``group_by="overall"`` pools the whole
+    family and also accepts a :class:`TransactionTable`.  ``span`` pins an
+    inclusive month range; by default each series spans its own first..last
+    month with records.
     """
     if group_by not in ("class", "overall"):
         raise ValueError(f"group_by must be 'class' or 'overall', got {group_by!r}")
@@ -223,7 +215,7 @@ def _sd(x: np.ndarray) -> float:
 
 
 def summarize_classes(
-    classified: RecordTable | Sequence[ClassifiedRecord],
+    classified: RecordTable | ClassifiedTable,
     family: str = "opioid",
 ) -> list[ClassSummaryRow]:
     """Per-class record statistics plus the CI of the monthly mean MME/day.
@@ -287,7 +279,7 @@ def _window_cell(monthly: np.ndarray) -> PrePostCell | None:
 
 
 def pre_post_table(
-    classified: RecordTable | Sequence[ClassifiedRecord],
+    classified: RecordTable | ClassifiedTable,
     family: str = "opioid",
     policy_month: MonthKey = DEFAULT_POLICY_MONTH,
 ) -> dict[str, tuple[PrePostCell | None, PrePostCell | None]]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._special import normal_cdf, normal_ppf_vec
 from .geo import EARTH_RADIUS_MILES
-from .records import FAMILIES, PrescriptionRecord, TransactionTable, write_csv  # noqa: F401
+from .records import FAMILIES, PrescriptionRecord, TransactionTable
 from .series import MonthKey, DEFAULT_POLICY_MONTH
 
 # Per-class defaults: record share, days-supply and total-MME moments, and
@@ -258,8 +258,8 @@ def _truncnorm_draws(rng: np.random.Generator, mu: float, sigma: float,
     return mu + sigma * normal_ppf_vec(u)
 
 
-def generate_table(config: ScenarioConfig, n_records: int, seed: int | None = None
-                   ) -> TransactionTable:
+def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
+             ) -> TransactionTable:
     """
     Draw a synthetic transaction set.
 
@@ -338,12 +338,6 @@ def generate_table(config: ScenarioConfig, n_records: int, seed: int | None = No
     if not blocks:
         return TransactionTable.from_records([])
     return TransactionTable(ids, *(np.concatenate(cols) for cols in zip(*blocks)))
-
-
-def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
-             ) -> list[PrescriptionRecord]:
-    """The records of :func:`generate_table`."""
-    return generate_table(config, n_records, seed).to_records()
 
 
 def intended_class_code(record: PrescriptionRecord) -> str:

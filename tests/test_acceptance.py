@@ -32,11 +32,11 @@ def test_criterion_1_classification_partition():
     cfg = syngen.default_config()
     records = syngen.generate(cfg, 100_000, seed=101)
     classified = geo.classify_records(records)
-    counts = geo.class_counts(classified)
+    counts = classified.class_counts()
     partition_ok = (sum(counts.values()) == len(classified) == len(records)
                     and set(counts) == set(geo.ALL_CLASS_CODES))
-    agree = sum(c.class_code.code == syngen.intended_class_code(c.record)
-                for c in classified)
+    agree = sum(code == syngen.intended_class_code(r) for code, r
+                in zip(classified.class_codes().tolist(), records.to_records()))
     elapsed = time.time() - t0
     ok = partition_ok and agree == len(records) and elapsed < 10.0
     report_line(1, ok, f"{len(records)} records, one of 16 codes each, "

@@ -2,7 +2,8 @@
 
 The reader must accept and reject exactly what a per-row check built on
 ``records._parse_row`` accepts and rejects, and the aggregation functions must
-give equal results on a record list and on the table read back from its CSV.
+give equal results on a classified table and on the table read back from its
+CSV.
 """
 
 import csv
@@ -22,17 +23,16 @@ from rxgeo.series import (MonthKey, RecordTable, aggregate_monthly,
 
 
 def _classified(n, seed):
-    """Shuffled, classified records of both families."""
-    recs, _ = records.clean(syngen.generate(syngen.default_config(), n, seed=seed))
-    classified = geo.classify_records(recs)
-    random.Random(seed).shuffle(classified)
-    return classified
+    """The classified table of shuffled records of both families."""
+    kept, _ = records.clean(syngen.generate(syngen.default_config(), n, seed=seed))
+    recs = kept.to_records()
+    random.Random(seed).shuffle(recs)
+    return geo.classify_records(records.TransactionTable.from_records(recs))
 
 
-def _classified_table(classified):
-    """The classified records as the table the classify stage writes."""
-    return geo.classify_table(records.TransactionTable.from_records(
-        [c.record for c in classified]))
+def _rows(classified):
+    """(record, class code) of each classified record."""
+    return list(zip(classified.records.to_records(), classified.class_codes().tolist()))
 
 
 def _read(path):
@@ -79,9 +79,9 @@ POOL = ["", " ", "nan", "inf", "1e400", "-1", "0", "1_0", " 5 ", "+5", "abc",
 def base_rows(tmp_path_factory):
     """Header plus eight valid rows of a classified CSV."""
     path = tmp_path_factory.mktemp("base") / "classified.csv"
-    cli._write_classified_csv(path, _classified_table(_classified(60, 5)[:8]))
+    cli._write_classified_csv(path, _classified(60, 5))
     with open(path, newline="") as fh:
-        return list(csv.reader(fh))
+        return list(csv.reader(fh))[:9]
 
 
 def _check_reader(path, text, chunk):
@@ -155,18 +155,17 @@ def test_reader_rejects_days_supply_beyond_float(tmp_path, base_rows):
         _read(path)
 
 
-# --- record list vs. table read back from its CSV ------------------------------
+# --- classified table vs. table read back from its CSV ---------------------------
 
 def _bucket_loop(classified, group_by, family, span=None):
     """The per-record dict-of-lists aggregation, kept as the reference."""
     buckets = {}
-    for c in classified:
-        if c.record.drug_family != family:
+    for r, code in _rows(classified):
+        if r.drug_family != family:
             continue
-        key = series.OVERALL if group_by == "overall" else c.class_code.code
-        idx = MonthKey.from_date(c.record.fill_date).index
-        buckets.setdefault(key, {}).setdefault(idx, []).append(
-            records.mme_per_day(c.record))
+        key = series.OVERALL if group_by == "overall" else code
+        idx = MonthKey.from_date(r.fill_date).index
+        buckets.setdefault(key, {}).setdefault(idx, []).append(records.mme_per_day(r))
     out = {}
     for key in sorted(buckets):
         months = buckets[key]
@@ -185,10 +184,10 @@ def _as_dict(all_series):
 
 @pytest.fixture(scope="module")
 def classified_pair(tmp_path_factory):
-    """Shuffled classified records, and the table read back from their CSV."""
+    """A classified table of shuffled records, and the path of its CSV."""
     classified = _classified(900, 11)
     path = tmp_path_factory.mktemp("table") / "classified.csv"
-    cli._write_classified_csv(path, _classified_table(classified))
+    cli._write_classified_csv(path, classified)
     return classified, path
 
 
@@ -196,9 +195,9 @@ def test_table_holds_record_columns(classified_pair):
     classified, path = classified_pair
     table = _read(path)
     assert isinstance(table, RecordTable) and len(table) == len(classified)
-    assert table.class_code.tolist() == [c.class_code.code for c in classified]
-    assert table.mme_day.tolist() == [c.mme_day for c in classified]
-    assert table.mme_day.tolist() == RecordTable.from_records(classified).mme_day.tolist()
+    assert table.class_code.tolist() == classified.class_codes().tolist()
+    assert table.mme_day.tolist() == [records.mme_per_day(r) for r, _ in _rows(classified)]
+    assert table.mme_day.tolist() == RecordTable.from_table(classified).mme_day.tolist()
 
 
 @pytest.mark.parametrize("family", records.FAMILIES)
@@ -208,10 +207,10 @@ def test_table_and_records_aggregate_equally(classified_pair, family):
     span = (MonthKey(2015, 1), MonthKey(2019, 12))
     for group_by in ("class", "overall"):
         for sp in (None, span):
-            from_records = aggregate_monthly(classified, group_by, family, span=sp)
-            assert from_records == aggregate_monthly(table, group_by, family, span=sp)
-            assert _as_dict(from_records) == _bucket_loop(classified, group_by,
-                                                          family, sp)
+            from_classified = aggregate_monthly(classified, group_by, family, span=sp)
+            assert from_classified == aggregate_monthly(table, group_by, family, span=sp)
+            assert _as_dict(from_classified) == _bucket_loop(classified, group_by,
+                                                             family, sp)
     # repr compares floats bit for bit and treats NaN fields as equal
     assert repr(summarize_classes(classified, family)) == \
         repr(summarize_classes(table, family))
@@ -223,9 +222,9 @@ def test_records_unit_stats_get_the_same_inputs(classified_pair, tmp_path,
                                                 monkeypatch):
     classified, path = classified_pair
     by_code = {}  # first-appearance class order, record order within a class
-    for c in classified:
-        if c.record.drug_family == "opioid":
-            by_code.setdefault(c.class_code.code, []).append(c.mme_day)
+    for r, code in _rows(classified):
+        if r.drug_family == "opioid":
+            by_code.setdefault(code, []).append(records.mme_per_day(r))
     seen = {}
 
     def recording(name, func):

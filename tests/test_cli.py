@@ -168,6 +168,19 @@ def test_classify_rejects_uncleaned_input(pipeline, tmp_path, capsys):
     assert not (tmp_path / "k.csv").exists()
 
 
+def test_days_supply_too_large_for_a_float_is_a_malformed_row(pipeline, tmp_path):
+    # 1 followed by 400 zeros used to pass ingest, and classify then ended in
+    # an OverflowError traceback
+    raw, cleaned, report = (tmp_path / name for name in ("raw.csv", "clean.csv",
+                                                         "filter.json"))
+    _rewrite_csv(pipeline / "data.csv", raw, "days_supply", "1" + "0" * 400)
+    assert run("ingest", "--input", raw, "--out", cleaned, "--report", report) == 0
+    rep = json.loads(report.read_text())
+    assert rep["row_errors"] == [{"line": 2, "reason": "invalid days_supply"}]
+    assert rep["malformed_row"] == 1
+    assert run("classify", "--input", cleaned, "--out", tmp_path / "k.csv") == 0
+
+
 def _rewrite_csv(src, dst, column, value):
     """Copy a CSV, setting ``column`` of the first data row to ``value``."""
     with open(src, newline="") as fh:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from rxgeo import geo
 from rxgeo.geo import (ALL_CLASS_CODES, EARTH_RADIUS_MILES, ClassCode,
                        ClassThresholds, DisparityLabel, TriangleGeometry,
-                       class_code, class_counts, classify_records, disparity,
-                       distance_level, geometry, haversine, risk_level)
+                       class_code, classify_records, disparity, distance_level,
+                       geometry, haversine, risk_level)
 from rxgeo.records import GeoPoint, PrescriptionRecord, TransactionTable
 
 coord = st.tuples(st.floats(min_value=-89.0, max_value=89.0),
@@ -223,11 +223,11 @@ def test_disparity_kernel_matches_brute_force_on_exact_ties(near, ratio):
     assert labels == set(DisparityLabel)
 
 
-def test_classify_table_on_exact_edges():
+def test_classify_records_on_exact_edges():
     # all three points identical: every edge ties at 0
     p = GeoPoint(33.0, -80.0)
-    (c,) = classify_records([make_record(p, p, p)])
-    assert c.class_code.code == "03"
+    c = classify_records(TransactionTable.from_records([make_record(p, p, p)]))
+    assert c.class_codes().tolist() == ["03"]
     # totals and daily doses exactly on the level edges
     pi = np.array([0.0, 250.0, np.nextafter(250.0, 1e9), 500.0, 1000.0,
                    np.nextafter(1000.0, 1e9)])
@@ -241,7 +241,7 @@ def test_classify_table_on_exact_edges():
             for mme, days in ((140.0, 7), (150.0, 3), (3000.0, 30))]
     table = TransactionTable.from_records(recs)
     assert table.mme_per_day().tolist() == [20.0, 50.0, 100.0]
-    assert geo.classify_table(table).risk_level.tolist() == [2, 3, 4]
+    assert classify_records(table).risk_level.tolist() == [2, 3, 4]
 
 
 def test_disparity_respects_thresholds():
@@ -297,12 +297,11 @@ def test_classification_partition_totality():
                for _ in range(3)]
         records.append(make_record(*pts, mme=rng.uniform(1, 1000),
                                    days=int(rng.integers(1, 30))))
-    classified = classify_records(records)
-    counts = class_counts(classified)
+    classified = classify_records(TransactionTable.from_records(records))
+    counts = classified.class_counts()
     assert set(counts) == set(ALL_CLASS_CODES)
-    assert sum(counts.values()) == len(records)
-    for c in classified:
-        assert c.class_code.code in ALL_CLASS_CODES
+    assert sum(counts.values()) == len(classified) == len(records)
+    assert set(classified.class_codes().tolist()) <= set(ALL_CLASS_CODES)
 
 
 def test_classify_records_matches_scalar_path():
@@ -312,11 +311,12 @@ def test_classify_records_matches_scalar_path():
         pts = [GeoPoint(rng.uniform(-60, 60), rng.uniform(-120, 120))
                for _ in range(3)]
         records.append(make_record(*pts))
-    bulk = classify_records(records)
-    for rec, cls in zip(records, bulk):
-        assert class_code(rec).code == cls.class_code.code
+    bulk = classify_records(TransactionTable.from_records(records))
+    for rec, code, d_pp, d_pd, d_rd, pi_total in zip(
+            records, bulk.class_codes().tolist(), bulk.d_pp.tolist(), bulk.d_pd.tolist(),
+            bulk.d_rd.tolist(), bulk.pi_total.tolist()):
+        assert class_code(rec).code == code
         g = geometry(rec)
         # equal to the last bit, so both paths bucket a record alike at an edge
-        assert (cls.geometry.d_pp, cls.geometry.d_pd, cls.geometry.d_rd) == \
-            (g.d_pp, g.d_pd, g.d_rd)
-        assert cls.geometry.pi_total == g.pi_total
+        assert (d_pp, d_pd, d_rd) == (g.d_pp, g.d_pd, g.d_rd)
+        assert pi_total == g.pi_total

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from rxgeo import syngen
 from rxgeo.records import (CSV_COLUMNS, GeoPoint, PrescriptionRecord,
-                           SchemaError, clean, mme_per_day, parse_csv,
-                           write_csv)
+                           SchemaError, TransactionTable, clean, mme_per_day,
+                           parse_csv, write_csv)
 
 HEADER = ",".join(CSV_COLUMNS)
 VALID_ROW = "r1,2019-03-05,34.0,-81.0,34.1,-81.1,33.9,-80.9,450.0,5,opioid"
@@ -29,12 +29,18 @@ def make_record(**overrides) -> PrescriptionRecord:
     return PrescriptionRecord(**base)
 
 
+def clean_records(records, **kwargs):
+    """:func:`clean` on the records' table; the kept records and the report."""
+    kept, report = clean(TransactionTable.from_records(records), **kwargs)
+    return kept.to_records(), report
+
+
 # --- parse_csv ----------------------------------------------------------------
 
 def test_parse_valid_row():
-    recs, errors = parse_csv(f"{HEADER}\n{VALID_ROW}\n")
-    assert len(recs) == 1 and not errors
-    r = recs[0]
+    table, errors = parse_csv(f"{HEADER}\n{VALID_ROW}\n")
+    assert len(table) == 1 and not errors
+    (r,) = table.to_records()
     assert r.record_id == "r1"
     assert r.fill_date == date(2019, 3, 5)
     assert r.mme_total == 450.0
@@ -44,8 +50,8 @@ def test_parse_valid_row():
 
 def test_parse_missing_days_supply():
     row = VALID_ROW.replace(",5,opioid", ",,opioid")
-    recs, errors = parse_csv(f"{HEADER}\n{row}\n")
-    assert recs == []
+    table, errors = parse_csv(f"{HEADER}\n{row}\n")
+    assert table.to_records() == []
     assert len(errors) == 1
     assert "missing days_supply" in errors[0].reason
     assert errors[0].line == 2
@@ -57,6 +63,7 @@ def test_parse_missing_days_supply():
     ("mme_total", "abc", "invalid mme_total"),
     ("days_supply", "-1", "invalid days_supply"),
     ("days_supply", "2.5", "invalid days_supply"),
+    ("days_supply", "1" + "0" * 400, "invalid days_supply"),
     ("patient_lat", "inf", "invalid patient_lat"),
     ("drug_family", "aspirin", "invalid drug_family"),
 ])
@@ -64,14 +71,14 @@ def test_parse_bad_fields(field, value, reason):
     cols = dict(zip(CSV_COLUMNS, VALID_ROW.split(",")))
     cols[field] = value
     row = ",".join(cols[c] for c in CSV_COLUMNS)
-    recs, errors = parse_csv(f"{HEADER}\n{row}\n")
-    assert recs == []
+    table, errors = parse_csv(f"{HEADER}\n{row}\n")
+    assert table.to_records() == []
     assert len(errors) == 1 and reason in errors[0].reason
 
 
 def test_parse_wrong_field_count_row():
-    recs, errors = parse_csv(f"{HEADER}\n{VALID_ROW},extra\n{VALID_ROW}\n")
-    assert len(recs) == 1
+    table, errors = parse_csv(f"{HEADER}\n{VALID_ROW},extra\n{VALID_ROW}\n")
+    assert len(table) == 1
     assert len(errors) == 1 and errors[0].line == 2
 
 
@@ -94,8 +101,8 @@ def test_parse_rejects_a_column_named_twice():
 
 def test_parse_errors_never_abort():
     bad = VALID_ROW.replace("opioid", "x")
-    recs, errors = parse_csv(f"{HEADER}\n{bad}\n{VALID_ROW}\n{bad}\n")
-    assert len(recs) == 1
+    table, errors = parse_csv(f"{HEADER}\n{bad}\n{VALID_ROW}\n{bad}\n")
+    assert len(table) == 1
     assert [e.line for e in errors] == [2, 4]
 
 
@@ -103,36 +110,36 @@ def test_parse_errors_never_abort():
 
 def test_write_parse_roundtrip_syngen_1000():
     cfg = syngen.default_config()
-    records = syngen.generate(cfg, 1000, seed=9)
+    table = syngen.generate(cfg, 1000, seed=9)
     buf = io.StringIO()
-    write_csv(records, buf)
+    write_csv(table, buf)
     parsed, errors = parse_csv(io.StringIO(buf.getvalue()))
     assert not errors
-    assert parsed == records
+    assert parsed.to_records() == table.to_records()
 
 
 def test_write_empty_is_header_only():
     buf = io.StringIO()
-    write_csv([], buf)
+    write_csv(TransactionTable.from_records([]), buf)
     assert buf.getvalue().strip() == HEADER
 
 
 # --- clean --------------------------------------------------------------------
 
 def test_clean_mme_cap():
-    kept, rep = clean([make_record(mme_total=2e5)])
+    kept, rep = clean_records([make_record(mme_total=2e5)])
     assert kept == []
     assert rep.mme_exceeds_cap == 1 and rep.total_in == 1 and rep.total_kept == 0
 
 
 def test_clean_pre_cutoff():
-    kept, rep = clean([make_record(fill_date=date(2013, 12, 31))])
+    kept, rep = clean_records([make_record(fill_date=date(2013, 12, 31))])
     assert kept == []
     assert rep.pre_2014 == 1
 
 
 def test_clean_empty_input():
-    kept, rep = clean([])
+    kept, rep = clean_records([])
     assert kept == []
     assert rep.total_in == 0 and rep.total_kept == 0 and rep.total_excluded == 0
 
@@ -142,43 +149,43 @@ def test_clean_priority_order_first_match_only():
     # only the date reason may count.
     r = make_record(fill_date=date(2012, 1, 1), mme_total=1e9, days_supply=0,
                     patient=GeoPoint(99.0, 0.0))
-    kept, rep = clean([r])
+    kept, rep = clean_records([r])
     assert rep.pre_2014 == 1
     assert rep.mme_exceeds_cap == rep.missing_or_zero_days_supply == 0
     assert rep.invalid_coordinates == 0
 
 
 def test_clean_zero_days_and_bad_coords():
-    kept, rep = clean([make_record(days_supply=0),
-                       make_record(prescriber=GeoPoint(12.0, 181.0))])
+    kept, rep = clean_records([make_record(days_supply=0),
+                               make_record(prescriber=GeoPoint(12.0, 181.0))])
     assert kept == []
     assert rep.missing_or_zero_days_supply == 1
     assert rep.invalid_coordinates == 1
 
 
 def test_clean_retains_zero_mme():
-    kept, rep = clean([make_record(mme_total=0.0)])
+    kept, rep = clean_records([make_record(mme_total=0.0)])
     assert len(kept) == 1
 
 
 def test_clean_boundaries_inclusive():
-    kept, _ = clean([make_record(mme_total=1e5),
-                     make_record(fill_date=date(2014, 1, 1))])
+    kept, _ = clean_records([make_record(mme_total=1e5),
+                             make_record(fill_date=date(2014, 1, 1))])
     assert len(kept) == 2
 
 
 def test_clean_idempotent_and_preserves_records():
     records = [make_record(record_id=f"r{i}", mme_total=float(i) * 2e4)
                for i in range(10)]
-    once, rep1 = clean(records)
-    twice, rep2 = clean(once)
+    once, rep1 = clean_records(records)
+    twice, rep2 = clean_records(once)
     assert once == twice
     assert rep2.total_in == rep2.total_kept == len(once)
-    assert all(a is b for a, b in zip(once, [r for r in records if r.mme_total <= 1e5]))
+    assert once == [r for r in records if r.mme_total <= 1e5]
 
 
 def test_clean_malformed_fold_in():
-    kept, rep = clean([make_record()], n_malformed=3)
+    kept, rep = clean_records([make_record()], n_malformed=3)
     assert rep.total_in == 4 and rep.total_kept == 1 and rep.malformed_row == 3
     assert rep.total_in == rep.total_kept + rep.total_excluded
 
@@ -194,7 +201,7 @@ def test_clean_conservation_property(rows):
     records = [make_record(record_id=f"r{i}", fill_date=d, mme_total=m,
                            days_supply=ds, patient=GeoPoint(lat, 0.0))
                for i, (d, m, ds, lat) in enumerate(rows)]
-    kept, rep = clean(records)
+    kept, rep = clean_records(records)
     assert rep.total_in == rep.total_kept + rep.total_excluded
     assert rep.total_kept == len(kept)
     for r in kept:  # every survivor satisfies all filters

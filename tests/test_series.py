@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rxgeo.geo import classify_records
-from rxgeo.records import GeoPoint, PrescriptionRecord, mme_per_day
+from rxgeo.records import GeoPoint, PrescriptionRecord, TransactionTable, mme_per_day
 from rxgeo.series import (MonthKey, aggregate_monthly, pre_post_table,
                           split_pre_post, summarize_classes)
 
@@ -15,6 +15,11 @@ P = GeoPoint(34.0, -81.0)
 def rec(year, month, day, mme, days=1, family="opioid", rid="r"):
     return PrescriptionRecord(rid, date(year, month, day), P, P, P,
                               float(mme), days, family)
+
+
+def classify(records):
+    """The classified table of a record list."""
+    return classify_records(TransactionTable.from_records(records))
 
 
 # --- MonthKey -------------------------------------------------------------------
@@ -40,7 +45,7 @@ def test_month_key_parse_and_order():
 
 def test_aggregate_simple_mean():
     records = [rec(2015, 3, 5, 30), rec(2015, 3, 9, 60), rec(2015, 3, 20, 90)]
-    (s,) = aggregate_monthly(records, group_by="overall")
+    (s,) = aggregate_monthly(TransactionTable.from_records(records), group_by="overall")
     assert len(s) == 1
     assert s.points[0].mean_mme_day == pytest.approx(60.0)
     assert s.points[0].n_records == 3
@@ -48,7 +53,7 @@ def test_aggregate_simple_mean():
 
 def test_aggregate_gap_month_marked_missing():
     records = [rec(2014, 1, 2, 10), rec(2014, 3, 2, 20)]
-    (s,) = aggregate_monthly(records, group_by="overall")
+    (s,) = aggregate_monthly(TransactionTable.from_records(records), group_by="overall")
     assert [str(p.month) for p in s.points] == ["2014-01", "2014-02", "2014-03"]
     assert s.points[1].n_records == 0
     assert math.isnan(s.points[1].mean_mme_day)
@@ -56,7 +61,7 @@ def test_aggregate_gap_month_marked_missing():
 
 def test_aggregate_group_by_class_requires_classification():
     with pytest.raises(ValueError):
-        aggregate_monthly([rec(2015, 1, 1, 10)], group_by="class")
+        aggregate_monthly(TransactionTable.from_records([rec(2015, 1, 1, 10)]), group_by="class")
 
 
 def test_aggregate_brute_force_oracle_and_permutation_invariance():
@@ -68,14 +73,14 @@ def test_aggregate_brute_force_oracle_and_permutation_invariance():
         records.append(rec(y, m, int(rng.integers(1, 28)),
                            rng.uniform(1, 500), int(rng.integers(1, 30)),
                            rid=f"r{i}"))
-    classified = classify_records(records)
+    classified = classify(records)
     series = aggregate_monthly(classified, group_by="class")
 
     # independent dict-based group-by
     sums, counts = {}, {}
-    for c in classified:
-        key = (c.class_code.code, MonthKey.from_date(c.record.fill_date).index)
-        sums[key] = sums.get(key, 0.0) + mme_per_day(c.record)
+    for r, code in zip(records, classified.class_codes().tolist()):
+        key = (code, MonthKey.from_date(r.fill_date).index)
+        sums[key] = sums.get(key, 0.0) + mme_per_day(r)
         counts[key] = counts.get(key, 0) + 1
     for s in series:
         for p in s.points:
@@ -87,9 +92,9 @@ def test_aggregate_brute_force_oracle_and_permutation_invariance():
             else:
                 assert key not in counts
 
-    shuffled = list(classified)
+    shuffled = list(records)
     rng.shuffle(shuffled)
-    series2 = aggregate_monthly(shuffled, group_by="class")
+    series2 = aggregate_monthly(classify(shuffled), group_by="class")
     key1 = {(s.class_code): s.points for s in series}
     key2 = {(s.class_code): s.points for s in series2}
     assert key1 == key2
@@ -104,7 +109,7 @@ def test_aggregate_class_counts_sum_to_overall():
         records.append(PrescriptionRecord(
             f"r{i}", date(int(rng.integers(2014, 2016)), int(rng.integers(1, 13)), 5),
             *pts, rng.uniform(1, 300), int(rng.integers(1, 20)), "opioid"))
-    classified = classify_records(records)
+    classified = classify(records)
     span = (MonthKey(2014, 1), MonthKey(2015, 12))
     by_class = aggregate_monthly(classified, group_by="class", span=span)
     (overall,) = aggregate_monthly(classified, group_by="overall", span=span)
@@ -116,7 +121,7 @@ def test_aggregate_monthly_mean_bounded_by_extremes():
     rng = np.random.default_rng(12)
     records = [rec(2015, 4, int(rng.integers(1, 28)), rng.uniform(5, 800),
                    int(rng.integers(1, 30)), rid=f"r{i}") for i in range(50)]
-    (s,) = aggregate_monthly(records, group_by="overall")
+    (s,) = aggregate_monthly(TransactionTable.from_records(records), group_by="overall")
     values = [mme_per_day(r) for r in records]
     assert min(values) <= s.points[0].mean_mme_day <= max(values)
 
@@ -125,7 +130,7 @@ def test_aggregate_monthly_mean_bounded_by_extremes():
 
 def test_split_pre_post_boundary_and_identity():
     records = [rec(2018, 4, 5, 10), rec(2018, 5, 5, 20), rec(2018, 6, 5, 30)]
-    (s,) = aggregate_monthly(records, group_by="overall")
+    (s,) = aggregate_monthly(TransactionTable.from_records(records), group_by="overall")
     pre, post = split_pre_post(s, MonthKey(2018, 5))
     assert [str(p.month) for p in pre.points] == ["2018-04"]
     assert [str(p.month) for p in post.points] == ["2018-05", "2018-06"]
@@ -134,7 +139,7 @@ def test_split_pre_post_boundary_and_identity():
 
 def test_split_empty_side_permitted():
     records = [rec(2019, 1, 5, 10)]
-    (s,) = aggregate_monthly(records, group_by="overall")
+    (s,) = aggregate_monthly(TransactionTable.from_records(records), group_by="overall")
     pre, post = split_pre_post(s, MonthKey(2018, 5))
     assert len(pre) == 0 and len(post) == 1
 
@@ -153,7 +158,7 @@ def _clustered_records(n, code_points, family="opioid", mme=100.0, start_id=0):
 
 def test_summarize_single_class_gets_all_shares():
     records = _clustered_records(40, (P, P, P))
-    rows = summarize_classes(classify_records(records))
+    rows = summarize_classes(classify(records))
     by_code = {r.class_code: r for r in rows}
     assert len(rows) == 16
     # all records in one class ("03": tiny distances, no isolation)
@@ -172,13 +177,14 @@ def test_summarize_shares_match_brute_force():
         records.append(PrescriptionRecord(
             f"r{i}", date(2015, int(rng.integers(1, 13)), 4), *pts,
             rng.uniform(10, 900), int(rng.integers(1, 15)), "opioid"))
-    classified = classify_records(records)
+    classified = classify(records)
     rows = summarize_classes(classified)
-    total_mme = sum(r.record.mme_total for r in classified)
+    codes = classified.class_codes().tolist()
+    total_mme = sum(r.mme_total for r in records)
     for row in rows:
-        group = [c for c in classified if c.class_code.code == row.class_code]
+        group = [r for r, code in zip(records, codes) if code == row.class_code]
         assert row.pct_of_records == pytest.approx(100.0 * len(group) / 200, abs=1e-9)
-        expect_mme = 100.0 * sum(c.record.mme_total for c in group) / total_mme
+        expect_mme = 100.0 * sum(r.mme_total for r in group) / total_mme
         assert row.pct_of_mme == pytest.approx(expect_mme, abs=1e-9)
     assert sum(r.pct_of_mme for r in rows) == pytest.approx(100.0, abs=0.01)
 
@@ -186,7 +192,7 @@ def test_summarize_shares_match_brute_force():
 def test_summarize_ci_undefined_below_two_months():
     records = _clustered_records(3, (P, P, P))
     one_month = [r for r in records if r.fill_date.month == 1]
-    rows = summarize_classes(classify_records(one_month))
+    rows = summarize_classes(classify(one_month))
     row = {r.class_code: r for r in rows}["03"]
     assert row.n_months == 1
     assert row.mean_mme_day is None
@@ -194,7 +200,7 @@ def test_summarize_ci_undefined_below_two_months():
 
 def test_summarize_ci_ordering():
     records = _clustered_records(60, (P, P, P))
-    rows = summarize_classes(classify_records(records))
+    rows = summarize_classes(classify(records))
     row = {r.class_code: r for r in rows}["03"]
     ci = row.mean_mme_day
     assert ci.lo <= ci.mean <= ci.hi
@@ -212,7 +218,7 @@ def test_pre_post_table_structure_and_symmetry():
             records.append(PrescriptionRecord(
                 f"p{rid}", date(mk.year, mk.month, 7), P, P, P, v, 1, "opioid"))
             rid += 1
-    table = pre_post_table(classify_records(records),
+    table = pre_post_table(classify(records),
                            policy_month=MonthKey(2018, 1))
     assert len(table) == 16
     pre, post = table["03"]
@@ -236,7 +242,7 @@ def test_pre_post_table_detects_drop():
                 f"q{rid}", date(mk.year, mk.month, 10), P, P, P,
                 base + rng.normal(0, 1), 1, "opioid"))
             rid += 1
-    table = pre_post_table(classify_records(records))
+    table = pre_post_table(classify(records))
     pre, post = table["03"]
     assert post.mean < pre.mean
     assert post.mean < pre.lo  # outside the pre CI

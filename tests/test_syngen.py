@@ -6,8 +6,8 @@ import pytest
 
 from rxgeo import geo, syngen
 from rxgeo._special import chi2_sf
-from rxgeo.records import mme_per_day, parse_csv, write_csv
-from rxgeo.series import MonthKey
+from rxgeo.records import parse_csv, write_csv
+from rxgeo.series import MonthKey, RecordTable
 
 
 def single_class_config(profile, **overrides):
@@ -38,10 +38,9 @@ def test_default_config_profiles():
 
 def test_default_config_pre_mean_calibration():
     cfg = syngen.default_config()
-    recs = syngen.generate(cfg, 150_000, seed=3)
-    pre = [mme_per_day(r) for r in recs
-           if r.drug_family == "opioid"
-           and MonthKey.from_date(r.fill_date) < cfg.policy_month]
+    t = RecordTable.from_table(syngen.generate(cfg, 150_000, seed=3))
+    pre = t.mme_day[(t.drug_family == "opioid")
+                    & (t.month_index < cfg.policy_month.index)]
     assert np.mean(pre) == pytest.approx(syngen.DEFAULT_PRE_MEAN, rel=0.02)
 
 
@@ -67,48 +66,45 @@ def test_generate_deterministic_per_seed():
     cfg = syngen.default_config()
     a = syngen.generate(cfg, 500, seed=4)
     b = syngen.generate(cfg, 500, seed=4)
-    assert a == b
+    assert a.to_records() == b.to_records()
     buf_a, buf_b = io.StringIO(), io.StringIO()
     write_csv(a, buf_a)
     write_csv(b, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
     c = syngen.generate(cfg, 500, seed=5)
-    assert a != c
+    assert a.to_records() != c.to_records()
 
 
 def test_generate_classify_agreement_1e4():
     cfg = syngen.default_config()
-    recs = syngen.generate(cfg, 10_000, seed=6)
-    classified = geo.classify_records(recs)
-    agree = sum(c.class_code.code == syngen.intended_class_code(c.record)
-                for c in classified)
+    table = syngen.generate(cfg, 10_000, seed=6)
+    classified = geo.classify_records(table)
+    agree = sum(code == syngen.intended_class_code(r) for code, r
+                in zip(classified.class_codes().tolist(), table.to_records()))
     assert agree == len(classified)
 
 
 def test_generate_days_supply_calibration():
     prof = syngen.ClassProfile("00", 1.0, 14.89, 4.87, 802.32, 310.46, 48.88, 1.0)
-    recs = syngen.generate(single_class_config(prof), 100_000, seed=7)
-    days = np.array([r.days_supply for r in recs], dtype=float)
+    table = syngen.generate(single_class_config(prof), 100_000, seed=7)
+    days = table.days_supply.astype(float)
     assert np.mean(days) == pytest.approx(14.89, rel=0.02)
     assert np.min(days) >= 1
 
 
 def test_generate_mme_day_hits_target():
     prof = syngen.ClassProfile("32", 1.0, 20.06, 7.51, 1374.09, 1153.52, 96.50, 1.0)
-    recs = syngen.generate(single_class_config(prof), 100_000, seed=8)
-    vals = np.array([mme_per_day(r) for r in recs])
+    table = syngen.generate(single_class_config(prof), 100_000, seed=8)
+    vals = table.mme_per_day()
     assert np.mean(vals) == pytest.approx(96.50, rel=0.02)
-    assert np.min([r.mme_total for r in recs]) >= 0.0
+    assert np.min(table.mme_total) >= 0.0
 
 
 def test_generate_post_policy_multiplier_ratio():
     prof = syngen.ClassProfile("00", 1.0, 14.89, 4.87, 802.32, 310.46, 48.88, 0.9)
-    recs = syngen.generate(single_class_config(prof), 100_000, seed=9)
-    pre, post = [], []
-    for r in recs:
-        (post if MonthKey.from_date(r.fill_date) >= MonthKey(2018, 5) else pre).append(
-            mme_per_day(r))
-    ratio = np.mean(post) / np.mean(pre)
+    t = RecordTable.from_table(syngen.generate(single_class_config(prof), 100_000, seed=9))
+    post = t.month_index >= MonthKey(2018, 5).index
+    ratio = np.mean(t.mme_day[post]) / np.mean(t.mme_day[~post])
     assert ratio == pytest.approx(0.9, rel=0.03)
 
 
@@ -116,8 +112,8 @@ def test_generate_class_share_chi_square():
     cfg = syngen.default_config()
     shares = cfg.families["opioid"].shares()
     for seed in (10, 11, 12):
-        recs = [r for r in syngen.generate(cfg, 130_000, seed=seed)
-                if r.drug_family == "opioid"]
+        table = syngen.generate(cfg, 130_000, seed=seed)
+        recs = table.take(table.drug_family == "opioid").to_records()
         codes = [syngen.intended_class_code(r) for r in recs]
         n = len(codes)
         stat = 0.0
@@ -131,7 +127,7 @@ def test_generate_class_share_chi_square():
 
 def test_generate_records_are_clean_and_monthly_poisson():
     cfg = syngen.default_config()
-    recs = syngen.generate(cfg, 30_000, seed=13)
+    recs = syngen.generate(cfg, 30_000, seed=13).to_records()
     assert all(r.days_supply >= 1 for r in recs)
     assert all(r.mme_total >= 0 for r in recs)
     assert all(r.patient.is_valid and r.prescriber.is_valid and r.dispenser.is_valid
@@ -148,15 +144,15 @@ def test_generate_records_are_clean_and_monthly_poisson():
 
 def test_generate_families_and_serialization():
     cfg = syngen.default_config()
-    recs = syngen.generate(cfg, 2000, seed=14)
-    fams = {r.drug_family for r in recs}
-    assert fams == {"opioid", "benzodiazepine"}
+    table = syngen.generate(cfg, 2000, seed=14)
+    assert set(table.drug_family.tolist()) == {"opioid", "benzodiazepine"}
+    first5 = table.take(np.arange(len(table)) < 5)
     buf = io.StringIO()
-    write_csv(recs[:5], buf)
+    write_csv(first5, buf)
     text = buf.getvalue()
     assert "opioid" in text or "benzodiazepine" in text
     parsed, errors = parse_csv(io.StringIO(text))
-    assert not errors and parsed == recs[:5]
+    assert not errors and parsed.to_records() == first5.to_records()
 
 
 def test_generate_rejects_bad_input():
@@ -171,8 +167,7 @@ def test_class32_summary_ci_and_threshold_test():
     # 90 is significant on monthly means
     prof = syngen.ClassProfile("32", 1.0, 20.06, 7.51, 1374.09, 1153.52, 96.50, 1.0)
     cfg = single_class_config(prof)
-    recs = syngen.generate(cfg, 30_000, seed=16)
-    classified = geo.classify_records(recs)
+    classified = geo.classify_records(syngen.generate(cfg, 30_000, seed=16))
 
     from rxgeo.series import aggregate_monthly, summarize_classes
     from rxgeo.stats import t_test_greater
@@ -192,8 +187,7 @@ def test_class00_post_drop_outside_pre_ci():
     # mean and outside the pre CI
     prof = syngen.ClassProfile("00", 1.0, 14.89, 4.87, 802.32, 310.46, 48.88, 0.9)
     cfg = single_class_config(prof)
-    recs = syngen.generate(cfg, 40_000, seed=17)
-    classified = geo.classify_records(recs)
+    classified = geo.classify_records(syngen.generate(cfg, 40_000, seed=17))
 
     from rxgeo.series import pre_post_table
 

@@ -11,6 +11,7 @@ import io
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,14 +41,15 @@ def _oracle(text):
 POOL = ["", " ", "1_000", " 7 ", "+7", "٣", "²", "nan", "inf", "-inf", "1e400",
         "-0.0", "0", "-1", "2.5", "abc", str(10**20), "95", "181", "2013-12-31",
         " 2016-07-01 ", "20190305", "2018-02-30", " opioid", "Opioid",
-        "benzodiazepine"]
+        "benzodiazepine", "1" + "0" * 400]
 
 
 @pytest.fixture(scope="module")
 def base_rows():
     """Header plus eight valid rows of a transaction CSV."""
     buf = io.StringIO(newline="")
-    records.write_csv(syngen.generate(syngen.default_config(), 80, seed=5)[:8], buf)
+    table = syngen.generate(syngen.default_config(), 80, seed=5)
+    records.write_csv(table.take(np.arange(len(table)) < 8), buf)
     return list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
 
 
@@ -86,24 +88,51 @@ def test_chunked_parser_matches_row_oracle(base_rows, data):
 
     expected_recs, expected_errors = _oracle(text)
     with mock.patch.object(records, "CHUNK_ROWS", chunk):
-        table, errors = records.read_table(text)
-        recs, list_errors = records.parse_csv(text)
+        table, errors = records.parse_csv(text)
     # repr compares floats bit for bit (-0.0 against 0.0 as well)
-    assert repr(table.to_records()) == repr(recs) == repr(expected_recs)
+    assert repr(table.to_records()) == repr(expected_recs)
     assert [(e.line, e.reason) for e in errors] == expected_errors
-    assert errors == list_errors
 
 
 def test_days_supply_beyond_int64_keeps_its_value(base_rows):
     rows = [list(r) for r in base_rows]
     rows[3][CSV_COLUMNS.index("days_supply")] = str(10**20)
-    table, errors = records.read_table(_csv_text(rows))
+    table, errors = records.parse_csv(_csv_text(rows))
     assert not errors and table.days_supply.tolist()[2] == 10**20
-    kept, report = records.clean_table(table)
+    kept, report = records.clean(table)
     assert report.total_kept == len(kept) == len(rows) - 1
     buf = io.StringIO(newline="")
-    records.write_table(kept, buf)
+    records.write_csv(kept, buf)
     assert buf.getvalue() == _csv_text(rows)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cli_exit_codes_on_mutated_input(base_rows, tmp_path_factory, data):
+    """ingest -> classify -> aggregate on a CSV with one bad cell or row and
+    a few filter settings: every stage exits 0, 1 or 2 and none raises."""
+    rows = [list(r) for r in base_rows]
+    at = data.draw(st.integers(1, len(rows) - 1), label="row")
+    kind = data.draw(st.sampled_from(["cell", "cell", "short", "long", "blank"]))
+    if kind == "cell":
+        col = data.draw(st.integers(0, len(CSV_COLUMNS) - 1), label="column")
+        rows[at][col] = data.draw(st.sampled_from(POOL), label="value")
+    elif kind == "short":
+        rows[at].pop()
+    elif kind == "long":
+        rows[at].append("x")
+    else:
+        rows[at] = []
+    cap = data.draw(st.sampled_from(["1e5", "0", "-1", "500", "inf", "nan"]), label="cap")
+    cutoff = data.draw(st.sampled_from(["2014-01-01", "0001-01-01", "2016-07-01",
+                                        "9999-12-31", "2014-13-01"]), label="cutoff")
+    work = tmp_path_factory.mktemp("cli")
+    (work / "raw.csv").write_text(_csv_text(rows), newline="")
+    for argv in (["ingest", "--input", work / "raw.csv", "--out", work / "clean.csv",
+                  "--report", work / "filter.json", "--cap", cap, "--cutoff-date", cutoff],
+                 ["classify", "--input", work / "clean.csv", "--out", work / "classified.csv"],
+                 ["aggregate", "--input", work / "classified.csv", "--outdir", work / "series"]):
+        assert cli.main([str(a) for a in argv]) in (0, 1, 2)
 
 
 # --- producer stages vs. the per-record writers -----------------------------------
@@ -194,7 +223,7 @@ def test_producer_stages_write_what_the_record_writers_wrote(tmp_path, seed, edi
                               ("raw.csv", "clean.csv", "classified.csv"))
     assert cli.main(["simulate", "--n", str(n), "--seed", str(seed),
                      "--out", str(raw)]) == 0
-    _reference_write_csv(syngen.generate(syngen.default_config(), n, seed=seed),
+    _reference_write_csv(syngen.generate(syngen.default_config(), n, seed=seed).to_records(),
                          tmp_path / "ref_raw.csv")
     assert raw.read_bytes() == (tmp_path / "ref_raw.csv").read_bytes()
     if edited:
