@@ -12,6 +12,8 @@ _REFLECT = 1.0
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
+# First simplex edge, relative to max(1, |x_i|); the restart uses a tenth.
+_INITIAL_STEP = 0.1
 
 
 @dataclass
@@ -27,7 +29,6 @@ def nelder_mead(
     x0: np.ndarray,
     max_evals: int = 2000,
     rel_tol: float = 1e-10,
-    initial_step: float = 0.1,
 ) -> MinimizeResult:
     """
     Minimize ``func`` from ``x0`` with a Nelder-Mead simplex.
@@ -102,9 +103,9 @@ def nelder_mead(
         i_best = int(np.argmin(fvals))
         return simplex[i_best], fvals[i_best], converged
 
-    x_best, f_best, conv = run(x0, initial_step)
+    x_best, f_best, conv = run(x0, _INITIAL_STEP)
     if evals < max_evals:
-        x2, f2, conv2 = run(x_best, initial_step * 0.1)
+        x2, f2, conv2 = run(x_best, _INITIAL_STEP * 0.1)
         if f2 <= f_best:
             x_best, f_best, conv = x2, f2, conv2 or conv
     return MinimizeResult(x=x_best, fun=f_best, n_evals=evals, converged=conv)

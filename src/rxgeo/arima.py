@@ -88,7 +88,7 @@ class ArimaParams:
         self.Theta = np.atleast_1d(np.asarray(self.Theta, dtype=float))
 
     def vector(self) -> np.ndarray:
-        return np.concatenate(([self.c], self.phi, self.theta, self.Phi, self.Theta))
+        return _coefficient_vector(self)
 
     @property
     def is_stationary(self) -> bool:
@@ -99,18 +99,39 @@ class ArimaParams:
         return _poly_stable(-self.theta) and _poly_stable(-self.Theta)
 
 
+def significance_stars(p: float) -> str:
+    """Table-style significance stars for a p-value."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if p < 0.001:
+        return "***"
+    if p < 0.01:
+        return "**"
+    if p < 0.05:
+        return "*"
+    return ""
+
+
 class Coefficient(NamedTuple):
     name: str
     estimate: float
     std_error: float
     p_value: float
 
+    @property
+    def stars(self) -> str:
+        if math.isnan(self.p_value):
+            return ""
+        return significance_stars(self.p_value)
+
 
 @dataclass
 class ArimaFit:
+    """CSS fit of a seasonal ARIMA with zero or more event regressors."""
+
     orders: ArimaOrders
     params: ArimaParams
-    std_errors: np.ndarray  # aligned with params.vector()
+    std_errors: np.ndarray  # aligned with coefficient_names()
     log_css: float
     bic: float
     residuals: np.ndarray
@@ -118,21 +139,26 @@ class ArimaFit:
     y: np.ndarray  # series actually fitted (missing values interpolated)
     n_interpolated: int = 0
     degenerate: bool = False
+    betas: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    event_names: list[str] = field(default_factory=list)
 
     def coefficient_names(self) -> list[str]:
         o = self.orders
-        return (["const"]
+        return (["const"] + list(self.event_names)
                 + [f"ar{i}" for i in range(1, o.p + 1)]
                 + [f"ma{j}" for j in range(1, o.q + 1)]
                 + [f"sar{o.s * i}" for i in range(1, o.P + 1)]
                 + [f"sma{o.s * j}" for j in range(1, o.Q + 1)])
 
     def coefficients(self) -> list[Coefficient]:
-        out = []
-        for name, est, se in zip(self.coefficient_names(), self.params.vector(),
-                                 self.std_errors):
-            out.append(Coefficient(name, float(est), float(se), _coef_p_value(est, se)))
-        return out
+        values = _coefficient_vector(self.params, self.betas)
+        return [Coefficient(name, float(est), float(se),
+                            _coef_p_value(float(est), float(se)))
+                for name, est, se in zip(self.coefficient_names(), values,
+                                         self.std_errors)]
+
+    def event_coefficients(self) -> list[Coefficient]:
+        return self.coefficients()[1:1 + len(self.event_names)]
 
 
 @dataclass(frozen=True)
@@ -637,9 +663,20 @@ def css_objective(z: Sequence[float] | np.ndarray, orders: ArimaOrders,
 # Estimation
 # ---------------------------------------------------------------------------
 
-def _pack(params: ArimaParams) -> np.ndarray:
+# Every coefficient vector, raw or in optimizer coordinates, is laid out
+# [c, betas..., phi.., theta.., Phi.., Theta..]; the betas are the event
+# regression coefficients, none for plain ARIMA.
+
+def _coefficient_vector(params: ArimaParams, betas: Sequence[float] = ()) -> np.ndarray:
+    return np.concatenate(([params.c], betas, params.phi, params.theta,
+                           params.Phi, params.Theta))
+
+
+def _pack(params: ArimaParams, betas: Sequence[float] = ()) -> np.ndarray:
+    """Optimizer coordinates of ``params`` with event coefficients ``betas``."""
     return np.concatenate((
         [params.c],
+        betas,
         _unconstrained_from_coefs(params.phi),
         _unconstrained_from_coefs(-params.theta),
         _unconstrained_from_coefs(params.Phi),
@@ -699,18 +736,19 @@ def _css_objective(z: np.ndarray, x: np.ndarray, orders: ArimaOrders):
     return objective
 
 
-def _css_finish(z: np.ndarray, x: np.ndarray, orders: ArimaOrders,
-                vec: np.ndarray) -> dict:
+def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
+                event_names: Sequence[str], orders: ArimaOrders,
+                vec: np.ndarray) -> ArimaFit:
     """
-    Fit fields at the optimizer point ``vec``: residuals, sigma2 = CSS/n, the
-    BIC and standard errors aligned with [c, betas..., phi.., theta.., Phi..,
-    Theta..] from the finite-difference Hessian of the CSS in raw
-    coefficient space, cov = 2 sigma2 H^{-1}.
+    The fit of series ``y`` (``z`` differenced, ``x`` one differenced event
+    regressor per column) at the optimizer point ``vec``: residuals, sigma2 =
+    CSS/n, the BIC and standard errors from the finite-difference Hessian
+    of the CSS in raw coefficient space, cov = 2 sigma2 H^{-1}.
     """
     o = orders
     n_events = x.shape[1]
     params = _unpack(vec, o, n_events)
-    betas = vec[1:1 + n_events]
+    betas = vec[1:1 + n_events].copy()
     a, m = _ar_ma_lag_coefs(o, params)
     w = z - x @ betas if n_events else z
     css = _css_value(w, o, params.c, a, m)
@@ -721,8 +759,7 @@ def _css_finish(z: np.ndarray, x: np.ndarray, orders: ArimaOrders,
     k = o.n_coefficients + n_events
     bic = n_eff * math.log(sigma2) + k * math.log(n_eff) if sigma2 > 0 else -math.inf
 
-    vec0 = np.concatenate(([params.c], betas, params.phi, params.theta,
-                           params.Phi, params.Theta))
+    vec0 = _coefficient_vector(params, betas)
     i = 1 + n_events
     cuts = np.cumsum([i, o.p, o.q, o.P])
 
@@ -739,9 +776,11 @@ def _css_finish(z: np.ndarray, x: np.ndarray, orders: ArimaOrders,
             diag = np.diag(2.0 * sigma2 * np.linalg.pinv(hess)).copy()
             diag[diag < 0] = np.nan
         std_errors = np.sqrt(diag)
-    return dict(params=params, std_errors=std_errors,
-                log_css=math.log(css) if css > 0 else -math.inf, bic=bic,
-                residuals=residuals, n_effective=n_eff)
+    return ArimaFit(orders=o, params=params, std_errors=std_errors,
+                    log_css=math.log(css) if css > 0 else -math.inf, bic=bic,
+                    residuals=residuals, n_effective=n_eff, y=y,
+                    n_interpolated=n_interp, betas=betas,
+                    event_names=list(event_names))
 
 
 def _degenerate_fit(y: np.ndarray, orders: ArimaOrders, n_interp: int) -> ArimaFit:
@@ -800,7 +839,7 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders,
     no_events = np.zeros((z.size, 0))
     x0 = _pack(hannan_rissanen_start(z, orders))
     result = nelder_mead(_css_objective(z, no_events, orders), x0,
-                         max_evals=max_evals, rel_tol=1e-10)
+                         max_evals=max_evals)
     params = _unpack(result.x, orders)
     if not result.converged:
         raise FitError(
@@ -809,8 +848,7 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders,
                          "best_params": params})
     if not (params.is_stationary and params.is_invertible):
         raise FitError(f"optimum for {orders.label()} fails the root check")
-    return ArimaFit(orders=orders, y=y, n_interpolated=n_interp,
-                    **_css_finish(z, no_events, orders, result.x))
+    return _css_finish(y, n_interp, z, no_events, (), orders, result.x)
 
 
 def auto_fit(

@@ -456,9 +456,7 @@ def _fit_to_payload(f: arima.ArimaFit) -> dict:
         "orders": {"p": o.p, "d": o.d, "q": o.q, "P": o.P, "D": o.D, "Q": o.Q,
                    "s": o.s},
         "model": o.label(),
-        "coefficients": [
-            {"name": c.name, "estimate": c.estimate, "std_error": c.std_error,
-             "p_value": c.p_value} for c in f.coefficients()],
+        "coefficients": [c._asdict() for c in f.coefficients()],
         "sigma2": f.params.sigma2,
         "bic": f.bic,
         "n_effective": f.n_effective,
@@ -506,10 +504,8 @@ def _its_result_payload(res) -> dict:
         "pre_fit": _fit_to_payload(res.pre_fit),
         "arimax": {
             "model": res.arimax.orders.label(),
-            "coefficients": [
-                {"name": c.name, "estimate": c.estimate, "std_error": c.std_error,
-                 "p_value": c.p_value, "stars": c.stars}
-                for c in res.arimax.coefficients()],
+            "coefficients": [{**c._asdict(), "stars": c.stars}
+                             for c in res.arimax.coefficients()],
             "bic": res.arimax.bic,
         },
         "dropped_events": res.dropped_events,

@@ -16,8 +16,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import arima
-from .arima import (ArimaFit, ArimaOrders, ArimaParams, FitError, Forecast,
+from .arima import (ArimaFit, ArimaOrders, Coefficient, FitError, Forecast,
                     _css_finish, _css_objective, _pack, difference)
+from .arima import significance_stars  # noqa: F401 - public name of this module
 from ._optimize import nelder_mead
 from .series import ClassSeries, MonthKey, split_pre_post
 
@@ -77,69 +78,6 @@ def event_regressor(kind: str, onset: int, n: int) -> np.ndarray:
     raise ValueError(f"unknown event kind {kind!r}")
 
 
-def significance_stars(p: float) -> str:
-    """Table-style significance stars for a p-value."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if p < 0.001:
-        return "***"
-    if p < 0.01:
-        return "**"
-    if p < 0.05:
-        return "*"
-    return ""
-
-
-@dataclass(frozen=True)
-class ItsCoefficient:
-    name: str
-    estimate: float
-    std_error: float
-    p_value: float
-
-    @property
-    def stars(self) -> str:
-        if math.isnan(self.p_value):
-            return ""
-        return significance_stars(self.p_value)
-
-
-@dataclass
-class ArimaxFit:
-    """Regression-with-ARIMA-errors fit: events first, ARMA terms after."""
-
-    orders: ArimaOrders
-    params: ArimaParams
-    betas: np.ndarray
-    event_names: list[str]
-    std_errors: np.ndarray  # aligned with [c, betas..., phi.., theta.., Phi.., Theta..]
-    log_css: float
-    bic: float
-    residuals: np.ndarray
-    n_effective: int
-
-    def coefficients(self) -> list[ItsCoefficient]:
-        names = (["const"] + list(self.event_names)
-                 + [f"ar{i}" for i in range(1, self.orders.p + 1)]
-                 + [f"ma{j}" for j in range(1, self.orders.q + 1)]
-                 + [f"sar{self.orders.s * i}" for i in range(1, self.orders.P + 1)]
-                 + [f"sma{self.orders.s * j}" for j in range(1, self.orders.Q + 1)])
-        values = np.concatenate(([self.params.c], self.betas, self.params.phi,
-                                 self.params.theta, self.params.Phi, self.params.Theta))
-        out = []
-        for name, est, se in zip(names, values, self.std_errors):
-            out.append(ItsCoefficient(name, float(est), float(se),
-                                      arima._coef_p_value(float(est), float(se))))
-        return out
-
-    def event_coefficients(self) -> list[ItsCoefficient]:
-        return [c for c in self.coefficients() if c.name in self.event_names]
-
-    @property
-    def css(self) -> float:
-        return math.exp(self.log_css) if math.isfinite(self.log_css) else 0.0
-
-
 def _check_collinearity(x: np.ndarray, names: Sequence[str]) -> None:
     for j, name in enumerate(names):
         col = x[:, j]
@@ -159,6 +97,18 @@ def _check_collinearity(x: np.ndarray, names: Sequence[str]) -> None:
                     f"event regressors {names[i]!r} and {names[j]!r} are collinear")
 
 
+# Passed as ``base_fit`` when the no-event fit failed, so it is not retried.
+_BASE_FIT_FAILED = object()
+
+
+def _base_fit(y: np.ndarray, orders: ArimaOrders, max_evals: int = 2000):
+    """The no-event fit that seeds ``fit_arimax``, or ``_BASE_FIT_FAILED``."""
+    try:
+        return arima.fit(y, orders, max_evals=max_evals)
+    except (FitError, ValueError):
+        return _BASE_FIT_FAILED
+
+
 def fit_arimax(
     y: Sequence[float] | np.ndarray,
     orders: ArimaOrders,
@@ -166,7 +116,7 @@ def fit_arimax(
     start_month: MonthKey = MonthKey(2014, 1),
     max_evals: int = 2000,
     base_fit: ArimaFit | None = None,
-) -> ArimaxFit:
+) -> ArimaFit:
     """
     Joint CSS estimation of event-regression and ARMA coefficients.
 
@@ -176,30 +126,23 @@ def fit_arimax(
     the no-event base fit with zero betas, which makes the optimized CSS
     never exceed the base model's (nested-model property).  The base fit is
     computed here unless ``base_fit`` supplies it.  Objective, residuals,
-    BIC and standard errors come from the CSS core that ``arima.fit`` uses.
+    BIC and standard errors come from the CSS core that ``arima.fit`` uses,
+    and the result is an ``ArimaFit`` whose coefficients list the events
+    right after the constant.
     """
-    y = np.asarray(y, dtype=float)
     y, n_interp = arima.fill_missing(y)
-    n = y.size
     names = [e.label for e in events]
     if len(set(names)) != len(names):
         raise CollinearityError(f"duplicate event names: {names}")
-    x_level = np.column_stack([
-        event_regressor(e.kind, e.onset_index(start_month), n) for e in events
-    ]) if events else np.zeros((n, 0))
+    levels = [event_regressor(e.kind, e.onset_index(start_month), y.size)
+              for e in events]
 
-    z = difference(y, orders.d, orders.D, orders.s)
-    if events:
-        x = np.column_stack([
-            difference(x_level[:, j], orders.d, orders.D, orders.s)
-            for j in range(x_level.shape[1])
-        ])
-        _check_collinearity(x, names)
-    else:
-        x = np.zeros((z.size, 0))
-
-    m_events = x.shape[1]
     o = orders
+    z = difference(y, o.d, o.D, o.s)
+    x = np.zeros((z.size, len(levels)))
+    for j, level in enumerate(levels):
+        x[:, j] = difference(level, o.d, o.D, o.s)
+    _check_collinearity(x, names)
     objective = _css_objective(z, x, o)
 
     # Start 1: OLS for betas, Hannan-Rissanen on the OLS residuals.
@@ -207,29 +150,22 @@ def fit_arimax(
     beta_full = np.linalg.lstsq(design, z, rcond=None)[0]
     ols_resid = z - design @ beta_full
     hr = arima.hannan_rissanen_start(ols_resid + float(beta_full[0]), o)
-    start1 = np.r_[hr.c, beta_full[1:], _pack(hr)[1:]]
-
-    candidates = [start1]
+    candidates = [_pack(hr, beta_full[1:])]
     # Start 2: the nested no-event optimum with zero betas.
     if base_fit is None:
-        try:
-            base_fit = arima.fit(y, orders, max_evals=max_evals)
-        except (FitError, ValueError):
-            base_fit = None
-    if base_fit is not None:
-        candidates.append(np.r_[base_fit.params.c, np.zeros(m_events),
-                                _pack(base_fit.params)[1:]])
+        base_fit = _base_fit(y, o, max_evals)
+    if base_fit is not _BASE_FIT_FAILED:
+        candidates.append(_pack(base_fit.params, np.zeros(len(names))))
 
     scored = sorted(candidates, key=objective)
-    result = nelder_mead(objective, scored[0], max_evals=max_evals, rel_tol=1e-10)
+    result = nelder_mead(objective, scored[0], max_evals=max_evals)
     best_x, best_f = result.x, result.fun
     for cand in scored:
         f_cand = objective(cand)
         if f_cand < best_f:
             best_x, best_f = cand, f_cand
 
-    return ArimaxFit(orders=o, betas=np.asarray(best_x[1:1 + m_events], dtype=float),
-                     event_names=list(names), **_css_finish(z, x, o, best_x))
+    return _css_finish(y, n_interp, z, x, names, o, best_x)
 
 
 class MismatchPoint(NamedTuple):
@@ -245,11 +181,11 @@ class ItsResult:
     policy_month: MonthKey
     pre_fit: ArimaFit
     post_forecast: Forecast
-    arimax: ArimaxFit
+    arimax: ArimaFit
     mismatch: list[MismatchPoint]
     dropped_events: list[str] = field(default_factory=list)
 
-    def significant_events(self, alpha: float = 0.05) -> list[ItsCoefficient]:
+    def significant_events(self, alpha: float = 0.05) -> list[Coefficient]:
         return [c for c in self.arimax.event_coefficients()
                 if not math.isnan(c.p_value) and c.p_value < alpha]
 
@@ -275,7 +211,7 @@ def its_analysis(
        initially included``, so the chance of keeping any spurious event on
        a null series stays near ``alpha`` overall; with a single event it
        reduces to plain ``alpha``.  The no-event base model of the full
-       series is fitted once and seeds every refit.
+       series is attempted once and, if it succeeds, seeds every refit.
     """
     if policy_month is None:
         policy_month = series.policy_month
@@ -310,10 +246,7 @@ def its_analysis(
     dropped: list[str] = []
     current = list(events)
     keep_level = alpha / max(len(events), 1)
-    try:
-        base_fit = arima.fit(y_full, orders)
-    except (FitError, ValueError):
-        base_fit = None
+    base_fit = _base_fit(y_full, orders)
     arimax_fit = fit_arimax(y_full, orders, current, start_month=start_month,
                             base_fit=base_fit)
     while current:

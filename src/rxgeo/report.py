@@ -7,7 +7,8 @@ import math
 from typing import Iterable
 
 from .intervention import ItsResult
-from .series import ClassSeries, ClassSummaryRow, PrePostCell
+from .series import ClassSeries, ClassSummaryRow
+from .stats import MeanCI
 
 _P_FLOOR = 0.001
 
@@ -93,7 +94,7 @@ _DISPARITY_LABELS = ("Patient isolated", "Prescriber isolated",
 _DISTANCE_LABELS = ("<=250 mi", "250-500 mi", "500-1000 mi", ">1000 mi")
 
 
-def _cell_text(cell: PrePostCell | None) -> str:
+def _cell_text(cell: MeanCI | None) -> str:
     if cell is None:
         return "n/a"
     if math.isnan(cell.lo):
@@ -101,7 +102,7 @@ def _cell_text(cell: PrePostCell | None) -> str:
     return f"{_fmt(cell.mean)} ({_fmt(cell.lo)}, {_fmt(cell.hi)})"
 
 
-def pre_post_markdown(table: dict[str, tuple[PrePostCell | None, PrePostCell | None]],
+def pre_post_markdown(table: dict[str, tuple[MeanCI | None, MeanCI | None]],
                       family: str) -> str:
     header = ["Disparity \\ Distance"] + [f"{lab} pre / post" for lab in _DISTANCE_LABELS]
     body = []
@@ -115,7 +116,7 @@ def pre_post_markdown(table: dict[str, tuple[PrePostCell | None, PrePostCell | N
     return title + _md_table(header, body)
 
 
-def pre_post_csv_rows(table: dict[str, tuple[PrePostCell | None, PrePostCell | None]]
+def pre_post_csv_rows(table: dict[str, tuple[MeanCI | None, MeanCI | None]]
                       ) -> list[list]:
     out = [["class_code", "pre_mean", "pre_lo", "pre_hi", "pre_n_months",
             "post_mean", "post_lo", "post_hi", "post_n_months"]]
@@ -127,7 +128,7 @@ def pre_post_csv_rows(table: dict[str, tuple[PrePostCell | None, PrePostCell | N
                 row += ["", "", "", 0]
             else:
                 row += [_fmt(cell.mean, 4), _fmt(cell.lo, 4), _fmt(cell.hi, 4),
-                        cell.n_months]
+                        cell.n]
         out.append(row)
     return out
 

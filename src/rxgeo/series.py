@@ -259,35 +259,26 @@ def summarize_classes(
     return rows
 
 
-@dataclass(frozen=True)
-class PrePostCell:
-    """Window average of monthly means; lo/hi are NaN below 2 months."""
-
-    mean: float
-    lo: float
-    hi: float
-    n_months: int
-
-
-def _window_cell(monthly: np.ndarray) -> PrePostCell | None:
+def _window_cell(monthly: np.ndarray) -> MeanCI | None:
+    """Window average of monthly means; one month gets NaN lo, hi and level."""
     if monthly.size == 0:
         return None
     if monthly.size < 2:
-        return PrePostCell(float(monthly[0]), math.nan, math.nan, 1)
-    ci = mean_ci(monthly)
-    return PrePostCell(ci.mean, ci.lo, ci.hi, ci.n)
+        return MeanCI(float(monthly[0]), math.nan, math.nan, math.nan, 1)
+    return mean_ci(monthly)
 
 
 def pre_post_table(
     classified: RecordTable | ClassifiedTable,
     family: str = "opioid",
     policy_month: MonthKey = DEFAULT_POLICY_MONTH,
-) -> dict[str, tuple[PrePostCell | None, PrePostCell | None]]:
+) -> dict[str, tuple[MeanCI | None, MeanCI | None]]:
     """Per-class pre/post window averages of the monthly mean MME/day.
 
-    Keys cover all 16 class codes; a missing window maps to ``None``.
+    Keys cover all 16 class codes; each window is a ``MeanCI`` of its
+    months with records, and a missing window maps to ``None``.
     """
-    table: dict[str, tuple[PrePostCell | None, PrePostCell | None]] = {}
+    table: dict[str, tuple[MeanCI | None, MeanCI | None]] = {}
     series = {s.class_code: s for s in aggregate_monthly(
         classified, group_by="class", family=family, policy_month=policy_month)}
     for code in ALL_CLASS_CODES:

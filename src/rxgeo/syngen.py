@@ -203,8 +203,8 @@ def _geodesic(lat: np.ndarray, lon: np.ndarray, bearing: np.ndarray,
     return lat2, lon2
 
 
-def _triangle_sides(pi_total: np.ndarray, disparity: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _triangle_sides(pi_total: np.ndarray,
+                    disparity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     Side lengths (a, b, c) of the stakeholder triangle: a and b are the
     apex's two edges, c joins the remaining pair.  Isolation patterns use a
@@ -223,7 +223,7 @@ def _place_triangles(n: int, pi_lo: float, pi_hi: float, disparity: int,
     """Random placements with exact target side lengths; returns the three
     stakeholder coordinate arrays ordered (patient, prescriber, dispenser)."""
     pi_total = rng.uniform(pi_lo, pi_hi, n)
-    a, b, c = _triangle_sides(pi_total, disparity, rng)
+    a, b, c = _triangle_sides(pi_total, disparity)
 
     lat1 = np.radians(rng.uniform(-60.0, 60.0, n))
     lon1 = np.radians(rng.uniform(-180.0, 180.0, n))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxgeo import arima
+from rxgeo import arima, intervention
 from rxgeo.arima import ArimaOrders, ArimaParams
 from rxgeo.intervention import (CollinearityError, EventInput, event_regressor,
                                 fit_arimax, its_analysis, its_batch,
@@ -105,6 +105,34 @@ def test_arimax_null_effect_mostly_insignificant():
     assert hits >= 90
 
 
+def test_arimax_returns_arima_fit_with_events_after_const():
+    rng = np.random.default_rng(77)
+    y = rng.normal(size=120)
+    y[30] = math.nan
+    events = [EventInput("level_shift", 60), EventInput("ramp", 60, name="r")]
+    fx = fit_arimax(y, ArimaOrders(p=1), events)
+    assert isinstance(fx, arima.ArimaFit)
+    assert fx.coefficient_names() == ["const", "level_shift", "r", "ar1"]
+    coefs = fx.coefficients()
+    assert all(isinstance(c, arima.Coefficient) for c in coefs)
+    assert fx.event_coefficients() == coefs[1:3]
+    assert [c.estimate for c in coefs[1:3]] == fx.betas.tolist()
+    assert fx.n_interpolated == 1 and fx.y.size == 120 and math.isfinite(fx.y[30])
+    assert not fx.degenerate
+    # a plain fit is the zero-event case of the same type
+    plain = arima.fit(y, ArimaOrders(p=1))
+    assert plain.betas.size == 0 and plain.event_names == []
+    assert plain.event_coefficients() == []
+    assert [c.name for c in plain.coefficients()] == ["const", "ar1"]
+
+
+def test_coefficient_stars():
+    assert arima.Coefficient("x", 1.0, 0.1, 1e-5).stars == "***"
+    assert arima.Coefficient("x", 1.0, 0.5, 0.04).stars == "*"
+    assert arima.Coefficient("x", 1.0, math.nan, math.nan).stars == ""
+    assert significance_stars is arima.significance_stars
+
+
 def test_arimax_zero_variance_regressor_rejected():
     rng = np.random.default_rng(71)
     y = rng.normal(size=50)
@@ -140,7 +168,7 @@ def test_arimax_nested_model_property():
         base = arima.fit(y, ArimaOrders(p=1))
         fx = fit_arimax(y, ArimaOrders(p=1), [EventInput("level_shift", 75)])
         css_base = math.exp(base.log_css)
-        assert fx.css <= css_base * (1 + 1e-9)
+        assert math.exp(fx.log_css) <= css_base * (1 + 1e-9)
 
 
 def test_arimax_differences_event_regressors_with_series():
@@ -234,6 +262,35 @@ def test_its_fits_base_model_once(monkeypatch):
     monkeypatch.setattr(arima, "fit", counting_fit)
     res = its_analysis(make_series(vals))
     assert len(res.dropped_events) >= 2
+    assert lengths.count(95) == 1
+
+
+def test_its_failed_base_fit_is_not_retried(monkeypatch):
+    # when the no-event fit of the full-length series fails, every
+    # elimination step starts from the OLS point alone instead of
+    # attempting that fit again
+    rng = np.random.default_rng(78)
+    vals = 50 + rng.normal(0, 1, 95)
+    lengths = []
+    real_fit = arima.fit
+
+    def failing_full_fit(y, *args, **kwargs):
+        lengths.append(len(y))
+        if len(y) == 95:
+            raise arima.FitError("forced failure")
+        return real_fit(y, *args, **kwargs)
+
+    monkeypatch.setattr(arima, "fit", failing_full_fit)
+    calls = []
+    real_fit_arimax = intervention.fit_arimax
+
+    def counting_fit_arimax(*args, **kwargs):
+        calls.append(1)
+        return real_fit_arimax(*args, **kwargs)
+
+    monkeypatch.setattr(intervention, "fit_arimax", counting_fit_arimax)
+    res = its_analysis(make_series(vals))
+    assert len(calls) == len(res.dropped_events) + 1 >= 2
     assert lengths.count(95) == 1
 
 

@@ -8,6 +8,7 @@ from rxgeo.geo import classify_records
 from rxgeo.records import GeoPoint, PrescriptionRecord, TransactionTable, mme_per_day
 from rxgeo.series import (MonthKey, aggregate_monthly, pre_post_table,
                           split_pre_post, summarize_classes)
+from rxgeo.stats import MeanCI
 
 P = GeoPoint(34.0, -81.0)
 
@@ -222,11 +223,25 @@ def test_pre_post_table_structure_and_symmetry():
                            policy_month=MonthKey(2018, 1))
     assert len(table) == 16
     pre, post = table["03"]
-    assert pre.n_months == post.n_months == 12
+    assert pre.n == post.n == 12
     assert pre.mean == pytest.approx(post.mean, abs=1e-9)
     assert pre.lo == pytest.approx(post.lo, abs=1e-9)
     # classes with no data are undefined
     assert table["32"] == (None, None)
+
+
+def test_pre_post_one_month_window_has_no_interval():
+    # one pre month and one post month: each window is a MeanCI with n=1
+    # and NaN bounds and level; the report prints "(n/a)" for it
+    records = [PrescriptionRecord(f"p{i}", date(2018, month, 7), P, P, P, v, 1,
+                                  "opioid")
+               for i, (month, v) in enumerate([(1, 40.0), (1, 60.0), (2, 70.0)])]
+    table = pre_post_table(classify(records), policy_month=MonthKey(2018, 2))
+    pre, post = table["03"]
+    assert isinstance(pre, MeanCI) and isinstance(post, MeanCI)
+    assert (pre.mean, pre.n, post.mean, post.n) == (50.0, 1, 70.0, 1)
+    for cell in (pre, post):
+        assert math.isnan(cell.lo) and math.isnan(cell.hi) and math.isnan(cell.level)
 
 
 def test_pre_post_table_detects_drop():
