@@ -200,39 +200,60 @@ def _poly_stable(coefs: np.ndarray) -> bool:
     return bool(np.all(np.abs(roots) > 1.0))
 
 
-def _seasonal_expand(coefs: np.ndarray, s: int) -> np.ndarray:
-    """Lift seasonal coefficients to plain-lag positions s, 2s, ..."""
-    if coefs.size == 0:
-        return np.zeros(0)
-    out = np.zeros(s * coefs.size)
-    out[s - 1:: s] = coefs
-    return out
+class _LagLayout:
+    """
+    Where the terms of phi(B) Phi(B^s) and theta(B) Theta(B^s) fall on the
+    lag axis, built once per model so that each CSS evaluation only places
+    coefficients.  Each product has a plain term at lag j, a seasonal term
+    at lag s l and a cross term at lag s l + j (Box, Jenkins & Reinsel,
+    ch. 9); with the sign convention of the defining equation,
+
+        a[j] = phi_j,    a[s l] = Phi_l,    a[s l + j] = -phi_j Phi_l,
+        m[j] = theta_j,  m[s l] = Theta_l,  m[s l + j] = theta_j Theta_l.
+
+    When p >= s (or q >= s) with a seasonal factor, two terms can share a
+    lag.  They are summed in one fixed order: the plain terms, then for
+    each l in turn its seasonal term and its cross terms in ascending j.
+    """
+
+    def __init__(self, orders: ArimaOrders):
+        s = orders.s
+        self.a_size = orders.p + s * orders.P
+        self.m_size = orders.q + s * orders.Q
+        self.a_seasonal = [s * l - 1 for l in range(1, orders.P + 1)]
+        self.m_seasonal = [s * l - 1 for l in range(1, orders.Q + 1)]
+
+    def coefs(self, phi: list[float], theta: list[float], Phi: list[float],
+              Theta: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Full-lag AR coefficients a_k and MA coefficients m_j."""
+        return (_place(self.a_size, self.a_seasonal, phi, Phi, -1.0),
+                _place(self.m_size, self.m_seasonal, theta, Theta, 1.0))
 
 
-def _combine(nonseasonal: np.ndarray, seasonal: np.ndarray, s: int) -> np.ndarray:
-    """
-    Lag coefficients of the product (1 - a(B)) (1 - b(B^s)), returned with
-    the sign convention of the defining equation (coefficient on each lag).
-    """
-    pa = np.r_[1.0, -np.asarray(nonseasonal, dtype=float)]
-    pb = np.r_[1.0, -_seasonal_expand(np.asarray(seasonal, dtype=float), s)]
-    prod = np.convolve(pa, pb)
-    return -prod[1:]
+def _place(size: int, seasonal_at: list[int], plain: list[float],
+           seasonal: list[float], cross_sign: float) -> np.ndarray:
+    """One product's full-lag coefficients, summed in the layout's order."""
+    out = [0.0] * size
+    out[:len(plain)] = plain
+    for i, C in zip(seasonal_at, seasonal):
+        out[i] += C
+        for j, c in enumerate(plain, start=i + 1):
+            out[j] += cross_sign * c * C
+    return np.array(out)
 
 
 def _ar_ma_lag_coefs(orders: ArimaOrders, params: ArimaParams) -> tuple[np.ndarray, np.ndarray]:
     """Full-lag AR coefficients a_k and MA coefficients m_j of the model."""
-    a = _combine(params.phi, params.Phi, orders.s)
-    m = -_combine(-params.theta, -params.Theta, orders.s)
-    return a, m
+    return _LagLayout(orders).coefs(params.phi.tolist(), params.theta.tolist(),
+                                    params.Phi.tolist(), params.Theta.tolist())
 
 
-def _pacf_to_coefs(r: np.ndarray) -> np.ndarray:
+def _pacf_to_coefs(r: list[float]) -> list[float]:
     """Durbin-Levinson: partial autocorrelations -> AR coefficients."""
     cur: list[float] = []
     for k, rk in enumerate(r, start=1):
-        cur = [cur[i] - rk * cur[k - 2 - i] for i in range(k - 1)] + [float(rk)]
-    return np.asarray(cur)
+        cur = [cur[i] - rk * cur[k - 2 - i] for i in range(k - 1)] + [rk]
+    return cur
 
 
 def _coefs_to_pacf(coefs: np.ndarray) -> np.ndarray | None:
@@ -265,10 +286,11 @@ def _unconstrained_from_coefs(coefs: np.ndarray) -> np.ndarray:
     return np.zeros(coefs.size)
 
 
-def _coefs_from_unconstrained(u: np.ndarray) -> np.ndarray:
+def _coefs_from_unconstrained(u: np.ndarray) -> list[float]:
     if u.size == 0:
-        return u
-    return _pacf_to_coefs(np.clip(np.tanh(u), -_PACF_CLIP, _PACF_CLIP))
+        return []
+    return _pacf_to_coefs([min(max(r, -_PACF_CLIP), _PACF_CLIP)
+                           for r in np.tanh(u).tolist()])
 
 
 def _coef_p_value(est: float, se: float) -> float:
@@ -605,32 +627,29 @@ def hannan_rissanen_start(z: np.ndarray, orders: ArimaOrders) -> ArimaParams:
 # ---------------------------------------------------------------------------
 
 def _residuals_from_lags(v: np.ndarray, a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """One-step errors of the deviation series under full-lag coefficients."""
+    """
+    One-step errors of the deviation series under full-lag coefficients.
+    Both parts walk only the nonzero lags, in ascending order, so a zero
+    coefficient never multiplies an infinite value into a NaN.
+    """
     base = v.copy()
-    for k in range(1, a.size + 1):
-        ak = a[k - 1]
+    for k, ak in enumerate(a.tolist(), start=1):
         if ak != 0.0:
             base[k:] -= ak * v[:-k]
-    m_trim = np.trim_zeros(m, "b")
-    if m_trim.size == 0:
+    ma = [(j, mj) for j, mj in enumerate(m.tolist(), start=1) if mj != 0.0]
+    if not ma:
         return base
-    q = m_trim.size
-    mlist = m_trim.tolist()
-    blist = base.tolist()
     eps: list[float] = []
-    for t in range(base.size):
-        acc = blist[t]
-        jmax = t if t < q else q
-        for j in range(1, jmax + 1):
-            mj = mlist[j - 1]
-            if mj != 0.0:
-                acc -= mj * eps[t - j]
+    for t, acc in enumerate(base.tolist()):
+        for j, mj in ma:
+            if j > t:
+                break
+            acc -= mj * eps[t - j]
         eps.append(acc)
     return np.asarray(eps)
 
 
-def _css_value(z: np.ndarray, orders: ArimaOrders, c: float,
-               a: np.ndarray, m: np.ndarray) -> float:
+def _css_value(z: np.ndarray, c: float, a: np.ndarray, m: np.ndarray) -> float:
     ar_at_one = 1.0 - a.sum()
     if abs(ar_at_one) < 1e-10:
         return _PENALTY
@@ -656,7 +675,7 @@ def css_objective(z: Sequence[float] | np.ndarray, orders: ArimaOrders,
     if not (params.is_stationary and params.is_invertible):
         return _PENALTY
     a, m = _ar_ma_lag_coefs(orders, params)
-    return _css_value(z, orders, params.c, a, m)
+    return _css_value(z, params.c, a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -684,15 +703,21 @@ def _pack(params: ArimaParams, betas: Sequence[float] = ()) -> np.ndarray:
     ))
 
 
-def _unpack(x: np.ndarray, orders: ArimaOrders, n_events: int = 0) -> ArimaParams:
-    """Model parameters from optimizer coordinates [c, betas..., ARMA...]."""
+def _arma_coefs(x: np.ndarray, orders: ArimaOrders,
+                n_events: int = 0) -> tuple[list[float], ...]:
+    """phi, theta, Phi and Theta from optimizer coordinates [c, betas..., ARMA...]."""
     o = orders
     k = 1 + n_events
     phi = _coefs_from_unconstrained(x[k:k + o.p]); k += o.p
-    theta = -_coefs_from_unconstrained(x[k:k + o.q]); k += o.q
+    theta = [-v for v in _coefs_from_unconstrained(x[k:k + o.q])]; k += o.q
     Phi = _coefs_from_unconstrained(x[k:k + o.P]); k += o.P
-    Theta = -_coefs_from_unconstrained(x[k:k + o.Q])
-    return ArimaParams(c=float(x[0]), phi=phi, theta=theta, Phi=Phi, Theta=Theta)
+    Theta = [-v for v in _coefs_from_unconstrained(x[k:k + o.Q])]
+    return phi, theta, Phi, Theta
+
+
+def _unpack(x: np.ndarray, orders: ArimaOrders, n_events: int = 0) -> ArimaParams:
+    """Model parameters from optimizer coordinates [c, betas..., ARMA...]."""
+    return ArimaParams(float(x[0]), *_arma_coefs(x, orders, n_events))
 
 
 def _fd_hessian(func, x0: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
@@ -717,22 +742,23 @@ def _fd_hessian(func, x0: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
     return hess
 
 
-def _regression_css(z: np.ndarray, x: np.ndarray, orders: ArimaOrders,
-                    params: ArimaParams, betas: np.ndarray) -> float:
-    """CSS of regression with ARMA errors, z - x betas following the model."""
-    a, m = _ar_ma_lag_coefs(orders, params)
-    w = z - x @ betas if betas.size else z
-    return _css_value(w, orders, params.c, a, m)
+def _regression_css(z: np.ndarray, x: np.ndarray, vec: np.ndarray,
+                    a: np.ndarray, m: np.ndarray) -> float:
+    """CSS of regression with ARMA errors: z - x betas follows the model with
+    constant vec[0], betas vec[1:1 + x.shape[1]] and lag coefficients a, m."""
+    n_events = x.shape[1]
+    w = z - x @ vec[1:1 + n_events] if n_events else z
+    return _css_value(w, float(vec[0]), a, m)
 
 
 def _css_objective(z: np.ndarray, x: np.ndarray, orders: ArimaOrders):
     """CSS in optimizer coordinates [c, betas..., unconstrained ARMA...];
     ``x`` has one differenced event regressor per column, none for ARIMA."""
     n_events = x.shape[1]
+    layout = _LagLayout(orders)
 
     def objective(vec: np.ndarray) -> float:
-        return _regression_css(z, x, orders, _unpack(vec, orders, n_events),
-                               vec[1:1 + n_events])
+        return _regression_css(z, x, vec, *layout.coefs(*_arma_coefs(vec, orders, n_events)))
     return objective
 
 
@@ -751,7 +777,7 @@ def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
     betas = vec[1:1 + n_events].copy()
     a, m = _ar_ma_lag_coefs(o, params)
     w = z - x @ betas if n_events else z
-    css = _css_value(w, o, params.c, a, m)
+    css = _css_value(w, params.c, a, m)
     n_eff = z.size
     sigma2 = css / n_eff
     params.sigma2 = sigma2
@@ -760,13 +786,12 @@ def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
     bic = n_eff * math.log(sigma2) + k * math.log(n_eff) if sigma2 > 0 else -math.inf
 
     vec0 = _coefficient_vector(params, betas)
-    i = 1 + n_events
-    cuts = np.cumsum([i, o.p, o.q, o.P])
+    layout = _LagLayout(o)
+    q0, P0, Q0 = o.p, o.p + o.q, o.p + o.q + o.P  # where theta, Phi, Theta start
 
     def raw_objective(raw: np.ndarray) -> float:
-        phi, theta, Phi, Theta = np.split(raw, cuts)[1:]
-        p = ArimaParams(c=float(raw[0]), phi=phi, theta=theta, Phi=Phi, Theta=Theta)
-        return _regression_css(z, x, o, p, raw[1:i])
+        r = raw[1 + n_events:].tolist()
+        return _regression_css(z, x, raw, *layout.coefs(r[:q0], r[q0:P0], r[P0:Q0], r[Q0:]))
 
     std_errors = np.zeros(vec0.size)
     if sigma2 > 0:
@@ -913,13 +938,9 @@ def _psi_weights(a_full: np.ndarray, m_full: np.ndarray, h: int) -> np.ndarray:
 
 def _full_ar_with_differencing(orders: ArimaOrders, params: ArimaParams) -> np.ndarray:
     """AR lag coefficients of phi(B) Phi(B^s) (1-B)^d (1-B^s)^D."""
-    poly = np.r_[1.0, -_combine(params.phi, params.Phi, orders.s)]
-    for _ in range(orders.d):
-        poly = np.convolve(poly, [1.0, -1.0])
-    seasonal = np.zeros(orders.s + 1)
-    seasonal[0], seasonal[-1] = 1.0, -1.0
-    for _ in range(orders.D):
-        poly = np.convolve(poly, seasonal)
+    poly = np.concatenate(([1.0], -_ar_ma_lag_coefs(orders, params)[0]))
+    for lag in [1] * orders.d + [orders.s] * orders.D:
+        poly = np.concatenate((poly, np.zeros(lag))) - np.concatenate((np.zeros(lag), poly))
     return -poly[1:]
 
 

@@ -157,15 +157,10 @@ def fit_arimax(
     if base_fit is not _BASE_FIT_FAILED:
         candidates.append(_pack(base_fit.params, np.zeros(len(names))))
 
-    scored = sorted(candidates, key=objective)
-    result = nelder_mead(objective, scored[0], max_evals=max_evals)
-    best_x, best_f = result.x, result.fun
-    for cand in scored:
-        f_cand = objective(cand)
-        if f_cand < best_f:
-            best_x, best_f = cand, f_cand
-
-    return _css_finish(y, n_interp, z, x, names, o, best_x)
+    # Each start is scored once.  The simplex keeps its start point, so its
+    # result is never worse than the best start.
+    result = nelder_mead(objective, min(candidates, key=objective), max_evals=max_evals)
+    return _css_finish(y, n_interp, z, x, names, o, result.x)
 
 
 class MismatchPoint(NamedTuple):

@@ -137,6 +137,96 @@ def test_css_seasonal_polynomial_expansion():
         float(eps @ eps), rel=1e-12)
 
 
+def _product_lags(nonseasonal, seasonal, s):
+    """Lag coefficients of (1 - a(B)) (1 - b(B^s)) by polynomial product, as
+    computed before the lag layout replaced it."""
+    pa = np.r_[1.0, -np.asarray(nonseasonal, dtype=float)]
+    lifted = np.zeros(s * len(seasonal))
+    lifted[s - 1::s] = seasonal
+    return -np.convolve(pa, np.r_[1.0, -lifted])[1:]
+
+
+def _random_coefs(rng, n):
+    c = rng.uniform(-0.95, 0.95, n)
+    c[rng.random(n) < 0.25] = 0.0
+    return c
+
+
+def _layout_and_product(rng, orders):
+    phi, theta, Phi, Theta = (_random_coefs(rng, k) for k in
+                              (orders.p, orders.q, orders.P, orders.Q))
+    a, m = arima._LagLayout(orders).coefs(phi.tolist(), theta.tolist(),
+                                          Phi.tolist(), Theta.tolist())
+    s = orders.s
+    return a, m, _product_lags(phi, Phi, s), -_product_lags(-theta, -Theta, s)
+
+
+def test_lag_layout_matches_polynomial_product():
+    # p, q < s: every term has a lag of its own, so each coefficient is one
+    # rounded product.  Equality is exact; zero entries may differ only in
+    # sign, which neither the recursion (it skips zeros) nor the sum sees.
+    rng = np.random.default_rng(36)
+    for _ in range(3000):
+        s = int(rng.choice([2, 4, 12]))
+        p, q = (int(k) for k in rng.integers(0, s, 2))
+        P, Q = (int(k) for k in rng.integers(0, 3, 2))
+        a, m, ref_a, ref_m = _layout_and_product(rng, ArimaOrders(p=p, q=q, P=P, Q=Q, s=s))
+        assert np.array_equal(a, ref_a) and np.array_equal(m, ref_m)
+        assert a.sum().tobytes() == ref_a.sum().tobytes()
+
+
+def test_lag_layout_colliding_orders_close_to_polynomial_product():
+    # p >= s or q >= s with a seasonal factor: terms share lags and are
+    # summed in the layout's fixed order
+    rng = np.random.default_rng(37)
+    for _ in range(2000):
+        s = int(rng.choice([2, 3, 4]))
+        p, q = (int(k) for k in rng.integers(s, s + 4, 2))
+        P, Q = (int(k) for k in rng.integers(1, 3, 2))
+        a, m, ref_a, ref_m = _layout_and_product(rng, ArimaOrders(p=p, q=q, P=P, Q=Q, s=s))
+        np.testing.assert_allclose(a, ref_a, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(m, ref_m, rtol=1e-12, atol=1e-15)
+
+
+def _dense_residuals(v, a, m):
+    """The residual recursion over every lag up to the last nonzero MA lag."""
+    base = v.copy()
+    for k in range(1, a.size + 1):
+        if a[k - 1] != 0.0:
+            base[k:] -= a[k - 1] * v[:-k]
+    mlist = np.trim_zeros(m, "b").tolist()
+    if not mlist:
+        return base
+    eps = []
+    for t, acc in enumerate(base.tolist()):
+        for j in range(1, min(t, len(mlist)) + 1):
+            if mlist[j - 1] != 0.0:
+                acc -= mlist[j - 1] * eps[t - j]
+        eps.append(acc)
+    return np.asarray(eps)
+
+
+def test_sparse_residuals_match_dense_recursion():
+    # Zero coefficients at structural lags (theta_1 = 0 makes lags 1 and 13
+    # zero) meet an infinite value: a loop over structural lags without the
+    # zero skip turns 0 * inf into NaN where the dense recursion does not.
+    rng = np.random.default_rng(38)
+    orders = ArimaOrders(p=2, q=2, P=1, Q=1, s=12)
+    for trial in range(300):
+        v = rng.normal(size=int(rng.integers(5, 80)))
+        if trial % 3 == 0:
+            v[rng.integers(v.size)] = math.inf
+        a, m, _, _ = _layout_and_product(rng, orders)
+        got, want = arima._residuals_from_lags(v, a, m), _dense_residuals(v, a, m)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    v = np.r_[1.0, math.inf, rng.normal(size=30)]
+    a, m = arima._LagLayout(orders).coefs([0.5, 0.0], [0.0, 0.4], [0.3], [0.6])
+    got = arima._residuals_from_lags(v, a, m)
+    assert got.tobytes() == _dense_residuals(v, a, m).tobytes()
+    assert not np.isnan(got[2])  # m_1 = 0 is skipped, not multiplied by inf
+
+
 # --- simulate -----------------------------------------------------------------------
 
 def test_simulate_pure_noise_moments():

@@ -193,6 +193,37 @@ def test_arimax_bic_counts_event_coefficients():
     assert fx.bic == pytest.approx(expected, rel=1e-12)
 
 
+def test_arimax_scores_each_start_once(monkeypatch):
+    # the objective runs once per start point plus once per simplex step
+    rng = np.random.default_rng(76)
+    y = rng.normal(size=120)
+    y[60:] += 2.0
+    base = arima.fit(y, ArimaOrders(p=1))
+    evals = []
+    real_objective = intervention._css_objective
+
+    def counting_objective(z, x, orders):
+        objective = real_objective(z, x, orders)
+
+        def counted(vec):
+            evals.append(1)
+            return objective(vec)
+        return counted
+
+    runs = []
+    real_nelder_mead = intervention.nelder_mead
+
+    def recording_nelder_mead(*args, **kwargs):
+        runs.append(real_nelder_mead(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(intervention, "_css_objective", counting_objective)
+    monkeypatch.setattr(intervention, "nelder_mead", recording_nelder_mead)
+    fit_arimax(y, ArimaOrders(p=1), [EventInput("level_shift", 60)], base_fit=base)
+    assert len(runs) == 1
+    assert len(evals) == runs[0].n_evals + 2  # OLS start and base-fit start
+
+
 # --- its_analysis ------------------------------------------------------------------
 
 def test_its_minimum_window_requirements():
