@@ -14,6 +14,10 @@ _CONTRACT = 0.5
 _SHRINK = 0.5
 # First simplex edge, relative to max(1, |x_i|); the restart uses a tenth.
 _INITIAL_STEP = 0.1
+# Evaluation budget shared by the first search and the restart.
+_MAX_EVALS = 2000
+# Stop when the spread of simplex values is within this of the best value.
+_REL_TOL = 1e-10
 
 
 @dataclass
@@ -24,18 +28,13 @@ class MinimizeResult:
     converged: bool
 
 
-def nelder_mead(
-    func: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    max_evals: int = 2000,
-    rel_tol: float = 1e-10,
-) -> MinimizeResult:
+def nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray) -> MinimizeResult:
     """
     Minimize ``func`` from ``x0`` with a Nelder-Mead simplex.
 
-    Stops when the simplex function-value spread drops below ``rel_tol``
-    relative to the best value, or after ``max_evals`` evaluations.  After a
-    first convergence the search restarts once from the incumbent with a
+    Stops when the simplex function-value spread drops below ``_REL_TOL``
+    relative to the best value, or after ``_MAX_EVALS`` evaluations.  After
+    a first convergence the search restarts once from the incumbent with a
     smaller step, which guards against premature collapse of the simplex;
     the restart shares the same evaluation budget.  Deterministic for a
     given ``func`` and ``x0``.
@@ -56,24 +55,22 @@ def nelder_mead(
         return MinimizeResult(x=x0, fun=f(x0), n_evals=evals, converged=True)
 
     def run(start: np.ndarray, step: float) -> tuple[np.ndarray, float, bool]:
-        simplex = [start.copy()]
+        # Row 0 is the start, row i + 1 moves coordinate i.
+        simplex = np.tile(start, (n + 1, 1))
         for i in range(n):
-            v = start.copy()
-            v[i] += step * max(1.0, abs(v[i]))
-            simplex.append(v)
-        fvals = [f(v) for v in simplex]
+            simplex[i + 1, i] += step * max(1.0, abs(start[i]))
+        fvals = np.array([f(v) for v in simplex])
 
         converged = False
-        while evals < max_evals:
+        while evals < _MAX_EVALS:
             order = np.argsort(fvals, kind="stable")
-            simplex = [simplex[i] for i in order]
-            fvals = [fvals[i] for i in order]
+            simplex, fvals = simplex[order], fvals[order]
             fbest, fworst = fvals[0], fvals[-1]
-            if fworst - fbest <= rel_tol * (abs(fbest) + rel_tol):
+            if fworst - fbest <= _REL_TOL * (abs(fbest) + _REL_TOL):
                 converged = True
                 break
 
-            centroid = np.mean(simplex[:-1], axis=0)
+            centroid = simplex[:-1].mean(axis=0)
             xr = centroid + _REFLECT * (centroid - simplex[-1])
             fr = f(xr)
             if fr < fvals[0]:
@@ -97,14 +94,14 @@ def nelder_mead(
                     for i in range(1, n + 1):
                         simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
                         fvals[i] = f(simplex[i])
-                        if evals >= max_evals:
+                        if evals >= _MAX_EVALS:
                             break
 
         i_best = int(np.argmin(fvals))
-        return simplex[i_best], fvals[i_best], converged
+        return simplex[i_best].copy(), float(fvals[i_best]), converged
 
     x_best, f_best, conv = run(x0, _INITIAL_STEP)
-    if evals < max_evals:
+    if evals < _MAX_EVALS:
         x2, f2, conv2 = run(x_best, _INITIAL_STEP * 0.1)
         if f2 <= f_best:
             x_best, f_best, conv = x2, f2, conv2 or conv

@@ -34,6 +34,14 @@ logger = logging.getLogger(__name__)
 _PENALTY = 1e300
 _PACF_CLIP = 0.999999
 
+# Fixed settings of the automatic procedure.
+_GRID_MAX = 5  # nonseasonal p and q of the tentative-order grid
+_SEASONAL_MAX = 2  # seasonal P and Q
+_SEASONAL_THRESHOLD = 0.64  # lag-s autocorrelation above which D = 1
+_D_MAX = 2
+_FD_STEP = 1e-4  # Hessian step, relative to max(1, |x_i|)
+_BURNIN = 200  # simulated values discarded before the returned series
+
 
 # ---------------------------------------------------------------------------
 # Orders / parameters / fit containers
@@ -53,8 +61,8 @@ class ArimaOrders:
         for name in ("p", "d", "q", "P", "D", "Q"):
             if getattr(self, name) < 0:
                 raise ValueError(f"order {name} must be nonnegative")
-        if self.P > 2 or self.Q > 2:
-            raise ValueError("seasonal AR/MA orders are capped at 2")
+        if self.P > _SEASONAL_MAX or self.Q > _SEASONAL_MAX:
+            raise ValueError(f"seasonal AR/MA orders are capped at {_SEASONAL_MAX}")
         if self.d + self.D > 3:
             raise ValueError("total differencing d + D must be at most 3")
         if (self.P or self.D or self.Q) and self.s < 2:
@@ -372,8 +380,8 @@ class AdfResult(NamedTuple):
     reject_unit_root: bool
 
 
-def adf_critical_value(n_obs: int, coefs: tuple = _ADF_CRIT_5PCT) -> float:
-    b0, b1, b2, b3 = coefs
+def adf_critical_value(n_obs: int) -> float:
+    b0, b1, b2, b3 = _ADF_CRIT_5PCT
     return b0 + b1 / n_obs + b2 / n_obs**2 + b3 / n_obs**3
 
 
@@ -383,14 +391,15 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return beta, float(resid @ resid)
 
 
-def adf_test(y: Sequence[float] | np.ndarray, max_lag: int | None = None) -> AdfResult:
+def adf_test(y: Sequence[float] | np.ndarray) -> AdfResult:
     """
     Augmented Dickey-Fuller test with a constant.
 
     Regresses dy_t on [1, y_{t-1}, dy_{t-1} ... dy_{t-k}] with the lag count
-    k <= max_lag chosen by AIC on a common sample, then refits at the chosen
-    k on the maximal sample.  The unit root is rejected when the t statistic
-    of the y_{t-1} coefficient falls below the embedded 5% critical value.
+    k <= ceil(12 (n/100)^(1/4)) chosen by AIC on a common sample, then
+    refits at the chosen k on the maximal sample.  The unit root is
+    rejected when the t statistic of the y_{t-1} coefficient falls below
+    the embedded 5% critical value.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 20:
@@ -400,9 +409,7 @@ def adf_test(y: Sequence[float] | np.ndarray, max_lag: int | None = None) -> Adf
         return AdfResult(math.nan, False)
 
     n = y.size
-    if max_lag is None:
-        max_lag = int(math.ceil(12.0 * (n / 100.0) ** 0.25))
-    max_lag = max(0, min(max_lag, n // 2 - 3))
+    max_lag = max(0, min(int(math.ceil(12.0 * (n / 100.0) ** 0.25)), n // 2 - 3))
 
     dy = np.diff(y)
 
@@ -451,12 +458,7 @@ def _acf_at_lag(x: np.ndarray, lag: int) -> float:
     return float(v[lag:] @ v[:-lag]) / denom
 
 
-def select_differencing(
-    y: Sequence[float] | np.ndarray,
-    s: int = 12,
-    seasonal_threshold: float = 0.64,
-    d_max: int = 2,
-) -> tuple[int, int]:
+def select_differencing(y: Sequence[float] | np.ndarray, s: int = 12) -> tuple[int, int]:
     """
     Pick (d, D) for a monthly series.
 
@@ -464,24 +466,25 @@ def select_differencing(
     lag-s autocorrelation of the first-differenced series exceeds the
     threshold.  (Differencing first immunizes the check against ordinary
     unit roots, whose slowly decaying raw autocorrelations would otherwise
-    masquerade as seasonality.)  Then d is the smallest order in 0..d_max
-    whose differenced series rejects the ADF unit root; d_max if none does.
+    masquerade as seasonality.)  Then d is the smallest order up to
+    ``_D_MAX`` whose differenced series rejects the ADF unit root;
+    ``_D_MAX`` if none does.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 3 * s:
         raise ValueError(f"need at least {3 * s} observations, got {y.size}")
 
     dy = np.diff(y)
-    D = 1 if _acf_at_lag(dy, s) > seasonal_threshold else 0
+    D = 1 if _acf_at_lag(dy, s) > _SEASONAL_THRESHOLD else 0
     work = difference(y, 0, D, s) if D else y
 
-    for d in range(0, d_max + 1):
+    for d in range(0, _D_MAX + 1):
         zd = difference(work, d, 0, s) if d else work
         if zd.size < 20:
             break
         if adf_test(zd).reject_unit_root:
             return d, D
-    return d_max, D
+    return _D_MAX, D
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +537,8 @@ def _first_min_cell(table: np.ndarray) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def minic_bic_table(z: Sequence[float] | np.ndarray, p_max: int = 5,
-                    q_max: int = 5) -> np.ndarray:
+def minic_bic_table(z: Sequence[float] | np.ndarray, p_max: int = _GRID_MAX,
+                    q_max: int = _GRID_MAX) -> np.ndarray:
     """
     The (p_max+1) x (q_max+1) grid of regression BICs behind the tentative
     nonseasonal order choice, on the common sample used for selection.
@@ -546,20 +549,15 @@ def minic_bic_table(z: Sequence[float] | np.ndarray, p_max: int = 5,
     return _bic_grid(v, e, long_order, p_max, q_max)
 
 
-def tentative_orders(
-    z: Sequence[float] | np.ndarray,
-    s: int = 12,
-    p_max: int = 5,
-    q_max: int = 5,
-) -> TentativeOrders:
+def tentative_orders(z: Sequence[float] | np.ndarray, s: int = 12) -> TentativeOrders:
     """
     Minimum-BIC tentative ARMA orders for a stationary (differenced) series.
 
     A long AR fit supplies residual proxies; every (p, q) cell is then a
     least-squares regression on lagged values and lagged proxies, scored by
     BIC over a common sample.  Seasonal orders are picked the same way from
-    lag-s terms, capped at 2.  Infeasibly short series shrink the grid with
-    a warning.
+    lag-s terms, capped at ``_SEASONAL_MAX``.  Infeasibly short series
+    shrink the grid with a warning.
     """
     z = np.asarray(z, dtype=float)
     n = z.size
@@ -571,16 +569,13 @@ def tentative_orders(
 
     long_order, e = _long_ar(v)
 
-    while p_max + q_max > 0:
-        start = max(long_order + q_max, p_max)
-        if n - start >= max(12, 2 * (p_max + q_max)):
-            break
+    grid = _GRID_MAX
+    while grid > 0 and n - (long_order + grid) < max(12, 4 * grid):
         warnings.warn("series too short for the full order grid; shrinking")
-        p_max = max(p_max - 1, 0)
-        q_max = max(q_max - 1, 0)
-    p_star, q_star = _first_min_cell(_bic_grid(v, e, long_order, p_max, q_max))
+        grid -= 1
+    p_star, q_star = _first_min_cell(_bic_grid(v, e, long_order, grid, grid))
 
-    P_cap = 2
+    P_cap = _SEASONAL_MAX
     while P_cap > 0 and n - (long_order + P_cap * s) < 12:
         P_cap -= 1
     if P_cap == 0:
@@ -720,10 +715,10 @@ def _unpack(x: np.ndarray, orders: ArimaOrders, n_events: int = 0) -> ArimaParam
     return ArimaParams(float(x[0]), *_arma_coefs(x, orders, n_events))
 
 
-def _fd_hessian(func, x0: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
+def _fd_hessian(func, x0: np.ndarray) -> np.ndarray:
     """Central finite-difference Hessian."""
     k = x0.size
-    h = rel_step * np.maximum(1.0, np.abs(x0))
+    h = _FD_STEP * np.maximum(1.0, np.abs(x0))
     hess = np.empty((k, k))
     f0 = func(x0)
 
@@ -820,8 +815,7 @@ def _degenerate_fit(y: np.ndarray, orders: ArimaOrders, n_interp: int) -> ArimaF
                     n_interpolated=n_interp, degenerate=True)
 
 
-def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders,
-        max_evals: int = 2000) -> ArimaFit:
+def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders) -> ArimaFit:
     """
     Estimate a seasonal ARIMA by CSS minimization.
 
@@ -832,8 +826,6 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders,
         interpolated (the count is recorded on the returned fit).
     orders : ArimaOrders
         Model orders; differencing happens internally.
-    max_evals : int
-        Evaluation budget of the simplex search.
 
     Returns
     -------
@@ -863,8 +855,7 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders,
 
     no_events = np.zeros((z.size, 0))
     x0 = _pack(hannan_rissanen_start(z, orders))
-    result = nelder_mead(_css_objective(z, no_events, orders), x0,
-                         max_evals=max_evals)
+    result = nelder_mead(_css_objective(z, no_events, orders), x0)
     params = _unpack(result.x, orders)
     if not result.converged:
         raise FitError(
@@ -876,14 +867,7 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders,
     return _css_finish(y, n_interp, z, no_events, (), orders, result.x)
 
 
-def auto_fit(
-    y: Sequence[float] | np.ndarray,
-    s: int = 12,
-    p_max: int = 5,
-    q_max: int = 5,
-    seasonal_threshold: float = 0.64,
-    max_evals: int = 2000,
-) -> ArimaFit:
+def auto_fit(y: Sequence[float] | np.ndarray, s: int = 12) -> ArimaFit:
     """
     Automatic pipeline: differencing selection, tentative orders, then an
     exhaustive minimum-BIC search bounded above by the tentative orders.
@@ -896,9 +880,9 @@ def auto_fit(
     if np.ptp(y) == 0.0:
         return _degenerate_fit(y, ArimaOrders(0, 0, 0, 0, 0, 0, s), n_interp)
 
-    d, D = select_differencing(y, s=s, seasonal_threshold=seasonal_threshold)
+    d, D = select_differencing(y, s=s)
     z = difference(y, d, D, s)
-    tentative = tentative_orders(z, s=s, p_max=p_max, q_max=q_max)
+    tentative = tentative_orders(z, s=s)
 
     best: ArimaFit | None = None
     failures: list[tuple[ArimaOrders, str]] = []
@@ -908,7 +892,7 @@ def auto_fit(
                 for Q in range(tentative.Q + 1):
                     orders = ArimaOrders(p, d, q, P, D, Q, s)
                     try:
-                        cand = fit(y, orders, max_evals=max_evals)
+                        cand = fit(y, orders)
                     except (FitError, ValueError) as exc:
                         failures.append((orders, str(exc)))
                         continue
@@ -1009,8 +993,7 @@ def forecast(fit_result: ArimaFit, h: int, level: float = 0.95) -> Forecast:
                     upper=point + half, level=level)
 
 
-def simulate(orders: ArimaOrders, params: ArimaParams, n: int, seed: int,
-             burnin: int = 200) -> np.ndarray:
+def simulate(orders: ArimaOrders, params: ArimaParams, n: int, seed: int) -> np.ndarray:
     """
     Draw a seeded realization of the model: ARMA recursion on Gaussian
     noise with a discarded burn-in, then d simple and D seasonal
@@ -1028,9 +1011,9 @@ def simulate(orders: ArimaOrders, params: ArimaParams, n: int, seed: int,
     mu = params.c / ar_at_one
 
     rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, sigma, n + burnin).tolist()
+    eps = rng.normal(0.0, sigma, n + _BURNIN).tolist()
     v = _arma_recursion([], eps, a.tolist(), m.tolist())
-    z = mu + np.asarray(v[burnin:])
+    z = mu + np.asarray(v[_BURNIN:])
 
     y = z
     for _ in range(orders.d):

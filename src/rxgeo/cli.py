@@ -64,6 +64,24 @@ def _family_arg(text: str) -> str:
     return text
 
 
+def _events_arg(text: str) -> list[str]:
+    kinds = text.split(",")
+    if not set(kinds) <= set(EVENT_KINDS) or len(set(kinds)) != len(kinds):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct comma-separated kinds from {EVENT_KINDS}, got {text!r}")
+    return kinds
+
+
+def _season_arg(text: str) -> int:
+    try:
+        season = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if season < 2:
+        raise argparse.ArgumentTypeError(f"season length must be at least 2, got {season}")
+    return season
+
+
 def _families(arg: str) -> tuple[str, ...]:
     return records.FAMILIES if arg == "both" else (arg,)
 
@@ -520,14 +538,13 @@ def _its_result_payload(res) -> dict:
 def _cmd_its(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"rxgeo its: --alpha must be in (0, 1), got {args.alpha}")
+    if args.announce_month == args.policy_month:
+        raise UsageError(f"rxgeo its: --announce-month {args.announce_month} equals "
+                         "--policy-month; the two onsets would be collinear")
     manifest = _start_manifest(args, "its")
     table = _read_classified_csv(Path(args.input), manifest)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    event_kinds = args.events.split(",")
-    for kind in event_kinds:
-        if kind not in EVENT_KINDS:
-            raise DataError(f"unknown event kind {kind!r}; expected {EVENT_KINDS}")
 
     all_series = []
     for family in _families(args.family):
@@ -544,7 +561,7 @@ def _cmd_its(args) -> int:
                                         policy_month=args.policy_month)
 
     batch = its_batch(all_series, policy_month=args.policy_month,
-                      event_kinds=event_kinds, alpha=args.alpha,
+                      event_kinds=args.events, alpha=args.alpha,
                       announce_month=args.announce_month)
     by_key = {(s.drug_family, s.class_code): s for s in all_series}
     payload = {"results": [_its_result_payload(r) for r in batch.results],
@@ -677,7 +694,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("fit", help="fit one series (auto or fixed orders)")
     p.add_argument("--input", required=True, help="series CSV from aggregate")
-    p.add_argument("--season", type=int, default=12)
+    p.add_argument("--season", type=_season_arg, default=12)
     p.add_argument("--orders", type=_orders_arg, default="auto",
                    help="'auto' or p,d,q[,P,D,Q]")
     p.add_argument("--impute", choices=("linear", "none"), default="linear")
@@ -690,7 +707,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--outdir", required=True)
     p.add_argument("--family", type=_family_arg, default="both")
     p.add_argument("--policy-month", type=_month_arg, default=MonthKey(2018, 5))
-    p.add_argument("--events", default=",".join(EVENT_KINDS))
+    p.add_argument("--events", type=_events_arg, default=",".join(EVENT_KINDS))
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--announce-month", type=_month_arg, default=None,
                    help="optional second onset for announcement effects")

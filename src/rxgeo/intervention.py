@@ -101,10 +101,10 @@ def _check_collinearity(x: np.ndarray, names: Sequence[str]) -> None:
 _BASE_FIT_FAILED = object()
 
 
-def _base_fit(y: np.ndarray, orders: ArimaOrders, max_evals: int = 2000):
+def _base_fit(y: np.ndarray, orders: ArimaOrders):
     """The no-event fit that seeds ``fit_arimax``, or ``_BASE_FIT_FAILED``."""
     try:
-        return arima.fit(y, orders, max_evals=max_evals)
+        return arima.fit(y, orders)
     except (FitError, ValueError):
         return _BASE_FIT_FAILED
 
@@ -114,7 +114,6 @@ def fit_arimax(
     orders: ArimaOrders,
     events: Sequence[EventInput],
     start_month: MonthKey = MonthKey(2014, 1),
-    max_evals: int = 2000,
     base_fit: ArimaFit | None = None,
 ) -> ArimaFit:
     """
@@ -153,13 +152,13 @@ def fit_arimax(
     candidates = [_pack(hr, beta_full[1:])]
     # Start 2: the nested no-event optimum with zero betas.
     if base_fit is None:
-        base_fit = _base_fit(y, o, max_evals)
+        base_fit = _base_fit(y, o)
     if base_fit is not _BASE_FIT_FAILED:
         candidates.append(_pack(base_fit.params, np.zeros(len(names))))
 
     # Each start is scored once.  The simplex keeps its start point, so its
     # result is never worse than the best start.
-    result = nelder_mead(objective, min(candidates, key=objective), max_evals=max_evals)
+    result = nelder_mead(objective, min(candidates, key=objective))
     return _css_finish(y, n_interp, z, x, names, o, result.x)
 
 
@@ -191,7 +190,6 @@ def its_analysis(
     event_kinds: Sequence[str] = EVENT_KINDS,
     alpha: float = 0.05,
     announce_month: MonthKey | None = None,
-    s: int = 12,
 ) -> ItsResult:
     """
     Three-step interrupted-time-series analysis of one monthly series.
@@ -216,7 +214,7 @@ def its_analysis(
     if len(post) < MIN_POST_MONTHS:
         raise ValueError(f"need >= {MIN_POST_MONTHS} post-policy months, got {len(post)}")
 
-    pre_fit = arima.auto_fit(pre.values(), s=s)
+    pre_fit = arima.auto_fit(pre.values())
     h = len(post)
     fc = arima.forecast(pre_fit, h)
 

@@ -235,6 +235,38 @@ def test_its_alpha_outside_unit_interval_is_usage_error(pipeline, tmp_path,
     assert not (tmp_path / "its").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--events", "bogus"),
+    ("--events", ""),
+    ("--events", "level_shift,level_shift"),
+    ("--announce-month", "2018-05"),  # the default --policy-month
+])
+def test_its_bad_flags_exit_1_before_any_io(tmp_path, capsys, flag, value):
+    # --input does not exist: a flag check that came after reading it would
+    # exit 2, and one that came after --outdir would leave the directory.
+    assert run("its", "--input", tmp_path / "absent.csv",
+               "--outdir", tmp_path / "its", flag, value) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "its").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--season", "-3"],
+    ["--season", "0"],
+    ["--season", "1"],
+    ["--season", "1", "--orders", "1,0,0"],
+])
+def test_fit_season_below_2_is_usage_error(tmp_path, capsys, argv):
+    # --season -3 used to end in an IndexError traceback, 0 in a numpy
+    # matmul error, and 1 with fixed nonseasonal orders ran.
+    assert run("fit", "--input", tmp_path / "absent.csv",
+               "--out", tmp_path / "out" / "fit.json", *argv) == 1
+    err = capsys.readouterr().err
+    assert "--season" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_requires_its_outputs(pipeline, tmp_path, capsys):
     results = pipeline / "results"
     if not (results / "class_summary_opioid.md").exists():
@@ -276,6 +308,8 @@ def test_config_file_rejects_unknown_keys(pipeline, tmp_path, capsys):
     ("anova", {"unit": "bogus"}, "--unit", ["--out", "out"]),
     ("simulate", {"n": 1.5}, "--n", ["--out", "out"]),
     ("its", {"alpha": [1]}, "--alpha", ["--outdir", "out"]),
+    ("its", {"events": "ramp,bogus"}, "--events", ["--outdir", "out"]),
+    ("fit", {"season": 0}, "--season", ["--out", "out"]),
 ])
 def test_config_file_values_are_checked_like_flags(pipeline, tmp_path, capsys,
                                                    command, section, flag, argv):
