@@ -230,12 +230,34 @@ class _LagLayout:
         self.m_size = orders.q + s * orders.Q
         self.a_seasonal = [s * l - 1 for l in range(1, orders.P + 1)]
         self.m_seasonal = [s * l - 1 for l in range(1, orders.Q + 1)]
+        # Where theta, Phi and Theta start in the ARMA part [phi, theta, Phi,
+        # Theta] of a coefficient vector.
+        q0 = orders.p
+        self.starts = (q0, q0 + orders.q, q0 + orders.q + orders.P)
 
     def coefs(self, phi: list[float], theta: list[float], Phi: list[float],
               Theta: list[float]) -> tuple[np.ndarray, np.ndarray]:
         """Full-lag AR coefficients a_k and MA coefficients m_j."""
         return (_place(self.a_size, self.a_seasonal, phi, Phi, -1.0),
                 _place(self.m_size, self.m_seasonal, theta, Theta, 1.0))
+
+    def split(self, r: list[float]) -> tuple[list[float], ...]:
+        """phi, theta, Phi and Theta from the ARMA part of a vector."""
+        q0, P0, Q0 = self.starts
+        return r[:q0], r[q0:P0], r[P0:Q0], r[Q0:]
+
+    def arma_coefs(self, u: np.ndarray) -> tuple[list[float], ...]:
+        """
+        phi, theta, Phi and Theta at the unconstrained ARMA part ``u`` of an
+        optimizer point: each part's partial autocorrelations are tanh(u),
+        clipped, and Durbin-Levinson gives the coefficients.  The MA parts
+        hold the negated coefficients.
+        """
+        C = _PACF_CLIP
+        r = [C if v > C else -C if v < -C else v for v in np.tanh(u).tolist()]
+        phi, theta, Phi, Theta = self.split(r)
+        return (_pacf_to_coefs(phi), [-v for v in _pacf_to_coefs(theta)],
+                _pacf_to_coefs(Phi), [-v for v in _pacf_to_coefs(Theta)])
 
 
 def _place(size: int, seasonal_at: list[int], plain: list[float],
@@ -292,13 +314,6 @@ def _unconstrained_from_coefs(coefs: np.ndarray) -> np.ndarray:
             return np.arctanh(np.clip(r, -0.97, 0.97))
         shrunk = shrunk * 0.9
     return np.zeros(coefs.size)
-
-
-def _coefs_from_unconstrained(u: np.ndarray) -> list[float]:
-    if u.size == 0:
-        return []
-    return _pacf_to_coefs([min(max(r, -_PACF_CLIP), _PACF_CLIP)
-                           for r in np.tanh(u).tolist()])
 
 
 def _coef_p_value(est: float, se: float) -> float:
@@ -634,11 +649,20 @@ def _residuals_from_lags(v: np.ndarray, a: np.ndarray, m: np.ndarray) -> np.ndar
     ma = [(j, mj) for j, mj in enumerate(m.tolist(), start=1) if mj != 0.0]
     if not ma:
         return base
-    eps: list[float] = []
-    for t, acc in enumerate(base.tolist()):
+    b = base.tolist()
+    last = ma[-1][0]
+    eps = []
+    # Warm-up: lags past t reach before the series and are left out.
+    for t, acc in enumerate(b[:last]):
         for j, mj in ma:
             if j > t:
                 break
+            acc -= mj * eps[t - j]
+        eps.append(acc)
+    # Steady state: every lag is in range.
+    for t in range(last, len(b)):
+        acc = b[t]
+        for j, mj in ma:
             acc -= mj * eps[t - j]
         eps.append(acc)
     return np.asarray(eps)
@@ -698,21 +722,9 @@ def _pack(params: ArimaParams, betas: Sequence[float] = ()) -> np.ndarray:
     ))
 
 
-def _arma_coefs(x: np.ndarray, orders: ArimaOrders,
-                n_events: int = 0) -> tuple[list[float], ...]:
-    """phi, theta, Phi and Theta from optimizer coordinates [c, betas..., ARMA...]."""
-    o = orders
-    k = 1 + n_events
-    phi = _coefs_from_unconstrained(x[k:k + o.p]); k += o.p
-    theta = [-v for v in _coefs_from_unconstrained(x[k:k + o.q])]; k += o.q
-    Phi = _coefs_from_unconstrained(x[k:k + o.P]); k += o.P
-    Theta = [-v for v in _coefs_from_unconstrained(x[k:k + o.Q])]
-    return phi, theta, Phi, Theta
-
-
 def _unpack(x: np.ndarray, orders: ArimaOrders, n_events: int = 0) -> ArimaParams:
     """Model parameters from optimizer coordinates [c, betas..., ARMA...]."""
-    return ArimaParams(float(x[0]), *_arma_coefs(x, orders, n_events))
+    return ArimaParams(float(x[0]), *_LagLayout(orders).arma_coefs(x[1 + n_events:]))
 
 
 def _fd_hessian(func, x0: np.ndarray) -> np.ndarray:
@@ -748,12 +760,22 @@ def _regression_css(z: np.ndarray, x: np.ndarray, vec: np.ndarray,
 
 def _css_objective(z: np.ndarray, x: np.ndarray, orders: ArimaOrders):
     """CSS in optimizer coordinates [c, betas..., unconstrained ARMA...];
-    ``x`` has one differenced event regressor per column, none for ARIMA."""
+    ``x`` has one differenced event regressor per column, none for ARIMA.
+    What does not depend on the point is fixed here, once per model."""
     n_events = x.shape[1]
+    k = 1 + n_events
+    if orders.n_coefficients == 1:
+        # No lag terms: mu = c / (1 - 0) = c, and the errors are w - c.
+        def objective(vec: np.ndarray) -> float:
+            eps = (z - x @ vec[1:k] if n_events else z) - float(vec[0])
+            css = float(eps @ eps)
+            return css if math.isfinite(css) else _PENALTY
+        return objective
+
     layout = _LagLayout(orders)
 
     def objective(vec: np.ndarray) -> float:
-        return _regression_css(z, x, vec, *layout.coefs(*_arma_coefs(vec, orders, n_events)))
+        return _regression_css(z, x, vec, *layout.coefs(*layout.arma_coefs(vec[k:])))
     return objective
 
 
@@ -782,11 +804,10 @@ def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
 
     vec0 = _coefficient_vector(params, betas)
     layout = _LagLayout(o)
-    q0, P0, Q0 = o.p, o.p + o.q, o.p + o.q + o.P  # where theta, Phi, Theta start
 
     def raw_objective(raw: np.ndarray) -> float:
-        r = raw[1 + n_events:].tolist()
-        return _regression_css(z, x, raw, *layout.coefs(r[:q0], r[q0:P0], r[P0:Q0], r[Q0:]))
+        arma = layout.split(raw[1 + n_events:].tolist())
+        return _regression_css(z, x, raw, *layout.coefs(*arma))
 
     std_errors = np.zeros(vec0.size)
     if sigma2 > 0:

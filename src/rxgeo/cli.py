@@ -543,16 +543,24 @@ def _cmd_its(args) -> int:
                          "--policy-month; the two onsets would be collinear")
     manifest = _start_manifest(args, "its")
     table = _read_classified_csv(Path(args.input), manifest)
+    spans = {}
+    for family in _families(args.family):
+        months = table.month_index[table.drug_family == family]
+        if months.size:
+            spans[family] = (MonthKey.from_index(int(months.min())),
+                             MonthKey.from_index(int(months.max())))
+    onsets = [("--policy-month", args.policy_month),
+              ("--announce-month", args.announce_month)]
+    for family, (first, last) in spans.items():
+        for flag, month in onsets:
+            if month is not None and not first <= month <= last:
+                raise DataError(f"rxgeo its: {flag} {month} is outside the {family} "
+                                f"data span {first} to {last}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     all_series = []
-    for family in _families(args.family):
-        months = table.month_index[table.drug_family == family]
-        if not months.size:
-            continue
-        span = (MonthKey.from_index(int(months.min())),
-                MonthKey.from_index(int(months.max())))
+    for family, span in spans.items():
         all_series += aggregate_monthly(table, group_by="overall",
                                         family=family, span=span,
                                         policy_month=args.policy_month)

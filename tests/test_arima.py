@@ -227,6 +227,95 @@ def test_sparse_residuals_match_dense_recursion():
     assert not np.isnan(got[2])  # m_1 = 0 is skipped, not multiplied by inf
 
 
+# --- the CSS evaluator against the composition it replaced --------------------------
+
+def _reference_coefs_from_unconstrained(u):
+    if u.size == 0:
+        return []
+    return arima._pacf_to_coefs([min(max(r, -arima._PACF_CLIP), arima._PACF_CLIP)
+                                 for r in np.tanh(u).tolist()])
+
+
+def _reference_arma_coefs(x, o, n_events):
+    """One tanh and one Durbin-Levinson per part, as before the evaluator."""
+    k = 1 + n_events
+    phi = _reference_coefs_from_unconstrained(x[k:k + o.p]); k += o.p
+    theta = [-v for v in _reference_coefs_from_unconstrained(x[k:k + o.q])]; k += o.q
+    Phi = _reference_coefs_from_unconstrained(x[k:k + o.P]); k += o.P
+    Theta = [-v for v in _reference_coefs_from_unconstrained(x[k:k + o.Q])]
+    return phi, theta, Phi, Theta
+
+
+def _reference_residuals(v, a, m):
+    """The sparse recursion as one loop with the j > t break at every t."""
+    base = v.copy()
+    for k, ak in enumerate(a.tolist(), start=1):
+        if ak != 0.0:
+            base[k:] -= ak * v[:-k]
+    ma = [(j, mj) for j, mj in enumerate(m.tolist(), start=1) if mj != 0.0]
+    if not ma:
+        return base
+    eps = []
+    for t, acc in enumerate(base.tolist()):
+        for j, mj in ma:
+            if j > t:
+                break
+            acc -= mj * eps[t - j]
+        eps.append(acc)
+    return np.asarray(eps)
+
+
+def _reference_regression_css(z, x, vec, a, m):
+    n_events = x.shape[1]
+    w = z - x @ vec[1:1 + n_events] if n_events else z
+    ar_at_one = 1.0 - a.sum()
+    if abs(ar_at_one) < 1e-10:
+        return arima._PENALTY
+    eps = _reference_residuals(w - float(vec[0]) / ar_at_one, a, m)
+    css = float(eps @ eps)
+    return css if math.isfinite(css) else arima._PENALTY
+
+
+def reference_css_objective(z, x, orders):
+    """The objective every model used before the one-evaluator-per-model
+    form: _regression_css(z, x, vec, *_LagLayout(o).coefs(*_arma_coefs(vec, o, n)))."""
+    n_events = x.shape[1]
+
+    def objective(vec):
+        return _reference_regression_css(z, x, vec, *arima._LagLayout(orders).coefs(
+            *_reference_arma_coefs(vec, orders, n_events)))
+    return objective
+
+
+def test_css_evaluator_matches_reference_composition():
+    # Every fifth model has no ARMA term (its own evaluator); the rest mix
+    # exact-zero coordinates (tanh(0) = 0 meets the zero skip), coordinates
+    # past the clip and a z holding inf.
+    rng = np.random.default_rng(39)
+    for trial in range(1500):
+        s = int(rng.choice([2, 4, 12]))
+        if trial % 5 == 0:
+            orders = ArimaOrders(s=s)
+        else:
+            p, q = (int(k) for k in rng.integers(0, 6, 2))
+            P, Q = (int(k) for k in rng.integers(0, 3, 2))
+            orders = ArimaOrders(p=p, q=q, P=P, Q=Q, s=s)
+        n_events = int(rng.integers(0, 4))
+        z = rng.normal(size=int(rng.integers(20, 100)))
+        if trial % 7 == 0:
+            z[rng.integers(z.size)] = math.inf
+        x = rng.normal(size=(z.size, n_events))
+        u = rng.normal(scale=1.5, size=orders.n_coefficients - 1)
+        u[rng.random(u.size) < 0.2] = 0.0
+        far = rng.random(u.size) < 0.1
+        u[far] = rng.choice([-1.0, 1.0], far.sum()) * rng.uniform(20.0, 40.0, far.sum())
+        vec = np.concatenate((rng.normal(size=1 + n_events), u))
+        got = arima._css_objective(z, x, orders)(vec)
+        want = reference_css_objective(z, x, orders)(vec)
+        assert type(got) is float
+        assert got.hex() == want.hex(), (trial, orders, n_events)
+
+
 # --- simulate -----------------------------------------------------------------------
 
 def test_simulate_pure_noise_moments():

@@ -251,6 +251,24 @@ def test_its_bad_flags_exit_1_before_any_io(tmp_path, capsys, flag, value):
     assert not (tmp_path / "its").exists()
 
 
+@pytest.mark.parametrize("flag,month", [
+    ("--announce-month", "2030-01"),
+    ("--announce-month", "2010-01"),
+    ("--policy-month", "2030-01"),
+    ("--policy-month", "2012-01"),
+])
+def test_its_onset_outside_the_data_span_is_a_data_error(pipeline, tmp_path,
+                                                         capsys, flag, month):
+    # These used to exit 0 with every series failed.  The check runs after
+    # the input is read and before any fit or --outdir.
+    assert run("its", "--input", pipeline / "classified.csv", "--family", "opioid",
+               "--outdir", tmp_path / "its", flag, month) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} {month} is outside the opioid data span" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "its").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--season", "-3"],
     ["--season", "0"],

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxgeo import arima, intervention
+from rxgeo import _optimize, arima, intervention
 from rxgeo.arima import ArimaOrders, ArimaParams
+from rxgeo.cli import _its_result_payload
 from rxgeo.intervention import (CollinearityError, EventInput, event_regressor,
                                 fit_arimax, its_analysis, its_batch,
                                 significance_stars)
@@ -342,6 +344,48 @@ def test_its_batch_ordering_and_failures():
     assert keys == [("benzodiazepine", "overall"), ("opioid", "overall"),
                     ("opioid", "03")]
     assert list(batch.failures) == ["opioid/31"]
+
+
+def _batch_outputs(series):
+    """The its_results.json payload of a batch, and the bytes of its arrays."""
+    batch = its_batch(series)
+    payload = json.dumps({"results": [_its_result_payload(r) for r in batch.results],
+                          "failures": batch.failures}, sort_keys=True)
+    arrays = b"".join(
+        a.tobytes() for r in batch.results
+        for a in (r.pre_fit.residuals, r.pre_fit.std_errors, r.arimax.residuals,
+                  r.arimax.std_errors, r.post_forecast.point, r.post_forecast.lower,
+                  r.post_forecast.upper))
+    return payload, arrays
+
+
+def test_its_batch_matches_reference_simplex_and_objective(monkeypatch):
+    # The same batch through the array-free simplex and per-model evaluators,
+    # and through the list-of-arrays simplex and the objective they replaced.
+    from test_arima import reference_css_objective
+    from test_optimize import reference_nelder_mead
+
+    rng = np.random.default_rng(80)
+    shift = np.r_[np.zeros(52), np.full(43, -3.0)]
+    models = [(ArimaOrders(), ArimaParams(c=50.0, sigma2=1.0)),
+              (ArimaOrders(p=1), ArimaParams(c=20.0, phi=[0.6], sigma2=1.0)),
+              (ArimaOrders(q=1), ArimaParams(c=50.0, theta=[0.5], sigma2=1.0)),
+              (ArimaOrders(p=1, P=1), ArimaParams(c=10.0, phi=[0.4], Phi=[0.5],
+                                                  sigma2=1.0))]
+    series = [make_series(arima.simulate(o, params, 95, seed=81 + i) + shift,
+                          code=f"{i}0")
+              for i, (o, params) in enumerate(models)]
+    series.append(make_series(rng.normal(size=40), code="31",
+                              start=MonthKey(2017, 1)))  # too short: a failure
+    lean = _batch_outputs(series)
+
+    def reference(func, x0):
+        return reference_nelder_mead(func, x0, _optimize._MAX_EVALS)
+    for module in (arima, intervention):
+        monkeypatch.setattr(module, "nelder_mead", reference)
+        monkeypatch.setattr(module, "_css_objective", reference_css_objective)
+    assert _batch_outputs(series) == lean
+    assert '"failures": {"opioid/31"' in lean[0]
 
 
 def test_its_batch_34_series_structural():

@@ -126,6 +126,17 @@ def reference_nelder_mead(func, x0, max_evals, rel_tol=1e-10):
     return MinimizeResult(x=x_best, fun=f_best, n_evals=evals, converged=conv)
 
 
+def test_centroid_is_numpy_axis0_mean_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        rows = rng.choice([-0.0, 0.0, 0.1, -2.5, 1e-300, 3.0], size=(n, n))
+        rows[:, 0] = -0.0  # a column of -0.0: numpy's mean gives 0.0
+        rows[:, -1] = rng.normal(size=n)
+        want = rows.mean(axis=0)
+        got = _optimize._centroid(rows.tolist())
+        assert np.array(got).tobytes() == want.tobytes(), n
+
+
 def rosenbrock(x):
     return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
@@ -140,12 +151,13 @@ def one_dimensional(x):
 
 @pytest.mark.parametrize("func,x0", [
     (quadratic, [0.3, 0.7, -1.1]),
+    (quadratic, [1.0, -0.0, 0.5]),  # the start stays best, keeping its -0.0
     (rosenbrock, [-1.2, 0.0]),
     (nan_walled, [1.5, -1.5]),
     (nan_walled, [1.9, 1.95]),
     (one_dimensional, [2.0]),
-], ids=["quadratic", "rosenbrock", "nan_walled", "nan_walled_at_wall",
-        "one_dimensional"])
+], ids=["quadratic", "quadratic_negative_zero", "rosenbrock", "nan_walled",
+        "nan_walled_at_wall", "one_dimensional"])
 def test_trajectory_matches_list_simplex_at_every_budget(monkeypatch, func, x0):
     # Small budgets end the search in every branch.  Rosenbrock shrinks
     # after evaluations 13 and 19 and the start at the wall after 5, so

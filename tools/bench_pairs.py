@@ -1,0 +1,182 @@
+"""Alternating parent/change pairs of the benchmark, written as a BENCH file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
+        --pairs its:42:10 --pairs its:1234:10 --pairs etl:42:6 \
+        --digest etl:1234 --traced its:42:2 [--seconds 22]
+
+``DIR`` is the root of a source checkout of each side; ``perfbench/run.py``
+runs from there, as its docstring asks.  Give the same directory twice to
+check the harness itself.  Standard library only.
+
+* ``--pairs W:S:N`` runs N pairs of ``run.py --workload W --seed S --trace 0
+  --seconds SECONDS``.  The side that runs first swaps on every pair, parent
+  first on the first pair.  Each end-to-end metric gets the median and
+  quartiles of each side, the change's wins and ties, and the median of the
+  per-pair ratio change / parent.
+* ``--digest W:S`` runs each side once with ``--seconds 1`` and keeps its
+  ``correct`` flag and digests.
+* ``--traced W:S:N`` runs N traced pairs with ``--seconds 1 --trace 1`` and
+  keeps the per-layer values named in ``TRACED_KEYS``.
+
+Exits 1, after writing what it has, when a run is not correct or the two
+sides' digests differ on any workload and seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+TRACED_KEYS = (
+    "arima.fit.calls", "arima.fit.calls_in_arimax", "cli.its.s",
+    "intervention.fit_arimax.calls", "intervention.its_analysis.calls",
+    "intervention.its_analysis.failed", "intervention.its_batch.s",
+    "optimize.eval_us", "optimize.nelder_mead.calls", "optimize.nelder_mead.evals",
+    "optimize.nelder_mead.s",
+)
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    """One run.py run: its result line, with the digests of its details line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
+    if proc.returncode or not result.get("correct"):
+        print(f"{checkout}: {' '.join(cmd[1:])} failed (exit {proc.returncode})\n"
+              f"{proc.stderr[-2000:]}", file=sys.stderr)
+        return {"correct": False, "metrics": {}}
+    details = json.loads(lines[-2])
+    return {"correct": True, "input_digest": details["input_digest"],
+            "pass_digest": details["pass_digest"], "env": details["env"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "n": 1, "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "n": len(values), "q1": q1, "q3": q3}
+
+
+def summarize(better: str, parent: list[float], change: list[float]) -> dict:
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    return {"better": better, "parent": quartiles(parent), "change": quartiles(change),
+            "parent_runs": parent, "change_runs": change, "change_wins": wins,
+            "ties": ties, "median_ratio_change_over_parent": statistics.median(
+                c / p for p, c in zip(parent, change))}
+
+
+def swapped(i: int) -> tuple[str, str]:
+    """The order of the two sides in pair i: parent first on even pairs."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def spec(text: str, parts: int) -> tuple:
+    fields = text.split(":")
+    if len(fields) != parts:
+        raise argparse.ArgumentTypeError(f"expected {parts} ':'-separated fields, got {text!r}")
+    return (fields[0], *map(int, fields[1:]))
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--seconds", type=float, default=22.0)
+    ap.add_argument("--pairs", type=lambda t: spec(t, 3), action="append", default=[])
+    ap.add_argument("--digest", type=lambda t: spec(t, 2), action="append", default=[])
+    ap.add_argument("--traced", type=lambda t: spec(t, 3), action="append", default=[])
+    args = ap.parse_args(argv)
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bad: list[str] = []
+    every: list[dict] = []
+
+    def bench(side: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+        every.append(run_bench(dirs[side], workload, seed, seconds, trace))
+        return every[-1]
+
+    def check(label: str, runs: dict[str, dict]) -> None:
+        for side, r in runs.items():
+            if not r["correct"]:
+                bad.append(f"{label}: a {side} run is not correct")
+        digests = {(r.get("input_digest"), r.get("pass_digest")) for r in runs.values()}
+        if len(digests) != 1:
+            bad.append(f"{label}: the parent and change digests differ")
+
+    out: dict = {
+        "benchmark": f"python3 perfbench/run.py --workload W --seed S "
+                     f"--seconds {args.seconds:g} (--trace 0)",
+        "design": "alternating parent/change pairs ("
+                  + ", ".join(f"{w}: {n} at seed {s}" for w, s, n in args.pairs)
+                  + "); the side that runs first swaps every pair; parent and change "
+                    "each run from their own checkout",
+        "digest_only_runs": {}, "host": {}, "workloads": {},
+    }
+    for workload, seed, n in args.pairs:
+        label = f"{workload}/seed{seed}"
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for i in range(n):
+            for s in swapped(i):
+                runs[s].append(bench(s, workload, seed, args.seconds, 0))
+                print(f"{label} pair {i + 1}/{n} {s}: "
+                      f"{runs[s][-1]['metrics'].get('completed_per_s')}", file=sys.stderr)
+        for i in range(n):
+            check(f"{label} pair {i + 1}", {s: runs[s][i] for s in SIDES})
+        if any(not r["correct"] for side in SIDES for r in runs[side]):
+            continue
+        metrics = runs["parent"][0]["metrics"]
+        better = {"peak_rss_mb": "lower", "setup_s": "lower"}
+        out["workloads"][label] = {
+            "digests": {s: {k: runs[s][0][k] for k in ("input_digest", "pass_digest")}
+                        for s in SIDES},
+            "first_side": [swapped(i)[0] for i in range(n)],
+            "metrics": {m: summarize(better.get(m, "higher"),
+                                     [r["metrics"][m] for r in runs["parent"]],
+                                     [r["metrics"][m] for r in runs["change"]])
+                        for m in sorted(metrics)},
+            "pairs": n,
+        }
+    for workload, seed in args.digest:
+        label = f"{workload}/seed{seed}"
+        runs = {s: bench(s, workload, seed, 1, 0) for s in SIDES}
+        check(label, runs)
+        out["digest_only_runs"][label] = {
+            s: {k: r.get(k) for k in ("correct", "input_digest", "pass_digest")}
+            for s, r in runs.items()}
+    for workload, seed, n in args.traced:
+        pairs = []
+        for i in range(n):
+            runs = {s: bench(s, workload, seed, 1, 1) for s in swapped(i)}
+            check(f"traced {workload}/seed{seed} pair {i + 1}", runs)
+            pairs.append({s: {**{k: runs[s]["metrics"].get(k) for k in TRACED_KEYS},
+                              "pass_digest": runs[s].get("pass_digest")}
+                          for s in SIDES})
+        out[f"traced_{workload}_seed{seed}"] = {
+            "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
+                       "--seconds 1 --trace 1",
+            "note": "one traced run per side per pair, the side that runs first "
+                    "swapping every pair; the per-layer value is the minimum over "
+                    "the traced passes of a run",
+            "pairs": pairs,
+        }
+    envs = [r["env"] for r in every if r["correct"]]
+    out["host"] = envs[0] if envs else {}
+    args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    for line in bad:
+        print(line, file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
