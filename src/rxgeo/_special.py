@@ -209,19 +209,6 @@ def _gamma_cf(a: float, x: float) -> float:
     raise RuntimeError(f"incomplete gamma CF failed to converge (a={a}, x={x})")
 
 
-def gammainc_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("a must be positive")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
-
-
 def gammainc_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x)."""
     if a <= 0.0:

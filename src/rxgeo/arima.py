@@ -376,7 +376,16 @@ def fill_missing(y: Sequence[float] | np.ndarray) -> tuple[np.ndarray, int]:
         raise ValueError("cannot interpolate missing values at the series edges")
     idx = np.arange(y.size)
     y[bad] = np.interp(idx[bad], idx[~bad], y[~bad])
+    logger.info("interpolated %d missing values before fitting", n_bad)
     return y, n_bad
+
+
+def _filled_differences(y: Sequence[float] | np.ndarray,
+                        orders: ArimaOrders) -> tuple[np.ndarray, int, np.ndarray]:
+    """The series with its interior gaps interpolated, how many values that
+    filled, and the filled series differenced at ``orders``."""
+    y, n_interp = fill_missing(y)
+    return y, n_interp, difference(y, orders.d, orders.D, orders.s)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +515,11 @@ def select_differencing(y: Sequence[float] | np.ndarray, s: int = 12) -> tuple[i
 # Hannan-Rissanen regressions and tentative orders
 # ---------------------------------------------------------------------------
 
-def _long_ar(v: np.ndarray) -> tuple[int, np.ndarray]:
-    """Order and residuals (NaN before the order) of the long AR fit."""
+def _long_ar(z: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The centred series v = z - mean(z), and the order and residuals (NaN
+    before the order) of a long AR fit to v; the residuals stand in for the
+    innovations in the lagged regressions."""
+    v = z - z.mean()
     n = v.size
     order = max(1, min(math.ceil(min(n / 10.0, 20.0)), n // 2 - 2))
     rows = np.arange(order, n)
@@ -515,31 +527,32 @@ def _long_ar(v: np.ndarray) -> tuple[int, np.ndarray]:
     beta, _ = _ols(x, v[rows])
     e = np.full(n, np.nan)
     e[rows] = v[rows] - x @ beta
-    return order, e
+    return v, order, e
 
 
-def _regression_bic(v: np.ndarray, e: np.ndarray, rows: np.ndarray,
-                    v_lags: Sequence[int], e_lags: Sequence[int]) -> float:
+def _lag_regression(v: np.ndarray, e: np.ndarray, rows: np.ndarray,
+                    v_lags: Sequence[int], e_lags: Sequence[int]) -> tuple[np.ndarray, float]:
+    """Least squares of v[rows] on the lagged values v[rows - j], j in
+    ``v_lags``, then the lagged residuals e[rows - j], j in ``e_lags``: the
+    coefficients in that order, and the RSS."""
     cols = [v[rows - j] for j in v_lags] + [e[rows - j] for j in e_lags]
-    if cols:
-        _, rss = _ols(np.column_stack(cols), v[rows])
-    else:
-        rss = float(v[rows] @ v[rows])
-    n_c = rows.size
-    k = len(cols)
-    return n_c * math.log(max(rss / n_c, 1e-300)) + k * math.log(n_c)
+    if not cols:
+        return np.zeros(0), float(v[rows] @ v[rows])
+    return _ols(np.column_stack(cols), v[rows])
 
 
-def _bic_grid(v: np.ndarray, e: np.ndarray, long_order: int, p_max: int,
+def _bic_grid(v: np.ndarray, long_order: int, e: np.ndarray, p_max: int,
               q_max: int, step: int = 1) -> np.ndarray:
     """Regression BICs of every (p, q) cell, lags in multiples of ``step``,
     on the common sample that the largest cell allows."""
     rows = np.arange(max(long_order + step * q_max, step * p_max), v.size)
+    n_c = rows.size
     table = np.empty((p_max + 1, q_max + 1))
     for p in range(p_max + 1):
         for q in range(q_max + 1):
-            table[p, q] = _regression_bic(v, e, rows, range(step, step * p + 1, step),
-                                          range(step, step * q + 1, step))
+            _, rss = _lag_regression(v, e, rows, range(step, step * p + 1, step),
+                                     range(step, step * q + 1, step))
+            table[p, q] = n_c * math.log(max(rss / n_c, 1e-300)) + (p + q) * math.log(n_c)
     return table
 
 
@@ -550,18 +563,6 @@ def _first_min_cell(table: np.ndarray) -> tuple[int, int]:
         if bic < best[0] - 1e-12:
             best = (bic, i, j)
     return best[1], best[2]
-
-
-def minic_bic_table(z: Sequence[float] | np.ndarray, p_max: int = _GRID_MAX,
-                    q_max: int = _GRID_MAX) -> np.ndarray:
-    """
-    The (p_max+1) x (q_max+1) grid of regression BICs behind the tentative
-    nonseasonal order choice, on the common sample used for selection.
-    """
-    z = np.asarray(z, dtype=float)
-    v = z - z.mean()
-    long_order, e = _long_ar(v)
-    return _bic_grid(v, e, long_order, p_max, q_max)
 
 
 def tentative_orders(z: Sequence[float] | np.ndarray, s: int = 12) -> TentativeOrders:
@@ -578,17 +579,15 @@ def tentative_orders(z: Sequence[float] | np.ndarray, s: int = 12) -> TentativeO
     n = z.size
     if n < 20:
         raise ValueError(f"need at least 20 observations, got {n}")
-    v = z - z.mean()
+    v, long_order, e = _long_ar(z)
     if np.ptp(v) == 0.0:
         return TentativeOrders(0, 0, 0, 0)
-
-    long_order, e = _long_ar(v)
 
     grid = _GRID_MAX
     while grid > 0 and n - (long_order + grid) < max(12, 4 * grid):
         warnings.warn("series too short for the full order grid; shrinking")
         grid -= 1
-    p_star, q_star = _first_min_cell(_bic_grid(v, e, long_order, grid, grid))
+    p_star, q_star = _first_min_cell(_bic_grid(v, long_order, e, grid, grid))
 
     P_cap = _SEASONAL_MAX
     while P_cap > 0 and n - (long_order + P_cap * s) < 12:
@@ -598,30 +597,26 @@ def tentative_orders(z: Sequence[float] | np.ndarray, s: int = 12) -> TentativeO
             warnings.warn("series too short for seasonal order detection")
         return TentativeOrders(p_star, q_star, 0, 0)
 
-    P_star, Q_star = _first_min_cell(_bic_grid(v, e, long_order, P_cap, P_cap, step=s))
+    P_star, Q_star = _first_min_cell(_bic_grid(v, long_order, e, P_cap, P_cap, step=s))
     return TentativeOrders(p_star, q_star, P_star, Q_star)
 
 
 def hannan_rissanen_start(z: np.ndarray, orders: ArimaOrders) -> ArimaParams:
     """Least-squares starting values for CSS optimization."""
-    v = z - z.mean()
-    n = v.size
     o = orders
     lags_v = list(range(1, o.p + 1)) + [o.s * i for i in range(1, o.P + 1)]
     lags_e = list(range(1, o.q + 1)) + [o.s * j for j in range(1, o.Q + 1)]
-    max_lag = max(lags_v + lags_e, default=0)
 
     phi = np.zeros(o.p)
     theta = np.zeros(o.q)
     Phi = np.zeros(o.P)
     Theta = np.zeros(o.Q)
-    if max_lag:
-        long_order, e = _long_ar(v)
+    if lags_v or lags_e:
+        v, long_order, e = _long_ar(z)
         start = max(long_order + max(lags_e, default=0), max(lags_v, default=0))
-        rows = np.arange(start, n)
+        rows = np.arange(start, v.size)
         if rows.size > len(lags_v) + len(lags_e) + 2:
-            cols = [v[rows - j] for j in lags_v] + [e[rows - j] for j in lags_e]
-            beta, _ = _ols(np.column_stack(cols), v[rows])
+            beta, _ = _lag_regression(v, e, rows, lags_v, lags_e)
             k = 0
             phi = beta[k:k + o.p]; k += o.p
             Phi = beta[k:k + o.P]; k += o.P
@@ -794,11 +789,14 @@ def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
     betas = vec[1:1 + n_events].copy()
     a, m = _ar_ma_lag_coefs(o, params)
     w = z - x @ betas if n_events else z
-    css = _css_value(w, params.c, a, m)
+    ar_at_one = 1.0 - a.sum()
+    residuals = _residuals_from_lags(w - params.c / ar_at_one, a, m)
+    css = float(residuals @ residuals)
+    if abs(ar_at_one) < 1e-10 or not math.isfinite(css):
+        css = _PENALTY  # the objective's rejection value, as in _css_value
     n_eff = z.size
     sigma2 = css / n_eff
     params.sigma2 = sigma2
-    residuals = _residuals_from_lags(w - params.c / (1.0 - a.sum()), a, m)
     k = o.n_coefficients + n_events
     bic = n_eff * math.log(sigma2) + k * math.log(n_eff) if sigma2 > 0 else -math.inf
 
@@ -866,11 +864,7 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders) -> ArimaFit:
     total_orders = orders.p + orders.q + orders.P + orders.Q + orders.d + orders.D * orders.s
     if y.size < 10 + total_orders:
         raise ValueError(f"series of length {y.size} too short for {orders.label()}")
-    y, n_interp = fill_missing(y)
-    if n_interp:
-        logger.info("interpolated %d missing values before fitting", n_interp)
-
-    z = difference(y, orders.d, orders.D, orders.s)
+    y, n_interp, z = _filled_differences(y, orders)
     if np.ptp(z) == 0.0:
         return _degenerate_fit(y, orders, n_interp)
 
@@ -892,7 +886,8 @@ def auto_fit(y: Sequence[float] | np.ndarray, s: int = 12) -> ArimaFit:
     """
     Automatic pipeline: differencing selection, tentative orders, then an
     exhaustive minimum-BIC search bounded above by the tentative orders.
-    Failed grid cells are skipped; the best feasible model is returned.
+    Failed grid cells are skipped; the best feasible model is returned,
+    with the count of values interpolated in ``y``.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 3 * s:
@@ -922,6 +917,7 @@ def auto_fit(y: Sequence[float] | np.ndarray, s: int = 12) -> ArimaFit:
     if best is None:
         raise FitError(f"all {len(failures)} candidate models failed",
                        diagnostics={"failures": failures})
+    best.n_interpolated = n_interp
     return best
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__, arima, geo, records, report, syngen
 from .intervention import EVENT_KINDS, its_batch
 from .records import TransactionTable
-from .series import (MonthKey, RecordTable, aggregate_monthly, pre_post_table,
-                     summarize_classes)
+from .series import (DEFAULT_POLICY_MONTH, MonthKey, RecordTable,
+                     aggregate_monthly, pre_post_table, summarize_classes)
 from .stats import mean_ci, one_way_anova, t_test_greater
 
 CLASSIFIED_EXTRA = ("d_pp", "d_pd", "d_rd", "pi_total", "class_code", "risk_level")
@@ -226,13 +226,10 @@ def _check_classified_row(row: dict[str, str]) -> None:
         raise ValueError("invalid risk_level")
 
 
-def _monthly_groups(table: RecordTable, family: str) -> dict[str, list[float]]:
-    """Per-class lists of monthly means (months with records only)."""
-    groups: dict[str, list[float]] = {}
-    for s in aggregate_monthly(table, group_by="class", family=family):
-        vals = [p.mean_mme_day for p in s.points if p.n_records > 0]
-        groups[s.class_code] = vals
-    return groups
+def _monthly_groups(table: RecordTable, family: str) -> dict[str, np.ndarray]:
+    """Per-class monthly means (months with records only)."""
+    return {s.class_code: s.observed()
+            for s in aggregate_monthly(table, group_by="class", family=family)}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -331,15 +328,13 @@ def _cmd_aggregate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {}
     for family in _families(args.family):
-        all_series = aggregate_monthly(table, group_by="class", family=family,
-                                       policy_month=args.policy_month)
-        all_series += aggregate_monthly(table, group_by="overall", family=family,
-                                        policy_month=args.policy_month)
+        all_series = aggregate_monthly(table, group_by="class", family=family)
+        all_series += aggregate_monthly(table, group_by="overall", family=family)
         for s in all_series:
             path = outdir / _series_filename(family, s.class_code)
             _write_series_csv(path, s)
             manifest.outputs.append(str(path))
-            vals = s.values()[s.counts() > 0]
+            vals = s.observed()
             summary[f"{family}/{s.class_code}"] = {
                 "n_months": int(len(s)),
                 "n_records": int(s.counts().sum()),
@@ -562,11 +557,9 @@ def _cmd_its(args) -> int:
     all_series = []
     for family, span in spans.items():
         all_series += aggregate_monthly(table, group_by="overall",
-                                        family=family, span=span,
-                                        policy_month=args.policy_month)
+                                        family=family, span=span)
         all_series += aggregate_monthly(table, group_by="class",
-                                        family=family, span=span,
-                                        policy_month=args.policy_month)
+                                        family=family, span=span)
 
     batch = its_batch(all_series, policy_month=args.policy_month,
                       event_kinds=args.events, alpha=args.alpha,
@@ -674,14 +667,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--outdir", required=True)
     p.add_argument("--family", type=_family_arg, default="both")
-    p.add_argument("--policy-month", type=_month_arg, default=MonthKey(2018, 5))
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("summary-table", help="per-class and pre/post tables")
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--outdir", required=True)
     p.add_argument("--family", type=_family_arg, default="opioid")
-    p.add_argument("--policy-month", type=_month_arg, default=MonthKey(2018, 5))
+    p.add_argument("--policy-month", type=_month_arg, default=DEFAULT_POLICY_MONTH)
     p.set_defaults(func=_cmd_summary_table)
 
     p = sub.add_parser("anova", help="one-way ANOVA across classes")
@@ -714,7 +706,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--outdir", required=True)
     p.add_argument("--family", type=_family_arg, default="both")
-    p.add_argument("--policy-month", type=_month_arg, default=MonthKey(2018, 5))
+    p.add_argument("--policy-month", type=_month_arg, default=DEFAULT_POLICY_MONTH)
     p.add_argument("--events", type=_events_arg, default=",".join(EVENT_KINDS))
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--announce-month", type=_month_arg, default=None,

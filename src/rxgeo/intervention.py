@@ -17,10 +17,11 @@ import numpy as np
 
 from . import arima
 from .arima import (ArimaFit, ArimaOrders, Coefficient, FitError, Forecast,
-                    _css_finish, _css_objective, _pack, difference)
+                    _css_finish, _css_objective, _filled_differences, _pack,
+                    difference)
 from .arima import significance_stars  # noqa: F401 - public name of this module
 from ._optimize import nelder_mead
-from .series import ClassSeries, MonthKey, split_pre_post
+from .series import DEFAULT_POLICY_MONTH, ClassSeries, MonthKey, split_pre_post
 
 EVENT_KINDS = ("level_shift", "ramp", "inverse_trend")
 
@@ -129,15 +130,14 @@ def fit_arimax(
     and the result is an ``ArimaFit`` whose coefficients list the events
     right after the constant.
     """
-    y, n_interp = arima.fill_missing(y)
+    o = orders
+    y, n_interp, z = _filled_differences(y, o)
     names = [e.label for e in events]
     if len(set(names)) != len(names):
         raise CollinearityError(f"duplicate event names: {names}")
     levels = [event_regressor(e.kind, e.onset_index(start_month), y.size)
               for e in events]
 
-    o = orders
-    z = difference(y, o.d, o.D, o.s)
     x = np.zeros((z.size, len(levels)))
     for j, level in enumerate(levels):
         x[:, j] = difference(level, o.d, o.D, o.s)
@@ -186,7 +186,7 @@ class ItsResult:
 
 def its_analysis(
     series: ClassSeries,
-    policy_month: MonthKey | None = None,
+    policy_month: MonthKey = DEFAULT_POLICY_MONTH,
     event_kinds: Sequence[str] = EVENT_KINDS,
     alpha: float = 0.05,
     announce_month: MonthKey | None = None,
@@ -206,8 +206,6 @@ def its_analysis(
        reduces to plain ``alpha``.  The no-event base model of the full
        series is attempted once and, if it succeeds, seeds every refit.
     """
-    if policy_month is None:
-        policy_month = series.policy_month
     pre, post = split_pre_post(series, policy_month)
     if len(pre) < MIN_PRE_MONTHS:
         raise ValueError(f"need >= {MIN_PRE_MONTHS} pre-policy months, got {len(pre)}")
@@ -234,13 +232,13 @@ def its_analysis(
         events += [EventInput(kind, announce_month, name=f"{kind}@announce")
                    for kind in event_kinds]
 
-    y_full, _ = arima.fill_missing(series.values())
+    y = series.values()
     orders = pre_fit.orders
     dropped: list[str] = []
     current = list(events)
     keep_level = alpha / max(len(events), 1)
-    base_fit = _base_fit(y_full, orders)
-    arimax_fit = fit_arimax(y_full, orders, current, start_month=start_month,
+    base_fit = _base_fit(y, orders)
+    arimax_fit = fit_arimax(y, orders, current, start_month=start_month,
                             base_fit=base_fit)
     while current:
         evs = arimax_fit.event_coefficients()
@@ -251,7 +249,7 @@ def its_analysis(
             break
         dropped.append(weakest.name)
         current = [e for e in current if e.label != weakest.name]
-        arimax_fit = fit_arimax(y_full, orders, current, start_month=start_month,
+        arimax_fit = fit_arimax(y, orders, current, start_month=start_month,
                                 base_fit=base_fit)
 
     return ItsResult(drug_family=series.drug_family, class_code=series.class_code,
@@ -271,7 +269,7 @@ def _series_sort_key(s: ClassSeries) -> tuple:
 
 def its_batch(
     all_series: Sequence[ClassSeries],
-    policy_month: MonthKey | None = None,
+    policy_month: MonthKey = DEFAULT_POLICY_MONTH,
     event_kinds: Sequence[str] = EVENT_KINDS,
     alpha: float = 0.05,
     announce_month: MonthKey | None = None,

@@ -139,18 +139,15 @@ TABLE_HEADER = ["Class", "Model", "Coefficient", "Estimate", "Standard Error",
                 "P value", "Significance Level"]
 
 
-def arimax_table_rows(results: Iterable[ItsResult], alpha: float = 0.05,
-                      include_all: bool = False) -> list[list[str]]:
+def arimax_table_rows(results: Iterable[ItsResult],
+                      alpha: float = 0.05) -> list[list[str]]:
     """
-    Coefficient rows for the final per-series ARIMAX models.
-
-    By default only series with at least one significant event input are
-    listed (the report shape); ``include_all`` keeps every analyzed series.
+    Coefficient rows for the final per-series ARIMAX models, listing only
+    the series with at least one significant event input (the report shape).
     """
     rows: list[list[str]] = []
     for res in results:
-        sig = res.significant_events(alpha)
-        if not sig and not include_all:
+        if not res.significant_events(alpha):
             continue
         label = "Overall" if res.class_code == "overall" else res.class_code
         model = res.arimax.orders.label()

@@ -71,16 +71,16 @@ class ClassSeries:
     drug_family: str
     class_code: str  # two-digit code or "overall"
     points: list[SeriesPoint] = field(default_factory=list)
-    policy_month: MonthKey = DEFAULT_POLICY_MONTH
-
-    def months(self) -> list[MonthKey]:
-        return [p.month for p in self.points]
 
     def values(self) -> np.ndarray:
         return np.array([p.mean_mme_day for p in self.points], dtype=float)
 
     def counts(self) -> np.ndarray:
         return np.array([p.n_records for p in self.points], dtype=int)
+
+    def observed(self) -> np.ndarray:
+        """The monthly means of the months with records."""
+        return self.values()[self.counts() > 0]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -132,7 +132,6 @@ def aggregate_monthly(
     group_by: str = "class",
     family: str = "opioid",
     span: tuple[MonthKey, MonthKey] | None = None,
-    policy_month: MonthKey = DEFAULT_POLICY_MONTH,
 ) -> list[ClassSeries]:
     """
     Build monthly mean-MME/day series for ``family``.
@@ -180,7 +179,7 @@ def aggregate_monthly(
         points = [SeriesPoint(MonthKey.from_index(idx),
                               *by_month.get(idx, (math.nan, 0)))
                   for idx in range(lo, hi + 1)]
-        out.append(ClassSeries(family, str(names[key]), points, policy_month))
+        out.append(ClassSeries(family, str(names[key]), points))
     return out
 
 
@@ -191,9 +190,8 @@ def split_pre_post(
     """Partition a series at the policy month (that month starts the post side)."""
     pre_pts = [p for p in series.points if p.month < policy_month]
     post_pts = [p for p in series.points if p.month >= policy_month]
-    pre = ClassSeries(series.drug_family, series.class_code, pre_pts, policy_month)
-    post = ClassSeries(series.drug_family, series.class_code, post_pts, policy_month)
-    return pre, post
+    return (ClassSeries(series.drug_family, series.class_code, pre_pts),
+            ClassSeries(series.drug_family, series.class_code, post_pts))
 
 
 @dataclass(frozen=True)
@@ -229,9 +227,8 @@ def summarize_classes(
     days_all, mme_all = table.days_supply[fam], table.mme_total[fam]
     total_records = int(codes.size)
     total_mme = sum(mme_all.tolist())  # builtin sum in record order
-    monthly_by_code = {
-        s.class_code: np.array([p.mean_mme_day for p in s.points if p.n_records > 0])
-        for s in aggregate_monthly(table, group_by="class", family=family)}
+    monthly_by_code = {s.class_code: s.observed() for s in
+                       aggregate_monthly(table, group_by="class", family=family)}
 
     rows: list[ClassSummaryRow] = []
     for code in ALL_CLASS_CODES:
@@ -280,14 +277,12 @@ def pre_post_table(
     """
     table: dict[str, tuple[MeanCI | None, MeanCI | None]] = {}
     series = {s.class_code: s for s in aggregate_monthly(
-        classified, group_by="class", family=family, policy_month=policy_month)}
+        classified, group_by="class", family=family)}
     for code in ALL_CLASS_CODES:
         s = series.get(code)
         if s is None:
             table[code] = (None, None)
             continue
         pre, post = split_pre_post(s, policy_month)
-        pre_vals = pre.values()[pre.counts() > 0]
-        post_vals = post.values()[post.counts() > 0]
-        table[code] = (_window_cell(pre_vals), _window_cell(post_vals))
+        table[code] = (_window_cell(pre.observed()), _window_cell(post.observed()))
     return table

@@ -8,7 +8,7 @@ import pytest
 from rxgeo import arima
 from rxgeo.arima import (ArimaOrders, ArimaParams, adf_test,
                          auto_fit, css_objective, difference, fill_missing,
-                         fit, forecast, ljung_box, minic_bic_table,
+                         fit, forecast, ljung_box,
                          select_differencing, simulate,
                          simulate_forecast_paths, tentative_orders)
 
@@ -427,7 +427,7 @@ def test_tentative_orders_ar1_finds_p():
     for seed in range(20):
         y = simulate(AR1, ar1_params(0.7), 300, seed=700 + seed)
         t = tentative_orders(y)
-        table = minic_bic_table(y)
+        table = arima._bic_grid(*arima._long_ar(y), arima._GRID_MAX, arima._GRID_MAX)
         hits += (t.p >= 1 and table[1, 0] < table[0, 0])
     assert hits >= 18
 
@@ -436,7 +436,7 @@ def test_minic_bic_matches_independent_regression():
     # recompute one BIC cell with a hand-rolled long-AR + least squares
     y = simulate(AR1, ar1_params(0.7), 240, seed=46)
     p_max = q_max = 3
-    table = minic_bic_table(y, p_max=p_max, q_max=q_max)
+    table = arima._bic_grid(*arima._long_ar(y), p_max, q_max)
 
     v = y - y.mean()
     n = v.size
@@ -502,6 +502,16 @@ def test_fit_interpolates_missing():
     y[40] = np.nan
     f = fit(y, AR1)
     assert f.n_interpolated == 1
+
+
+def test_auto_fit_reports_interpolated_count():
+    # auto_fit fills the gaps once, before its grid of fits; the returned
+    # fit must still carry that count, not the 0 of its filled input
+    y = simulate(AR1, ar1_params(0.5), 60, seed=51)
+    y[[10, 25, 40]] = np.nan
+    f = auto_fit(y)
+    assert f.n_interpolated == 3
+    assert np.all(np.isfinite(f.y))
 
 
 def test_fit_length_guard():

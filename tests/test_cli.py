@@ -78,6 +78,21 @@ def test_aggregate_and_fit(pipeline):
                for c in fit["coefficients"])
 
 
+def test_fit_auto_writes_interpolated_count(tmp_path):
+    # a 60-month series with 3 empty interior months: the automatic fit
+    # interpolates them once and must report that in the fit JSON
+    series = tmp_path / "series.csv"
+    rows = ["month_index,year,month,mean_mme_day,n_records"]
+    for i in range(60):
+        empty = i in (10, 25, 40)
+        mean = "" if empty else repr(50.0 + 3.0 * ((i * 7) % 5) - 0.1 * i)
+        rows.append(f"{i},{2014 + i // 12},{i % 12 + 1},{mean},{0 if empty else 9}")
+    series.write_text("\n".join(rows) + "\n")
+    assert run("fit", "--input", series, "--orders", "auto",
+               "--out", tmp_path / "fit.json") == 0
+    assert json.loads((tmp_path / "fit.json").read_text())["n_interpolated"] == 3
+
+
 def test_summary_and_stats_commands(pipeline):
     results = pipeline / "results"
     assert run("summary-table", "--input", pipeline / "classified.csv",
@@ -96,7 +111,7 @@ def test_summary_and_stats_commands(pipeline):
 
 
 def test_usage_errors_exit_1(capsys, tmp_path):
-    assert run("aggregate", "--input", "x.csv", "--outdir", tmp_path,
+    assert run("summary-table", "--input", "x.csv", "--outdir", tmp_path,
                "--policy-month", "May 2018") == 1
     err = capsys.readouterr().err
     assert "--policy-month" in err

@@ -16,13 +16,12 @@ from rxgeo.series import ClassSeries, MonthKey, SeriesPoint
 
 
 def make_series(values, family="opioid", code="overall",
-                start=MonthKey(2014, 1), policy=MonthKey(2018, 5),
-                counts=None):
+                start=MonthKey(2014, 1), counts=None):
     pts = []
     for i, v in enumerate(values):
         n = 100 if counts is None else counts[i]
         pts.append(SeriesPoint(MonthKey.from_index(start.index + i), float(v), n))
-    return ClassSeries(family, code, pts, policy)
+    return ClassSeries(family, code, pts)
 
 
 # --- event_regressor -----------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from rxgeo.geo import classify_records
 from rxgeo.records import GeoPoint, PrescriptionRecord, TransactionTable, mme_per_day
-from rxgeo.series import (MonthKey, aggregate_monthly, pre_post_table,
-                          split_pre_post, summarize_classes)
+from rxgeo.series import (ClassSeries, MonthKey, SeriesPoint, aggregate_monthly,
+                          pre_post_table, split_pre_post, summarize_classes)
 from rxgeo.stats import MeanCI
 
 P = GeoPoint(34.0, -81.0)
@@ -136,6 +136,23 @@ def test_split_pre_post_boundary_and_identity():
     assert [str(p.month) for p in pre.points] == ["2018-04"]
     assert [str(p.month) for p in post.points] == ["2018-05", "2018-06"]
     assert pre.points + post.points == s.points
+
+
+def test_observed_keeps_the_months_with_records():
+    # the expression each caller used to write inline
+    def inline(s):
+        return np.array([p.mean_mme_day for p in s.points if p.n_records > 0])
+
+    records = [rec(2018, 1, 5, 10), rec(2018, 1, 9, 30), rec(2018, 3, 5, 7)]
+    (s,) = aggregate_monthly(TransactionTable.from_records(records), group_by="overall")
+    empty = ClassSeries("opioid", "00", [SeriesPoint(MonthKey(2018, m), math.nan, 0)
+                                         for m in (1, 2)])
+    for series in (s, empty, ClassSeries("opioid", "00")):
+        got, want = series.observed(), inline(series)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert s.observed().tolist() == [20.0, 7.0]
+    assert empty.observed().size == 0
 
 
 def test_split_empty_side_permitted():

@@ -11,9 +11,8 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from rxgeo._special import (betainc, chi2_sf, f_sf, gammainc_lower,
-                            gammainc_upper, normal_cdf, normal_ppf,
-                            normal_ppf_vec, normal_sf, t_cdf, t_ppf, t_sf)
+from rxgeo._special import (betainc, chi2_sf, f_sf, gammainc_upper, normal_cdf,
+                            normal_ppf, normal_ppf_vec, normal_sf, t_cdf, t_ppf, t_sf)
 
 # Hand-derivable reference values (exact closed forms):
 #  - t with 1 df is Cauchy: P(T > 1) = 1/2 - arctan(1)/pi = 1/4
@@ -82,7 +81,6 @@ def test_gammainc_against_scipy():
     for _ in range(200):
         a = rng.uniform(0.1, 60)
         x = rng.uniform(0, 100)
-        assert abs(gammainc_lower(a, x) - scipy.special.gammainc(a, x)) < 1e-12
         assert abs(gammainc_upper(a, x) - scipy.special.gammaincc(a, x)) < 1e-12
 
 
