@@ -20,12 +20,10 @@ import numpy as np
 
 from . import __version__, arima, geo, records, report, syngen
 from .intervention import EVENT_KINDS, its_batch
-from .records import TransactionTable
-from .series import (DEFAULT_POLICY_MONTH, MonthKey, RecordTable,
-                     aggregate_monthly, pre_post_table, summarize_classes)
+from .series import (DEFAULT_POLICY_MONTH, MonthKey, RecordTable, aggregate_monthly,
+                     pre_post_table, read_classified_csv, read_series_csv,
+                     summarize_classes, write_classified_csv, write_series_csv)
 from .stats import mean_ci, one_way_anova, t_test_greater
-
-CLASSIFIED_EXTRA = ("d_pp", "d_pd", "d_rd", "pi_total", "class_code", "risk_level")
 
 
 class UsageError(Exception):
@@ -55,13 +53,6 @@ def _date_arg(text: str) -> date:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected YYYY-MM-DD, got {text!r}") from None
-
-
-def _family_arg(text: str) -> str:
-    if text not in (*records.FAMILIES, "both"):
-        raise argparse.ArgumentTypeError(
-            f"expected one of {records.FAMILIES + ('both',)}, got {text!r}")
-    return text
 
 
 def _events_arg(text: str) -> list[str]:
@@ -127,103 +118,14 @@ def _track_input(manifest: RunManifest, path: Path) -> None:
 
 # --- shared I/O --------------------------------------------------------------
 
-def _parse_transactions(path: Path, manifest: RunManifest
-                        ) -> tuple[TransactionTable, list[records.RowError]]:
+def _read_input(path: Path, manifest: RunManifest, read):
+    """``read`` on the open input; a ReadError becomes a DataError naming it."""
     _track_input(manifest, path)
     with open(path, newline="") as fh:
         try:
-            return records.parse_csv(fh)
-        except records.SchemaError as exc:
-            raise DataError(str(exc)) from exc
-
-
-def _write_classified_csv(path: Path, c: geo.ClassifiedTable) -> None:
-    records.write_csv(c.records, path, extra=zip(CLASSIFIED_EXTRA, (
-        c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)))
-
-
-_CODES = frozenset(geo.ALL_CLASS_CODES)
-
-
-def _read_classified_csv(path: Path, manifest: RunManifest) -> RecordTable:
-    """The columns of a classified CSV that the reader stages use.
-
-    Rows are checked a chunk at a time, column by column.  A chunk with a bad
-    row goes through the row check, so the error names the first bad row.
-    """
-    _track_input(manifest, path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        need = set(records.CSV_COLUMNS) | set(CLASSIFIED_EXTRA)
-        if not need <= set(header):
-            raise DataError(f"{path}: not a classified CSV "
-                            f"(missing columns {sorted(need - set(header))})")
-        twice = records.duplicate_names(header)
-        if twice:
-            raise DataError(f"{path}: duplicate columns {twice}")
-        parts = [_classified_columns(path, header, rows, lines)
-                 for rows, lines in records.row_chunks(reader, records.CHUNK_ROWS)]
-    if not parts:
-        return RecordTable.from_table(TransactionTable.from_records([]))
-    family, month, mme_total, days_supply, code = (
-        np.concatenate(col) for col in zip(*parts))
-    return RecordTable(family, month, mme_total, days_supply, code,
-                       mme_total / days_supply)
-
-
-def _classified_columns(path: Path, header: list[str], rows: list[list[str]],
-                        lines: list[int]) -> tuple[np.ndarray, ...]:
-    """Check one chunk of rows; return its family, month index, mme_total,
-    days_supply and class_code columns."""
-    try:
-        col = records._transpose(header, rows)
-        checked = None if col is None else records._check_chunk(col)
-        if checked is None:  # a row fails a check of the ingest columns
-            raise ValueError
-        dates, floats, days_supply, family = checked
-        if not (min(days_supply) >= 1
-                and all(np.isfinite(np.fromiter(map(float, col[name]), float, len(rows))).all()
-                        for name in ("d_pp", "d_pd", "d_rd", "pi_total"))
-                and set(col["class_code"]) <= _CODES
-                and all(v.isdecimal() and int(v) in geo.RISK_HAZARD_RATIOS
-                        for v in set(col["risk_level"]))):
-            raise ValueError
-    except ValueError:
-        raise _first_row_error(path, header, rows, lines) from None
-    month_of = {text: MonthKey.from_date(d).index for text, d in dates.items()}
-    month_index = np.fromiter(map(month_of.__getitem__, col["fill_date"]), np.int64, len(rows))
-    return (family, month_index, floats[-1], np.array(days_supply, dtype=float),
-            np.array(col["class_code"], dtype=str))
-
-
-def _first_row_error(path: Path, header: list[str], rows: list[list[str]],
-                     lines: list[int]) -> DataError:
-    for row, line in zip(rows, lines):
-        try:
-            if len(row) != len(header):
-                raise ValueError("wrong field count")
-            _check_classified_row(dict(zip(header, row)))
-        except ValueError as exc:
-            return DataError(f"{path}: line {line}: {exc}")
-    raise RuntimeError(f"{path}: the chunk check rejected rows the row check accepts")
-
-
-def _check_classified_row(row: dict[str, str]) -> None:
-    """Check one classified-CSV row; ValueError reasons follow ``records._parse_row``."""
-    rec = records._parse_row({k: row[k] for k in records.CSV_COLUMNS})
-    if rec.days_supply < 1:  # a classified CSV comes after clean()
-        raise ValueError("invalid days_supply")
-    for col in ("d_pp", "d_pd", "d_rd", "pi_total"):
-        try:
-            records._parse_float(row[col], col)
-        except ValueError:
-            raise ValueError(f"invalid {col}") from None
-    if row["class_code"] not in _CODES:
-        raise ValueError("invalid class_code")
-    risk = row["risk_level"]
-    if not (risk.isdecimal() and int(risk) in geo.RISK_HAZARD_RATIOS):
-        raise ValueError("invalid risk_level")
+            return read(fh)
+        except records.ReadError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def _monthly_groups(table: RecordTable, family: str) -> dict[str, np.ndarray]:
@@ -270,7 +172,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ingest(args) -> int:
     manifest = _start_manifest(args, "ingest")
-    table, errors = _parse_transactions(Path(args.input), manifest)
+    table, errors = _read_input(Path(args.input), manifest, records.parse_csv)
     kept, rep = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
                               n_malformed=len(errors))
     out = Path(args.out)
@@ -289,7 +191,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_classify(args) -> int:
     manifest = _start_manifest(args, "classify")
     path = Path(args.input)
-    table, errors = _parse_transactions(path, manifest)
+    table, errors = _read_input(path, manifest, records.parse_csv)
     if errors:
         raise DataError(f"{path}: {len(errors)} malformed rows "
                         f"(first: line {errors[0].line}: {errors[0].reason})")
@@ -301,7 +203,7 @@ def _cmd_classify(args) -> int:
         raise DataError(f"{path}: {exc}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_classified_csv(out, classified)
+    write_classified_csv(out, classified)
     manifest.outputs.append(str(out))
     manifest.write(out.parent)
     print("classify: " + " ".join(f"{k}={v}" for k, v
@@ -313,17 +215,9 @@ def _series_filename(family: str, code: str) -> str:
     return f"series_{family}_{code}.csv"
 
 
-def _write_series_csv(path: Path, s) -> None:
-    rows = [["month_index", "year", "month", "mean_mme_day", "n_records"]]
-    for p in s.points:
-        mean = "" if math.isnan(p.mean_mme_day) else repr(p.mean_mme_day)
-        rows.append([p.month.index, p.month.year, p.month.month, mean, p.n_records])
-    _write_csv_rows(path, rows)
-
-
 def _cmd_aggregate(args) -> int:
     manifest = _start_manifest(args, "aggregate")
-    table = _read_classified_csv(Path(args.input), manifest)
+    table = _read_input(Path(args.input), manifest, read_classified_csv)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {}
@@ -332,7 +226,7 @@ def _cmd_aggregate(args) -> int:
         all_series += aggregate_monthly(table, group_by="overall", family=family)
         for s in all_series:
             path = outdir / _series_filename(family, s.class_code)
-            _write_series_csv(path, s)
+            write_series_csv(path, s)
             manifest.outputs.append(str(path))
             vals = s.observed()
             summary[f"{family}/{s.class_code}"] = {
@@ -349,7 +243,7 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_summary_table(args) -> int:
     manifest = _start_manifest(args, "summary-table")
-    table = _read_classified_csv(Path(args.input), manifest)
+    table = _read_input(Path(args.input), manifest, read_classified_csv)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for family in _families(args.family):
@@ -375,7 +269,7 @@ def _cmd_summary_table(args) -> int:
 
 def _cmd_anova(args) -> int:
     manifest = _start_manifest(args, "anova")
-    table = _read_classified_csv(Path(args.input), manifest)
+    table = _read_input(Path(args.input), manifest, read_classified_csv)
     if args.unit == "monthly":
         groups = [v for v in _monthly_groups(table, args.family).values()
                   if len(v) >= 2]
@@ -403,7 +297,7 @@ def _cmd_anova(args) -> int:
 
 def _cmd_ttest(args) -> int:
     manifest = _start_manifest(args, "ttest")
-    table = _read_classified_csv(Path(args.input), manifest)
+    table = _read_input(Path(args.input), manifest, read_classified_csv)
     if args.unit == "monthly":
         values = _monthly_groups(table, args.family).get(args.class_code, [])
     else:
@@ -440,29 +334,6 @@ def _orders_arg(text: str):
     return nums
 
 
-def _read_series_csv(path: Path, manifest: RunManifest) -> np.ndarray:
-    _track_input(manifest, path)
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames or "mean_mme_day" not in reader.fieldnames:
-            raise DataError(f"{path}: expected an aggregate series CSV "
-                            "(missing mean_mme_day column)")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if None in row or None in row.values():
-                raise DataError(f"{where}: wrong field count")
-            raw = row["mean_mme_day"]
-            try:
-                values.append(records._parse_float(raw, "mean_mme_day")
-                              if raw else math.nan)
-            except ValueError:
-                raise DataError(f"{where}: invalid mean_mme_day") from None
-    if not values:
-        raise DataError(f"{path}: empty series")
-    return np.asarray(values)
-
-
 def _fit_to_payload(f: arima.ArimaFit) -> dict:
     o = f.orders
     return {
@@ -480,7 +351,7 @@ def _fit_to_payload(f: arima.ArimaFit) -> dict:
 
 def _cmd_fit(args) -> int:
     manifest = _start_manifest(args, "fit")
-    y = _read_series_csv(Path(args.input), manifest)
+    y = _read_input(Path(args.input), manifest, read_series_csv)
     if args.impute == "none" and np.any(~np.isfinite(y)):
         raise DataError("series has missing months and --impute none was given")
     try:
@@ -537,7 +408,7 @@ def _cmd_its(args) -> int:
         raise UsageError(f"rxgeo its: --announce-month {args.announce_month} equals "
                          "--policy-month; the two onsets would be collinear")
     manifest = _start_manifest(args, "its")
-    table = _read_classified_csv(Path(args.input), manifest)
+    table = _read_input(Path(args.input), manifest, read_classified_csv)
     spans = {}
     for family in _families(args.family):
         months = table.month_index[table.drug_family == family]
@@ -666,26 +537,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("aggregate", help="build monthly series CSVs")
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--family", type=_family_arg, default="both")
+    p.add_argument("--family", choices=(*records.FAMILIES, "both"), default="both")
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("summary-table", help="per-class and pre/post tables")
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--family", type=_family_arg, default="opioid")
+    p.add_argument("--family", choices=(*records.FAMILIES, "both"), default="opioid")
     p.add_argument("--policy-month", type=_month_arg, default=DEFAULT_POLICY_MONTH)
     p.set_defaults(func=_cmd_summary_table)
 
     p = sub.add_parser("anova", help="one-way ANOVA across classes")
     p.add_argument("--input", required=True, help="classified CSV")
-    p.add_argument("--family", type=_family_arg, default="opioid")
+    p.add_argument("--family", choices=records.FAMILIES, default="opioid")
     p.add_argument("--unit", choices=("monthly", "records"), default="monthly")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_anova)
 
     p = sub.add_parser("ttest", help="one-sided t-test of a class against a threshold")
     p.add_argument("--input", required=True, help="classified CSV")
-    p.add_argument("--family", type=_family_arg, default="opioid")
+    p.add_argument("--family", choices=records.FAMILIES, default="opioid")
     p.add_argument("--class-code", required=True)
     p.add_argument("--mu0", type=float, required=True)
     p.add_argument("--unit", choices=("monthly", "records"), default="monthly")
@@ -705,7 +576,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("its", help="interrupted-time-series analysis per series")
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--family", type=_family_arg, default="both")
+    p.add_argument("--family", choices=(*records.FAMILIES, "both"), default="both")
     p.add_argument("--policy-month", type=_month_arg, default=DEFAULT_POLICY_MONTH)
     p.add_argument("--events", type=_events_arg, default=",".join(EVENT_KINDS))
     p.add_argument("--alpha", type=float, default=0.05)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from datetime import date
 from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -41,6 +41,13 @@ CHUNK_ROWS = 4096
 
 class SchemaError(ValueError):
     """The CSV header does not match the expected column set."""
+
+
+class ReadError(ValueError):
+    """A CSV stream that cannot be read: a byte that does not decode, a field
+    the csv module refuses, or, in a reader that stops at the first error, a
+    header or row that breaks its schema.  The message names the line where
+    there is one, but not the file."""
 
 
 @dataclass(frozen=True)
@@ -199,9 +206,13 @@ def mme_per_day(record: PrescriptionRecord) -> float:
 
 
 def _parse_float(raw: str, col: str) -> float:
-    value = float(raw)
+    """A finite float; ValueError("invalid <col>") otherwise."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"non-finite {col}")
+        raise ValueError(f"invalid {col}")
     return value
 
 
@@ -214,20 +225,10 @@ def _parse_row(row: dict[str, str]) -> PrescriptionRecord:
     except ValueError:
         raise ValueError("invalid fill_date") from None
 
-    coords = {}
-    for col in ("patient_lat", "patient_lon", "prescriber_lat", "prescriber_lon",
-                "dispenser_lat", "dispenser_lon"):
-        try:
-            coords[col] = _parse_float(row[col], col)
-        except ValueError:
-            raise ValueError(f"invalid {col}") from None
-
-    try:
-        mme_total = _parse_float(row["mme_total"], "mme_total")
-        if mme_total < 0:
-            raise ValueError("negative")
-    except ValueError:
-        raise ValueError("invalid mme_total") from None
+    coords = {col: _parse_float(row[col], col) for col in COORDINATE_COLUMNS}
+    mme_total = _parse_float(row["mme_total"], "mme_total")
+    if mme_total < 0:
+        raise ValueError("invalid mme_total")
 
     try:
         days_supply = int(row["days_supply"])
@@ -282,78 +283,100 @@ def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
     the same conversions as :func:`_parse_row`.  A chunk that fails the check
     is parsed row by row, so every bad row is reported with its file line
     number and reason; bad rows never abort the parse.  A wrong header raises
-    :class:`SchemaError`.
+    :class:`SchemaError`, and a stream the csv module cannot read
+    :class:`ReadError`.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    header = _check_header(next(reader, None))
-    errors: list[RowError] = []
-    parts = [_chunk_table(header, rows, lines, errors)
-             for rows, lines in row_chunks(reader, CHUNK_ROWS)]
+    header, chunks = csv_chunks(stream)
+    header = _check_header(header)
+    parts, errors = [], []
+    for rows, lines in chunks:
+        _, table, bad = read_chunk(header, rows, lines)
+        parts.append(table)
+        errors += bad
     return TransactionTable.concat(parts), errors
 
 
-def row_chunks(reader, size: int) -> Iterator[tuple[list[list[str]], list[int]]]:
-    """The rows of a ``csv.reader`` in lists of ``size``, each with the list
-    of their line numbers.  Blank lines are skipped, as csv.DictReader does."""
-    rows: list[list[str]] = []
-    lines: list[int] = []
-    for row in reader:
-        if not row:
-            continue
-        rows.append(row)
-        lines.append(reader.line_num)
-        if len(rows) == size:
+def csv_chunks(stream: TextIO) -> tuple[list[str] | None, Iterator]:
+    """The header row of a CSV stream (None if the stream is empty) and its
+    other rows in lists of ``CHUNK_ROWS``, each with the list of their line
+    numbers.  Blank lines are skipped, as csv.DictReader does.  A byte the
+    stream cannot decode, or a field over ``csv.field_size_limit()``, raises
+    :class:`ReadError` when it is reached."""
+    chunks = _header_then_chunks(csv.reader(stream), CHUNK_ROWS)
+    return next(chunks), chunks
+
+
+def _header_then_chunks(reader, size: int) -> Iterator:
+    try:
+        yield next(reader, None)
+        rows, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == size:
+                yield rows, lines
+                rows, lines = [], []
+        if rows:
             yield rows, lines
-            rows, lines = [], []
-    if rows:
-        yield rows, lines
+    except csv.Error as exc:
+        raise ReadError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ReadError(f"cannot decode byte {exc.object[exc.start]:#04x} "
+                        f"as {exc.encoding}") from None
 
 
-def _chunk_table(header: list[str], rows: list[list[str]], lines: list[int],
-                 errors: list[RowError]) -> TransactionTable:
-    """The records of one chunk; its bad rows are appended to ``errors``."""
-    col = _transpose(header, rows)
-    checked = None if col is None else _check_chunk(col)
+def _passes(check: Callable[[Sequence[str]], bool], values: Sequence[str]) -> bool:
+    try:
+        return check(values)
+    except (ValueError, OverflowError):
+        return False
+
+
+def read_chunk(header: list[str], rows: list[list[str]], lines: list[int],
+               rules: Sequence[tuple[str, Callable[[Sequence[str]], bool]]] = ()
+               ) -> tuple[dict[str, tuple[str, ...]] | None, TransactionTable, list[RowError]]:
+    """Each column's values in a chunk of rows, its records and its bad rows.
+
+    The rows are checked column by column with the conversions of
+    :func:`_parse_row` and each (column, check) pair of ``rules``; a check
+    returns whether all the values it is given are valid.  A chunk that fails
+    is parsed row by row, with no columns: each row gets :func:`_parse_row`,
+    then each rule in turn, which rejects it as ``invalid <column>``.
+    """
+    checked = _check_chunk(header, rows, rules)
     if checked is not None:
-        dates, floats, days_supply, family = checked
-        ordinal = {text: d.toordinal() for text, d in dates.items()}
-        return TransactionTable(
-            list(col["record_id"]),
-            np.fromiter(map(ordinal.__getitem__, col["fill_date"]), np.int64, len(rows)),
-            *floats, _int_column(days_supply), family)
-    good = []
+        return (*checked, [])
+    good, errors = [], []
     for row, line in zip(rows, lines):
         try:
             if len(row) != len(header):
                 raise ValueError("wrong field count")
-            good.append(_parse_row(dict(zip(header, row))))
+            fields = dict(zip(header, row))
+            rec = _parse_row(fields)
+            for name, check in rules:
+                if not _passes(check, (fields[name],)):
+                    raise ValueError(f"invalid {name}")
+            good.append(rec)
         except ValueError as exc:
             errors.append(RowError(line, str(exc)))
-    return TransactionTable.from_records(good)
+    if not errors:
+        raise RuntimeError("the chunk check rejected rows the row check accepts")
+    return None, TransactionTable.from_records(good), errors
 
 
-def _transpose(header: list[str], rows: list[list[str]]) -> dict[str, tuple[str, ...]] | None:
-    """Each column's values in a chunk, or None if a row has the wrong
-    number of fields."""
+def _check_chunk(header, rows, rules) -> tuple[dict, TransactionTable] | None:
     if set(map(len, rows)) != {len(header)}:
         return None
-    return dict(zip(header, zip(*rows)))
-
-
-def _check_chunk(col: dict[str, tuple[str, ...]]
-                 ) -> tuple[dict[str, date], list[np.ndarray], list[int], np.ndarray] | None:
-    """The parsed ingest columns of a chunk, or None if any row fails a check
-    of :func:`_parse_row`: the date of each distinct fill_date text, the
-    coordinate and mme_total columns, the days_supply values and the
-    stripped drug_family column."""
-    n = len(col["record_id"])
+    col = dict(zip(header, zip(*rows)))
     try:
         if not all(map(str.strip, col["record_id"])):
             return None
         dates = {text: date.fromisoformat(text.strip()) for text in set(col["fill_date"])}
-        floats = [np.fromiter(map(float, col[name]), float, n)
+        floats = [np.fromiter(map(float, col[name]), float, len(rows))
                   for name in (*COORDINATE_COLUMNS, "mme_total")]
         days_supply = list(map(int, col["days_supply"]))
         float(max(days_supply))  # MME/day divides by it as a float
@@ -361,10 +384,15 @@ def _check_chunk(col: dict[str, tuple[str, ...]]
         return None
     family = {text: text.strip() for text in set(col["drug_family"])}
     if not (all(np.isfinite(x).all() for x in floats) and (floats[-1] >= 0).all()
-            and min(days_supply) >= 0 and set(family.values()) <= set(FAMILIES)):
+            and min(days_supply) >= 0 and set(family.values()) <= set(FAMILIES)
+            and all(_passes(check, col[name]) for name, check in rules)):
         return None
-    return (dates, floats, days_supply,
-            np.array([family[text] for text in col["drug_family"]], dtype=str))
+    ordinal = {text: d.toordinal() for text, d in dates.items()}
+    return col, TransactionTable(
+        list(col["record_id"]),
+        np.fromiter(map(ordinal.__getitem__, col["fill_date"]), np.int64, len(rows)),
+        *floats, _int_column(days_supply),
+        np.array([family[text] for text in col["drug_family"]], dtype=str))
 
 
 def write_csv(table: TransactionTable, path: str | Path | TextIO,

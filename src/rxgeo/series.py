@@ -1,17 +1,20 @@
 """Monthly aggregation of classified records into MME/day series and the
-per-class summary tables."""
+per-class summary tables, and the classified and series CSV files."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from typing import NamedTuple
+from pathlib import Path
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .geo import ALL_CLASS_CODES, ClassifiedTable
-from .records import TransactionTable
+from .geo import ALL_CLASS_CODES, RISK_HAZARD_RATIOS, ClassifiedTable
+from .records import (CSV_COLUMNS, ReadError, TransactionTable, csv_chunks,
+                      duplicate_names, read_chunk, write_csv)
 from .stats import MeanCI, mean_ci
 
 INDEX_BASE_YEAR = 2014
@@ -114,11 +117,15 @@ class RecordTable:
         else:
             codes = np.full(len(table), "")
         mme_day = table.mme_per_day()
-        days = table.fill_date.tolist()
-        month_of = {d: MonthKey.from_date(date.fromordinal(d)).index for d in set(days)}
-        month_index = np.fromiter(map(month_of.__getitem__, days), np.int64, len(days))
-        return cls(table.drug_family, month_index, table.mme_total,
+        return cls(table.drug_family, _month_index(table.fill_date), table.mme_total,
                    table.days_supply.astype(float), codes, mme_day)
+
+
+def _month_index(fill_date: np.ndarray) -> np.ndarray:
+    """The month index of each day ordinal; numpy's datetime64 calendar is the
+    proleptic Gregorian calendar of ``datetime.date``."""
+    days = (fill_date - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+    return days.astype("datetime64[M]").astype(np.int64) - (INDEX_BASE_YEAR - 1970) * 12
 
 
 def _as_table(records) -> RecordTable:
@@ -286,3 +293,92 @@ def pre_post_table(
         pre, post = split_pre_post(s, policy_month)
         table[code] = (_window_cell(pre.observed()), _window_cell(post.observed()))
     return table
+
+
+# --- CSV files -------------------------------------------------------------------
+
+# The columns a classified CSV has after the ingest columns.
+CLASSIFIED_EXTRA = ("d_pp", "d_pd", "d_rd", "pi_total", "class_code", "risk_level")
+
+
+def _finite(values) -> bool:
+    return bool(np.isfinite(np.fromiter(map(float, values), float, len(values))).all())
+
+
+# The checks of a classified row beyond the ingest ones, in reporting order.
+# It comes after clean(), so days_supply >= 1; risk_level names a tier.
+CLASSIFIED_RULES = (
+    ("days_supply", lambda values: min(map(int, values)) >= 1),
+    *((name, _finite) for name in CLASSIFIED_EXTRA[:4]),
+    ("class_code", lambda values: set(values) <= set(ALL_CLASS_CODES)),
+    ("risk_level", lambda values: all(v.isdecimal() and int(v) in RISK_HAZARD_RATIOS
+                                      for v in set(values))),
+)
+
+
+def write_classified_csv(path: str | Path | TextIO, c: ClassifiedTable) -> None:
+    """The ingest columns of the records, then ``CLASSIFIED_EXTRA``."""
+    write_csv(c.records, path, extra=zip(CLASSIFIED_EXTRA, (
+        c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)))
+
+
+def read_classified_csv(stream: TextIO) -> RecordTable:
+    """The columns of a classified CSV that the reader stages use.
+
+    Rows are checked a chunk at a time with the ingest checks and
+    ``CLASSIFIED_RULES``; :class:`ReadError` names a missing or doubled
+    column, or the first bad row as ``line N: reason``.
+    """
+    header, chunks = csv_chunks(stream)
+    missing = (set(CSV_COLUMNS) | set(CLASSIFIED_EXTRA)) - set(header or ())
+    if missing:
+        raise ReadError(f"not a classified CSV (missing columns {sorted(missing)})")
+    twice = duplicate_names(header)
+    if twice:
+        raise ReadError(f"duplicate columns {twice}")
+    # family, fill_date, mme_total, days_supply and class_code of each chunk
+    parts = [(np.empty(0, str), np.empty(0, np.int64), np.empty(0), np.empty(0),
+              np.empty(0, str))]
+    for rows, lines in chunks:
+        col, table, errors = read_chunk(header, rows, lines, CLASSIFIED_RULES)
+        if errors:
+            raise ReadError(f"line {errors[0].line}: {errors[0].reason}")
+        parts.append((table.drug_family, table.fill_date, table.mme_total,
+                      table.days_supply.astype(float), np.array(col["class_code"], dtype=str)))
+    family, fill_date, mme_total, days_supply, code = (
+        np.concatenate(column) for column in zip(*parts))
+    return RecordTable(family, _month_index(fill_date), mme_total, days_supply, code,
+                       mme_total / days_supply)
+
+
+def write_series_csv(path: str | Path, s: ClassSeries) -> None:
+    """One row per month; an empty ``mean_mme_day`` marks a month without records."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([
+            ("month_index", "year", "month", "mean_mme_day", "n_records"),
+            *([p.month.index, p.month.year, p.month.month,
+               "" if math.isnan(p.mean_mme_day) else repr(p.mean_mme_day), p.n_records]
+              for p in s.points)])
+
+
+def read_series_csv(stream: TextIO) -> np.ndarray:
+    """The ``mean_mme_day`` column of a series CSV, NaN where it is empty;
+    :class:`ReadError` names the first bad row."""
+    header, chunks = csv_chunks(stream)
+    if not header or "mean_mme_day" not in header:
+        raise ReadError("expected an aggregate series CSV (missing mean_mme_day column)")
+    values = []
+    for rows, lines in chunks:
+        for row, line in zip(rows, lines):
+            if len(row) != len(header):
+                raise ReadError(f"line {line}: wrong field count")
+            raw = dict(zip(header, row))["mean_mme_day"]  # the last copy, as csv.DictReader
+            try:
+                if raw and not _finite((raw,)):
+                    raise ValueError(raw)
+            except ValueError:
+                raise ReadError(f"line {line}: invalid mean_mme_day") from None
+            values.append(float(raw) if raw else math.nan)
+    if not values:
+        raise ReadError("empty series")
+    return np.asarray(values)

@@ -36,7 +36,7 @@ def _rows(classified):
 
 
 def _read(path):
-    return cli._read_classified_csv(path, cli.RunManifest("test", []))
+    return cli._read_input(path, cli.RunManifest("test", []), series.read_classified_csv)
 
 
 # --- reader vs. a per-row oracle ----------------------------------------------
@@ -69,7 +69,7 @@ def _oracle(text):
     return None
 
 
-COLUMNS = records.CSV_COLUMNS + cli.CLASSIFIED_EXTRA
+COLUMNS = records.CSV_COLUMNS + series.CLASSIFIED_EXTRA
 POOL = ["", " ", "nan", "inf", "1e400", "-1", "0", "1_0", " 5 ", "+5", "abc",
         "9z", "01", "١", "²", "2018-02-30", "2018-02-03", " 2016-07-01 ", "-0.0",
         "1.5", "3", "23", " opioid", "benzodiazepine", "Opioid"]
@@ -79,7 +79,7 @@ POOL = ["", " ", "nan", "inf", "1e400", "-1", "0", "1_0", " 5 ", "+5", "abc",
 def base_rows(tmp_path_factory):
     """Header plus eight valid rows of a classified CSV."""
     path = tmp_path_factory.mktemp("base") / "classified.csv"
-    cli._write_classified_csv(path, _classified(60, 5))
+    series.write_classified_csv(path, _classified(60, 5))
     with open(path, newline="") as fh:
         return list(csv.reader(fh))[:9]
 
@@ -155,6 +155,21 @@ def test_reader_rejects_days_supply_beyond_float(tmp_path, base_rows):
         _read(path)
 
 
+def test_library_reader_reads_a_stream(base_rows):
+    """The reader on an in-memory stream, with no file or manifest."""
+    table = series.read_classified_csv(io.StringIO(_csv_text(base_rows[:1]), newline=""))
+    # the same columns and dtypes as the table of no records
+    no_records = records.TransactionTable.from_records([])
+    assert repr(table) == repr(RecordTable.from_table(no_records))
+    rows = [list(r) for r in base_rows]
+    rows[6][COLUMNS.index("class_code")] = "9z"  # line 7, in the second chunk of 3 rows
+    with mock.patch.object(records, "CHUNK_ROWS", 3):
+        with pytest.raises(records.ReadError, match=r"^line 7: invalid class_code$"):
+            series.read_classified_csv(io.StringIO(_csv_text(rows), newline=""))
+        assert len(series.read_classified_csv(io.StringIO(_csv_text(base_rows),
+                                                          newline=""))) == 8
+
+
 # --- classified table vs. table read back from its CSV ---------------------------
 
 def _bucket_loop(classified, group_by, family, span=None):
@@ -187,7 +202,7 @@ def classified_pair(tmp_path_factory):
     """A classified table of shuffled records, and the path of its CSV."""
     classified = _classified(900, 11)
     path = tmp_path_factory.mktemp("table") / "classified.csv"
-    cli._write_classified_csv(path, classified)
+    series.write_classified_csv(path, classified)
     return classified, path
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +240,66 @@ def test_malformed_series_row_exits_2(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert f"{path}: line {line}: {reason}" in err
+
+
+# Each stage that reads a CSV: the file it reads (from the pipeline, or
+# "series" for an aggregate series CSV), the column spoiled in its first data
+# row, and the stage's other arguments; a Path is an output under "out".
+_READERS = [
+    ("ingest", "data.csv", "record_id",
+     ["--out", Path("o.csv"), "--report", Path("r.json")]),
+    ("classify", "clean.csv", "record_id", ["--out", Path("k.csv")]),
+    ("aggregate", "classified.csv", "record_id", ["--outdir", Path("s")]),
+    ("summary-table", "classified.csv", "record_id", ["--outdir", Path("t")]),
+    ("anova", "classified.csv", "record_id", ["--out", Path("a.json")]),
+    ("ttest", "classified.csv", "record_id",
+     ["--class-code", "03", "--mu0", "50", "--out", Path("t.json")]),
+    ("its", "classified.csv", "record_id", ["--outdir", Path("its")]),
+    ("fit", "series", "mean_mme_day", ["--out", Path("fit.json")]),
+]
+
+
+@pytest.mark.parametrize("spoil", ["long field", "undecodable byte"])
+@pytest.mark.parametrize("command,src,column,argv", _READERS)
+def test_unreadable_csv_exits_2(pipeline, tmp_path, capsys, command, src, column,
+                                argv, spoil):
+    # A 200,000-character field (over the csv module's 131,072 limit) or a
+    # byte that is not UTF-8 used to end every reader in a traceback.
+    if src == "series":
+        assert run("aggregate", "--input", pipeline / "classified.csv",
+                   "--outdir", tmp_path / "series") == 0
+        src = tmp_path / "series" / "series_opioid_overall.csv"
+    else:
+        src = pipeline / src
+    bad = tmp_path / "bad.csv"
+    if spoil == "long field":
+        _rewrite_csv(src, bad, column, "1" * 200_000)
+        expected = f"{bad}: line 2: field larger than field limit"
+    else:
+        header, rest = src.read_bytes().split(b"\n", 1)
+        bad.write_bytes(header + b"\n\xff" + rest)
+        expected = f"{bad}: cannot decode byte 0xff"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--input", bad,
+               *(out / a if isinstance(a, Path) else a for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("anova", []), ("ttest", ["--class-code", "03", "--mu0", "50"])])
+def test_anova_and_ttest_reject_family_both(tmp_path, capsys, command, argv):
+    # --family both used to be accepted and then exit 2 on a valid file with
+    # "fewer than 2 classes have enough data for ANOVA" or "class 03 has
+    # fewer than 2 monthly values".  --input does not exist: the check comes
+    # before any input is read.
+    assert run(command, "--input", tmp_path / "absent.csv", "--family", "both",
+               "--out", tmp_path / "out" / "x.json", *argv) == 1
+    err = capsys.readouterr().err
+    assert "--family" in err and "'both'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("alpha", ["7", "0", "1", "-0.5", "nan"])

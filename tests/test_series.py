@@ -4,6 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from rxgeo import series
 from rxgeo.geo import classify_records
 from rxgeo.records import GeoPoint, PrescriptionRecord, TransactionTable, mme_per_day
 from rxgeo.series import (ClassSeries, MonthKey, SeriesPoint, aggregate_monthly,
@@ -40,6 +41,18 @@ def test_month_key_parse_and_order():
         MonthKey(2018, 13)
     with pytest.raises(ValueError):
         MonthKey.parse("201805")
+
+
+def test_month_index_of_day_ordinals_matches_month_key():
+    """The numpy calendar step against the per-date MonthKey mapping, over
+    every year a date can have."""
+    rng = np.random.default_rng(0)
+    last = date.max.toordinal()
+    days = np.concatenate([rng.integers(1, last + 1, 20_000), [1, last],
+                           np.arange(date(2013, 12, 1).toordinal(),
+                                     date(2014, 2, 1).toordinal())])
+    expected = [MonthKey.from_date(date.fromordinal(d)).index for d in days.tolist()]
+    assert series._month_index(days).tolist() == expected
 
 
 # --- aggregate_monthly ------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxgeo import cli, geo, records, syngen
+from rxgeo import cli, geo, records, series, syngen
 from rxgeo.records import CSV_COLUMNS, FilterReport, mme_per_day
 
 
@@ -156,7 +156,7 @@ def _reference_write_classified(recs, path, thresholds=geo.ClassThresholds()):
     """The per-record classified writer, on the scalar classification path."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS + cli.CLASSIFIED_EXTRA)
+        writer.writerow(CSV_COLUMNS + series.CLASSIFIED_EXTRA)
         for r in recs:
             g = geo.geometry(r)
             writer.writerow([
