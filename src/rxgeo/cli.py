@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -39,20 +39,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _month_arg(text: str) -> MonthKey:
-    try:
-        return MonthKey.parse(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected YYYY-MM, got {text!r}") from None
-
-
-def _date_arg(text: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected YYYY-MM-DD, got {text!r}") from None
+def _typed(parse, form: str, low: int | None = None, what: str = ""):
+    """An argparse type: the ``parse`` of a flag's text, and at least ``low``
+    if that is given; a usage error naming ``form`` or ``what`` otherwise."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
+        return value
+    return convert
 
 
 def _events_arg(text: str) -> list[str]:
@@ -61,16 +59,6 @@ def _events_arg(text: str) -> list[str]:
         raise argparse.ArgumentTypeError(
             f"expected distinct comma-separated kinds from {EVENT_KINDS}, got {text!r}")
     return kinds
-
-
-def _season_arg(text: str) -> int:
-    try:
-        season = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if season < 2:
-        raise argparse.ArgumentTypeError(f"season length must be at least 2, got {season}")
-    return season
 
 
 def _families(arg: str) -> tuple[str, ...]:
@@ -118,6 +106,14 @@ def _track_input(manifest: RunManifest, path: Path) -> None:
 
 # --- shared I/O --------------------------------------------------------------
 
+def _read_text(path: Path) -> str:
+    """The text of a file; a byte that does not decode is a DataError."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {records.ReadError.undecodable(exc)}") from None
+
+
 def _read_input(path: Path, manifest: RunManifest, read):
     """``read`` on the open input; a ReadError becomes a DataError naming it."""
     _track_input(manifest, path)
@@ -134,13 +130,21 @@ def _monthly_groups(table: RecordTable, family: str) -> dict[str, np.ndarray]:
             for s in aggregate_monthly(table, group_by="class", family=family)}
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+# Each writes one stage output and lists it in the manifest.
+
+def _write_text(manifest: RunManifest, path: Path, text: str) -> None:
+    path.write_text(text)
+    manifest.outputs.append(str(path))
 
 
-def _write_csv_rows(path: Path, rows) -> None:
+def _write_json(manifest: RunManifest, path: Path, payload) -> None:
+    _write_text(manifest, path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv_rows(manifest: RunManifest, path: Path, rows) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
+    manifest.outputs.append(str(path))
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -151,7 +155,7 @@ def _cmd_simulate(args) -> int:
         cfg_path = Path(args.config)
         _track_input(manifest, cfg_path)
         try:
-            cfg = syngen.config_from_dict(json.loads(cfg_path.read_text()))
+            cfg = syngen.config_from_dict(json.loads(_read_text(cfg_path)))
         except (KeyError, ValueError) as exc:
             raise DataError(f"bad scenario config {cfg_path}: {exc}") from exc
     else:
@@ -162,9 +166,7 @@ def _cmd_simulate(args) -> int:
     records.write_csv(table, out)
     manifest.outputs.append(str(out))
     if args.dump_config:
-        dump = Path(args.dump_config)
-        _write_json(dump, syngen.config_to_dict(cfg))
-        manifest.outputs.append(str(dump))
+        _write_json(manifest, Path(args.dump_config), syngen.config_to_dict(cfg))
     manifest.write(out.parent)
     print(f"simulate: wrote {len(table)} records to {out}")
     return 0
@@ -178,10 +180,10 @@ def _cmd_ingest(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     records.write_csv(kept, out)
+    manifest.outputs.append(str(out))
     payload = rep.to_dict()
     payload["row_errors"] = [{"line": e.line, "reason": e.reason} for e in errors]
-    _write_json(Path(args.report), payload)
-    manifest.outputs += [str(out), args.report]
+    _write_json(manifest, Path(args.report), payload)
     manifest.write(out.parent)
     print(f"ingest: kept {rep.total_kept}/{rep.total_in} records "
           f"({rep.total_excluded} excluded)")
@@ -234,8 +236,7 @@ def _cmd_aggregate(args) -> int:
                 "n_records": int(s.counts().sum()),
                 "mean_mme_day": float(np.mean(vals)) if vals.size else None,
             }
-    _write_json(outdir / "aggregate_summary.json", summary)
-    manifest.outputs.append(str(outdir / "aggregate_summary.json"))
+    _write_json(manifest, outdir / "aggregate_summary.json", summary)
     manifest.write(outdir)
     print(f"aggregate: wrote {len(manifest.outputs) - 1} series files to {outdir}")
     return 0
@@ -248,20 +249,15 @@ def _cmd_summary_table(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for family in _families(args.family):
         rows = summarize_classes(table, family=family)
-        md = report.class_summary_markdown(rows, family)
-        (outdir / f"class_summary_{family}.md").write_text(md)
-        _write_csv_rows(outdir / f"class_summary_{family}.csv",
+        _write_text(manifest, outdir / f"class_summary_{family}.md",
+                    report.class_summary_markdown(rows, family))
+        _write_csv_rows(manifest, outdir / f"class_summary_{family}.csv",
                         report.class_summary_csv_rows(rows))
-        grid = pre_post_table(table, family=family,
-                              policy_month=args.policy_month)
-        (outdir / f"pre_post_{family}.md").write_text(
-            report.pre_post_markdown(grid, family))
-        _write_csv_rows(outdir / f"pre_post_{family}.csv",
+        grid = pre_post_table(table, family=family, policy_month=args.policy_month)
+        _write_text(manifest, outdir / f"pre_post_{family}.md",
+                    report.pre_post_markdown(grid, family))
+        _write_csv_rows(manifest, outdir / f"pre_post_{family}.csv",
                         report.pre_post_csv_rows(grid))
-        manifest.outputs += [str(outdir / f"class_summary_{family}.md"),
-                             str(outdir / f"class_summary_{family}.csv"),
-                             str(outdir / f"pre_post_{family}.md"),
-                             str(outdir / f"pre_post_{family}.csv")]
     manifest.write(outdir)
     print(f"summary-table: wrote tables to {args.outdir}")
     return 0
@@ -287,8 +283,7 @@ def _cmd_anova(args) -> int:
                "p_value": res.p_value, "n_groups": len(groups), "unit": args.unit}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, payload)
-    manifest.outputs.append(str(out))
+    _write_json(manifest, out, payload)
     manifest.write(out.parent)
     print(f"anova: F = {res.statistic:.4f}, df = ({res.df[0]:.0f}, {res.df[1]:.0f}), "
           f"p = {report.format_p(res.p_value)}")
@@ -312,8 +307,7 @@ def _cmd_ttest(args) -> int:
                "n": ci.n, "unit": args.unit}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, payload)
-    manifest.outputs.append(str(out))
+    _write_json(manifest, out, payload)
     manifest.write(out.parent)
     print(f"ttest: class {args.class_code} vs mu0={args.mu0}: "
           f"t = {res.statistic:.4f}, p = {report.format_p(res.p_value)}")
@@ -358,23 +352,16 @@ def _cmd_fit(args) -> int:
         if args.orders == "auto":
             f = arima.auto_fit(y, s=args.season)
         else:
-            nums = args.orders
-            if len(nums) == 3:
-                orders = arima.ArimaOrders(nums[0], nums[1], nums[2], s=args.season)
-            else:
-                orders = arima.ArimaOrders(*nums, s=args.season)
-            f = arima.fit(y, orders)
+            f = arima.fit(y, arima.ArimaOrders(*args.orders, s=args.season))
     except (arima.FitError, ValueError) as exc:
         raise DataError(f"fit failed: {exc}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, _fit_to_payload(f))
-    manifest.outputs.append(str(out))
+    _write_json(manifest, out, _fit_to_payload(f))
     if args.residuals:
         rows = [["t", "residual"]] + [[i, repr(float(r))]
                                       for i, r in enumerate(f.residuals)]
-        _write_csv_rows(Path(args.residuals), rows)
-        manifest.outputs.append(args.residuals)
+        _write_csv_rows(manifest, Path(args.residuals), rows)
     manifest.write(out.parent)
     print(f"fit: {f.orders.label()} bic={f.bic:.2f} sigma2={f.params.sigma2:.4f}")
     return 0
@@ -438,22 +425,15 @@ def _cmd_its(args) -> int:
     by_key = {(s.drug_family, s.class_code): s for s in all_series}
     payload = {"results": [_its_result_payload(r) for r in batch.results],
                "failures": batch.failures}
-    _write_json(outdir / "its_results.json", payload)
-    manifest.outputs.append(str(outdir / "its_results.json"))
-
-    md = report.arimax_markdown(batch.results, alpha=args.alpha)
-    (outdir / "its_coefficients.md").write_text(md)
-    rows = [report.TABLE_HEADER] + report.arimax_table_rows(batch.results,
-                                                            alpha=args.alpha)
-    _write_csv_rows(outdir / "its_coefficients.csv", rows)
-    manifest.outputs += [str(outdir / "its_coefficients.md"),
-                         str(outdir / "its_coefficients.csv")]
-
+    _write_json(manifest, outdir / "its_results.json", payload)
+    _write_text(manifest, outdir / "its_coefficients.md",
+                report.arimax_markdown(batch.results, alpha=args.alpha))
+    _write_csv_rows(manifest, outdir / "its_coefficients.csv", [report.TABLE_HEADER]
+                    + report.arimax_table_rows(batch.results, alpha=args.alpha))
     for res in batch.results:
         s = by_key[(res.drug_family, res.class_code)]
-        path = outdir / f"plotdata_{res.drug_family}_{res.class_code}.csv"
-        _write_csv_rows(path, report.plot_data_rows(res, s))
-        manifest.outputs.append(str(path))
+        _write_csv_rows(manifest, outdir / f"plotdata_{res.drug_family}_{res.class_code}.csv",
+                        report.plot_data_rows(res, s))
     manifest.write(outdir)
     n_sig = sum(1 for r in batch.results if r.significant_events(args.alpha))
     print(f"its: analyzed {len(batch.results)} series "
@@ -480,7 +460,7 @@ def _cmd_report(args) -> int:
         raise DataError(f"missing stage output: {its_md} (run its first)")
     for path in [*wanted, its_md]:
         _track_input(manifest, path)
-        sections.append(path.read_text())
+        sections.append(_read_text(path))
 
     plots = sorted(results_dir.glob("plotdata_*.csv"))
     if plots:
@@ -492,8 +472,7 @@ def _cmd_report(args) -> int:
         manifest.outputs.append(str(target))
 
     out_md = outdir / "report.md"
-    out_md.write_text("\n".join(sections))
-    manifest.outputs.append(str(out_md))
+    _write_text(manifest, out_md, "\n".join(sections))
     manifest.write(outdir)
     print(f"report: wrote {out_md}")
     return 0
@@ -509,12 +488,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser.add_argument("--config-file", default=None,
                         help="JSON file of per-subcommand flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("simulate", help="generate a synthetic transaction CSV")
     p.add_argument("--config", help="scenario JSON (default: built-in scenario)")
-    p.add_argument("--n", type=int, required=True, help="target record count")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n", type=_typed(int, "an integer", 1, "record count"), required=True,
+                   help="target record count")
+    p.add_argument("--seed", type=_typed(int, "an integer", 0, "seed"), default=42)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-config", help="also write the scenario JSON used")
     p.set_defaults(func=_cmd_simulate)
@@ -524,7 +503,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True, help="cleaned records CSV")
     p.add_argument("--report", required=True, help="filter report JSON")
     p.add_argument("--cap", type=float, default=records.DEFAULT_MME_CAP)
-    p.add_argument("--cutoff-date", type=_date_arg, default=records.DEFAULT_CUTOFF)
+    p.add_argument("--cutoff-date", type=_typed(records.parse_date, "YYYY-MM-DD"),
+                   default=records.DEFAULT_CUTOFF)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("classify", help="append geometry and class codes")
@@ -544,7 +524,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--outdir", required=True)
     p.add_argument("--family", choices=(*records.FAMILIES, "both"), default="opioid")
-    p.add_argument("--policy-month", type=_month_arg, default=DEFAULT_POLICY_MONTH)
+    p.add_argument("--policy-month", type=_typed(MonthKey.parse, "YYYY-MM"),
+                   default=DEFAULT_POLICY_MONTH)
     p.set_defaults(func=_cmd_summary_table)
 
     p = sub.add_parser("anova", help="one-way ANOVA across classes")
@@ -565,7 +546,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("fit", help="fit one series (auto or fixed orders)")
     p.add_argument("--input", required=True, help="series CSV from aggregate")
-    p.add_argument("--season", type=_season_arg, default=12)
+    p.add_argument("--season", type=_typed(int, "an integer", 2, "season length"),
+                   default=12)
     p.add_argument("--orders", type=_orders_arg, default="auto",
                    help="'auto' or p,d,q[,P,D,Q]")
     p.add_argument("--impute", choices=("linear", "none"), default="linear")
@@ -577,10 +559,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--outdir", required=True)
     p.add_argument("--family", choices=(*records.FAMILIES, "both"), default="both")
-    p.add_argument("--policy-month", type=_month_arg, default=DEFAULT_POLICY_MONTH)
+    p.add_argument("--policy-month", type=_typed(MonthKey.parse, "YYYY-MM"),
+                   default=DEFAULT_POLICY_MONTH)
     p.add_argument("--events", type=_events_arg, default=",".join(EVENT_KINDS))
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--announce-month", type=_month_arg, default=None,
+    p.add_argument("--announce-month", type=_typed(MonthKey.parse, "YYYY-MM"), default=None,
                    help="optional second onset for announcement effects")
     p.set_defaults(func=_cmd_its)
 
@@ -606,7 +589,7 @@ def _apply_config_file(argv: list[str], subparsers) -> list[str]:
     path = Path(argv[i + 1])
     argv = argv[:i] + argv[i + 2:]
     try:
-        defaults = json.loads(path.read_text())
+        defaults = json.loads(_read_text(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"bad --config-file {path}: {exc}") from exc
     command = next((a for a in argv if not a.startswith("-")), None)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from datetime import date
 from itertools import chain, compress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -37,6 +38,7 @@ DEFAULT_CUTOFF = date(2014, 1, 1)
 # Rows parsed and written per chunk: whole-file string columns cost more
 # memory than the rows they come from.
 CHUNK_ROWS = 4096
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # the one fill_date form
 
 
 class SchemaError(ValueError):
@@ -48,6 +50,10 @@ class ReadError(ValueError):
     the csv module refuses, or, in a reader that stops at the first error, a
     header or row that breaks its schema.  The message names the line where
     there is one, but not the file."""
+
+    @classmethod
+    def undecodable(cls, exc: UnicodeDecodeError) -> "ReadError":
+        return cls(f"cannot decode byte {exc.object[exc.start]:#04x} as {exc.encoding}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,6 @@ class TransactionTable:
 
     @classmethod
     def concat(cls, parts: Sequence["TransactionTable"]) -> "TransactionTable":
-        if not parts:
-            return cls.from_records([])
         return cls(list(chain.from_iterable(p.record_id for p in parts)),
                    *(np.concatenate(cols) for cols in zip(*(p._arrays() for p in parts))))
 
@@ -205,58 +209,84 @@ def mme_per_day(record: PrescriptionRecord) -> float:
     return record.mme_total / record.days_supply
 
 
-def _parse_float(raw: str, col: str) -> float:
-    """A finite float; ValueError("invalid <col>") otherwise."""
+def parse_date(text: str) -> date:
+    """A date written exactly ``YYYY-MM-DD``, once surrounding whitespace is
+    stripped; ValueError otherwise, on every Python version."""
+    text = text.strip()
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"expected YYYY-MM-DD, got {text!r}")
+    return date.fromisoformat(text)
+
+
+# --- the CSV schemas -------------------------------------------------------------
+
+class Schema(NamedTuple):
+    """The rules of one CSV file type, in reporting order: a row of the wrong
+    length, a blank value in a ``required`` column (``missing <column>``), then
+    each (column, test) of ``checks``.  A test maps a chunk's values of its
+    column to their converted values and a bad-row mask (``invalid <column>``,
+    then the stripped value if the column is ``quoted``); a required column's
+    test rejects a blank value, so only failing rows are searched for one.
+    ``header`` checks the header row and returns the names to read rows by."""
+
+    header: Callable[[list[str] | None], list[str]]
+    required: tuple[str, ...]
+    quoted: tuple[str, ...]
+    checks: tuple[tuple[str, Callable[[Sequence[str]], tuple[Sequence, np.ndarray]]], ...]
+
+
+def _convert(func: Callable[[str], object], values: Sequence, fill, dtype=object) -> np.ndarray:
+    """``func`` of each value, ``fill`` where it raises ValueError or
+    OverflowError; value by value only if one pass over the column raises."""
     try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"invalid {col}")
-    return value
-
-
-def _parse_row(row: dict[str, str]) -> PrescriptionRecord:
-    for col in CSV_COLUMNS:
-        if row[col] is None or row[col].strip() == "":
-            raise ValueError(f"missing {col}")
-    try:
-        fill_date = date.fromisoformat(row["fill_date"].strip())
-    except ValueError:
-        raise ValueError("invalid fill_date") from None
-
-    coords = {col: _parse_float(row[col], col) for col in COORDINATE_COLUMNS}
-    mme_total = _parse_float(row["mme_total"], "mme_total")
-    if mme_total < 0:
-        raise ValueError("invalid mme_total")
-
-    try:
-        days_supply = int(row["days_supply"])
-        if days_supply < 0:
-            raise ValueError("negative")
-        float(days_supply)  # MME/day divides by it as a float
+        return np.fromiter(map(func, values), dtype, len(values))
     except (ValueError, OverflowError):
-        raise ValueError("invalid days_supply") from None
-
-    drug_family = row["drug_family"].strip()
-    if drug_family not in FAMILIES:
-        raise ValueError(f"invalid drug_family {drug_family!r}")
-
-    return PrescriptionRecord(
-        record_id=row["record_id"],
-        fill_date=fill_date,
-        patient=GeoPoint(coords["patient_lat"], coords["patient_lon"]),
-        prescriber=GeoPoint(coords["prescriber_lat"], coords["prescriber_lon"]),
-        dispenser=GeoPoint(coords["dispenser_lat"], coords["dispenser_lon"]),
-        mme_total=mme_total,
-        days_supply=days_supply,
-        drug_family=drug_family,
-    )
+        if len(values) == 1:
+            return np.array([fill], dtype)
+        return np.concatenate([_convert(func, (value,), fill, dtype) for value in values])
 
 
-def duplicate_names(names: Sequence[str]) -> list[str]:
-    """The names that occur more than once, sorted."""
-    return sorted({name for name in names if names.count(name) > 1})
+def _text(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    text = np.array(values, dtype=object)
+    if all(map(str.strip, values)):
+        return text, np.zeros(len(values), bool)
+    return text, ~np.fromiter(map(bool, map(str.strip, values)), bool, len(values))
+
+
+def floats(low: float = -math.inf, empty_ok: bool = False) -> Callable:
+    """The test of a float column: a value must be finite and at least
+    ``low``, or, if ``empty_ok``, empty, which reads as NaN."""
+    def test(values):
+        x = _convert(float, values, math.nan, float)
+        bad = ~(np.isfinite(x) & (x >= low))
+        if empty_ok:
+            bad &= np.fromiter(map(bool, values), bool, len(values))
+        return x, bad
+    return test
+
+
+def whole_numbers(low: int) -> Callable:
+    """The test of an integer column: a value must be at least ``low`` and
+    convert to a float, as MME/day divides by it."""
+    def test(values):
+        ints = _convert(int, values, low - 1)
+        column = _int_column(ints)
+        bad = np.asarray(column < low, dtype=bool)
+        if column.dtype == object:  # only a value beyond int64 can overflow a float
+            bad |= np.isnan(_convert(float, ints, math.nan, float))
+        return column, bad
+    return test
+
+
+def distinct_values(convert: Callable[[str], object], fill) -> Callable:
+    """The test of a column with few distinct values: ``convert`` runs once
+    per distinct value and gives ``fill``, or raises ValueError, for a bad one."""
+    def test(values):
+        distinct = list(set(values))
+        converted = dict(zip(distinct, _convert(convert, distinct, fill)))
+        column = np.array(list(map(converted.__getitem__, values)), dtype=type(fill))
+        return column, column == fill
+    return test
 
 
 def _check_header(names: list[str] | None) -> list[str]:
@@ -275,124 +305,89 @@ def _check_header(names: list[str] | None) -> list[str]:
     return got
 
 
-def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
-    """
-    Parse a transaction CSV into a table plus row-level errors.
-
-    Rows are read ``CHUNK_ROWS`` at a time and checked column by column with
-    the same conversions as :func:`_parse_row`.  A chunk that fails the check
-    is parsed row by row, so every bad row is reported with its file line
-    number and reason; bad rows never abort the parse.  A wrong header raises
-    :class:`SchemaError`, and a stream the csv module cannot read
-    :class:`ReadError`.
-    """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    header, chunks = csv_chunks(stream)
-    header = _check_header(header)
-    parts, errors = [], []
-    for rows, lines in chunks:
-        _, table, bad = read_chunk(header, rows, lines)
-        parts.append(table)
-        errors += bad
-    return TransactionTable.concat(parts), errors
+# The transaction CSV, one column per PrescriptionRecord field.
+INGEST = Schema(_check_header, CSV_COLUMNS, ("drug_family",), (
+    ("record_id", _text),
+    ("fill_date", distinct_values(lambda text: parse_date(text).toordinal(), np.int64(0))),
+    *((name, floats()) for name in COORDINATE_COLUMNS),
+    ("mme_total", floats(0.0)),
+    ("days_supply", whole_numbers(0)),
+    ("drug_family", distinct_values(
+        lambda text: text.strip() if text.strip() in FAMILIES else "", "")),
+))
 
 
-def csv_chunks(stream: TextIO) -> tuple[list[str] | None, Iterator]:
-    """The header row of a CSV stream (None if the stream is empty) and its
-    other rows in lists of ``CHUNK_ROWS``, each with the list of their line
-    numbers.  Blank lines are skipped, as csv.DictReader does.  A byte the
-    stream cannot decode, or a field over ``csv.field_size_limit()``, raises
-    :class:`ReadError` when it is reached."""
-    chunks = _header_then_chunks(csv.reader(stream), CHUNK_ROWS)
-    return next(chunks), chunks
+def check_rows(schema: Schema, header: list[str], rows: list[list[str]],
+               lines: list[int]) -> tuple[dict[str, Sequence], list[RowError]]:
+    """The converted columns of the rows that pass ``schema``, by name, and a
+    :class:`RowError` naming the first rule each other row breaks."""
+    errors = []
+    if set(map(len, rows)) - {len(header)}:
+        fits = [len(row) == len(header) for row in rows]
+        errors = [RowError(line, "wrong field count") for line, ok in zip(lines, fits) if not ok]
+        rows, lines = list(compress(rows, fits)), list(compress(lines, fits))
+    values = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    columns, masks = {}, []
+    for column, test in schema.checks:
+        columns[column], bad = test(values[column])
+        masks.append(bad)
+    keep = ~np.any(masks, axis=0)
+    if not errors and keep.all():
+        return columns, []
+    first = np.argmax(masks, axis=0)  # the first check each row fails
+    for i in np.flatnonzero(~keep).tolist():
+        column = schema.checks[first[i]][0]
+        blank = [name for name in schema.required if not values[name][i].strip()]
+        reason = f"missing {blank[0]}" if blank else f"invalid {column}"
+        if column in schema.quoted and not blank:
+            reason += f" {values[column][i].strip()!r}"
+        errors.append(RowError(lines[i], reason))
+    return ({name: column[keep] for name, column in columns.items()},
+            sorted(errors, key=lambda e: e.line))
 
 
-def _header_then_chunks(reader, size: int) -> Iterator:
+def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, list[RowError]]]:
+    """:func:`check_rows` of each chunk of up to ``CHUNK_ROWS`` rows of a CSV
+    stream, after ``schema.header`` of its header row (None if the stream is
+    empty); the last chunk may be empty.  Blank lines are skipped, as
+    csv.DictReader does.  A byte that does not decode, or a field over
+    ``csv.field_size_limit()``, raises :class:`ReadError` when reached."""
+    reader = csv.reader(stream)
     try:
-        yield next(reader, None)
+        header = schema.header(next(reader, None))
         rows, lines = [], []
         for row in reader:
             if not row:
                 continue
             rows.append(row)
             lines.append(reader.line_num)
-            if len(rows) == size:
-                yield rows, lines
+            if len(rows) == CHUNK_ROWS:
+                yield check_rows(schema, header, rows, lines)
                 rows, lines = [], []
-        if rows:
-            yield rows, lines
+        yield check_rows(schema, header, rows, lines)
     except csv.Error as exc:
         raise ReadError(f"line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise ReadError(f"cannot decode byte {exc.object[exc.start]:#04x} "
-                        f"as {exc.encoding}") from None
+        raise ReadError.undecodable(exc) from None
 
 
-def _passes(check: Callable[[Sequence[str]], bool], values: Sequence[str]) -> bool:
-    try:
-        return check(values)
-    except (ValueError, OverflowError):
-        return False
+def duplicate_names(names: Sequence[str]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted({name for name in names if names.count(name) > 1})
 
 
-def read_chunk(header: list[str], rows: list[list[str]], lines: list[int],
-               rules: Sequence[tuple[str, Callable[[Sequence[str]], bool]]] = ()
-               ) -> tuple[dict[str, tuple[str, ...]] | None, TransactionTable, list[RowError]]:
-    """Each column's values in a chunk of rows, its records and its bad rows.
-
-    The rows are checked column by column with the conversions of
-    :func:`_parse_row` and each (column, check) pair of ``rules``; a check
-    returns whether all the values it is given are valid.  A chunk that fails
-    is parsed row by row, with no columns: each row gets :func:`_parse_row`,
-    then each rule in turn, which rejects it as ``invalid <column>``.
-    """
-    checked = _check_chunk(header, rows, rules)
-    if checked is not None:
-        return (*checked, [])
-    good, errors = [], []
-    for row, line in zip(rows, lines):
-        try:
-            if len(row) != len(header):
-                raise ValueError("wrong field count")
-            fields = dict(zip(header, row))
-            rec = _parse_row(fields)
-            for name, check in rules:
-                if not _passes(check, (fields[name],)):
-                    raise ValueError(f"invalid {name}")
-            good.append(rec)
-        except ValueError as exc:
-            errors.append(RowError(line, str(exc)))
-    if not errors:
-        raise RuntimeError("the chunk check rejected rows the row check accepts")
-    return None, TransactionTable.from_records(good), errors
-
-
-def _check_chunk(header, rows, rules) -> tuple[dict, TransactionTable] | None:
-    if set(map(len, rows)) != {len(header)}:
-        return None
-    col = dict(zip(header, zip(*rows)))
-    try:
-        if not all(map(str.strip, col["record_id"])):
-            return None
-        dates = {text: date.fromisoformat(text.strip()) for text in set(col["fill_date"])}
-        floats = [np.fromiter(map(float, col[name]), float, len(rows))
-                  for name in (*COORDINATE_COLUMNS, "mme_total")]
-        days_supply = list(map(int, col["days_supply"]))
-        float(max(days_supply))  # MME/day divides by it as a float
-    except (ValueError, OverflowError):
-        return None
-    family = {text: text.strip() for text in set(col["drug_family"])}
-    if not (all(np.isfinite(x).all() for x in floats) and (floats[-1] >= 0).all()
-            and min(days_supply) >= 0 and set(family.values()) <= set(FAMILIES)
-            and all(_passes(check, col[name]) for name, check in rules)):
-        return None
-    ordinal = {text: d.toordinal() for text, d in dates.items()}
-    return col, TransactionTable(
-        list(col["record_id"]),
-        np.fromiter(map(ordinal.__getitem__, col["fill_date"]), np.int64, len(rows)),
-        *floats, _int_column(days_supply),
-        np.array([family[text] for text in col["drug_family"]], dtype=str))
+def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
+    """A transaction CSV as a table, and a :class:`RowError` for each row the
+    ``INGEST`` schema rejects; bad rows never abort the parse.  A wrong
+    header raises :class:`SchemaError`, and a stream the csv module cannot
+    read :class:`ReadError`."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    parts, errors = [], []
+    for columns, bad in read_csv(stream, INGEST):
+        parts.append(TransactionTable(**columns))
+        errors += bad
+    return TransactionTable.concat(parts), errors
 
 
 def write_csv(table: TransactionTable, path: str | Path | TextIO,

@@ -13,8 +13,9 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .geo import ALL_CLASS_CODES, RISK_HAZARD_RATIOS, ClassifiedTable
-from .records import (CSV_COLUMNS, ReadError, TransactionTable, csv_chunks,
-                      duplicate_names, read_chunk, write_csv)
+from .records import (CSV_COLUMNS, INGEST, ReadError, Schema, TransactionTable,
+                      distinct_values, duplicate_names, floats, read_csv,
+                      whole_numbers, write_csv)
 from .stats import MeanCI, mean_ci
 
 INDEX_BASE_YEAR = 2014
@@ -301,19 +302,38 @@ def pre_post_table(
 CLASSIFIED_EXTRA = ("d_pp", "d_pd", "d_rd", "pi_total", "class_code", "risk_level")
 
 
-def _finite(values) -> bool:
-    return bool(np.isfinite(np.fromiter(map(float, values), float, len(values))).all())
-
-
 # The checks of a classified row beyond the ingest ones, in reporting order.
 # It comes after clean(), so days_supply >= 1; risk_level names a tier.
 CLASSIFIED_RULES = (
-    ("days_supply", lambda values: min(map(int, values)) >= 1),
-    *((name, _finite) for name in CLASSIFIED_EXTRA[:4]),
-    ("class_code", lambda values: set(values) <= set(ALL_CLASS_CODES)),
-    ("risk_level", lambda values: all(v.isdecimal() and int(v) in RISK_HAZARD_RATIOS
-                                      for v in set(values))),
+    ("days_supply", whole_numbers(1)),
+    *((name, floats()) for name in CLASSIFIED_EXTRA[:4]),
+    ("class_code", distinct_values(lambda text: text if text in ALL_CLASS_CODES else "", "")),
+    ("risk_level", distinct_values(lambda text: int(text) if text.isdecimal()
+                                   and int(text) in RISK_HAZARD_RATIOS else 0, 0)),
 )
+
+
+def _classified_header(names: list[str] | None) -> list[str]:
+    missing = (set(CSV_COLUMNS) | set(CLASSIFIED_EXTRA)) - set(names or ())
+    if missing:
+        raise ReadError(f"not a classified CSV (missing columns {sorted(missing)})")
+    twice = duplicate_names(names)
+    if twice:
+        raise ReadError(f"duplicate columns {twice}")
+    return names
+
+
+def _series_header(names: list[str] | None) -> list[str]:
+    if not names or "mean_mme_day" not in names:
+        raise ReadError("expected an aggregate series CSV (missing mean_mme_day column)")
+    return names
+
+
+CLASSIFIED = INGEST._replace(header=_classified_header,
+                             checks=INGEST.checks + CLASSIFIED_RULES)
+# A series CSV: an empty mean_mme_day marks a month without records.  A doubled
+# column is read from its last copy, as csv.DictReader does.
+SERIES = Schema(_series_header, (), (), (("mean_mme_day", floats(empty_ok=True)),))
 
 
 def write_classified_csv(path: str | Path | TextIO, c: ClassifiedTable) -> None:
@@ -322,31 +342,24 @@ def write_classified_csv(path: str | Path | TextIO, c: ClassifiedTable) -> None:
         c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)))
 
 
-def read_classified_csv(stream: TextIO) -> RecordTable:
-    """The columns of a classified CSV that the reader stages use.
-
-    Rows are checked a chunk at a time with the ingest checks and
-    ``CLASSIFIED_RULES``; :class:`ReadError` names a missing or doubled
-    column, or the first bad row as ``line N: reason``.
-    """
-    header, chunks = csv_chunks(stream)
-    missing = (set(CSV_COLUMNS) | set(CLASSIFIED_EXTRA)) - set(header or ())
-    if missing:
-        raise ReadError(f"not a classified CSV (missing columns {sorted(missing)})")
-    twice = duplicate_names(header)
-    if twice:
-        raise ReadError(f"duplicate columns {twice}")
-    # family, fill_date, mme_total, days_supply and class_code of each chunk
-    parts = [(np.empty(0, str), np.empty(0, np.int64), np.empty(0), np.empty(0),
-              np.empty(0, str))]
-    for rows, lines in chunks:
-        col, table, errors = read_chunk(header, rows, lines, CLASSIFIED_RULES)
+def _read(stream: TextIO, schema: Schema, names: tuple[str, ...]) -> list[np.ndarray]:
+    """The ``names`` columns of a CSV stream checked by ``schema``; a
+    :class:`ReadError` names its first bad row, and no later chunk is read."""
+    parts = []
+    for columns, errors in read_csv(stream, schema):
         if errors:
             raise ReadError(f"line {errors[0].line}: {errors[0].reason}")
-        parts.append((table.drug_family, table.fill_date, table.mme_total,
-                      table.days_supply.astype(float), np.array(col["class_code"], dtype=str)))
-    family, fill_date, mme_total, days_supply, code = (
-        np.concatenate(column) for column in zip(*parts))
+        parts.append([columns[name] for name in names])
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def read_classified_csv(stream: TextIO) -> RecordTable:
+    """The columns of a classified CSV that the reader stages use, checked a
+    chunk at a time by the ``CLASSIFIED`` schema; :class:`ReadError` names a
+    missing or doubled column, or the first bad row."""
+    family, fill_date, mme_total, days_supply, code = _read(stream, CLASSIFIED, (
+        "drug_family", "fill_date", "mme_total", "days_supply", "class_code"))
+    days_supply = days_supply.astype(float)
     return RecordTable(family, _month_index(fill_date), mme_total, days_supply, code,
                        mme_total / days_supply)
 
@@ -362,23 +375,10 @@ def write_series_csv(path: str | Path, s: ClassSeries) -> None:
 
 
 def read_series_csv(stream: TextIO) -> np.ndarray:
-    """The ``mean_mme_day`` column of a series CSV, NaN where it is empty;
-    :class:`ReadError` names the first bad row."""
-    header, chunks = csv_chunks(stream)
-    if not header or "mean_mme_day" not in header:
-        raise ReadError("expected an aggregate series CSV (missing mean_mme_day column)")
-    values = []
-    for rows, lines in chunks:
-        for row, line in zip(rows, lines):
-            if len(row) != len(header):
-                raise ReadError(f"line {line}: wrong field count")
-            raw = dict(zip(header, row))["mean_mme_day"]  # the last copy, as csv.DictReader
-            try:
-                if raw and not _finite((raw,)):
-                    raise ValueError(raw)
-            except ValueError:
-                raise ReadError(f"line {line}: invalid mean_mme_day") from None
-            values.append(float(raw) if raw else math.nan)
-    if not values:
+    """The ``mean_mme_day`` column of a series CSV, NaN where it is empty,
+    checked by the ``SERIES`` schema; :class:`ReadError` names the first bad
+    row."""
+    values, = _read(stream, SERIES, ("mean_mme_day",))
+    if not values.size:
         raise ReadError("empty series")
-    return np.asarray(values)
+    return values

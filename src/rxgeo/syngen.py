@@ -18,7 +18,7 @@ from datetime import date
 import numpy as np
 
 from ._special import normal_cdf, normal_ppf_vec
-from .geo import EARTH_RADIUS_MILES
+from .geo import ALL_CLASS_CODES, EARTH_RADIUS_MILES
 from .records import FAMILIES, PrescriptionRecord, TransactionTable
 from .series import MonthKey, DEFAULT_POLICY_MONTH
 
@@ -98,13 +98,51 @@ class ScenarioConfig:
                 for i in range(self.start.index, self.end.index + 1)]
 
     def validate(self) -> None:
+        """ValueError unless :func:`generate` can draw from this scenario."""
+        self.class_draws()
+
+    def class_draws(self) -> dict[str, tuple[np.ndarray, list[tuple]]]:
+        """Per family, the class shares and, per class, the location and scale
+        of its total-MME draw, the mean and sd of its days-supply draw and its
+        post-policy multiplier; ValueError for a value out of range."""
         if self.end < self.start:
             raise ValueError("end month precedes start month")
         if not self.start <= self.policy_month <= self.end:
             raise ValueError("policy month outside the scenario range")
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise ValueError(f"unknown drug family {fam!r}")
+        _require("scenario", self, trend_slope="", seasonal_amplitude="", noise_sd=">= 0")
+        draws = {}
+        for name, fam in self.families.items():
+            if name not in FAMILIES:
+                raise ValueError(f"unknown drug family {name!r}")
+            _require(name, fam, record_share=">= 0", level_scale="> 0")
+            classes = []
+            for p in fam.profiles:
+                if p.class_code not in ALL_CLASS_CODES:
+                    raise ValueError(f"{name} class {p.class_code!r}: not a class code")
+                _require(f"{name} class {p.class_code}", p, mean_days="", record_share=">= 0",
+                         post_policy_multiplier=">= 0", sd_days="> 0", sd_mme="> 0",
+                         target_mme_day="> 0")
+                inv_days = _mean_inverse_days(p.mean_days, p.sd_days)
+                target_total = p.target_mme_day * fam.level_scale / inv_days
+                classes.append((_solve_truncnorm_location(target_total, p.sd_mme), p.sd_mme,
+                                p.mean_days, p.sd_days, p.post_policy_multiplier))
+            draws[name] = fam.shares(), classes
+        return draws
+
+
+def _require(where: str, obj, **bounds: str) -> None:
+    """ValueError unless each named attribute of ``obj`` is a finite number
+    within its bound: "" (none), ">= 0" or "> 0"."""
+    for name, bound in bounds.items():
+        value = getattr(obj, name)
+        try:
+            ok = math.isfinite(value) and {"": True, ">= 0": value >= 0,
+                                           "> 0": value > 0}[bound]
+        except (OverflowError, TypeError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{where}: {name} must be finite{' ' * bool(bound)}{bound}, "
+                             f"got {value!r}")
 
 
 def _truncnorm_mean(mu: float, sigma: float, lower: float) -> float:
@@ -272,7 +310,7 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     Records come in family, month and class order; ids number them in that
     order and end in the intended class code.
     """
-    config.validate()
+    draws = config.class_draws()
     if n_records <= 0:
         raise ValueError("n_records must be positive")
     rng = np.random.default_rng(config.seed if seed is None else seed)
@@ -286,17 +324,7 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
             continue
         fam = config.families[family]
         profiles = fam.profiles
-        shares = fam.shares()
-
-        # Pre-solve the per-class MME draw locations.
-        mme_locs, mme_sds, day_stats, mults = [], [], [], []
-        for p in profiles:
-            inv_days = _mean_inverse_days(p.mean_days, p.sd_days)
-            target_total = p.target_mme_day * fam.level_scale / inv_days
-            mme_locs.append(_solve_truncnorm_location(target_total, p.sd_mme))
-            mme_sds.append(p.sd_mme)
-            day_stats.append((p.mean_days, p.sd_days))
-            mults.append(p.post_policy_multiplier)
+        shares, classes = draws[family]
 
         per_month = n_records * fam.record_share / n_months
         month_noise = rng.normal(0.0, config.noise_sd, n_months)
@@ -318,11 +346,11 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
                 if sel.size == 0:
                     continue
                 prof = profiles[ci]
-                mean_days, sd_days = day_stats[ci]
+                mme_loc, mme_sd, mean_days, sd_days, mult = classes[ci]
                 raw_days = _truncnorm_draws(rng, mean_days, sd_days, 0.5, sel.size)
                 days = np.maximum(1, np.floor(raw_days + 0.5).astype(int))
-                mme = _truncnorm_draws(rng, mme_locs[ci], mme_sds[ci], 0.0, sel.size)
-                mme = mme * factor * (mults[ci] if post else 1.0)
+                mme = _truncnorm_draws(rng, mme_loc, mme_sd, 0.0, sel.size)
+                mme = mme * factor * (mult if post else 1.0)
 
                 level = int(prof.class_code[0])
                 disp = int(prof.class_code[1])
@@ -348,40 +376,33 @@ def intended_class_code(record: PrescriptionRecord) -> str:
 # --- JSON round-trip for scenario files ------------------------------------
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    d = {
-        "start": str(config.start),
-        "end": str(config.end),
-        "policy_month": str(config.policy_month),
-        "trend_slope": config.trend_slope,
-        "seasonal_amplitude": config.seasonal_amplitude,
-        "noise_sd": config.noise_sd,
-        "seed": config.seed,
-        "families": {},
-    }
-    for name, fam in config.families.items():
-        d["families"][name] = {
-            "record_share": fam.record_share,
-            "level_scale": fam.level_scale,
-            "profiles": [asdict(p) for p in fam.profiles],
-        }
-    return d
+    """The JSON form of a scenario: its fields, with months as ``YYYY-MM``."""
+    return {**asdict(config), "start": str(config.start), "end": str(config.end),
+            "policy_month": str(config.policy_month)}
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    cfg = ScenarioConfig(
-        start=MonthKey.parse(d["start"]),
-        end=MonthKey.parse(d["end"]),
-        policy_month=MonthKey.parse(d["policy_month"]),
-        trend_slope=float(d.get("trend_slope", 0.0)),
-        seasonal_amplitude=float(d.get("seasonal_amplitude", 0.0)),
-        noise_sd=float(d.get("noise_sd", 0.0)),
-        seed=int(d.get("seed", 0)),
-    )
-    for name, fam in d.get("families", {}).items():
-        cfg.families[name] = FamilySettings(
-            record_share=float(fam["record_share"]),
-            level_scale=float(fam["level_scale"]),
-            profiles=[ClassProfile(**p) for p in fam["profiles"]],
+    """The scenario of a JSON object; ValueError, or KeyError for a missing
+    key, unless :func:`generate` can draw from it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    try:
+        cfg = ScenarioConfig(
+            start=MonthKey.parse(d["start"]),
+            end=MonthKey.parse(d["end"]),
+            policy_month=MonthKey.parse(d["policy_month"]),
+            trend_slope=float(d.get("trend_slope", 0.0)),
+            seasonal_amplitude=float(d.get("seasonal_amplitude", 0.0)),
+            noise_sd=float(d.get("noise_sd", 0.0)),
+            seed=int(d.get("seed", 0)),
         )
-    cfg.validate()
+        for name, fam in d.get("families", {}).items():
+            cfg.families[name] = FamilySettings(
+                record_share=float(fam["record_share"]),
+                level_scale=float(fam["level_scale"]),
+                profiles=[ClassProfile(**p) for p in fam["profiles"]],
+            )
+        cfg.validate()
+    except (AttributeError, OverflowError, TypeError) as exc:  # a value of the wrong type
+        raise ValueError(exc) from None
     return cfg

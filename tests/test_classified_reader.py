@@ -1,9 +1,9 @@
 """The columnar classified-CSV reader and the record table it feeds.
 
-The reader must accept and reject exactly what a per-row check built on
-``records._parse_row`` accepts and rejects, and the aggregation functions must
-give equal results on a classified table and on the table read back from its
-CSV.
+The reader must accept and reject exactly what a per-row check built on the
+reference ``row_reference.parse_row`` accepts and rejects, and the aggregation
+functions must give equal results on a classified table and on the table read
+back from its CSV.
 """
 
 import csv
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from rxgeo import cli, geo, records, series, syngen
 from rxgeo.series import (MonthKey, RecordTable, aggregate_monthly,
                           pre_post_table, summarize_classes)
+from row_reference import parse_float, parse_row
 
 
 def _classified(n, seed):
@@ -48,7 +49,7 @@ def _oracle(text):
         try:
             if None in row or None in row.values():
                 raise ValueError("wrong field count")
-            rec = records._parse_row({k: row[k] for k in records.CSV_COLUMNS})
+            rec = parse_row({k: row[k] for k in records.CSV_COLUMNS})
             try:
                 if float(rec.days_supply) < 1:
                     raise ValueError
@@ -56,7 +57,7 @@ def _oracle(text):
                 raise ValueError("invalid days_supply") from None
             for col in ("d_pp", "d_pd", "d_rd", "pi_total"):
                 try:
-                    records._parse_float(row[col], col)
+                    parse_float(row[col], col)
                 except ValueError:
                     raise ValueError(f"invalid {col}") from None
             if row["class_code"] not in geo.ALL_CLASS_CODES:

@@ -437,3 +437,87 @@ def test_pipeline_determinism(tmp_path):
     assert (a / "classified.csv").read_bytes() == (b / "classified.csv").read_bytes()
     for f in sorted((a / "series").glob("*.csv")):
         assert f.read_bytes() == (b / "series" / f.name).read_bytes()
+
+
+def test_cutoff_date_is_exactly_yyyy_mm_dd(pipeline, tmp_path, capsys):
+    # date.fromisoformat accepts both on Python 3.11 but not on 3.10.
+    for text in ("20140101", "2014-W01-3"):
+        assert run("ingest", "--input", pipeline / "data.csv",
+                   "--out", tmp_path / "out" / "o.csv",
+                   "--report", tmp_path / "out" / "r.json", "--cutoff-date", text) == 1
+        err = capsys.readouterr().err
+        assert "argument --cutoff-date" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _first_profile(**values):
+    def edit(scenario):
+        scenario["families"]["opioid"]["profiles"][0].update(values)
+        return scenario
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda scenario: [scenario], "expected a JSON object, got list"),
+    (_first_profile(bogus=1), "'bogus'"),
+    (_first_profile(class_code="99"), "opioid class '99': not a class code"),
+    (_first_profile(sd_days=0), "opioid class 00: sd_days must be finite > 0, got 0"),
+    (_first_profile(target_mme_day=-5),
+     "opioid class 00: target_mme_day must be finite > 0, got -5"),
+    (_first_profile(sd_mme="wide"), "sd_mme must be finite > 0, got 'wide'"),
+    (lambda scenario: {**scenario, "noise_sd": -1}, "noise_sd must be finite >= 0"),
+], ids=["json-array", "unknown-key", "class-99", "sd-days-0", "negative-target",
+        "text-sd", "negative-noise"])
+def test_bad_scenario_config_exits_2(pipeline, tmp_path, capsys, edit, message):
+    # Each used to end in a traceback (exit 1): TypeError, TypeError,
+    # IndexError, ZeroDivisionError, then three ValueErrors from generate.
+    scenario = json.loads((pipeline / "scenario.json").read_text())
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(edit(scenario)))
+    out = tmp_path / "out" / "data.csv"
+    capsys.readouterr()
+    assert run("simulate", "--n", 100, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad scenario config {cfg}: ") and message in err
+    assert "Traceback" not in err and not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv,flags,flag", [
+    (["--n", "0"], {}, "--n"),
+    (["--n", "-5"], {}, "--n"),
+    (["--n", "10", "--seed", "-1"], {}, "--seed"),
+    ([], {"n": 0}, "--n"),
+], ids=["n-0", "n-negative", "seed-negative", "config-file-n-0"])
+def test_simulate_count_and_seed_are_usage_errors(tmp_path, capsys, argv, flags, flag):
+    # --n 0 used to end in "ValueError: n_records must be positive" and
+    # --seed -1 in numpy's "expected non-negative integer", both tracebacks.
+    cfg = tmp_path / "flags.json"
+    cfg.write_text(json.dumps({"simulate": flags}))
+    out = tmp_path / "out" / "data.csv"
+    assert run("--config-file", cfg, "simulate", *argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+    assert not out.parent.exists()
+
+
+def test_undecodable_text_inputs_exit_2(pipeline, tmp_path, capsys):
+    # A byte that is not UTF-8 in a --config-file, a --config scenario or a
+    # table that report assembles used to end in a UnicodeDecodeError traceback.
+    flags = tmp_path / "flags.json"
+    flags.write_bytes(b'{"simulate": {"n": 5}}\n\xff')
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes((pipeline / "scenario.json").read_bytes() + b"\xff")
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "class_summary_opioid.md").write_bytes(b"# Summary\n\xff\n")
+    (results / "its_coefficients.md").write_text("# ITS\n")
+    out = tmp_path / "out"
+    for path, argv in (
+            (flags, ["--config-file", flags, "simulate", "--out", out / "a.csv"]),
+            (scenario, ["simulate", "--n", 10, "--config", scenario, "--out", out / "b.csv"]),
+            (results / "class_summary_opioid.md",
+             ["report", "--results-dir", results, "--outdir", out / "report"])):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: cannot decode byte 0xff as utf-8\n"
+    assert not (out / "a.csv").exists() and not (out / "b.csv").exists()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxgeo import syngen
+from rxgeo import records, syngen
 from rxgeo.records import (CSV_COLUMNS, GeoPoint, PrescriptionRecord,
                            SchemaError, TransactionTable, clean, mme_per_day,
                            parse_csv, write_csv)
@@ -230,3 +230,21 @@ def test_mme_per_day_algebraic_inverse(mme, days):
     r = make_record(mme_total=mme, days_supply=days)
     back = mme_per_day(r) * days
     assert back == pytest.approx(mme, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", ["20190305", "2019-W10-2", "2019W102", "2019-064",
+                                  "2019-03-05T00:00", "2019-3-5", "٢٠١٩-03-05"])
+def test_fill_date_is_exactly_yyyy_mm_dd(text):
+    # date.fromisoformat accepts the first three on Python 3.11 but not on
+    # 3.10, so one file used to ingest differently by interpreter.
+    table, errors = parse_csv(f"{HEADER}\n{VALID_ROW.replace('2019-03-05', text)}\n")
+    assert len(table) == 0 and [(e.line, e.reason) for e in errors] == [
+        (2, "invalid fill_date")]
+    with pytest.raises(ValueError):
+        records.parse_date(text)
+
+
+def test_fill_date_strips_surrounding_whitespace():
+    table, errors = parse_csv(f"{HEADER}\n{VALID_ROW.replace('2019-03-05', ' 2019-03-05 ')}\n")
+    assert not errors and table.fill_date.tolist() == [date(2019, 3, 5).toordinal()]
+    assert records.parse_date("\t2019-03-05 ") == date(2019, 3, 5)

@@ -1,10 +1,15 @@
+import csv
+import io
 import math
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rxgeo import series
+from rxgeo import records, series
 from rxgeo.geo import classify_records
 from rxgeo.records import GeoPoint, PrescriptionRecord, TransactionTable, mme_per_day
 from rxgeo.series import (ClassSeries, MonthKey, SeriesPoint, aggregate_monthly,
@@ -291,3 +296,71 @@ def test_pre_post_table_detects_drop():
     pre, post = table["03"]
     assert post.mean < pre.mean
     assert post.mean < pre.lo  # outside the pre CI
+
+
+# --- series CSV reader vs. a per-row oracle -------------------------------------
+
+def _series_oracle(text):
+    """The values, or the ReadError message, of the row-at-a-time series reader
+    the column check replaced."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if not header or "mean_mme_day" not in header:
+        return "expected an aggregate series CSV (missing mean_mme_day column)"
+    values = []
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        if len(row) != len(header):
+            return f"line {line}: wrong field count"
+        raw = dict(zip(header, row))["mean_mme_day"]
+        try:
+            if raw and not math.isfinite(float(raw)):
+                raise ValueError(raw)
+        except ValueError:
+            return f"line {line}: invalid mean_mme_day"
+        values.append(float(raw) if raw else math.nan)
+    return values if values else "empty series"
+
+
+SERIES_POOL = ["", "", " ", "nan", "inf", "-inf", "1e400", "-1", "0", "-0.0", "2.5",
+               "1_0", " 3 ", "٣", "abc", "47.25"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_series_reader_matches_row_oracle(data):
+    header = ["month_index", "year", "month", "mean_mme_day", "n_records"]
+    if data.draw(st.booleans(), label="doubled column"):
+        header.append("mean_mme_day")
+    n_rows = data.draw(st.integers(0, 8), label="rows")
+    rows = [header]
+    for i in range(n_rows):
+        row = [str(i), "2014", str(i % 12 + 1), "50.0", "3"] + ["51.5"] * (len(header) - 5)
+        kind = data.draw(st.sampled_from(["keep", "keep", "cell", "cell", "short", "long"]))
+        if kind == "cell":
+            col = data.draw(st.sampled_from([3, len(header) - 1]), label="column")
+            row[col] = data.draw(st.sampled_from(SERIES_POOL), label="value")
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append("x")
+        rows.append(row)
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    lines = buf.getvalue().split("\r\n")
+    for _ in range(data.draw(st.integers(0, 2), label="blank lines")):
+        at = data.draw(st.integers(1, len(lines) - 1))
+        lines.insert(at, "")
+    text = "\r\n".join(lines)
+    chunk = data.draw(st.sampled_from([1, 3, 4096]), label="chunk rows")
+
+    expected = _series_oracle(text)
+    with mock.patch.object(records, "CHUNK_ROWS", chunk):
+        try:
+            got = series.read_series_csv(io.StringIO(text, newline="")).tolist()
+        except records.ReadError as exc:
+            got = str(exc)
+    # repr compares floats bit for bit and NaN equal to NaN
+    assert repr(got) == repr(expected)

@@ -2,8 +2,8 @@
 and the simulate, ingest and classify stages that run on them.
 
 The parser must give the records and row errors of a per-row parse built on
-``records._parse_row``, and the stages must write what the per-record
-writers below (the ones the table writer replaced) write.
+the reference ``row_reference.parse_row``, and the stages must write what the
+per-record writers below (the ones the table writer replaced) write.
 """
 
 import csv
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from rxgeo import cli, geo, records, series, syngen
 from rxgeo.records import CSV_COLUMNS, FilterReport, mme_per_day
+from row_reference import parse_row
 
 
 # --- chunked parser vs. a per-row oracle ----------------------------------------
@@ -32,7 +33,7 @@ def _oracle(text):
             errors.append((reader.line_num, "wrong field count"))
             continue
         try:
-            recs.append(records._parse_row(row))
+            recs.append(parse_row(row))
         except ValueError as exc:
             errors.append((reader.line_num, str(exc)))
     return recs, errors

@@ -16,7 +16,7 @@ check the harness itself.  Standard library only.
 * ``--digest W:S`` runs each side once with ``--seconds 1`` and keeps its
   ``correct`` flag and digests.
 * ``--traced W:S:N`` runs N traced pairs with ``--seconds 1 --trace 1`` and
-  keeps the per-layer values named in ``TRACED_KEYS``.
+  keeps every metric the traced run reports, per-layer ones included.
 
 Exits 1, after writing what it has, when a run is not correct or the two
 sides' digests differ on any workload and seed.
@@ -32,13 +32,6 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-TRACED_KEYS = (
-    "arima.fit.calls", "arima.fit.calls_in_arimax", "cli.its.s",
-    "intervention.fit_arimax.calls", "intervention.its_analysis.calls",
-    "intervention.its_analysis.failed", "intervention.its_batch.s",
-    "optimize.eval_us", "optimize.nelder_mead.calls", "optimize.nelder_mead.evals",
-    "optimize.nelder_mead.s",
-)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -159,8 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         for i in range(n):
             runs = {s: bench(s, workload, seed, 1, 1) for s in swapped(i)}
             check(f"traced {workload}/seed{seed} pair {i + 1}", runs)
-            pairs.append({s: {**{k: runs[s]["metrics"].get(k) for k in TRACED_KEYS},
-                              "pass_digest": runs[s].get("pass_digest")}
+            pairs.append({s: {**runs[s]["metrics"], "pass_digest": runs[s].get("pass_digest")}
                           for s in SIDES})
         out[f"traced_{workload}_seed{seed}"] = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
