@@ -67,6 +67,10 @@ def _families(arg: str) -> tuple[str, ...]:
 
 # --- manifest ----------------------------------------------------------------
 
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -81,7 +85,7 @@ class RunManifest:
     def write(self, outdir: Path) -> None:
         self.finished_at = datetime.now(timezone.utc).isoformat()
         path = outdir / f"manifest_{self.command}.json"
-        path.write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
+        path.write_text(_json(self.__dict__))
 
 
 def _sha256(path: Path) -> str:
@@ -90,12 +94,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _start_manifest(args, command: str) -> RunManifest:
-    return RunManifest(command=command, argv=sys.argv[1:],
-                       seed=getattr(args, "seed", None),
-                       started_at=datetime.now(timezone.utc).isoformat())
 
 
 def _track_input(manifest: RunManifest, path: Path) -> None:
@@ -130,27 +128,27 @@ def _monthly_groups(table: RecordTable, family: str) -> dict[str, np.ndarray]:
             for s in aggregate_monthly(table, group_by="class", family=family)}
 
 
-# Each writes one stage output and lists it in the manifest.
-
-def _write_text(manifest: RunManifest, path: Path, text: str) -> None:
-    path.write_text(text)
+def _output(manifest: RunManifest, path) -> Path:
+    """The path of a stage output about to be written: its directory made,
+    and the path listed in the manifest in the order the stage writes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     manifest.outputs.append(str(path))
+    return path
 
 
-def _write_json(manifest: RunManifest, path: Path, payload) -> None:
-    _write_text(manifest, path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv_rows(manifest: RunManifest, path: Path, rows) -> None:
+def _write_csv_rows(path: Path, rows) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    manifest.outputs.append(str(path))
 
 
 # --- subcommands ---------------------------------------------------------------
+#
+# Each stage reads its inputs through the manifest, writes every output file
+# at a path from ``_output``, and returns its one-line summary; ``main``
+# writes the manifest and prints the summary.
 
-def _cmd_simulate(args) -> int:
-    manifest = _start_manifest(args, "simulate")
+def _cmd_simulate(args, manifest: RunManifest) -> str:
     if args.config:
         cfg_path = Path(args.config)
         _track_input(manifest, cfg_path)
@@ -161,37 +159,27 @@ def _cmd_simulate(args) -> int:
     else:
         cfg = syngen.default_config()
     table = syngen.generate(cfg, args.n, seed=args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output(manifest, args.out)
     records.write_csv(table, out)
-    manifest.outputs.append(str(out))
     if args.dump_config:
-        _write_json(manifest, Path(args.dump_config), syngen.config_to_dict(cfg))
-    manifest.write(out.parent)
-    print(f"simulate: wrote {len(table)} records to {out}")
-    return 0
+        _output(manifest, args.dump_config).write_text(
+            _json(syngen.config_to_dict(cfg)))
+    return f"simulate: wrote {len(table)} records to {out}"
 
 
-def _cmd_ingest(args) -> int:
-    manifest = _start_manifest(args, "ingest")
+def _cmd_ingest(args, manifest: RunManifest) -> str:
     table, errors = _read_input(Path(args.input), manifest, records.parse_csv)
     kept, rep = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
                               n_malformed=len(errors))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    records.write_csv(kept, out)
-    manifest.outputs.append(str(out))
+    records.write_csv(kept, _output(manifest, args.out))
     payload = rep.to_dict()
     payload["row_errors"] = [{"line": e.line, "reason": e.reason} for e in errors]
-    _write_json(manifest, Path(args.report), payload)
-    manifest.write(out.parent)
-    print(f"ingest: kept {rep.total_kept}/{rep.total_in} records "
-          f"({rep.total_excluded} excluded)")
-    return 0
+    _output(manifest, args.report).write_text(_json(payload))
+    return (f"ingest: kept {rep.total_kept}/{rep.total_in} records "
+            f"({rep.total_excluded} excluded)")
 
 
-def _cmd_classify(args) -> int:
-    manifest = _start_manifest(args, "classify")
+def _cmd_classify(args, manifest: RunManifest) -> str:
     path = Path(args.input)
     table, errors = _read_input(path, manifest, records.parse_csv)
     if errors:
@@ -203,68 +191,49 @@ def _cmd_classify(args) -> int:
         classified = geo.classify_records(table, thresholds)
     except ValueError as exc:  # days_supply < 1: the input was not cleaned
         raise DataError(f"{path}: {exc}") from exc
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_classified_csv(out, classified)
-    manifest.outputs.append(str(out))
-    manifest.write(out.parent)
-    print("classify: " + " ".join(f"{k}={v}" for k, v
-                                  in classified.class_counts().items() if v))
-    return 0
+    write_classified_csv(_output(manifest, args.out), classified)
+    return "classify: " + " ".join(f"{k}={v}" for k, v
+                                   in classified.class_counts().items() if v)
 
 
-def _series_filename(family: str, code: str) -> str:
-    return f"series_{family}_{code}.csv"
-
-
-def _cmd_aggregate(args) -> int:
-    manifest = _start_manifest(args, "aggregate")
+def _cmd_aggregate(args, manifest: RunManifest) -> str:
     table = _read_input(Path(args.input), manifest, read_classified_csv)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     summary = {}
     for family in _families(args.family):
         all_series = aggregate_monthly(table, group_by="class", family=family)
         all_series += aggregate_monthly(table, group_by="overall", family=family)
         for s in all_series:
-            path = outdir / _series_filename(family, s.class_code)
-            write_series_csv(path, s)
-            manifest.outputs.append(str(path))
+            name = f"series_{family}_{s.class_code}.csv"
+            write_series_csv(_output(manifest, outdir / name), s)
             vals = s.observed()
             summary[f"{family}/{s.class_code}"] = {
                 "n_months": int(len(s)),
                 "n_records": int(s.counts().sum()),
                 "mean_mme_day": float(np.mean(vals)) if vals.size else None,
             }
-    _write_json(manifest, outdir / "aggregate_summary.json", summary)
-    manifest.write(outdir)
-    print(f"aggregate: wrote {len(manifest.outputs) - 1} series files to {outdir}")
-    return 0
+    _output(manifest, outdir / "aggregate_summary.json").write_text(_json(summary))
+    return f"aggregate: wrote {len(manifest.outputs) - 1} series files to {outdir}"
 
 
-def _cmd_summary_table(args) -> int:
-    manifest = _start_manifest(args, "summary-table")
+def _cmd_summary_table(args, manifest: RunManifest) -> str:
     table = _read_input(Path(args.input), manifest, read_classified_csv)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for family in _families(args.family):
         rows = summarize_classes(table, family=family)
-        _write_text(manifest, outdir / f"class_summary_{family}.md",
-                    report.class_summary_markdown(rows, family))
-        _write_csv_rows(manifest, outdir / f"class_summary_{family}.csv",
+        _output(manifest, outdir / f"class_summary_{family}.md").write_text(
+            report.class_summary_markdown(rows, family))
+        _write_csv_rows(_output(manifest, outdir / f"class_summary_{family}.csv"),
                         report.class_summary_csv_rows(rows))
         grid = pre_post_table(table, family=family, policy_month=args.policy_month)
-        _write_text(manifest, outdir / f"pre_post_{family}.md",
-                    report.pre_post_markdown(grid, family))
-        _write_csv_rows(manifest, outdir / f"pre_post_{family}.csv",
+        _output(manifest, outdir / f"pre_post_{family}.md").write_text(
+            report.pre_post_markdown(grid, family))
+        _write_csv_rows(_output(manifest, outdir / f"pre_post_{family}.csv"),
                         report.pre_post_csv_rows(grid))
-    manifest.write(outdir)
-    print(f"summary-table: wrote tables to {args.outdir}")
-    return 0
+    return f"summary-table: wrote tables to {args.outdir}"
 
 
-def _cmd_anova(args) -> int:
-    manifest = _start_manifest(args, "anova")
+def _cmd_anova(args, manifest: RunManifest) -> str:
     table = _read_input(Path(args.input), manifest, read_classified_csv)
     if args.unit == "monthly":
         groups = [v for v in _monthly_groups(table, args.family).values()
@@ -281,17 +250,12 @@ def _cmd_anova(args) -> int:
     res = one_way_anova(groups)
     payload = {"statistic": res.statistic, "df": list(res.df),
                "p_value": res.p_value, "n_groups": len(groups), "unit": args.unit}
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(manifest, out, payload)
-    manifest.write(out.parent)
-    print(f"anova: F = {res.statistic:.4f}, df = ({res.df[0]:.0f}, {res.df[1]:.0f}), "
-          f"p = {report.format_p(res.p_value)}")
-    return 0
+    _output(manifest, args.out).write_text(_json(payload))
+    return (f"anova: F = {res.statistic:.4f}, df = ({res.df[0]:.0f}, {res.df[1]:.0f}), "
+            f"p = {report.format_p(res.p_value)}")
 
 
-def _cmd_ttest(args) -> int:
-    manifest = _start_manifest(args, "ttest")
+def _cmd_ttest(args, manifest: RunManifest) -> str:
     table = _read_input(Path(args.input), manifest, read_classified_csv)
     if args.unit == "monthly":
         values = _monthly_groups(table, args.family).get(args.class_code, [])
@@ -305,13 +269,9 @@ def _cmd_ttest(args) -> int:
     payload = {"statistic": res.statistic, "df": list(res.df), "p_value": res.p_value,
                "mu0": args.mu0, "mean": ci.mean, "ci_lo": ci.lo, "ci_hi": ci.hi,
                "n": ci.n, "unit": args.unit}
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(manifest, out, payload)
-    manifest.write(out.parent)
-    print(f"ttest: class {args.class_code} vs mu0={args.mu0}: "
-          f"t = {res.statistic:.4f}, p = {report.format_p(res.p_value)}")
-    return 0
+    _output(manifest, args.out).write_text(_json(payload))
+    return (f"ttest: class {args.class_code} vs mu0={args.mu0}: "
+            f"t = {res.statistic:.4f}, p = {report.format_p(res.p_value)}")
 
 
 def _orders_arg(text: str):
@@ -343,8 +303,7 @@ def _fit_to_payload(f: arima.ArimaFit) -> dict:
     }
 
 
-def _cmd_fit(args) -> int:
-    manifest = _start_manifest(args, "fit")
+def _cmd_fit(args, manifest: RunManifest) -> str:
     y = _read_input(Path(args.input), manifest, read_series_csv)
     if args.impute == "none" and np.any(~np.isfinite(y)):
         raise DataError("series has missing months and --impute none was given")
@@ -355,16 +314,12 @@ def _cmd_fit(args) -> int:
             f = arima.fit(y, arima.ArimaOrders(*args.orders, s=args.season))
     except (arima.FitError, ValueError) as exc:
         raise DataError(f"fit failed: {exc}") from exc
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(manifest, out, _fit_to_payload(f))
+    _output(manifest, args.out).write_text(_json(_fit_to_payload(f)))
     if args.residuals:
         rows = [["t", "residual"]] + [[i, repr(float(r))]
                                       for i, r in enumerate(f.residuals)]
-        _write_csv_rows(manifest, Path(args.residuals), rows)
-    manifest.write(out.parent)
-    print(f"fit: {f.orders.label()} bic={f.bic:.2f} sigma2={f.params.sigma2:.4f}")
-    return 0
+        _write_csv_rows(_output(manifest, args.residuals), rows)
+    return f"fit: {f.orders.label()} bic={f.bic:.2f} sigma2={f.params.sigma2:.4f}"
 
 
 def _its_result_payload(res) -> dict:
@@ -388,13 +343,12 @@ def _its_result_payload(res) -> dict:
     }
 
 
-def _cmd_its(args) -> int:
+def _cmd_its(args, manifest: RunManifest) -> str:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"rxgeo its: --alpha must be in (0, 1), got {args.alpha}")
     if args.announce_month == args.policy_month:
         raise UsageError(f"rxgeo its: --announce-month {args.announce_month} equals "
                          "--policy-month; the two onsets would be collinear")
-    manifest = _start_manifest(args, "its")
     table = _read_input(Path(args.input), manifest, read_classified_csv)
     spans = {}
     for family in _families(args.family):
@@ -409,8 +363,6 @@ def _cmd_its(args) -> int:
             if month is not None and not first <= month <= last:
                 raise DataError(f"rxgeo its: {flag} {month} is outside the {family} "
                                 f"data span {first} to {last}")
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     all_series = []
     for family, span in spans.items():
@@ -425,30 +377,27 @@ def _cmd_its(args) -> int:
     by_key = {(s.drug_family, s.class_code): s for s in all_series}
     payload = {"results": [_its_result_payload(r) for r in batch.results],
                "failures": batch.failures}
-    _write_json(manifest, outdir / "its_results.json", payload)
-    _write_text(manifest, outdir / "its_coefficients.md",
-                report.arimax_markdown(batch.results, alpha=args.alpha))
-    _write_csv_rows(manifest, outdir / "its_coefficients.csv", [report.TABLE_HEADER]
+    outdir = Path(args.outdir)
+    _output(manifest, outdir / "its_results.json").write_text(_json(payload))
+    _output(manifest, outdir / "its_coefficients.md").write_text(
+        report.arimax_markdown(batch.results, alpha=args.alpha))
+    _write_csv_rows(_output(manifest, outdir / "its_coefficients.csv"),
+                    [report.TABLE_HEADER]
                     + report.arimax_table_rows(batch.results, alpha=args.alpha))
     for res in batch.results:
         s = by_key[(res.drug_family, res.class_code)]
-        _write_csv_rows(manifest, outdir / f"plotdata_{res.drug_family}_{res.class_code}.csv",
+        _write_csv_rows(_output(manifest, outdir / f"plotdata_{res.drug_family}_"
+                                f"{res.class_code}.csv"),
                         report.plot_data_rows(res, s))
-    manifest.write(outdir)
     n_sig = sum(1 for r in batch.results if r.significant_events(args.alpha))
-    print(f"its: analyzed {len(batch.results)} series "
-          f"({len(batch.failures)} failures, {n_sig} with significant events)")
-    return 0
+    return (f"its: analyzed {len(batch.results)} series "
+            f"({len(batch.failures)} failures, {n_sig} with significant events)")
 
 
-def _cmd_report(args) -> int:
-    manifest = _start_manifest(args, "report")
+def _cmd_report(args, manifest: RunManifest) -> str:
     results_dir = Path(args.results_dir)
     if not results_dir.is_dir():
         raise DataError(f"results directory not found: {results_dir}")
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     sections = ["# Analysis report\n"]
     wanted = sorted(results_dir.glob("class_summary_*.md")) \
         + sorted(results_dir.glob("pre_post_*.md"))
@@ -466,16 +415,12 @@ def _cmd_report(args) -> int:
     if plots:
         sections.append("## Plot data files\n\n"
                         + "\n".join(f"- {p.name}" for p in plots) + "\n")
+    outdir = Path(args.outdir)
     for p in plots:
-        target = outdir / p.name
-        target.write_bytes(p.read_bytes())
-        manifest.outputs.append(str(target))
-
-    out_md = outdir / "report.md"
-    _write_text(manifest, out_md, "\n".join(sections))
-    manifest.write(outdir)
-    print(f"report: wrote {out_md}")
-    return 0
+        _output(manifest, outdir / p.name).write_bytes(p.read_bytes())
+    out_md = _output(manifest, outdir / "report.md")
+    out_md.write_text("\n".join(sections))
+    return f"report: wrote {out_md}"
 
 
 # --- parser -------------------------------------------------------------------
@@ -575,14 +520,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, dict(sub.choices)
 
 
-def _apply_config_file(argv: list[str], subparsers) -> list[str]:
-    """Insert a --config-file JSON section as ``--flag=value`` tokens.
+def _apply_config_file(argv: list[str], subparsers) -> tuple[list[str], Path | None]:
+    """Insert a --config-file JSON section as ``--flag=value`` tokens, and
+    return the new argv with the config file's path (None without one).
 
     They go right after the subcommand, so argparse converts and checks them
     like typed flags and the user's own flags, coming later, win.
     """
     if "--config-file" not in argv:
-        return argv
+        return argv, None
     i = argv.index("--config-file")
     if i + 1 >= len(argv):
         raise UsageError("rxgeo: --config-file requires a path")
@@ -595,7 +541,7 @@ def _apply_config_file(argv: list[str], subparsers) -> list[str]:
     command = next((a for a in argv if not a.startswith("-")), None)
     section = defaults.get(command) if isinstance(defaults, dict) else None
     if command not in subparsers or not isinstance(section, dict):
-        return argv
+        return argv, path
     option = {a.dest: a.option_strings[0] for a in subparsers[command]._actions
               if a.dest != "help"}
     unknown = sorted(key for key in section if key.replace("-", "_") not in option)
@@ -606,15 +552,25 @@ def _apply_config_file(argv: list[str], subparsers) -> list[str]:
               f"{value if isinstance(value, str) else json.dumps(value)}"
               for key, value in section.items()]
     at = argv.index(command) + 1
-    return argv[:at] + tokens + argv[at:]
+    return argv[:at] + tokens + argv[at:], path
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = build_parser()
     try:
-        args = parser.parse_args(_apply_config_file(argv, subparsers))
-        return args.func(args)
+        expanded, config_file = _apply_config_file(argv, subparsers)
+        args = parser.parse_args(expanded)
+        manifest = RunManifest(command=args.command, argv=argv,
+                               seed=getattr(args, "seed", None),
+                               started_at=datetime.now(timezone.utc).isoformat())
+        if config_file is not None:
+            _track_input(manifest, config_file)
+        summary = args.func(args, manifest)
+        manifest.write(Path(args.outdir) if hasattr(args, "outdir")
+                       else Path(args.out).parent)
+        print(summary)
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import calendar
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from datetime import date
 
 import numpy as np
@@ -381,12 +381,21 @@ def config_to_dict(config: ScenarioConfig) -> dict:
             "policy_month": str(config.policy_month)}
 
 
+def _check_keys(section: dict, settings, where: str) -> None:
+    """ValueError naming any key of ``section`` that is not a field of ``settings``."""
+    unknown = sorted(set(section) - {f.name for f in fields(settings)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
 def config_from_dict(d: dict) -> ScenarioConfig:
     """The scenario of a JSON object; ValueError, or KeyError for a missing
-    key, unless :func:`generate` can draw from it."""
+    key, unless :func:`generate` can draw from it.  An unknown key, at the top
+    level or in a family or class section, is a ValueError naming it."""
     if not isinstance(d, dict):
         raise ValueError(f"expected a JSON object, got {type(d).__name__}")
     try:
+        _check_keys(d, ScenarioConfig, "scenario")
         cfg = ScenarioConfig(
             start=MonthKey.parse(d["start"]),
             end=MonthKey.parse(d["end"]),
@@ -397,6 +406,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             seed=int(d.get("seed", 0)),
         )
         for name, fam in d.get("families", {}).items():
+            _check_keys(fam, FamilySettings, f"{name} family")
             cfg.families[name] = FamilySettings(
                 record_share=float(fam["record_share"]),
                 level_scale=float(fam["level_scale"]),

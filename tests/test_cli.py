@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,6 +135,7 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert run("report", "--results-dir", empty, "--outdir", tmp_path / "rep") == 2
     err = capsys.readouterr().err
     assert "summary-table" in err or "missing stage output" in err
+    assert not (tmp_path / "rep").exists()  # the inputs are checked first
 
 
 def test_ingest_reads_padded_header_names(pipeline, tmp_path):
@@ -378,6 +381,9 @@ def test_config_file_supplies_flags(tmp_path):
                                             "out": str(out)}}))
     assert run("--config-file", cfg, "simulate") == 0
     assert out.exists()
+    # the config file sets flags that change outputs, so it is a hashed input
+    manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
+    assert manifest["inputs"] == {str(cfg): hashlib.sha256(cfg.read_bytes()).hexdigest()}
     # explicit flags win over config-file defaults
     out2 = tmp_path / "e.csv"
     assert run("--config-file", cfg, "simulate", "--out", out2) == 0
@@ -466,11 +472,18 @@ def _first_profile(**values):
      "opioid class 00: target_mme_day must be finite > 0, got -5"),
     (_first_profile(sd_mme="wide"), "sd_mme must be finite > 0, got 'wide'"),
     (lambda scenario: {**scenario, "noise_sd": -1}, "noise_sd must be finite >= 0"),
+    (lambda scenario: {**scenario, "trend_slop": 0.1},
+     "unknown scenario key(s): 'trend_slop'"),
+    (lambda scenario: {**scenario, "families": {
+        **scenario["families"],
+        "opioid": {**scenario["families"]["opioid"], "level_scal": 2.0}}},
+     "unknown opioid family key(s): 'level_scal'"),
 ], ids=["json-array", "unknown-key", "class-99", "sd-days-0", "negative-target",
-        "text-sd", "negative-noise"])
+        "text-sd", "negative-noise", "unknown-top-key", "unknown-family-key"])
 def test_bad_scenario_config_exits_2(pipeline, tmp_path, capsys, edit, message):
     # Each used to end in a traceback (exit 1): TypeError, TypeError,
     # IndexError, ZeroDivisionError, then three ValueErrors from generate.
+    # The two misspelt keys used to be dropped, and the run exited 0.
     scenario = json.loads((pipeline / "scenario.json").read_text())
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(edit(scenario)))
@@ -521,3 +534,87 @@ def test_undecodable_text_inputs_exit_2(pipeline, tmp_path, capsys):
         assert run(*argv) == 2
         assert capsys.readouterr().err == f"error: {path}: cannot decode byte 0xff as utf-8\n"
     assert not (out / "a.csv").exists() and not (out / "b.csv").exists()
+
+
+# --- the stage shape: main writes the manifest, _output every output -------------
+
+def test_manifest_argv_is_the_argv_given_to_main(tmp_path, monkeypatch):
+    # It used to be sys.argv[1:]: under a wrapper such as perfbench/tracer.py
+    # that put the wrapper's own arguments in the manifest.
+    monkeypatch.setattr(sys, "argv", ["wrapper", "spans.json", "run-7"])
+    argv = ["simulate", "--n", "50", "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
+    assert manifest["argv"] == argv
+
+
+def test_second_output_in_a_new_directory(pipeline, tmp_path):
+    # Each used to exit 2 with "[Errno 2]" after the first output was
+    # written, and left no manifest.
+    assert run("aggregate", "--input", pipeline / "classified.csv",
+               "--family", "opioid", "--outdir", tmp_path / "series") == 0
+    for command, argv, first, flag, second in (
+            ("simulate", ["--n", 100], "s/d.csv", "--dump-config", "b/x.json"),
+            ("ingest", ["--input", pipeline / "data.csv"], "i/c.csv", "--report", "d/r.json"),
+            ("fit", ["--input", tmp_path / "series" / "series_opioid_overall.csv"],
+             "f/fit.json", "--residuals", "e/res.csv")):
+        first, second = tmp_path / first, tmp_path / second
+        assert run(command, *argv, "--out", first, flag, second) == 0
+        assert first.is_file() and second.is_file()
+        manifest = first.parent / f"manifest_{command}.json"
+        assert json.loads(manifest.read_text())["outputs"] == [str(first), str(second)]
+
+
+# The ten stages in pipeline order: the command, its arguments (a Path is
+# one under the work directory), and the directory its manifest goes to.
+_STAGES = [
+    ("simulate", ["--n", 4000, "--seed", 42, "--out", Path("data.csv"),
+                  "--dump-config", Path("scenario.json")], "."),
+    ("ingest", ["--input", Path("data.csv"), "--out", Path("clean.csv"),
+                "--report", Path("filter_report.json")], "."),
+    ("classify", ["--input", Path("clean.csv"), "--out", Path("classified.csv")], "."),
+    ("aggregate", ["--input", Path("classified.csv"), "--outdir", Path("series")],
+     "series"),
+    ("summary-table", ["--input", Path("classified.csv"), "--outdir", Path("results")],
+     "results"),
+    ("anova", ["--input", Path("classified.csv"), "--out", Path("stats/anova.json")],
+     "stats"),
+    ("ttest", ["--input", Path("classified.csv"), "--class-code", "03", "--mu0", 50,
+               "--out", Path("stats/ttest.json")], "stats"),
+    ("fit", ["--input", Path("series/series_opioid_overall.csv"),
+             "--out", Path("fit/fit.json"), "--residuals", Path("fit/residuals.csv")],
+     "fit"),
+    ("its", ["--input", Path("classified.csv"), "--outdir", Path("results")], "results"),
+    ("report", ["--results-dir", Path("results"), "--outdir", Path("report")], "report"),
+]
+
+
+@pytest.fixture(scope="module")
+def ten_stages(tmp_path_factory):
+    """All ten stages run in one work directory; for each, the files it made
+    with their modification times."""
+    root = tmp_path_factory.mktemp("stages")
+
+    def files():
+        return {p: p.stat().st_mtime_ns for p in root.rglob("*") if p.is_file()}
+
+    made = {}
+    for command, argv, _ in _STAGES:
+        before = files()
+        assert run(command, *(root / a if isinstance(a, Path) else a for a in argv)) == 0
+        made[command] = {p: t for p, t in files().items() if p not in before}
+    return root, made
+
+
+@pytest.mark.parametrize("command,manifest_dir",
+                         [(command, d) for command, _, d in _STAGES])
+def test_every_stage_lists_what_it_wrote(ten_stages, command, manifest_dir):
+    root, made = ten_stages
+    manifest_path = root / manifest_dir / f"manifest_{command}.json"
+    assert manifest_path in made[command]
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == command
+    outputs = [Path(o) for o in manifest["outputs"]]
+    assert sorted(outputs) == sorted(set(made[command]) - {manifest_path})
+    times = [made[command][o] for o in outputs]
+    assert times == sorted(times)  # listed in the order they were written

@@ -51,6 +51,7 @@ def test_config_json_roundtrip():
     assert back.start == cfg.start and back.end == cfg.end
     assert back.families["opioid"].profiles == cfg.families["opioid"].profiles
     assert back.seed == 5
+    assert syngen.config_to_dict(back) == d
 
 
 def test_config_validation():
