@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -83,9 +84,14 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
     def write(self, outdir: Path) -> None:
+        """Write ``manifest_<command>.json`` to ``outdir``, naming every input
+        and output by its path relative to ``outdir``."""
         self.finished_at = datetime.now(timezone.utc).isoformat()
         path = outdir / f"manifest_{self.command}.json"
-        path.write_text(_json(self.__dict__))
+        path.write_text(_json({
+            **self.__dict__,
+            "inputs": {os.path.relpath(p, outdir): h for p, h in self.inputs.items()},
+            "outputs": [os.path.relpath(p, outdir) for p in self.outputs]}))
 
 
 def _sha256(path: Path) -> str:

@@ -241,59 +241,53 @@ def _geodesic(lat: np.ndarray, lon: np.ndarray, bearing: np.ndarray,
     return lat2, lon2
 
 
-def _triangle_sides(pi_total: np.ndarray,
-                    disparity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _truncnorm(r: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
+               p_lo: np.ndarray) -> np.ndarray:
+    """Inverse-CDF truncated-normal draws, one uniform ``r`` in [0, 1) per
+    draw; ``p_lo`` is the normal CDF at the lower bound."""
+    u = np.clip(p_lo + (1.0 - p_lo) * r, 1e-12, 1.0 - 1e-12)
+    return mu + sigma * normal_ppf_vec(u)
+
+
+def _triangles(r: np.ndarray, pi_lo: np.ndarray, pi_hi: np.ndarray,
+               disparity: np.ndarray) -> list[np.ndarray]:
     """
-    Side lengths (a, b, c) of the stakeholder triangle: a and b are the
-    apex's two edges, c joins the remaining pair.  Isolation patterns use a
-    short base far from the apex; the "otherwise" pattern is mildly scalene
-    so no vertex can satisfy the isolation rule.
+    Stakeholder placements with exact target side lengths, from four uniform
+    rows (PI total, apex latitude, apex longitude, bearing); returns the six
+    coordinate columns (patient, prescriber, dispenser; lat, lon each).
+
+    Side lengths (a, b, c): a and b are the apex's two edges, c joins the
+    remaining pair.  Isolation patterns use a short base far from the apex;
+    the "otherwise" pattern (disparity 3) is mildly scalene so no vertex can
+    satisfy the isolation rule.
     """
-    if disparity == 3:
-        return 0.33 * pi_total, 0.37 * pi_total, 0.30 * pi_total
+    pi_total = pi_lo + (pi_hi - pi_lo) * r[0]
+    other = disparity == 3
     base = np.minimum(40.0, pi_total / 15.0)
     far = (pi_total - base) / 2.0
-    return far, far, base
+    a = np.where(other, 0.33 * pi_total, far)
+    b = np.where(other, 0.37 * pi_total, far)
+    c = np.where(other, 0.30 * pi_total, base)
 
-
-def _place_triangles(n: int, pi_lo: float, pi_hi: float, disparity: int,
-                     rng: np.random.Generator):
-    """Random placements with exact target side lengths; returns the three
-    stakeholder coordinate arrays ordered (patient, prescriber, dispenser)."""
-    pi_total = rng.uniform(pi_lo, pi_hi, n)
-    a, b, c = _triangle_sides(pi_total, disparity)
-
-    lat1 = np.radians(rng.uniform(-60.0, 60.0, n))
-    lon1 = np.radians(rng.uniform(-180.0, 180.0, n))
-    bearing = rng.uniform(0.0, 2.0 * math.pi, n)
+    lat1 = np.radians(-60.0 + 120.0 * r[1])
+    lon1 = np.radians(-180.0 + 360.0 * r[2])
+    bearing = 2.0 * math.pi * r[3]
 
     ah, bh, ch = (a / EARTH_RADIUS_MILES, b / EARTH_RADIUS_MILES,
                   c / EARTH_RADIUS_MILES)
     cos_gamma = (np.cos(ch) - np.cos(ah) * np.cos(bh)) / (np.sin(ah) * np.sin(bh))
     gamma = np.arccos(np.clip(cos_gamma, -1.0, 1.0))
 
-    lat2, lon2 = _geodesic(lat1, lon1, bearing, a)
-    lat3, lon3 = _geodesic(lat1, lon1, bearing + gamma, b)
-
+    lat23, lon23 = _geodesic(lat1, lon1, np.array([bearing, bearing + gamma]),
+                             np.array([a, b]))
     apex = np.degrees([lat1, lon1])
-    v2 = np.degrees([lat2, lon2])
-    v3 = np.degrees([lat3, lon3])
-    if disparity == 0:    # patient isolated: apex=patient, base=prescriber+dispenser
-        return apex, v2, v3
-    if disparity == 1:    # prescriber isolated
-        return v2, apex, v3
-    if disparity == 2:    # dispenser isolated
-        return v2, v3, apex
-    return apex, v2, v3   # otherwise: apex edges 0.33/0.37, base 0.30
-
-
-def _truncnorm_draws(rng: np.random.Generator, mu: float, sigma: float,
-                     lower: float, size: int) -> np.ndarray:
-    """Inverse-CDF truncated-normal draws (one uniform per record)."""
-    p_lo = normal_cdf((lower - mu) / sigma)
-    u = rng.uniform(p_lo, 1.0, size)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return mu + sigma * normal_ppf_vec(u)
+    v2, v3 = np.degrees([lat23, lon23]).transpose(1, 0, 2)
+    # The isolated stakeholder is the apex: patient (0), prescriber (1) or
+    # dispenser (2); "otherwise" puts the patient there.
+    patient = np.where((disparity == 0) | other, apex, v2)
+    prescriber = np.where(disparity == 1, apex, np.where(disparity == 2, v3, v2))
+    dispenser = np.where(disparity == 2, apex, v3)
+    return [*patient, *prescriber, *dispenser]
 
 
 def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
@@ -309,6 +303,14 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     coordinates constructed to reproduce the intended class code exactly.
     Records come in family, month and class order; ids number them in that
     order and end in the intended class code.
+
+    The random stream, per family: ``normal`` (month noise) and ``poisson``
+    (month counts); then per month with records: ``choice`` (classes),
+    ``integers`` (day of month) and one ``random(6 * count)``.  The six
+    uniforms are class-major: class c, with ``n_c`` records starting at
+    record ``s_c`` of the month, owns ``[6 s_c, 6 (s_c + n_c))``, and draw k
+    of its j-th record (days, MME, PI total, latitude, longitude, bearing)
+    is at ``6 s_c + k n_c + j``.
     """
     draws = config.class_draws()
     if n_records <= 0:
@@ -318,13 +320,21 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     n_months = len(months)
 
     ids: list[str] = []
-    blocks: list[list[np.ndarray]] = []  # one list of columns per (month, class)
+    blocks: list[list[np.ndarray]] = []  # one list of columns per (family, month)
     for family in FAMILIES:
         if family not in config.families:
             continue
         fam = config.families[family]
-        profiles = fam.profiles
+        codes = [p.class_code for p in fam.profiles]
         shares, classes = draws[family]
+        # Per-class constants, indexed by each record's class below; loc,
+        # scale and p_lo have a row for the days draw and one for the MME draw.
+        mme_loc, mme_sd, mean_days, sd_days, mult = map(np.array, zip(*classes))
+        loc, scale = np.array([mean_days, mme_loc]), np.array([sd_days, mme_sd])
+        p_lo = np.array([[normal_cdf((lower - m) / s) for m, s in zip(mu, sigma)]
+                         for lower, mu, sigma in zip((0.5, 0.0), loc, scale)])
+        pi_lo, pi_hi = np.array([_PI_RANGES[int(code[0])] for code in codes]).T
+        disparity = np.array([int(code[1]) for code in codes])
 
         per_month = n_records * fam.record_share / n_months
         month_noise = rng.normal(0.0, config.noise_sd, n_months)
@@ -335,34 +345,33 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
             if count == 0:
                 continue
             factor = _month_factor(config, month) * (1.0 + month_noise[mi])
-            post = month >= config.policy_month
-            class_idx = rng.choice(len(profiles), size=count, p=shares)
+            class_idx = rng.choice(len(codes), size=count, p=shares)
             days_in_month = calendar.monthrange(month.year, month.month)[1]
             days_of_month = rng.integers(1, days_in_month + 1, count)
             day_zero = date(month.year, month.month, 1).toordinal() - 1
 
-            for ci in range(len(profiles)):
-                sel = np.where(class_idx == ci)[0]
-                if sel.size == 0:
-                    continue
-                prof = profiles[ci]
-                mme_loc, mme_sd, mean_days, sd_days, mult = classes[ci]
-                raw_days = _truncnorm_draws(rng, mean_days, sd_days, 0.5, sel.size)
-                days = np.maximum(1, np.floor(raw_days + 0.5).astype(int))
-                mme = _truncnorm_draws(rng, mme_loc, mme_sd, 0.0, sel.size)
-                mme = mme * factor * (mult if post else 1.0)
+            order = np.argsort(class_idx, kind="stable")
+            cls = class_idx[order]
+            n_c = np.bincount(class_idx, minlength=len(codes))
+            start = (np.cumsum(n_c) - n_c)[cls]  # s_c of each record's class
+            # Row k holds draw k of every record: the record at position p of
+            # the month is record j = p - s_c of its class, so the draw is at
+            # 6 s_c + k n_c + j.
+            at = 5 * start + np.arange(count) + np.arange(6)[:, None] * n_c[cls]
+            r = rng.random(6 * count)[at]
 
-                level = int(prof.class_code[0])
-                disp = int(prof.class_code[1])
-                pi_lo, pi_hi = _PI_RANGES[level]
-                patient, prescriber, dispenser = _place_triangles(
-                    sel.size, pi_lo, pi_hi, disp, rng)
+            raw_days, mme = _truncnorm(r[:2], loc[:, cls], scale[:, cls], p_lo[:, cls])
+            days = np.maximum(1, np.floor(raw_days + 0.5).astype(int))
+            mme = mme * factor
+            if month >= config.policy_month:
+                mme = mme * mult[cls]
 
-                first = len(ids) + 1
-                ids += [f"r{serial:07d}-{prof.class_code}"
-                        for serial in range(first, first + sel.size)]
-                blocks.append([day_zero + days_of_month[sel], *patient, *prescriber,
-                               *dispenser, mme, days, np.full(sel.size, family)])
+            serial = len(ids) + 1
+            ids += [f"r{s:07d}-{codes[c]}"
+                    for s, c in zip(range(serial, serial + count), cls.tolist())]
+            blocks.append([day_zero + days_of_month[order],
+                           *_triangles(r[2:], pi_lo[cls], pi_hi[cls], disparity[cls]),
+                           mme, days, np.full(count, family)])
     if not blocks:
         return TransactionTable.from_records([])
     return TransactionTable(ids, *(np.concatenate(cols) for cols in zip(*blocks)))

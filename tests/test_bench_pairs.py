@@ -46,3 +46,46 @@ def test_traced_pairs_with_other_digests_exit_1(bench_pairs, tmp_path):
                              "--change", str(tmp_path / "other"),
                              "--out", str(out), "--traced", "etl:42:1"]) == 1
     assert out.exists()
+
+
+def _scale_run(checkout, n):
+    return {stage: {"exit": 0, "wall_s": 2.0, "cpu_s": 1.0, "peak_rss_mb": 50.0,
+                    "sha256": {"out.csv": checkout.name}}
+            for stage in ("simulate", "ingest", "classify")}
+
+
+def test_scale_record_per_stage(bench_pairs, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_scale", _scale_run)
+    side = tmp_path / "side"
+    side.mkdir()
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(side), "--change", str(side), "--out", str(out),
+                             "--scale", "100000", "--scale", "1000000"]) == 0
+    scale = json.loads(out.read_text())["scale_runs"]
+    assert sorted(scale) == ["100000", "1000000"]
+    record = scale["1000000"]
+    assert record["outputs_equal"] is True
+    assert record["parent"] == record["change"] == _scale_run(side, 0)
+    assert record["change_over_parent"]["ingest"] == {"wall_s": 1.0, "cpu_s": 1.0,
+                                                      "peak_rss_mb": 1.0}
+
+
+def test_scale_record_with_other_outputs_exits_1(bench_pairs, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_scale", _scale_run)
+    for name in ("side", "other"):
+        (tmp_path / name).mkdir()
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "side"),
+                             "--change", str(tmp_path / "other"),
+                             "--out", str(out), "--scale", "1000"]) == 1
+    assert json.loads(out.read_text())["scale_runs"]["1000"]["outputs_equal"] is False
+
+
+def test_scale_run_of_the_producer_stages(bench_pairs):
+    # One real run of this checkout on a few records.
+    stages = bench_pairs.run_scale(TOOL.parents[1], 300)
+    assert list(stages) == ["simulate", "ingest", "classify"]
+    for stage in stages.values():
+        assert stage["exit"] == 0 and stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0
+        assert all(len(digest) == 64 for digest in stage["sha256"].values())
+    assert list(stages["ingest"]["sha256"]) == ["clean.csv", "filter_report.json"]

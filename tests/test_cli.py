@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -45,7 +46,7 @@ def test_simulate_and_manifest(pipeline):
     manifest = json.loads((pipeline / "manifest_simulate.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 7
-    assert str(pipeline / "data.csv") in manifest["outputs"]
+    assert "data.csv" in manifest["outputs"]
     assert manifest["version"]
 
 
@@ -383,7 +384,7 @@ def test_config_file_supplies_flags(tmp_path):
     assert out.exists()
     # the config file sets flags that change outputs, so it is a hashed input
     manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
-    assert manifest["inputs"] == {str(cfg): hashlib.sha256(cfg.read_bytes()).hexdigest()}
+    assert manifest["inputs"] == {"flags.json": hashlib.sha256(cfg.read_bytes()).hexdigest()}
     # explicit flags win over config-file defaults
     out2 = tmp_path / "e.csv"
     assert run("--config-file", cfg, "simulate", "--out", out2) == 0
@@ -562,7 +563,8 @@ def test_second_output_in_a_new_directory(pipeline, tmp_path):
         assert run(command, *argv, "--out", first, flag, second) == 0
         assert first.is_file() and second.is_file()
         manifest = first.parent / f"manifest_{command}.json"
-        assert json.loads(manifest.read_text())["outputs"] == [str(first), str(second)]
+        assert json.loads(manifest.read_text())["outputs"] == [
+            first.name, os.path.join("..", second.parent.name, second.name)]
 
 
 # The ten stages in pipeline order: the command, its arguments (a Path is
@@ -591,18 +593,23 @@ _STAGES = [
 
 @pytest.fixture(scope="module")
 def ten_stages(tmp_path_factory):
-    """All ten stages run in one work directory; for each, the files it made
-    with their modification times."""
+    """All ten stages run in one work directory, given paths relative to it;
+    for each, the files it made with their modification times."""
     root = tmp_path_factory.mktemp("stages")
 
     def files():
         return {p: p.stat().st_mtime_ns for p in root.rglob("*") if p.is_file()}
 
     made = {}
-    for command, argv, _ in _STAGES:
-        before = files()
-        assert run(command, *(root / a if isinstance(a, Path) else a for a in argv)) == 0
-        made[command] = {p: t for p, t in files().items() if p not in before}
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for command, argv, _ in _STAGES:
+            before = files()
+            assert run(command, *argv) == 0
+            made[command] = {p: t for p, t in files().items() if p not in before}
+    finally:
+        os.chdir(cwd)
     return root, made
 
 
@@ -614,7 +621,24 @@ def test_every_stage_lists_what_it_wrote(ten_stages, command, manifest_dir):
     assert manifest_path in made[command]
     manifest = json.loads(manifest_path.read_text())
     assert manifest["command"] == command
-    outputs = [Path(o) for o in manifest["outputs"]]
+    outputs = [manifest_path.parent / o for o in manifest["outputs"]]
     assert sorted(outputs) == sorted(set(made[command]) - {manifest_path})
     times = [made[command][o] for o in outputs]
     assert times == sorted(times)  # listed in the order they were written
+
+
+@pytest.mark.parametrize("command,manifest_dir",
+                         [(command, d) for command, _, d in _STAGES])
+def test_manifest_paths_are_relative_to_the_manifest(ten_stages, command, manifest_dir):
+    # They used to be recorded as typed, relative to the directory the stage
+    # ran in: series/manifest_aggregate.json listed "series/series_opioid_00.csv"
+    # and the input "classified.csv", which do not resolve from series/.
+    root, _ = ten_stages
+    here = root / manifest_dir
+    manifest = json.loads((here / f"manifest_{command}.json").read_text())
+    for name in [*manifest["inputs"], *manifest["outputs"]]:
+        assert not os.path.isabs(name) and (here / name).is_file(), name
+    for name, digest in manifest["inputs"].items():
+        assert hashlib.sha256((here / name).read_bytes()).hexdigest() == digest
+    if command in ("aggregate", "its"):
+        assert "../classified.csv" in manifest["inputs"]

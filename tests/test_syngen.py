@@ -1,12 +1,15 @@
+import dataclasses
 import io
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 
+import syngen_reference
 from rxgeo import geo, syngen
 from rxgeo._special import chi2_sf
-from rxgeo.records import parse_csv, write_csv
+from rxgeo.records import CSV_COLUMNS, parse_csv, write_csv
 from rxgeo.series import MonthKey, RecordTable
 
 
@@ -217,3 +220,58 @@ def test_mean_inverse_days_against_monte_carlo():
     from rxgeo._special import normal_ppf_vec
     draws = np.maximum(1, np.floor(mean + sd * normal_ppf_vec(u) + 0.5).astype(int))
     assert analytic == pytest.approx(float(np.mean(1.0 / draws)), rel=5e-3)
+
+
+# --- oracle: the month-at-a-time generator against the block-by-block loop ---------
+
+def _assert_bit_identical(got, want):
+    assert got.record_id == want.record_id
+    for col in CSV_COLUMNS[1:]:
+        a, b = getattr(got, col), getattr(want, col)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), col
+        assert a.tobytes() == b.tobytes(), col
+
+
+def _scenario(seed, **changes):
+    """The default scenario with top-level fields, class fields (a dict per
+    class code, both families) or families (a list of names) changed."""
+    cfg = syngen.default_config(seed)
+    for code, fields in changes.pop("classes", {}).items():
+        for fam in cfg.families.values():
+            fam.profiles = [dataclasses.replace(p, **fields) if p.class_code == code else p
+                            for p in fam.profiles]
+    if "families" in changes:
+        cfg.families = {name: cfg.families[name] for name in changes.pop("families")}
+    return dataclasses.replace(cfg, **changes)
+
+
+@pytest.mark.parametrize("n", [1_000, 25_000, 100_000])
+@pytest.mark.parametrize("seed", [42, 1234, 7])
+def test_generate_matches_block_by_block_loop_on_default_config(n, seed):
+    cfg = syngen.default_config(seed)
+    _assert_bit_identical(syngen.generate(cfg, n), syngen_reference.generate(cfg, n))
+
+
+@pytest.mark.parametrize("name,cfg,n", [
+    ("noise-trend-season-multipliers",
+     _scenario(3, noise_sd=0.2, trend_slope=-0.004, seasonal_amplitude=0.3,
+               classes={"30": {"post_policy_multiplier": 1.6},
+                        "33": {"post_policy_multiplier": 2.5},
+                        "01": {"post_policy_multiplier": 0.0}}), 20_000),
+    ("zero-share-class-and-empty-months",
+     _scenario(11, classes={"03": {"record_share": 0.0}, "12": {"record_share": 0.0}}),
+     150),
+    ("no-records-at-all", _scenario(2), 1),
+    ("benzodiazepine-only", _scenario(9, families=["benzodiazepine"]), 5_000),
+    ("opioid-only-late-policy", _scenario(2, families=["opioid"],
+                                          policy_month=MonthKey(2021, 11)), 5_000),
+])
+def test_generate_matches_block_by_block_loop_on_scenarios(name, cfg, n):
+    got, want = syngen.generate(cfg, n), syngen_reference.generate(cfg, n)
+    _assert_bit_identical(got, want)
+    if name == "zero-share-class-and-empty-months":
+        months = {MonthKey.from_date(d).index for d in map(date.fromordinal, got.fill_date)}
+        assert 0 < len(months) < cfg.n_months()
+        assert not any(i.endswith(("-03", "-12")) for i in got.record_id)
+    if name == "no-records-at-all":
+        assert len(got) == 0

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
         --pairs its:42:10 --pairs its:1234:10 --pairs etl:42:6 \
-        --digest etl:1234 --traced its:42:2 [--seconds 22]
+        --digest etl:1234 --traced its:42:2 --scale 1000000 [--seconds 22]
 
 ``DIR`` is the root of a source checkout of each side; ``perfbench/run.py``
 runs from there, as its docstring asks.  Give the same directory twice to
@@ -17,21 +17,37 @@ check the harness itself.  Standard library only.
   ``correct`` flag and digests.
 * ``--traced W:S:N`` runs N traced pairs with ``--seconds 1 --trace 1`` and
   keeps every metric the traced run reports, per-layer ones included.
+* ``--scale N`` runs ``rxgeo simulate --seed 42 --n N``, then ``ingest`` and
+  ``classify``, once on each side, parent first, in a fresh directory.  It
+  keeps each stage's wall and CPU seconds, peak RSS (``os.wait4``, as
+  ``perfbench/run.py`` reads it) and the SHA-256 of each output file.
 
-Exits 1, after writing what it has, when a run is not correct or the two
-sides' digests differ on any workload and seed.
+Exits 1, after writing what it has, when a run is not correct, the two
+sides' digests differ on any workload and seed, or the two sides' ``--scale``
+outputs differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# The producer stages of a --scale run: the stage, its arguments, its outputs.
+SCALE_STAGES = (
+    ("simulate", ["--seed", "42", "--out", "raw.csv"], ["raw.csv"]),
+    ("ingest", ["--input", "raw.csv", "--out", "clean.csv", "--report", "filter_report.json"],
+     ["clean.csv", "filter_report.json"]),
+    ("classify", ["--input", "clean.csv", "--out", "classified.csv"], ["classified.csv"]),
+)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -50,6 +66,48 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
     return {"correct": True, "input_digest": details["input_digest"],
             "pass_digest": details["pass_digest"], "env": details["env"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def run_scale(checkout: Path, n: int) -> dict:
+    """The --scale stages on ``n`` records, each once as its own process;
+    per stage its exit status, times, peak RSS and output digests.  Stops at
+    the first stage that fails."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(checkout / "src"), os.environ.get("PYTHONPATH")) if p),
+        PYTHONHASHSEED="0", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+        MKL_NUM_THREADS="1")
+    stages = {}
+    with tempfile.TemporaryDirectory(prefix="bench_scale_") as tmp:
+        work = Path(tmp)
+        for stage, args, outputs in SCALE_STAGES:
+            cmd = [sys.executable, "-m", "rxgeo.cli", stage, *args]
+            if stage == "simulate":
+                cmd += ["--n", str(n)]
+            with open(work / f"{stage}.log", "w") as log:
+                start = time.perf_counter()
+                proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=log,
+                                        stderr=subprocess.STDOUT)
+                _, status, usage = os.wait4(proc.pid, 0)
+                wall = time.perf_counter() - start
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            stages[stage] = {"exit": proc.returncode, "wall_s": wall,
+                             "cpu_s": usage.ru_utime + usage.ru_stime,
+                             "peak_rss_mb": usage.ru_maxrss / 1024.0,
+                             "sha256": {o: sha256(work / o) for o in outputs
+                                        if (work / o).is_file()}}
+            if proc.returncode:
+                print(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}\n"
+                      f"{(work / f'{stage}.log').read_text()[-2000:]}", file=sys.stderr)
+                break
+    return stages
 
 
 def quartiles(values: list[float]) -> dict:
@@ -90,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=lambda t: spec(t, 3), action="append", default=[])
     ap.add_argument("--digest", type=lambda t: spec(t, 2), action="append", default=[])
     ap.add_argument("--traced", type=lambda t: spec(t, 3), action="append", default=[])
+    ap.add_argument("--scale", type=int, action="append", default=[])
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bad: list[str] = []
@@ -114,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
                   + ", ".join(f"{w}: {n} at seed {s}" for w, s, n in args.pairs)
                   + "); the side that runs first swaps every pair; parent and change "
                     "each run from their own checkout",
-        "digest_only_runs": {}, "host": {}, "workloads": {},
+        "digest_only_runs": {}, "host": {}, "scale_runs": {}, "workloads": {},
     }
     for workload, seed, n in args.pairs:
         label = f"{workload}/seed{seed}"
@@ -161,6 +220,24 @@ def main(argv: list[str] | None = None) -> int:
                     "swapping every pair; the per-layer value is the minimum over "
                     "the traced passes of a run",
             "pairs": pairs,
+        }
+    for n in args.scale:
+        runs = {s: run_scale(dirs[s], n) for s in SIDES}
+        if any(len(r) < len(SCALE_STAGES) or any(st["exit"] for st in r.values())
+               for r in runs.values()):
+            bad.append(f"scale {n}: a stage failed")
+        outputs = {s: {stage: r["sha256"] for stage, r in runs[s].items()} for s in SIDES}
+        if outputs["parent"] != outputs["change"]:
+            bad.append(f"scale {n}: the parent and change outputs differ")
+        out["scale_runs"][str(n)] = {
+            "command": f"rxgeo simulate --seed 42 --n {n}, then ingest and classify, "
+                       "once per side, parent first",
+            "outputs_equal": outputs["parent"] == outputs["change"],
+            "change_over_parent": {
+                stage: {m: runs["change"][stage][m] / runs["parent"][stage][m]
+                        for m in ("wall_s", "cpu_s", "peak_rss_mb")}
+                for stage in runs["parent"] if stage in runs["change"]},
+            **runs,
         }
     envs = [r["env"] for r in every if r["correct"]]
     out["host"] = envs[0] if envs else {}
