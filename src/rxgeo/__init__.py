@@ -1,7 +1,7 @@
 """Geospatial classification and interrupted-time-series analysis of
 prescription dispensing records."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .records import (FAMILIES, FilterReport, GeoPoint, PrescriptionRecord,
                       TransactionTable, clean, mme_per_day, parse_csv, write_csv)

@@ -13,17 +13,21 @@ import json
 import math
 import os
 import sys
+from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
 from . import __version__, arima, geo, records, report, syngen
 from .intervention import EVENT_KINDS, its_batch
-from .series import (DEFAULT_POLICY_MONTH, MonthKey, RecordTable, aggregate_monthly,
-                     pre_post_table, read_classified_csv, read_series_csv,
-                     summarize_classes, write_classified_csv, write_series_csv)
+from .series import (CLASSIFIED_EXTRA, DEFAULT_POLICY_MONTH, MonthKey, RecordTable,
+                     aggregate_monthly, pre_post_table, read_classified_csv,
+                     read_series_csv, summarize_classes, write_classified_csv,
+                     write_series_csv)
 from .stats import mean_ci, one_way_anova, t_test_greater
 
 
@@ -82,14 +86,16 @@ class RunManifest:
     finished_at: str = ""
     inputs: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    made_dirs: list = field(default_factory=list)  # made by _output; not written out
 
     def write(self, outdir: Path) -> None:
         """Write ``manifest_<command>.json`` to ``outdir``, naming every input
         and output by its path relative to ``outdir``."""
         self.finished_at = datetime.now(timezone.utc).isoformat()
         path = outdir / f"manifest_{self.command}.json"
+        payload = {k: v for k, v in self.__dict__.items() if k != "made_dirs"}
         path.write_text(_json({
-            **self.__dict__,
+            **payload,
             "inputs": {os.path.relpath(p, outdir): h for p, h in self.inputs.items()},
             "outputs": [os.path.relpath(p, outdir) for p in self.outputs]}))
 
@@ -118,14 +124,22 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}: {records.ReadError.undecodable(exc)}") from None
 
 
-def _read_input(path: Path, manifest: RunManifest, read):
-    """``read`` on the open input; a ReadError becomes a DataError naming it."""
+@contextmanager
+def _input(path: Path, manifest: RunManifest) -> Iterator[TextIO]:
+    """The open input, hashed into the manifest; a ReadError while it is open
+    becomes a DataError naming it."""
     _track_input(manifest, path)
     with open(path, newline="") as fh:
         try:
-            return read(fh)
+            yield fh
         except records.ReadError as exc:
             raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_input(path: Path, manifest: RunManifest, read):
+    """``read`` on the open input, as :func:`_input` opens it."""
+    with _input(path, manifest) as fh:
+        return read(fh)
 
 
 def _monthly_groups(table: RecordTable, family: str) -> dict[str, np.ndarray]:
@@ -135,12 +149,37 @@ def _monthly_groups(table: RecordTable, family: str) -> dict[str, np.ndarray]:
 
 
 def _output(manifest: RunManifest, path) -> Path:
-    """The path of a stage output about to be written: its directory made,
-    and the path listed in the manifest in the order the stage writes."""
+    """Where to write a stage output: a temporary file next to ``path``, in
+    its directory, made if missing.  ``path`` is listed in the manifest in the
+    order the stage writes; ``_run_stage`` moves the file there once the
+    stage has succeeded, or removes it and the directories made for it."""
     path = Path(path)
+    manifest.made_dirs += [d for d in (path.parent, *path.parent.parents) if not d.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
     manifest.outputs.append(str(path))
-    return path
+    return _partial(path)
+
+
+def _partial(path) -> Path:
+    path = Path(path)
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+def _run_stage(args, manifest: RunManifest) -> str:
+    """The stage's summary, once its outputs are in place; if it fails, no
+    output, temporary file or directory made for one is left."""
+    try:
+        summary = args.func(args, manifest)
+        for path in dict.fromkeys(manifest.outputs):
+            os.replace(_partial(path), path)
+    except BaseException:
+        for path in manifest.outputs:
+            _partial(path).unlink(missing_ok=True)
+        for directory in sorted(manifest.made_dirs, key=lambda d: len(d.parts), reverse=True):
+            with suppress(OSError):  # not empty: another output is still in it
+                directory.rmdir()
+        raise
+    return summary
 
 
 def _write_csv_rows(path: Path, rows) -> None:
@@ -152,7 +191,7 @@ def _write_csv_rows(path: Path, rows) -> None:
 #
 # Each stage reads its inputs through the manifest, writes every output file
 # at a path from ``_output``, and returns its one-line summary; ``main``
-# writes the manifest and prints the summary.
+# moves the outputs into place, writes the manifest and prints the summary.
 
 def _cmd_simulate(args, manifest: RunManifest) -> str:
     if args.config:
@@ -164,42 +203,59 @@ def _cmd_simulate(args, manifest: RunManifest) -> str:
             raise DataError(f"bad scenario config {cfg_path}: {exc}") from exc
     else:
         cfg = syngen.default_config()
-    table = syngen.generate(cfg, args.n, seed=args.seed)
-    out = _output(manifest, args.out)
-    records.write_csv(table, out)
+    with open(_output(manifest, args.out), "w", newline="") as out:
+        writer = records.TableWriter(out)
+        for block in syngen.generate_blocks(cfg, args.n, seed=args.seed):
+            records.write_csv(block, writer)
     if args.dump_config:
         _output(manifest, args.dump_config).write_text(
             _json(syngen.config_to_dict(cfg)))
-    return f"simulate: wrote {len(table)} records to {out}"
+    return f"simulate: wrote {writer.rows} records to {Path(args.out)}"
 
 
 def _cmd_ingest(args, manifest: RunManifest) -> str:
-    table, errors = _read_input(Path(args.input), manifest, records.parse_csv)
-    kept, rep = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
-                              n_malformed=len(errors))
-    records.write_csv(kept, _output(manifest, args.out))
-    payload = rep.to_dict()
+    report, errors = records.FilterReport(), []
+    with _input(Path(args.input), manifest) as fh, \
+            open(_output(manifest, args.out), "w", newline="") as out:
+        writer = records.TableWriter(out)
+        for table, bad in records.parse_chunks(fh):
+            kept, part = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
+                                       n_malformed=len(bad))
+            records.write_csv(kept, writer)
+            report += part
+            errors += bad
+    payload = report.to_dict()
     payload["row_errors"] = [{"line": e.line, "reason": e.reason} for e in errors]
     _output(manifest, args.report).write_text(_json(payload))
-    return (f"ingest: kept {rep.total_kept}/{rep.total_in} records "
-            f"({rep.total_excluded} excluded)")
+    return (f"ingest: kept {report.total_kept}/{report.total_in} records "
+            f"({report.total_excluded} excluded)")
 
 
 def _cmd_classify(args, manifest: RunManifest) -> str:
     path = Path(args.input)
-    table, errors = _read_input(path, manifest, records.parse_csv)
+    thresholds = geo.ClassThresholds(near_miles=args.near_miles,
+                                     isolation_ratio=args.isolation_ratio)
+    errors, unclean, counts = [], None, Counter()
+    with _input(path, manifest) as fh, \
+            open(_output(manifest, args.out), "w", newline="") as out:
+        writer = records.TableWriter(out, CLASSIFIED_EXTRA)
+        for table, bad in records.parse_chunks(fh):
+            errors += bad
+            if errors or unclean:
+                continue  # read on to count the malformed rows
+            try:
+                classified = geo.classify_records(table, thresholds)
+            except ValueError as exc:  # days_supply < 1: the input was not cleaned
+                unclean = exc
+                continue
+            write_classified_csv(writer, classified)
+            counts.update(classified.class_counts())
     if errors:
         raise DataError(f"{path}: {len(errors)} malformed rows "
                         f"(first: line {errors[0].line}: {errors[0].reason})")
-    thresholds = geo.ClassThresholds(near_miles=args.near_miles,
-                                     isolation_ratio=args.isolation_ratio)
-    try:
-        classified = geo.classify_records(table, thresholds)
-    except ValueError as exc:  # days_supply < 1: the input was not cleaned
-        raise DataError(f"{path}: {exc}") from exc
-    write_classified_csv(_output(manifest, args.out), classified)
-    return "classify: " + " ".join(f"{k}={v}" for k, v
-                                   in classified.class_counts().items() if v)
+    if unclean:
+        raise DataError(f"{path}: {unclean}") from unclean
+    return "classify: " + " ".join(f"{k}={v}" for k, v in counts.items() if v)
 
 
 def _cmd_aggregate(args, manifest: RunManifest) -> str:
@@ -424,9 +480,8 @@ def _cmd_report(args, manifest: RunManifest) -> str:
     outdir = Path(args.outdir)
     for p in plots:
         _output(manifest, outdir / p.name).write_bytes(p.read_bytes())
-    out_md = _output(manifest, outdir / "report.md")
-    out_md.write_text("\n".join(sections))
-    return f"report: wrote {out_md}"
+    _output(manifest, outdir / "report.md").write_text("\n".join(sections))
+    return f"report: wrote {outdir / 'report.md'}"
 
 
 # --- parser -------------------------------------------------------------------
@@ -572,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
                                started_at=datetime.now(timezone.utc).isoformat())
         if config_file is not None:
             _track_input(manifest, config_file)
-        summary = args.func(args, manifest)
+        summary = _run_stage(args, manifest)
         manifest.write(Path(args.outdir) if hasattr(args, "outdir")
                        else Path(args.out).parent)
         print(summary)

@@ -6,7 +6,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from itertools import chain, compress
 from pathlib import Path
@@ -35,10 +35,14 @@ COORDINATE_COLUMNS = CSV_COLUMNS[2:8]
 DEFAULT_MME_CAP = 1e5
 DEFAULT_CUTOFF = date(2014, 1, 1)
 
-# Rows parsed and written per chunk: whole-file string columns cost more
-# memory than the rows they come from.
+# Rows parsed per chunk: whole-file string columns cost more memory than
+# the rows they come from.
 CHUNK_ROWS = 4096
+# Lines built per write: the text of a block costs several times its bytes.
+WRITE_ROWS = 1024
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # the one fill_date form
+# The characters for which csv.writer's QUOTE_MINIMAL quotes a field.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 class SchemaError(ValueError):
@@ -201,6 +205,11 @@ class FilterReport:
         d["total_in"] = self.total_in
         d["total_kept"] = self.total_kept
         return d
+
+    def __add__(self, other: "FilterReport") -> "FilterReport":
+        """The tallies of two parts of one input, added."""
+        return FilterReport(*(getattr(self, f.name) + getattr(other, f.name)
+                              for f in fields(self)))
 
 
 def mme_per_day(record: PrescriptionRecord) -> float:
@@ -376,6 +385,14 @@ def duplicate_names(names: Sequence[str]) -> list[str]:
     return sorted({name for name in names if names.count(name) > 1})
 
 
+def parse_chunks(stream: TextIO) -> Iterator[tuple[TransactionTable, list[RowError]]]:
+    """A transaction CSV a chunk at a time, as :func:`read_csv` reads it with
+    the ``INGEST`` schema: each chunk's table and a :class:`RowError` for each
+    of its rows the schema rejects."""
+    for columns, errors in read_csv(stream, INGEST):
+        yield TransactionTable(**columns), errors
+
+
 def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
     """A transaction CSV as a table, and a :class:`RowError` for each row the
     ``INGEST`` schema rejects; bad rows never abort the parse.  A wrong
@@ -384,36 +401,82 @@ def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     parts, errors = [], []
-    for columns, bad in read_csv(stream, INGEST):
-        parts.append(TransactionTable(**columns))
+    for table, bad in parse_chunks(stream):
+        parts.append(table)
         errors += bad
     return TransactionTable.concat(parts), errors
 
 
-def write_csv(table: TransactionTable, path: str | Path | TextIO,
-              extra: Iterable[tuple[str, np.ndarray]] = ()) -> None:
-    """Write a table in the exact ingest schema, followed by the ``extra``
-    (name, column) pairs; round-trips through :func:`parse_csv`.
+def _quoted(texts: list[str]) -> list[str]:
+    """Text fields as csv.writer's QUOTE_MINIMAL writes them: one holding a
+    comma, a double quote, CR or LF is wrapped in double quotes, each double
+    quote doubled."""
+    if not _NEEDS_QUOTES.search("".join(texts)):
+        return texts
+    return ['"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+            for text in texts]
 
-    ``csv.writer`` writes the Python values ``CHUNK_ROWS`` rows at a time: a
-    float as its repr, an int or a string as its str.
-    """
-    extra = list(extra)
-    arrays = table._arrays()[1:] + [column for _, column in extra]
-    own = isinstance(path, (str, Path))
-    stream = open(path, "w", newline="") if own else path
-    try:
-        writer = csv.writer(stream)
-        writer.writerow(CSV_COLUMNS + tuple(name for name, _ in extra))
-        for start in range(0, len(table), CHUNK_ROWS):
-            stop = start + CHUNK_ROWS
+
+def _field_texts(column: np.ndarray) -> list[str]:
+    """The CSV fields of a column: repr of a float, str of an int, and str of
+    anything else under the quoting rule of :func:`_quoted`."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        return list(map(repr, values))
+    if column.dtype.kind in "iub":
+        return list(map(str, values))
+    return _quoted(list(map(str, values)))
+
+
+class TableWriter:
+    """A text stream that tables are appended to by :func:`write_csv`: the
+    header, written here, is the ingest columns and then the ``extra``
+    names.  Open the stream with ``newline=""``.  ``rows`` counts the records
+    written."""
+
+    def __init__(self, stream: TextIO, extra: Sequence[str] = ()):
+        self.stream = stream
+        self.extra = tuple(extra)
+        self.rows = 0
+        stream.write(",".join(_quoted([*CSV_COLUMNS, *self.extra])) + "\r\n")
+
+    def _write(self, table: TransactionTable, extra: Sequence[np.ndarray]) -> None:
+        arrays = [*table._arrays()[1:], *extra]
+        for start in range(0, len(table), WRITE_ROWS):
+            stop = start + WRITE_ROWS
             days = table.fill_date[start:stop].tolist()
             iso = {d: date.fromordinal(d).isoformat() for d in set(days)}
-            writer.writerows(zip(table.record_id[start:stop], map(iso.__getitem__, days),
-                                 *(a[start:stop].tolist() for a in arrays)))
-    finally:
-        if own:
-            stream.close()
+            texts = [_quoted(list(map(str, table.record_id[start:stop]))),
+                     list(map(iso.__getitem__, days)),
+                     *(_field_texts(a[start:stop]) for a in arrays)]
+            self.stream.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
+        self.rows += len(table)
+
+
+def write_csv(table: TransactionTable, path: str | Path | TextIO | TableWriter,
+              extra: Iterable[tuple[str, np.ndarray]] = ()) -> None:
+    """Write a table in the exact ingest schema, followed by the ``extra``
+    (name, column) pairs; round-trips through :func:`parse_csv`.  A path or
+    a text stream gets the header and the table's rows.  A
+    :class:`TableWriter`, whose header must name the same extra columns,
+    gets the rows appended, so a table can be written a part at a time.
+
+    The bytes are those of ``csv.writer``: one CRLF-ended line per record,
+    ``WRITE_ROWS`` lines per write, with a float as its repr, an int as its
+    str, and other values as their str under the quoting rule of
+    :func:`_quoted`.
+    """
+    extra = list(extra)
+    names, columns = tuple(name for name, _ in extra), [column for _, column in extra]
+    if isinstance(path, TableWriter):
+        if names != path.extra:
+            raise ValueError(f"extra columns {names} differ from the header's {path.extra}")
+        path._write(table, columns)
+    elif isinstance(path, (str, Path)):
+        with open(path, "w", newline="") as stream:
+            TableWriter(stream, names)._write(table, columns)
+    else:
+        TableWriter(path, names)._write(table, columns)
 
 
 def clean(

@@ -14,6 +14,7 @@ import calendar
 import math
 from dataclasses import dataclass, field, fields, asdict
 from datetime import date
+from typing import Iterator
 
 import numpy as np
 
@@ -174,10 +175,9 @@ def _rounded_days_distribution(mean: float, sd: float) -> tuple[np.ndarray, np.n
     """Probabilities of each integer day count under the rounded, >=1 draw."""
     k_max = max(2, int(math.ceil(mean + 10.0 * sd)))
     ks = np.arange(1, k_max + 1)
-    upper = np.array([normal_cdf((k + 0.5 - mean) / sd) for k in ks])
-    lower = np.array([normal_cdf((k - 0.5 - mean) / sd) for k in ks])
-    probs = upper - lower
-    probs[0] = upper[0] - normal_cdf((0.5 - mean) / sd)
+    # the CDF at each bin edge k - 0.5, for k = 1 .. k_max + 1
+    edges = np.array([normal_cdf((k + 0.5 - mean) / sd) for k in range(k_max + 1)])
+    probs = edges[1:] - edges[:-1]
     total = probs.sum()
     if total <= 0:
         raise ValueError("degenerate days-supply distribution")
@@ -293,7 +293,18 @@ def _triangles(r: np.ndarray, pi_lo: np.ndarray, pi_hi: np.ndarray,
 def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
              ) -> TransactionTable:
     """
-    Draw a synthetic transaction set.
+    Draw a synthetic transaction set: the blocks of :func:`generate_blocks`
+    as one table.
+    """
+    blocks = list(generate_blocks(config, n_records, seed))
+    return TransactionTable.concat(blocks) if blocks else TransactionTable.from_records([])
+
+
+def generate_blocks(config: ScenarioConfig, n_records: int, seed: int | None = None
+                    ) -> Iterator[TransactionTable]:
+    """
+    Draw a synthetic transaction set one (family, month) block at a time;
+    the scenario and ``n_records`` are checked before the first block.
 
     Record counts per month are Poisson around the family's share of
     ``n_records``; each record gets a class by share, a rounded truncated-
@@ -302,7 +313,8 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     month factors, times the class multiplier after the policy month), and
     coordinates constructed to reproduce the intended class code exactly.
     Records come in family, month and class order; ids number them in that
-    order and end in the intended class code.
+    order across blocks and end in the intended class code.  A month without
+    records gives no block.
 
     The random stream, per family: ``normal`` (month noise) and ``poisson``
     (month counts); then per month with records: ``choice`` (classes),
@@ -315,12 +327,15 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     draws = config.class_draws()
     if n_records <= 0:
         raise ValueError("n_records must be positive")
+    return _blocks(config, draws, n_records, seed)
+
+
+def _blocks(config: ScenarioConfig, draws: dict, n_records: int, seed: int | None
+            ) -> Iterator[TransactionTable]:
     rng = np.random.default_rng(config.seed if seed is None else seed)
     months = config.month_keys()
     n_months = len(months)
-
-    ids: list[str] = []
-    blocks: list[list[np.ndarray]] = []  # one list of columns per (family, month)
+    serial = 1  # the number in the next record's id
     for family in FAMILIES:
         if family not in config.families:
             continue
@@ -366,15 +381,13 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
             if month >= config.policy_month:
                 mme = mme * mult[cls]
 
-            serial = len(ids) + 1
-            ids += [f"r{s:07d}-{codes[c]}"
-                    for s, c in zip(range(serial, serial + count), cls.tolist())]
-            blocks.append([day_zero + days_of_month[order],
-                           *_triangles(r[2:], pi_lo[cls], pi_hi[cls], disparity[cls]),
-                           mme, days, np.full(count, family)])
-    if not blocks:
-        return TransactionTable.from_records([])
-    return TransactionTable(ids, *(np.concatenate(cols) for cols in zip(*blocks)))
+            ids = [f"r{s:07d}-{codes[c]}"
+                   for s, c in zip(range(serial, serial + count), cls.tolist())]
+            serial += count
+            yield TransactionTable(
+                ids, day_zero + days_of_month[order],
+                *_triangles(r[2:], pi_lo[cls], pi_hi[cls], disparity[cls]),
+                mme, days, np.full(count, family))
 
 
 def intended_class_code(record: PrescriptionRecord) -> str:

@@ -1,10 +1,14 @@
 """The record generator as it was before it drew a month at a time, for the
-oracle test of ``syngen.generate``.
+oracle test of ``syngen.generate``, and the days-supply distribution as it
+was before it took each bin edge's CDF once, for the oracle test of
+``syngen._mean_inverse_days``.
 
 ``generate`` is the block-by-block loop the library used up to version 0.8.0:
 one block of uniform draws per (family, month, class), with the six
-uniforms of a class drawn by six ``Generator.uniform`` calls.  It is copied
-unchanged; the helpers that stayed in ``syngen`` are imported from it.
+uniforms of a class drawn by six ``Generator.uniform`` calls.
+``_rounded_days_distribution`` and ``_mean_inverse_days`` are those of
+version 0.9.0.  Each is copied unchanged; the helpers that stayed in
+``syngen`` are imported from it.
 """
 
 import calendar
@@ -17,6 +21,25 @@ from rxgeo._special import normal_cdf, normal_ppf_vec
 from rxgeo.geo import EARTH_RADIUS_MILES
 from rxgeo.records import FAMILIES, TransactionTable
 from rxgeo.syngen import ScenarioConfig, _PI_RANGES, _geodesic, _month_factor
+
+
+def _rounded_days_distribution(mean: float, sd: float) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of each integer day count under the rounded, >=1 draw."""
+    k_max = max(2, int(math.ceil(mean + 10.0 * sd)))
+    ks = np.arange(1, k_max + 1)
+    upper = np.array([normal_cdf((k + 0.5 - mean) / sd) for k in ks])
+    lower = np.array([normal_cdf((k - 0.5 - mean) / sd) for k in ks])
+    probs = upper - lower
+    probs[0] = upper[0] - normal_cdf((0.5 - mean) / sd)
+    total = probs.sum()
+    if total <= 0:
+        raise ValueError("degenerate days-supply distribution")
+    return ks, probs / total
+
+
+def _mean_inverse_days(mean: float, sd: float) -> float:
+    ks, probs = _rounded_days_distribution(mean, sd)
+    return float((probs / ks).sum())
 
 
 def _triangle_sides(pi_total: np.ndarray,

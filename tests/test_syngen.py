@@ -275,3 +275,45 @@ def test_generate_matches_block_by_block_loop_on_scenarios(name, cfg, n):
         assert not any(i.endswith(("-03", "-12")) for i in got.record_id)
     if name == "no-records-at-all":
         assert len(got) == 0
+
+
+# --- the days-supply distribution vs. its reference -------------------------------
+
+def _hex(value):
+    """Every float in a nest of tuples, lists and arrays as float.hex."""
+    if isinstance(value, (tuple, list)):
+        return [_hex(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_hex(v) for v in value.tolist()]
+    return float(value).hex()
+
+
+_DEFAULT_DAYS = [(p.mean_days, p.sd_days) for fam in syngen.default_config().families.values()
+                 for p in fam.profiles]
+
+
+@pytest.mark.parametrize("mean,sd", _DEFAULT_DAYS + [
+    (mean, sd) for mean in (-3.0, 0.0, 0.5, 1.0, 2.7, 7.66, 15.0, 30.0, 90.0)
+    for sd in (0.05, 0.3, 1.0, 3.15, 7.51, 20.0)])
+def test_days_distribution_matches_its_reference(mean, sd):
+    # syngen_reference keeps the loop that took each edge's CDF twice; the
+    # generator oracle cannot see a change here, as both of its sides call
+    # class_draws.
+    assert len(_DEFAULT_DAYS) == 32
+
+    def outcome(module):
+        try:
+            ks, probs = module._rounded_days_distribution(mean, sd)
+            return ks.tolist(), _hex(probs), float.hex(module._mean_inverse_days(mean, sd))
+        except ValueError as exc:  # a distribution with no mass at 1 day or more
+            return str(exc)
+    assert outcome(syngen) == outcome(syngen_reference)
+
+
+@pytest.mark.parametrize("cfg", [syngen.default_config(),
+                                 _scenario(3, classes={"32": {"sd_days": 0.2},
+                                                       "10": {"mean_days": 1.0}})])
+def test_class_draws_match_the_reference_days_distribution(cfg, monkeypatch):
+    got = {name: _hex(draws) for name, draws in cfg.class_draws().items()}
+    monkeypatch.setattr(syngen, "_mean_inverse_days", syngen_reference._mean_inverse_days)
+    assert got == {name: _hex(draws) for name, draws in cfg.class_draws().items()}

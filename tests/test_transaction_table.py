@@ -9,6 +9,8 @@ per-record writers below (the ones the table writer replaced) write.
 import csv
 import io
 import json
+import math
+from datetime import date
 from unittest import mock
 
 import numpy as np
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rxgeo import cli, geo, records, series, syngen
-from rxgeo.records import CSV_COLUMNS, FilterReport, mme_per_day
+from rxgeo.records import CSV_COLUMNS, FilterReport, TransactionTable, mme_per_day
 from row_reference import parse_row
+from writer_reference import write_csv as reference_write_csv
 
 
 # --- chunked parser vs. a per-row oracle ----------------------------------------
@@ -134,6 +137,79 @@ def test_cli_exit_codes_on_mutated_input(base_rows, tmp_path_factory, data):
                  ["classify", "--input", work / "clean.csv", "--out", work / "classified.csv"],
                  ["aggregate", "--input", work / "classified.csv", "--outdir", work / "series"]):
         assert cli.main([str(a) for a in argv]) in (0, 1, 2)
+
+
+# --- the table writer vs. the csv.writer oracle -----------------------------------
+
+# Fields csv.writer quotes (comma, double quote, CR, LF), text beyond ASCII
+# and surrounding spaces.
+_TEXT = st.one_of(
+    st.text(st.sampled_from(list(',"\r\n x1-é€😀\t')), max_size=6),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, 0.1, -1.5e-7,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+_DAYS = st.integers(date.min.toordinal(), date.max.toordinal())
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 9), label="rows")
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+    if draw(st.booleans(), label="days_supply beyond int64"):
+        days_supply = np.array(([2**64] + column(st.integers(-2**70, 2**70)))[:n], dtype=object)
+    else:
+        days_supply = np.array(column(st.integers(-2**63, 2**63 - 1)), dtype=np.int64)
+    table = TransactionTable(column(_TEXT), np.array(column(_DAYS), dtype=np.int64),
+                             *(np.array(column(_FLOATS), dtype=float) for _ in range(7)),
+                             days_supply, np.array(column(_TEXT), dtype=str))
+    extra = [("d_pp", np.array(column(_FLOATS), dtype=float)),
+             ("class, \"code\"", np.array(column(_TEXT), dtype=str)),
+             ("risk_level", np.array(column(st.integers(-9, 9)), dtype=np.int64))]
+    return table, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tables(), with_extra=st.booleans(), to_path=st.booleans())
+def test_write_csv_writes_the_bytes_of_the_csv_writer_oracle(tmp_path_factory, case,
+                                                             with_extra, to_path):
+    table, extra = case
+    extra = extra if with_extra else []
+    if to_path:
+        work = tmp_path_factory.mktemp("write")
+        records.write_csv(table, work / "got.csv", extra)
+        reference_write_csv(table, work / "want.csv", extra)
+        assert (work / "got.csv").read_bytes() == (work / "want.csv").read_bytes()
+    else:
+        got, want = io.StringIO(newline=""), io.StringIO(newline="")
+        records.write_csv(table, got, iter(extra))
+        reference_write_csv(table, want, extra)
+        assert got.getvalue() == want.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tables(), cut=st.integers(0, 9), block=st.sampled_from([1, 2, 1024]))
+def test_tables_appended_to_a_writer_write_one_table(case, cut, block):
+    table, extra = case
+    names = [name for name, _ in extra]
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    writer = records.TableWriter(got, names)
+    head = np.arange(len(table)) < cut
+    with mock.patch.object(records, "WRITE_ROWS", block):
+        for part in (head, ~head):
+            records.write_csv(table.take(part), writer,
+                              [(name, column[part]) for name, column in extra])
+    reference_write_csv(table, want, extra)
+    assert got.getvalue() == want.getvalue() and writer.rows == len(table)
+
+
+def test_appending_other_extra_columns_is_an_error():
+    writer = records.TableWriter(io.StringIO(newline=""), ["d_pp"])
+    with pytest.raises(ValueError, match="extra columns"):
+        records.write_csv(TransactionTable.from_records([]), writer)
 
 
 # --- producer stages vs. the per-record writers -----------------------------------
