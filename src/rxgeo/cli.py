@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
@@ -24,10 +25,9 @@ import numpy as np
 
 from . import __version__, arima, geo, records, report, syngen
 from .intervention import EVENT_KINDS, its_batch
-from .series import (CLASSIFIED_EXTRA, DEFAULT_POLICY_MONTH, MonthKey, RecordTable,
-                     aggregate_monthly, pre_post_table, read_classified_csv,
-                     read_series_csv, summarize_classes, write_classified_csv,
-                     write_series_csv)
+from .series import (DEFAULT_POLICY_MONTH, MonthKey, RecordTable, aggregate_monthly,
+                     pre_post_table, read_classified_csv, read_series_csv,
+                     summarize_classes, write_classified_csv, write_series_csv)
 from .stats import mean_ci, one_way_anova, t_test_greater
 
 
@@ -161,17 +161,25 @@ def _output(manifest: RunManifest, path) -> Path:
 
 
 def _partial(path) -> Path:
-    path = Path(path)
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    """The temporary file of an output, next to the file ``path`` names after
+    any symlink, so that moving it there writes through the link."""
+    target = Path(os.path.realpath(path))
+    return target.with_name(f".{target.name}.{os.getpid()}.tmp")
 
 
 def _run_stage(args, manifest: RunManifest) -> str:
     """The stage's summary, once its outputs are in place; if it fails, no
-    output, temporary file or directory made for one is left."""
+    output, temporary file or directory made for one is left.  An output that
+    replaces a file keeps that file's mode.  The outputs are moved one at a
+    time, so a move that fails (say, for a permission) leaves the ones moved
+    before it in place."""
     try:
         summary = args.func(args, manifest)
         for path in dict.fromkeys(manifest.outputs):
-            os.replace(_partial(path), path)
+            target = os.path.realpath(path)
+            with suppress(FileNotFoundError):
+                shutil.copymode(target, _partial(path))
+            os.replace(_partial(path), target)
     except BaseException:
         for path in manifest.outputs:
             _partial(path).unlink(missing_ok=True)
@@ -203,25 +211,25 @@ def _cmd_simulate(args, manifest: RunManifest) -> str:
             raise DataError(f"bad scenario config {cfg_path}: {exc}") from exc
     else:
         cfg = syngen.default_config()
+    n = 0
     with open(_output(manifest, args.out), "w", newline="") as out:
-        writer = records.TableWriter(out)
-        for block in syngen.generate_blocks(cfg, args.n, seed=args.seed):
-            records.write_csv(block, writer)
+        for i, block in enumerate(syngen.generate_blocks(cfg, args.n, seed=args.seed)):
+            records.write_csv(block, out, header=i == 0)
+            n += len(block)
     if args.dump_config:
         _output(manifest, args.dump_config).write_text(
             _json(syngen.config_to_dict(cfg)))
-    return f"simulate: wrote {writer.rows} records to {Path(args.out)}"
+    return f"simulate: wrote {n} records to {Path(args.out)}"
 
 
 def _cmd_ingest(args, manifest: RunManifest) -> str:
     report, errors = records.FilterReport(), []
     with _input(Path(args.input), manifest) as fh, \
             open(_output(manifest, args.out), "w", newline="") as out:
-        writer = records.TableWriter(out)
-        for table, bad in records.parse_chunks(fh):
+        for i, (table, bad) in enumerate(records.parse_chunks(fh)):
             kept, part = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
                                        n_malformed=len(bad))
-            records.write_csv(kept, writer)
+            records.write_csv(kept, out, header=i == 0)
             report += part
             errors += bad
     payload = report.to_dict()
@@ -238,8 +246,7 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
     errors, unclean, counts = [], None, Counter()
     with _input(path, manifest) as fh, \
             open(_output(manifest, args.out), "w", newline="") as out:
-        writer = records.TableWriter(out, CLASSIFIED_EXTRA)
-        for table, bad in records.parse_chunks(fh):
+        for i, (table, bad) in enumerate(records.parse_chunks(fh)):
             errors += bad
             if errors or unclean:
                 continue  # read on to count the malformed rows
@@ -248,7 +255,7 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
             except ValueError as exc:  # days_supply < 1: the input was not cleaned
                 unclean = exc
                 continue
-            write_classified_csv(writer, classified)
+            write_classified_csv(out, classified, header=i == 0)
             counts.update(classified.class_counts())
     if errors:
         raise DataError(f"{path}: {len(errors)} malformed rows "

@@ -428,38 +428,12 @@ def _field_texts(column: np.ndarray) -> list[str]:
     return _quoted(list(map(str, values)))
 
 
-class TableWriter:
-    """A text stream that tables are appended to by :func:`write_csv`: the
-    header, written here, is the ingest columns and then the ``extra``
-    names.  Open the stream with ``newline=""``.  ``rows`` counts the records
-    written."""
-
-    def __init__(self, stream: TextIO, extra: Sequence[str] = ()):
-        self.stream = stream
-        self.extra = tuple(extra)
-        self.rows = 0
-        stream.write(",".join(_quoted([*CSV_COLUMNS, *self.extra])) + "\r\n")
-
-    def _write(self, table: TransactionTable, extra: Sequence[np.ndarray]) -> None:
-        arrays = [*table._arrays()[1:], *extra]
-        for start in range(0, len(table), WRITE_ROWS):
-            stop = start + WRITE_ROWS
-            days = table.fill_date[start:stop].tolist()
-            iso = {d: date.fromordinal(d).isoformat() for d in set(days)}
-            texts = [_quoted(list(map(str, table.record_id[start:stop]))),
-                     list(map(iso.__getitem__, days)),
-                     *(_field_texts(a[start:stop]) for a in arrays)]
-            self.stream.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
-        self.rows += len(table)
-
-
-def write_csv(table: TransactionTable, path: str | Path | TextIO | TableWriter,
-              extra: Iterable[tuple[str, np.ndarray]] = ()) -> None:
+def write_csv(table: TransactionTable, path: str | Path | TextIO,
+              extra: Iterable[tuple[str, np.ndarray]] = (), header: bool = True) -> None:
     """Write a table in the exact ingest schema, followed by the ``extra``
-    (name, column) pairs; round-trips through :func:`parse_csv`.  A path or
-    a text stream gets the header and the table's rows.  A
-    :class:`TableWriter`, whose header must name the same extra columns,
-    gets the rows appended, so a table can be written a part at a time.
+    (name, column) pairs; round-trips through :func:`parse_csv`.  Without
+    the ``header`` line, the rows follow what a stream already holds, so a
+    table can be written a part at a time.
 
     The bytes are those of ``csv.writer``: one CRLF-ended line per record,
     ``WRITE_ROWS`` lines per write, with a float as its repr, an int as its
@@ -467,16 +441,24 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO | TableWriter,
     :func:`_quoted`.
     """
     extra = list(extra)
-    names, columns = tuple(name for name, _ in extra), [column for _, column in extra]
-    if isinstance(path, TableWriter):
-        if names != path.extra:
-            raise ValueError(f"extra columns {names} differ from the header's {path.extra}")
-        path._write(table, columns)
-    elif isinstance(path, (str, Path)):
-        with open(path, "w", newline="") as stream:
-            TableWriter(stream, names)._write(table, columns)
-    else:
-        TableWriter(path, names)._write(table, columns)
+    arrays = [*table._arrays()[1:], *(column for _, column in extra)]
+    own = isinstance(path, (str, Path))
+    stream = open(path, "w", newline="") if own else path
+    try:
+        if header:
+            stream.write(",".join(_quoted([*CSV_COLUMNS, *(name for name, _ in extra)]))
+                         + "\r\n")
+        for start in range(0, len(table), WRITE_ROWS):
+            stop = start + WRITE_ROWS
+            days = table.fill_date[start:stop].tolist()
+            iso = {d: date.fromordinal(d).isoformat() for d in set(days)}
+            texts = [_quoted(list(map(str, table.record_id[start:stop]))),
+                     list(map(iso.__getitem__, days)),
+                     *(_field_texts(a[start:stop]) for a in arrays)]
+            stream.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
+    finally:
+        if own:
+            stream.close()
 
 
 def clean(

@@ -13,9 +13,9 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .geo import ALL_CLASS_CODES, RISK_HAZARD_RATIOS, ClassifiedTable
-from .records import (CSV_COLUMNS, INGEST, ReadError, Schema, TableWriter,
-                      TransactionTable, distinct_values, duplicate_names, floats,
-                      read_csv, whole_numbers, write_csv)
+from .records import (CSV_COLUMNS, INGEST, ReadError, Schema, TransactionTable,
+                      distinct_values, duplicate_names, floats, read_csv,
+                      whole_numbers, write_csv)
 from .stats import MeanCI, mean_ci
 
 INDEX_BASE_YEAR = 2014
@@ -336,11 +336,12 @@ CLASSIFIED = INGEST._replace(header=_classified_header,
 SERIES = Schema(_series_header, (), (), (("mean_mme_day", floats(empty_ok=True)),))
 
 
-def write_classified_csv(path: str | Path | TextIO | TableWriter, c: ClassifiedTable) -> None:
+def write_classified_csv(path: str | Path | TextIO, c: ClassifiedTable,
+                         header: bool = True) -> None:
     """The ingest columns of the records, then ``CLASSIFIED_EXTRA``, as
     :func:`records.write_csv` writes them to ``path``."""
     write_csv(c.records, path, extra=zip(CLASSIFIED_EXTRA, (
-        c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)))
+        c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)), header=header)
 
 
 def _read(stream: TextIO, schema: Schema, names: tuple[str, ...]) -> list[np.ndarray]:

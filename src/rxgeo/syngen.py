@@ -296,8 +296,7 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     Draw a synthetic transaction set: the blocks of :func:`generate_blocks`
     as one table.
     """
-    blocks = list(generate_blocks(config, n_records, seed))
-    return TransactionTable.concat(blocks) if blocks else TransactionTable.from_records([])
+    return TransactionTable.concat(list(generate_blocks(config, n_records, seed)))
 
 
 def generate_blocks(config: ScenarioConfig, n_records: int, seed: int | None = None
@@ -314,7 +313,7 @@ def generate_blocks(config: ScenarioConfig, n_records: int, seed: int | None = N
     coordinates constructed to reproduce the intended class code exactly.
     Records come in family, month and class order; ids number them in that
     order across blocks and end in the intended class code.  A month without
-    records gives no block.
+    records gives no block, and a scenario without records one empty block.
 
     The random stream, per family: ``normal`` (month noise) and ``poisson``
     (month counts); then per month with records: ``choice`` (classes),
@@ -388,6 +387,8 @@ def _blocks(config: ScenarioConfig, draws: dict, n_records: int, seed: int | Non
                 ids, day_zero + days_of_month[order],
                 *_triangles(r[2:], pi_lo[cls], pi_hi[cls], disparity[cls]),
                 mme, days, np.full(count, family))
+    if serial == 1:
+        yield TransactionTable.from_records([])
 
 
 def intended_class_code(record: PrescriptionRecord) -> str:

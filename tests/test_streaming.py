@@ -116,6 +116,27 @@ def test_ingest_failing_on_a_late_undecodable_byte_leaves_nothing(capsys, raw, t
     assert _left_behind(out) == []
 
 
+def test_simulate_without_records_writes_the_header(capsys, tmp_path):
+    raw = tmp_path / "raw.csv"
+    code, out, _ = _run(capsys, "simulate", "--n", 1, "--seed", 2, "--out", raw)
+    assert (code, out) == (0, f"simulate: wrote 0 records to {raw}\n")
+    assert raw.read_bytes() == (",".join(records.CSV_COLUMNS) + "\r\n").encode()
+
+
+def test_an_output_is_written_through_a_symlink_and_keeps_the_file_mode(capsys, tmp_path):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "raw.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "raw.csv"
+    link.symlink_to(target)
+    code, _, err = _run(capsys, "simulate", "--n", 50, "--seed", 1, "--out", link)
+    assert code == 0, err
+    assert link.is_symlink() and target.read_text().startswith("record_id,")
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert _left_behind(tmp_path / "data") == ["raw.csv"]
+
+
 # Runs the command in argv and prints its peak RSS in kB, read from
 # os.wait4.  A child's peak counts the memory of the process it was forked
 # from, so each stage is started from this small process, not from pytest.

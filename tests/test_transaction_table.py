@@ -192,24 +192,16 @@ def test_write_csv_writes_the_bytes_of_the_csv_writer_oracle(tmp_path_factory, c
 
 @settings(max_examples=100, deadline=None)
 @given(case=_tables(), cut=st.integers(0, 9), block=st.sampled_from([1, 2, 1024]))
-def test_tables_appended_to_a_writer_write_one_table(case, cut, block):
+def test_a_table_written_in_two_parts_is_written_once(case, cut, block):
     table, extra = case
-    names = [name for name, _ in extra]
     got, want = io.StringIO(newline=""), io.StringIO(newline="")
-    writer = records.TableWriter(got, names)
     head = np.arange(len(table)) < cut
     with mock.patch.object(records, "WRITE_ROWS", block):
-        for part in (head, ~head):
-            records.write_csv(table.take(part), writer,
-                              [(name, column[part]) for name, column in extra])
+        for part, header in ((head, True), (~head, False)):
+            records.write_csv(table.take(part), got,
+                              [(name, column[part]) for name, column in extra], header)
     reference_write_csv(table, want, extra)
-    assert got.getvalue() == want.getvalue() and writer.rows == len(table)
-
-
-def test_appending_other_extra_columns_is_an_error():
-    writer = records.TableWriter(io.StringIO(newline=""), ["d_pp"])
-    with pytest.raises(ValueError, match="extra columns"):
-        records.write_csv(TransactionTable.from_records([]), writer)
+    assert got.getvalue() == want.getvalue()
 
 
 # --- producer stages vs. the per-record writers -----------------------------------
