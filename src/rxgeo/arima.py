@@ -862,7 +862,9 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders) -> ArimaFit:
     """
     y = np.asarray(y, dtype=float)
     total_orders = orders.p + orders.q + orders.P + orders.Q + orders.d + orders.D * orders.s
-    if y.size < 10 + total_orders:
+    longest_lag = max(orders.p + orders.s * orders.P, orders.q + orders.s * orders.Q)
+    if (y.size < 10 + total_orders
+            or longest_lag >= y.size - orders.d - orders.D * orders.s):
         raise ValueError(f"series of length {y.size} too short for {orders.label()}")
     y, n_interp, z = _filled_differences(y, orders)
     if np.ptp(z) == 0.0:

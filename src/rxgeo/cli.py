@@ -19,16 +19,21 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 import numpy as np
 
-from . import __version__, arima, geo, records, report, syngen
-from .intervention import EVENT_KINDS, its_batch
-from .series import (DEFAULT_POLICY_MONTH, MonthKey, RecordTable, aggregate_monthly,
-                     pre_post_table, read_classified_csv, read_series_csv,
+from . import __version__, geo, records, report
+from .series import (DEFAULT_POLICY_MONTH, EVENT_KINDS, MonthKey, RecordTable,
+                     aggregate_monthly, pre_post_table, read_classified_csv, read_series_csv,
                      summarize_classes, write_classified_csv, write_series_csv)
 from .stats import mean_ci, one_way_anova, t_test_greater
+
+# syngen (simulate) and the model code in arima, intervention and _optimize
+# (fit, its) are imported by the stages that run them, so the other stages
+# start without loading them.
+if TYPE_CHECKING:
+    from .arima import ArimaFit
 
 
 class UsageError(Exception):
@@ -56,6 +61,20 @@ def _typed(parse, form: str, low: int | None = None, what: str = ""):
             raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
         return value
     return convert
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise ValueError(text)
+    return value
 
 
 def _events_arg(text: str) -> list[str]:
@@ -202,6 +221,7 @@ def _write_csv_rows(path: Path, rows) -> None:
 # moves the outputs into place, writes the manifest and prints the summary.
 
 def _cmd_simulate(args, manifest: RunManifest) -> str:
+    from . import syngen
     if args.config:
         cfg_path = Path(args.config)
         _track_input(manifest, cfg_path)
@@ -357,7 +377,7 @@ def _orders_arg(text: str):
     return nums
 
 
-def _fit_to_payload(f: arima.ArimaFit) -> dict:
+def _fit_to_payload(f: ArimaFit) -> dict:
     o = f.orders
     return {
         "orders": {"p": o.p, "d": o.d, "q": o.q, "P": o.P, "D": o.D, "Q": o.Q,
@@ -373,6 +393,7 @@ def _fit_to_payload(f: arima.ArimaFit) -> dict:
 
 
 def _cmd_fit(args, manifest: RunManifest) -> str:
+    from . import arima
     y = _read_input(Path(args.input), manifest, read_series_csv)
     if args.impute == "none" and np.any(~np.isfinite(y)):
         raise DataError("series has missing months and --impute none was given")
@@ -418,6 +439,7 @@ def _cmd_its(args, manifest: RunManifest) -> str:
     if args.announce_month == args.policy_month:
         raise UsageError(f"rxgeo its: --announce-month {args.announce_month} equals "
                          "--policy-month; the two onsets would be collinear")
+    from .intervention import its_batch
     table = _read_input(Path(args.input), manifest, read_classified_csv)
     spans = {}
     for family in _families(args.family):
@@ -515,7 +537,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="cleaned records CSV")
     p.add_argument("--report", required=True, help="filter report JSON")
-    p.add_argument("--cap", type=float, default=records.DEFAULT_MME_CAP)
+    p.add_argument("--cap", type=_typed(_finite, "a finite number"),
+                   default=records.DEFAULT_MME_CAP)
     p.add_argument("--cutoff-date", type=_typed(records.parse_date, "YYYY-MM-DD"),
                    default=records.DEFAULT_CUTOFF)
     p.set_defaults(func=_cmd_ingest)
@@ -523,8 +546,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("classify", help="append geometry and class codes")
     p.add_argument("--input", required=True, help="cleaned records CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--near-miles", type=float, default=50.0)
-    p.add_argument("--isolation-ratio", type=float, default=3.0)
+    p.add_argument("--near-miles", type=_typed(_positive, "a positive number"), default=50.0)
+    p.add_argument("--isolation-ratio", type=_typed(_positive, "a positive number"),
+                   default=3.0)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("aggregate", help="build monthly series CSVs")
@@ -552,7 +576,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--family", choices=records.FAMILIES, default="opioid")
     p.add_argument("--class-code", required=True)
-    p.add_argument("--mu0", type=float, required=True)
+    p.add_argument("--mu0", type=_typed(_finite, "a finite number"), required=True)
     p.add_argument("--unit", choices=("monthly", "records"), default="monthly")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ttest)

@@ -21,9 +21,7 @@ from .arima import (ArimaFit, ArimaOrders, Coefficient, FitError, Forecast,
                     difference)
 from .arima import significance_stars  # noqa: F401 - public name of this module
 from ._optimize import nelder_mead
-from .series import DEFAULT_POLICY_MONTH, ClassSeries, MonthKey, split_pre_post
-
-EVENT_KINDS = ("level_shift", "ramp", "inverse_trend")
+from .series import DEFAULT_POLICY_MONTH, EVENT_KINDS, ClassSeries, MonthKey, split_pre_post
 
 MIN_PRE_MONTHS = 36
 MIN_POST_MONTHS = 12

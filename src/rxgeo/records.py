@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from datetime import date
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -327,7 +327,7 @@ INGEST = Schema(_check_header, CSV_COLUMNS, ("drug_family",), (
 
 
 def check_rows(schema: Schema, header: list[str], rows: list[list[str]],
-               lines: list[int]) -> tuple[dict[str, Sequence], list[RowError]]:
+               lines: Sequence[int]) -> tuple[dict[str, Sequence], list[RowError]]:
     """The converted columns of the rows that pass ``schema``, by name, and a
     :class:`RowError` naming the first rule each other row breaks."""
     errors = []
@@ -336,6 +336,13 @@ def check_rows(schema: Schema, header: list[str], rows: list[list[str]],
         errors = [RowError(line, "wrong field count") for line, ok in zip(lines, fits) if not ok]
         rows, lines = list(compress(rows, fits)), list(compress(lines, fits))
     values = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    return _check_columns(schema, values, lines, errors)
+
+
+def _check_columns(schema: Schema, values: dict[str, Sequence[str]], lines: Sequence[int],
+                   errors: list[RowError]) -> tuple[dict[str, Sequence], list[RowError]]:
+    """:func:`check_rows` of rows of the header's length, given as columns by
+    name; ``errors`` holds those of the rows of another length."""
     columns, masks = {}, []
     for column, test in schema.checks:
         columns[column], bad = test(values[column])
@@ -355,27 +362,81 @@ def check_rows(schema: Schema, header: list[str], rows: list[list[str]],
             sorted(errors, key=lambda e: e.line))
 
 
+def _plain_text(lines: list[str]) -> str | None:
+    """The text of ``lines`` with LF line ends if csv.reader reads each line
+    as the text between its commas: no line holds a double quote, a NUL or a
+    CR other than in a CRLF end, none is blank and none is longer than
+    ``csv.field_size_limit()``.  None otherwise, and for no lines."""
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    text = "".join(lines)
+    if '"' in text or "\0" in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text or "\n\n" in text or text[0] == "\n":
+        return None
+    return text
+
+
 def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, list[RowError]]]:
     """:func:`check_rows` of each chunk of up to ``CHUNK_ROWS`` rows of a CSV
     stream, after ``schema.header`` of its header row (None if the stream is
     empty); the last chunk may be empty.  Blank lines are skipped, as
     csv.DictReader does.  A byte that does not decode, or a field over
-    ``csv.field_size_limit()``, raises :class:`ReadError` when reached."""
-    reader = csv.reader(stream)
+    ``csv.field_size_limit()``, raises :class:`ReadError` when reached.
+
+    The header, and each chunk of ``CHUNK_ROWS`` lines that
+    :func:`_plain_text` accepts, is split at its commas.  From the first line
+    that is not, csv.reader reads the rest of the stream, so the rows, line
+    numbers, chunks and errors are always those of csv.reader.
+    """
+    read, reader = 0, None  # the lines split here; csv.reader of the rest
     try:
-        header = schema.header(next(reader, None))
-        rows, lines = [], []
+        lines = list(islice(stream, 1))
+        text = _plain_text(lines)
+        if text is None:
+            reader = csv.reader(chain(lines, stream))
+            header = schema.header(next(reader, None))
+        else:
+            header, read = schema.header(text.rstrip("\n").split(",")), 1
+        width = len(header)
+        while reader is None:
+            lines = list(islice(stream, CHUNK_ROWS))
+            text = _plain_text(lines)
+            if text is None:
+                reader = csv.reader(chain(lines, stream))
+                break
+            n = len(lines)
+            numbers = range(read + 1, read + n + 1)
+            read += n
+            if set(map(str.count, lines, repeat(","))) != {width - 1}:
+                yield check_rows(schema, header,
+                                 [line.rstrip("\r\n").split(",") for line in lines], numbers)
+            else:
+                # Drop each copy of the chunk's text as soon as the next exists.
+                lines = None
+                text = text.replace("\n", ",")
+                cells = text.split(",")
+                text = None
+                del cells[n * width:]  # the empty cell after the last line end
+                values = {name: cells[j::width] for j, name in enumerate(header)}
+                cells = None
+                yield _check_columns(schema, values, numbers, [])
+                values = None
+            if n < CHUNK_ROWS:
+                return
+        rows, numbers = [], []
         for row in reader:
             if not row:
                 continue
             rows.append(row)
-            lines.append(reader.line_num)
+            numbers.append(read + reader.line_num)
             if len(rows) == CHUNK_ROWS:
-                yield check_rows(schema, header, rows, lines)
-                rows, lines = [], []
-        yield check_rows(schema, header, rows, lines)
+                yield check_rows(schema, header, rows, numbers)
+                rows, numbers = [], []
+        yield check_rows(schema, header, rows, numbers)
     except csv.Error as exc:
-        raise ReadError(f"line {reader.line_num}: {exc}") from None
+        raise ReadError(f"line {read + reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ReadError.undecodable(exc) from None
 

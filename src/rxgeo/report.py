@@ -4,11 +4,13 @@ the per-series plot data."""
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .intervention import ItsResult
 from .series import ClassSeries, ClassSummaryRow
 from .stats import MeanCI
+
+if TYPE_CHECKING:  # the stages that only read tables do not load the model code
+    from .intervention import ItsResult
 
 _P_FLOOR = 0.001
 

@@ -56,6 +56,9 @@ class MonthKey:
 
 
 DEFAULT_POLICY_MONTH = MonthKey(2018, 5)
+# The event inputs intervention.its_analysis can fit at an onset month; here,
+# so that the CLI parser reads them without loading the model code.
+EVENT_KINDS = ("level_shift", "ramp", "inverse_trend")
 
 
 class SeriesPoint(NamedTuple):

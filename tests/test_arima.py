@@ -519,6 +519,29 @@ def test_fit_length_guard():
         fit(np.arange(8.0), AR1)
 
 
+@pytest.mark.parametrize("orders", [
+    ArimaOrders(1, 0, 0, 1, 0, 0, s=1000),
+    ArimaOrders(0, 0, 0, 0, 0, 1, s=95),
+    ArimaOrders(1, 0, 0, 1, 0, 0, s=94),
+    ArimaOrders(0, 1, 0, 1, 0, 0, s=94),
+    ArimaOrders(0, 0, 0, 1, 1, 0, s=48),
+])
+def test_fit_rejects_a_lag_not_shorter_than_the_differenced_series(orders):
+    # The length guard counted s*P and s*Q as P and Q: a seasonal AR lag of
+    # 1000 on 95 months was fitted, with NaN standard errors.
+    y = simulate(AR1, ar1_params(0.5), 95, seed=53) + 50.0
+    with pytest.raises(ValueError, match="too short"):
+        fit(y, orders)
+
+
+def test_fit_accepts_a_lag_one_shorter_than_the_differenced_series():
+    y = simulate(AR1, ar1_params(0.5), 95, seed=53) + 50.0
+    try:
+        fit(y, ArimaOrders(0, 1, 0, 1, 0, 0, s=93))
+    except arima.FitError:
+        pass  # an estimation failure, not the length guard
+
+
 def test_fit_gradient_near_zero_at_optimum():
     # central finite differences of the objective at the reported optimum
     for seed, orders, params in [
@@ -682,10 +705,13 @@ def test_forecast_coverage_against_simulated_futures():
 @pytest.mark.parametrize("h", [1, 3])
 def test_zero_shock_paths_equal_forecast_on_short_history(h):
     # 14 points against a 24-month AR lag span: the recursion must count the
-    # lags before the first observation as zero, as forecast does
+    # lags before the first observation as zero, as forecast does.  fit
+    # rejects a lag that no observation reaches, so the model is given.
     orders = ArimaOrders(P=2, s=12)
-    y = simulate(orders, ArimaParams(c=1.0, Phi=[0.4, 0.2], sigma2=1.0), 14, seed=70)
-    f = fit(y, orders)
+    params = ArimaParams(c=1.0, Phi=np.array([0.4, 0.2]), sigma2=1.0)
+    y = simulate(orders, params, 14, seed=70)
+    f = arima.ArimaFit(orders, params, std_errors=np.zeros(3), log_css=0.0, bic=0.0,
+                       residuals=np.zeros(y.size), n_effective=y.size, y=y)
     mu = f.params.c / (1.0 - f.params.Phi.sum())
     expected = mu + f.params.Phi[0] * (f.y[2:2 + h] - mu)  # lag 24 adds nothing
     assert forecast(f, h).point == pytest.approx(expected, rel=1e-12)

@@ -51,7 +51,7 @@ def test_traced_pairs_with_other_digests_exit_1(bench_pairs, tmp_path):
 def _scale_run(checkout, n):
     return {stage: {"exit": 0, "wall_s": 2.0, "cpu_s": 1.0, "peak_rss_mb": 50.0,
                     "sha256": {"out.csv": checkout.name}}
-            for stage in ("simulate", "ingest", "classify")}
+            for stage in ("simulate", "ingest", "classify", "aggregate")}
 
 
 def test_scale_record_per_stage(bench_pairs, tmp_path, monkeypatch):
@@ -82,10 +82,15 @@ def test_scale_record_with_other_outputs_exits_1(bench_pairs, tmp_path, monkeypa
 
 
 def test_scale_run_of_the_producer_stages(bench_pairs):
-    # One real run of this checkout on a few records.
+    # One real run of this checkout on a few records; aggregate reads the
+    # classified CSV after the three producer stages.
     stages = bench_pairs.run_scale(TOOL.parents[1], 300)
-    assert list(stages) == ["simulate", "ingest", "classify"]
+    assert list(stages) == ["simulate", "ingest", "classify", "aggregate"]
     for stage in stages.values():
         assert stage["exit"] == 0 and stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0
         assert all(len(digest) == 64 for digest in stage["sha256"].values())
     assert list(stages["ingest"]["sha256"]) == ["clean.csv", "filter_report.json"]
+    written = list(stages["aggregate"]["sha256"])
+    assert written[-1] == "series/aggregate_summary.json"
+    assert "series/series_opioid_overall.csv" in written and len(written) > 3
+    assert not any("manifest" in name for name in written)

@@ -315,6 +315,53 @@ def test_its_alpha_outside_unit_interval_is_usage_error(pipeline, tmp_path,
     assert not (tmp_path / "its").exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("ttest", "--mu0", "nan"), ("ttest", "--mu0", "inf"), ("ttest", "--mu0", "-inf"),
+    ("ingest", "--cap", "nan"), ("ingest", "--cap", "inf"),
+    ("classify", "--near-miles", "nan"), ("classify", "--near-miles", "inf"),
+    ("classify", "--near-miles", "0"), ("classify", "--near-miles", "-5"),
+    ("classify", "--isolation-ratio", "nan"), ("classify", "--isolation-ratio", "-inf"),
+    ("classify", "--isolation-ratio", "0"), ("classify", "--isolation-ratio", "-1.5"),
+])
+def test_non_finite_or_non_positive_numbers_are_usage_errors(pipeline, tmp_path, capsys,
+                                                             command, flag, value):
+    # These used to run: ttest wrote "mu0": NaN, which is not JSON; ingest
+    # with --cap nan excluded nothing; classify with --near-miles nan put
+    # every record in a far class.
+    out = tmp_path / "out"
+    argv = {"ttest": ["--input", pipeline / "classified.csv", "--class-code", "03",
+                      "--out", out / "t.json"],
+            "ingest": ["--input", pipeline / "data.csv", "--out", out / "clean.csv",
+                       "--report", out / "report.json"],
+            "classify": ["--input", pipeline / "clean.csv", "--out", out / "c.csv"]}
+    assert run(command, *argv[command], f"{flag}={value}") == 1
+    err = capsys.readouterr().err
+    assert flag in err and repr(value) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("ttest", ["--class-code", "03", "--mu0=-1e300"]),
+    ("classify", ["--near-miles", "1e-9", "--isolation-ratio", "1e9"]),
+])
+def test_finite_and_positive_numbers_still_run(pipeline, tmp_path, command, argv):
+    source = {"ttest": "classified.csv", "classify": "clean.csv"}[command]
+    assert run(command, "--input", pipeline / source, "--out", tmp_path / "out", *argv) == 0
+
+
+def test_fit_with_a_seasonal_lag_past_the_series_is_a_data_error(pipeline, tmp_path, capsys):
+    # This used to exit 0 and report a sar1000 coefficient with NaN
+    # standard errors.
+    series_dir = pipeline / "series_lag"
+    assert run("aggregate", "--input", pipeline / "classified.csv", "--outdir", series_dir) == 0
+    assert run("fit", "--input", series_dir / "series_opioid_overall.csv",
+               "--orders", "1,0,0,1,0,0", "--season", 1000,
+               "--out", tmp_path / "out" / "fit.json") == 2
+    err = capsys.readouterr().err
+    assert "fit failed" in err and "too short" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--events", "bogus"),
     ("--events", ""),

@@ -17,9 +17,10 @@ check the harness itself.  Standard library only.
   ``correct`` flag and digests.
 * ``--traced W:S:N`` runs N traced pairs with ``--seconds 1 --trace 1`` and
   keeps every metric the traced run reports, per-layer ones included.
-* ``--scale N`` runs ``rxgeo simulate --seed 42 --n N``, then ``ingest`` and
-  ``classify``, once on each side, parent first, in a fresh directory.  It
-  keeps each stage's wall and CPU seconds, peak RSS (``os.wait4``, as
+* ``--scale N`` runs ``rxgeo simulate --seed 42 --n N``, then ``ingest``,
+  ``classify`` and ``aggregate`` (a reader stage, on the classified CSV),
+  once on each side, parent first, in a fresh directory.  It keeps each
+  stage's wall and CPU seconds, peak RSS (``os.wait4``, as
   ``perfbench/run.py`` reads it) and the SHA-256 of each output file.
 
 Exits 1, after writing what it has, when a run is not correct, the two
@@ -41,12 +42,15 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
-# The producer stages of a --scale run: the stage, its arguments, its outputs.
+# The stages of a --scale run: the stage, its arguments, and glob patterns of
+# its outputs (manifests hold times, so they are left out).
 SCALE_STAGES = (
     ("simulate", ["--seed", "42", "--out", "raw.csv"], ["raw.csv"]),
     ("ingest", ["--input", "raw.csv", "--out", "clean.csv", "--report", "filter_report.json"],
      ["clean.csv", "filter_report.json"]),
     ("classify", ["--input", "clean.csv", "--out", "classified.csv"], ["classified.csv"]),
+    ("aggregate", ["--input", "classified.csv", "--outdir", "series"],
+     ["series/series_*.csv", "series/aggregate_summary.json"]),
 )
 
 
@@ -101,8 +105,9 @@ def run_scale(checkout: Path, n: int) -> dict:
             stages[stage] = {"exit": proc.returncode, "wall_s": wall,
                              "cpu_s": usage.ru_utime + usage.ru_stime,
                              "peak_rss_mb": usage.ru_maxrss / 1024.0,
-                             "sha256": {o: sha256(work / o) for o in outputs
-                                        if (work / o).is_file()}}
+                             "sha256": {path.relative_to(work).as_posix(): sha256(path)
+                                        for pattern in outputs
+                                        for path in sorted(work.glob(pattern))}}
             if proc.returncode:
                 print(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}\n"
                       f"{(work / f'{stage}.log').read_text()[-2000:]}", file=sys.stderr)
@@ -230,8 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         if outputs["parent"] != outputs["change"]:
             bad.append(f"scale {n}: the parent and change outputs differ")
         out["scale_runs"][str(n)] = {
-            "command": f"rxgeo simulate --seed 42 --n {n}, then ingest and classify, "
-                       "once per side, parent first",
+            "command": f"rxgeo simulate --seed 42 --n {n}, then ingest, classify and "
+                       "aggregate, once per side, parent first",
             "outputs_equal": outputs["parent"] == outputs["change"],
             "change_over_parent": {
                 stage: {m: runs["change"][stage][m] / runs["parent"][stage][m]
