@@ -390,9 +390,10 @@ def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, list[RowErr
     ``csv.field_size_limit()``, raises :class:`ReadError` when reached.
 
     The header, and each chunk of ``CHUNK_ROWS`` lines that
-    :func:`_plain_text` accepts, is split at its commas.  From the first line
-    that is not, csv.reader reads the rest of the stream, so the rows, line
-    numbers, chunks and errors are always those of csv.reader.
+    :func:`_plain_text` accepts, is split at its commas.  From the first
+    chunk that is not, csv.reader reads the rest of the stream, starting
+    with that chunk's lines, so the rows, line numbers, chunks and errors
+    are always those of csv.reader.
     """
     read = 0  # the lines split here; csv.reader reads the rest
     try:
