@@ -390,7 +390,8 @@ def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, list[RowErr
     ``csv.field_size_limit()``, raises :class:`ReadError` when reached.
 
     The header, and each chunk of ``CHUNK_ROWS`` lines that
-    :func:`_plain_text` accepts, is split at its commas.  From the first
+    :func:`_plain_text` accepts and whose every line has one comma fewer
+    than the header has names, is split at its commas.  From the first
     chunk that is not, csv.reader reads the rest of the stream, starting
     with that chunk's lines, so the rows, line numbers, chunks and errors
     are always those of csv.reader.
@@ -405,26 +406,21 @@ def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, list[RowErr
             while True:
                 lines = list(islice(stream, CHUNK_ROWS))
                 text = _plain_text(lines)
-                if text is None:
+                if text is None or set(map(str.count, lines, repeat(","))) != {width - 1}:
                     break
                 n = len(lines)
                 numbers = range(read + 1, read + n + 1)
                 read += n
-                if set(map(str.count, lines, repeat(","))) != {width - 1}:
-                    yield check_rows(schema, header,
-                                     [line.rstrip("\r\n").split(",") for line in lines],
-                                     numbers)
-                else:
-                    # Drop each copy of the chunk's text as soon as the next exists.
-                    lines = None
-                    text = text.replace("\n", ",")
-                    cells = text.split(",")
-                    text = None
-                    del cells[n * width:]  # the empty cell after the last line end
-                    values = {name: cells[j::width] for j, name in enumerate(header)}
-                    cells = None
-                    yield _check_columns(schema, values, numbers, [])
-                    values = None
+                # Drop each copy of the chunk's text as soon as the next exists.
+                lines = None
+                text = text.replace("\n", ",")
+                cells = text.split(",")
+                text = None
+                del cells[n * width:]  # the empty cell after the last line end
+                values = {name: cells[j::width] for j, name in enumerate(header)}
+                cells = None
+                yield _check_columns(schema, values, numbers, [])
+                values = None
                 if n < CHUNK_ROWS:
                     return
         reader = csv.reader(chain(lines, stream))

@@ -1,7 +1,7 @@
 """The csv.reader loop ``records.read_csv`` ran before it split plain chunks
 itself, kept as the oracle of the reader tests.  ``CHUNK_ROWS`` is this
-module's own copy, so a test that changes ``records.CHUNK_ROWS`` changes it
-here too."""
+module's own copy: a test that changes ``records.CHUNK_ROWS`` must patch this
+module too (see ``test_reader._chunk_rows``)."""
 
 import csv
 from typing import Iterator, TextIO

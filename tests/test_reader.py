@@ -174,9 +174,9 @@ def test_reader_matches_on_header_only_and_exact_chunk_multiples(kind, chunk):
 
 
 @pytest.mark.parametrize("special", ['"id, with a comma"', '"id with\r\na line break"',
-                                     "\r", "\x00", "\r\n", "x" * 400],
+                                     "\r", "\x00", "\r\n", "x" * 400, "id,extra"],
                          ids=["quoted comma", "quoted CRLF", "CR", "NUL", "blank line",
-                              "oversized field"])
+                              "oversized field", "extra field"])
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_reader_matches_when_the_first_special_line_is_in_a_late_chunk(chunk, special):
     """The lines before it are split at commas, the rest read by csv.reader."""
@@ -189,6 +189,8 @@ def test_reader_matches_when_the_first_special_line_is_in_a_late_chunk(chunk, sp
     if special.startswith('"'):
         assert exc is None
         assert sum(len(c["mme_total"][1]) // 8 + len(e) for c, e in chunks) == n
+    if special == "id,extra":
+        assert [e for c, e in chunks if e] == [[(2 * chunk + 5, "wrong field count")]]
 
 
 def test_reader_reports_a_late_undecodable_byte_as_the_loop_does():
