@@ -663,18 +663,6 @@ def _residuals_from_lags(v: np.ndarray, a: np.ndarray, m: np.ndarray) -> np.ndar
     return np.asarray(eps)
 
 
-def _css_value(z: np.ndarray, c: float, a: np.ndarray, m: np.ndarray) -> float:
-    ar_at_one = 1.0 - a.sum()
-    if abs(ar_at_one) < 1e-10:
-        return _PENALTY
-    mu = c / ar_at_one
-    eps = _residuals_from_lags(z - mu, a, m)
-    css = float(eps @ eps)
-    if not math.isfinite(css):
-        return _PENALTY
-    return css
-
-
 def css_objective(z: Sequence[float] | np.ndarray, orders: ArimaOrders,
                   params: ArimaParams) -> float:
     """
@@ -688,8 +676,7 @@ def css_objective(z: Sequence[float] | np.ndarray, orders: ArimaOrders,
         raise ValueError("parameter lengths do not match the orders")
     if not (params.is_stationary and params.is_invertible):
         return _PENALTY
-    a, m = _ar_ma_lag_coefs(orders, params)
-    return _css_value(z, params.c, a, m)
+    return _css_objective(z, np.zeros((z.size, 0)), orders, raw=True)(params.vector())
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +709,11 @@ def _unpack(x: np.ndarray, orders: ArimaOrders, n_events: int = 0) -> ArimaParam
     return ArimaParams(float(x[0]), *_LagLayout(orders).arma_coefs(x[1 + n_events:]))
 
 
-def _fd_hessian(func, x0: np.ndarray) -> np.ndarray:
-    """Central finite-difference Hessian."""
+def _fd_hessian(func, x0: np.ndarray, f0: float) -> np.ndarray:
+    """Central finite-difference Hessian of ``func``, whose value at ``x0`` is ``f0``."""
     k = x0.size
     h = _FD_STEP * np.maximum(1.0, np.abs(x0))
     hess = np.empty((k, k))
-    f0 = func(x0)
 
     def at(*pairs) -> float:
         x = x0.copy()
@@ -744,23 +730,21 @@ def _fd_hessian(func, x0: np.ndarray) -> np.ndarray:
     return hess
 
 
-def _regression_css(z: np.ndarray, x: np.ndarray, vec: np.ndarray,
-                    a: np.ndarray, m: np.ndarray) -> float:
-    """CSS of regression with ARMA errors: z - x betas follows the model with
-    constant vec[0], betas vec[1:1 + x.shape[1]] and lag coefficients a, m."""
-    n_events = x.shape[1]
-    w = z - x @ vec[1:1 + n_events] if n_events else z
-    return _css_value(w, float(vec[0]), a, m)
-
-
-def _css_objective(z: np.ndarray, x: np.ndarray, orders: ArimaOrders):
-    """CSS in optimizer coordinates [c, betas..., unconstrained ARMA...];
-    ``x`` has one differenced event regressor per column, none for ARIMA.
-    What does not depend on the point is fixed here, once per model."""
+def _css_objective(z: np.ndarray, x: np.ndarray, orders: ArimaOrders, raw: bool = False):
+    """
+    The CSS of regression with ARMA errors, z - x betas following the model,
+    at a vector [c, betas..., ARMA...]; ``x`` has one differenced event
+    regressor per column, none for ARIMA.  The ARMA part is raw coefficients
+    with ``raw`` and optimizer coordinates otherwise.  The CSS is the sum of
+    squared one-step errors of w - c / (1 - sum a), or ``_PENALTY`` when
+    |1 - sum a| < 1e-10 or the sum is not finite.  What does not depend on
+    the point is fixed here, once per model.
+    """
     n_events = x.shape[1]
     k = 1 + n_events
     if orders.n_coefficients == 1:
-        # No lag terms: mu = c / (1 - 0) = c, and the errors are w - c.
+        # No ARMA part, so both coordinate systems agree: mu = c / (1 - 0) = c,
+        # and the errors are w - c.
         def objective(vec: np.ndarray) -> float:
             eps = (z - x @ vec[1:k] if n_events else z) - float(vec[0])
             css = float(eps @ eps)
@@ -768,9 +752,17 @@ def _css_objective(z: np.ndarray, x: np.ndarray, orders: ArimaOrders):
         return objective
 
     layout = _LagLayout(orders)
+    arma = (lambda u: layout.split(u.tolist())) if raw else layout.arma_coefs
 
     def objective(vec: np.ndarray) -> float:
-        return _regression_css(z, x, vec, *layout.coefs(*layout.arma_coefs(vec[k:])))
+        a, m = layout.coefs(*arma(vec[k:]))
+        ar_at_one = 1.0 - a.sum()
+        if abs(ar_at_one) < 1e-10:
+            return _PENALTY
+        w = z - x @ vec[1:k] if n_events else z
+        eps = _residuals_from_lags(w - float(vec[0]) / ar_at_one, a, m)
+        css = float(eps @ eps)
+        return css if math.isfinite(css) else _PENALTY
     return objective
 
 
@@ -789,27 +781,19 @@ def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
     betas = vec[1:1 + n_events].copy()
     a, m = _ar_ma_lag_coefs(o, params)
     w = z - x @ betas if n_events else z
-    ar_at_one = 1.0 - a.sum()
-    residuals = _residuals_from_lags(w - params.c / ar_at_one, a, m)
-    css = float(residuals @ residuals)
-    if abs(ar_at_one) < 1e-10 or not math.isfinite(css):
-        css = _PENALTY  # the objective's rejection value, as in _css_value
+    residuals = _residuals_from_lags(w - params.c / (1.0 - a.sum()), a, m)
+    vec0 = _coefficient_vector(params, betas)
+    objective = _css_objective(z, x, o, raw=True)
+    css = objective(vec0)
     n_eff = z.size
     sigma2 = css / n_eff
     params.sigma2 = sigma2
     k = o.n_coefficients + n_events
     bic = n_eff * math.log(sigma2) + k * math.log(n_eff) if sigma2 > 0 else -math.inf
 
-    vec0 = _coefficient_vector(params, betas)
-    layout = _LagLayout(o)
-
-    def raw_objective(raw: np.ndarray) -> float:
-        arma = layout.split(raw[1 + n_events:].tolist())
-        return _regression_css(z, x, raw, *layout.coefs(*arma))
-
     std_errors = np.zeros(vec0.size)
     if sigma2 > 0:
-        hess = _fd_hessian(raw_objective, vec0)
+        hess = _fd_hessian(objective, vec0, css)
         diag = np.full(vec0.size, np.nan)
         if np.all(np.isfinite(hess)):
             diag = np.diag(2.0 * sigma2 * np.linalg.pinv(hess)).copy()

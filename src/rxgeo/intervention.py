@@ -201,8 +201,9 @@ def its_analysis(
        retention threshold is Bonferroni-corrected, ``alpha / #events
        initially included``, so the chance of keeping any spurious event on
        a null series stays near ``alpha`` overall; with a single event it
-       reduces to plain ``alpha``.  The no-event base model of the full
-       series is attempted once and, if it succeeds, seeds every refit.
+       reduces to plain ``alpha``.  The full series' interior gaps are
+       interpolated once, and its no-event base model is attempted once
+       and, if it succeeds, seeds every refit.
     """
     pre, post = split_pre_post(series, policy_month)
     if len(pre) < MIN_PRE_MONTHS:
@@ -230,7 +231,8 @@ def its_analysis(
         events += [EventInput(kind, announce_month, name=f"{kind}@announce")
                    for kind in event_kinds]
 
-    y = series.values()
+    # Filled once: an empty edge month fails here, before any fit of the full series.
+    y, n_interp = arima.fill_missing(series.values())
     orders = pre_fit.orders
     dropped: list[str] = []
     current = list(events)
@@ -249,6 +251,7 @@ def its_analysis(
         current = [e for e in current if e.label != weakest.name]
         arimax_fit = fit_arimax(y, orders, current, start_month=start_month,
                                 base_fit=base_fit)
+    arimax_fit.n_interpolated = n_interp
 
     return ItsResult(drug_family=series.drug_family, class_code=series.class_code,
                      policy_month=policy_month, pre_fit=pre_fit, post_forecast=fc,

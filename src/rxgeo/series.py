@@ -305,8 +305,9 @@ def pre_post_table(
 CLASSIFIED_EXTRA = ("d_pp", "d_pd", "d_rd", "pi_total", "class_code", "risk_level")
 
 
-# The checks of a classified row beyond the ingest ones, in reporting order.
-# It comes after clean(), so days_supply >= 1; risk_level names a tier.
+# The checks of a classified row beyond the ingest ones, each in place of
+# the ingest check of its column.  After clean(), days_supply >= 1;
+# risk_level names a tier.
 CLASSIFIED_RULES = (
     ("days_supply", whole_numbers(1)),
     *((name, floats()) for name in CLASSIFIED_EXTRA[:4]),
@@ -332,8 +333,8 @@ def _series_header(names: list[str] | None) -> list[str]:
     return names
 
 
-CLASSIFIED = INGEST._replace(header=_classified_header,
-                             checks=INGEST.checks + CLASSIFIED_RULES)
+CLASSIFIED = INGEST._replace(header=_classified_header, checks=tuple(
+    {**dict(INGEST.checks), **dict(CLASSIFIED_RULES)}.items()))
 # A series CSV: an empty mean_mme_day marks a month without records.  A doubled
 # column is read from its last copy, as csv.DictReader does.
 SERIES = Schema(_series_header, (), (), (("mean_mme_day", floats(empty_ok=True)),))

@@ -265,55 +265,115 @@ def _reference_residuals(v, a, m):
     return np.asarray(eps)
 
 
-def _reference_regression_css(z, x, vec, a, m):
-    n_events = x.shape[1]
-    w = z - x @ vec[1:1 + n_events] if n_events else z
+def _reference_css_value(z, c, a, m):
+    """The CSS of constant c and lag coefficients a, m, as one function."""
     ar_at_one = 1.0 - a.sum()
     if abs(ar_at_one) < 1e-10:
         return arima._PENALTY
-    eps = _reference_residuals(w - float(vec[0]) / ar_at_one, a, m)
+    eps = _reference_residuals(z - c / ar_at_one, a, m)
     css = float(eps @ eps)
     return css if math.isfinite(css) else arima._PENALTY
 
 
-def reference_css_objective(z, x, orders):
+def _reference_regression_css(z, x, vec, a, m):
+    n_events = x.shape[1]
+    w = z - x @ vec[1:1 + n_events] if n_events else z
+    return _reference_css_value(w, float(vec[0]), a, m)
+
+
+def reference_css_objective(z, x, orders, raw=False):
     """The objective every model used before the one-evaluator-per-model
-    form: _regression_css(z, x, vec, *_LagLayout(o).coefs(*_arma_coefs(vec, o, n)))."""
+    form: _regression_css(z, x, vec, *_LagLayout(o).coefs(*_arma_coefs(vec, o, n))).
+    With ``raw``, the ARMA part is read as coefficients, as the standard-error
+    Hessian's own objective read it: _LagLayout(o).split(vec[1 + n:].tolist())."""
     n_events = x.shape[1]
 
     def objective(vec):
-        return _reference_regression_css(z, x, vec, *arima._LagLayout(orders).coefs(
-            *_reference_arma_coefs(vec, orders, n_events)))
+        layout = arima._LagLayout(orders)
+        arma = (layout.split(vec[1 + n_events:].tolist()) if raw
+                else _reference_arma_coefs(vec, orders, n_events))
+        return _reference_regression_css(z, x, vec, *layout.coefs(*arma))
     return objective
 
 
+def reference_public_css(z, orders, params):
+    """``css_objective`` as a root check and then the CSS of the model's own
+    full-lag coefficients."""
+    if not (params.is_stationary and params.is_invertible):
+        return arima._PENALTY
+    a, m = arima._LagLayout(orders).coefs(params.phi.tolist(), params.theta.tolist(),
+                                          params.Phi.tolist(), params.Theta.tolist())
+    return _reference_css_value(np.asarray(z, dtype=float), params.c, a, m)
+
+
+def _random_css_case(rng, trial):
+    """Orders, z and x for one trial: every fifth model has no ARMA term (its
+    own evaluator), and every seventh z holds inf."""
+    s = int(rng.choice([2, 4, 12]))
+    if trial % 5 == 0:
+        orders = ArimaOrders(s=s)
+    else:
+        p, q = (int(k) for k in rng.integers(0, 6, 2))
+        P, Q = (int(k) for k in rng.integers(0, 3, 2))
+        orders = ArimaOrders(p=p, q=q, P=P, Q=Q, s=s)
+    n_events = int(rng.integers(0, 4))
+    z = rng.normal(size=int(rng.integers(20, 100)))
+    if trial % 7 == 0:
+        z[rng.integers(z.size)] = math.inf
+    return orders, z, rng.normal(size=(z.size, n_events))
+
+
+def _random_raw_arma(rng, orders, trial):
+    """Raw ARMA coefficients, some exactly zero.  On every third model with an
+    AR term, phi_1 = 1 - gap and the other AR coefficients are 0, so 1 - sum a
+    is 0, about 1e-12 (under the 1e-10 cut) or about 1e-9 (over it)."""
+    coefs = rng.normal(scale=0.5, size=orders.n_coefficients - 1)
+    coefs[rng.random(coefs.size) < 0.2] = 0.0
+    if orders.p and trial % 3 == 0:
+        coefs[:orders.p] = 0.0
+        coefs[0] = 1.0 - rng.choice([0.0, 1e-12, 1e-9])
+        coefs[orders.p + orders.q:orders.p + orders.q + orders.P] = 0.0
+    return coefs
+
+
 def test_css_evaluator_matches_reference_composition():
-    # Every fifth model has no ARMA term (its own evaluator); the rest mix
-    # exact-zero coordinates (tanh(0) = 0 meets the zero skip), coordinates
-    # past the clip and a z holding inf.
+    # Both coordinate systems.  Optimizer coordinates mix exact zeros (tanh(0)
+    # = 0 meets the zero skip) and coordinates past the clip; raw coefficients
+    # mix exact zeros and AR parts with 1 - sum a at or near 0.
     rng = np.random.default_rng(39)
     for trial in range(1500):
-        s = int(rng.choice([2, 4, 12]))
-        if trial % 5 == 0:
-            orders = ArimaOrders(s=s)
-        else:
-            p, q = (int(k) for k in rng.integers(0, 6, 2))
-            P, Q = (int(k) for k in rng.integers(0, 3, 2))
-            orders = ArimaOrders(p=p, q=q, P=P, Q=Q, s=s)
-        n_events = int(rng.integers(0, 4))
-        z = rng.normal(size=int(rng.integers(20, 100)))
-        if trial % 7 == 0:
-            z[rng.integers(z.size)] = math.inf
-        x = rng.normal(size=(z.size, n_events))
+        orders, z, x = _random_css_case(rng, trial)
+        n_events = x.shape[1]
         u = rng.normal(scale=1.5, size=orders.n_coefficients - 1)
         u[rng.random(u.size) < 0.2] = 0.0
         far = rng.random(u.size) < 0.1
         u[far] = rng.choice([-1.0, 1.0], far.sum()) * rng.uniform(20.0, 40.0, far.sum())
         vec = np.concatenate((rng.normal(size=1 + n_events), u))
-        got = arima._css_objective(z, x, orders)(vec)
-        want = reference_css_objective(z, x, orders)(vec)
+        raw_vec = np.concatenate((rng.normal(size=1 + n_events),
+                                  _random_raw_arma(rng, orders, trial)))
+        for raw, point in ((False, vec), (True, raw_vec)):
+            got = arima._css_objective(z, x, orders, raw=raw)(point)
+            want = reference_css_objective(z, x, orders, raw=raw)(point)
+            assert type(got) is float
+            assert got.hex() == want.hex(), (trial, raw, orders, n_events)
+
+
+def test_css_objective_matches_reference_composition():
+    # Random parameters, stationary and invertible or not, through the public
+    # objective and through the root check followed by the CSS rule alone.
+    rng = np.random.default_rng(40)
+    penalties = 0
+    for trial in range(1500):
+        orders, z, _ = _random_css_case(rng, trial)
+        k = arima._LagLayout(orders).starts
+        params = ArimaParams(float(rng.normal(scale=3.0)),
+                             *np.split(_random_raw_arma(rng, orders, trial), k))
+        got = css_objective(z, orders, params)
+        want = reference_public_css(z, orders, params)
         assert type(got) is float
-        assert got.hex() == want.hex(), (trial, orders, n_events)
+        assert got.hex() == want.hex(), (trial, orders)
+        penalties += got == arima._PENALTY
+    assert 0 < penalties < 1500
 
 
 # --- simulate -----------------------------------------------------------------------

@@ -48,6 +48,21 @@ def test_traced_pairs_with_other_digests_exit_1(bench_pairs, tmp_path):
     assert out.exists()
 
 
+def test_src_lines_of_each_side(bench_pairs, tmp_path):
+    # The newlines of src/rxgeo/*.py, as `cat src/rxgeo/*.py | wc -l` counts
+    # them: a file with no final newline adds none for its last line.
+    for name, files in (("side", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\nw = 4"}),
+                        ("other", {"a.py": "x = 1\n", "notes.txt": "not code\n"})):
+        package = tmp_path / name / "src" / "rxgeo"
+        package.mkdir(parents=True)
+        for file, text in files.items():
+            (package / file).write_text(text)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", str(tmp_path / "side"), "--change", str(tmp_path / "other"),
+                      "--out", str(out), "--digest", "its:42"])
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 1}
+
+
 def _scale_run(checkout, n):
     return {stage: {"exit": 0, "wall_s": 2.0, "cpu_s": 1.0, "peak_rss_mb": 50.0,
                     "sha256": {"out.csv": checkout.name}}

@@ -49,12 +49,14 @@ def _oracle(text):
         try:
             if None in row or None in row.values():
                 raise ValueError("wrong field count")
-            rec = parse_row({k: row[k] for k in records.CSV_COLUMNS})
+            fields = {k: row[k] for k in records.CSV_COLUMNS}
             try:
-                if float(rec.days_supply) < 1:
-                    raise ValueError
-            except (ValueError, OverflowError):
-                raise ValueError("invalid days_supply") from None
+                no_days = int(fields["days_supply"]) == 0
+            except ValueError:
+                no_days = False
+            if no_days:  # a classified row needs days_supply >= 1, in the ingest rule's place
+                fields["days_supply"] = "-1"
+            parse_row(fields)
             for col in ("d_pp", "d_pd", "d_rd", "pi_total"):
                 try:
                     parse_float(row[col], col)
@@ -154,6 +156,21 @@ def test_reader_rejects_days_supply_beyond_float(tmp_path, base_rows):
         csv.writer(fh).writerows(rows)
     with pytest.raises(cli.DataError, match=r": line 3: invalid days_supply$"):
         _read(path)
+
+
+@pytest.mark.parametrize("column,value", [("drug_family", "Opioid"), ("d_pp", "abc"),
+                                          ("class_code", "9z"), ("risk_level", "0")])
+def test_zero_days_supply_is_reported_before_later_columns(tmp_path, base_rows,
+                                                            column, value):
+    # The classified rule days_supply >= 1 takes the ingest rule's place, so
+    # it is reported in file column order, before drug_family too.
+    rows = [list(r) for r in base_rows]
+    rows[2][COLUMNS.index("days_supply")] = "0"
+    rows[2][COLUMNS.index(column)] = value
+    path = tmp_path / "classified.csv"
+    text = _csv_text(rows)
+    assert _oracle(text) == (3, "invalid days_supply")
+    _check_reader(path, text, chunk=4096)
 
 
 def test_library_reader_reads_a_stream(base_rows):

@@ -326,6 +326,37 @@ def test_its_failed_base_fit_is_not_retried(monkeypatch):
     assert lengths.count(95) == 1
 
 
+def test_its_fills_the_full_series_once(monkeypatch):
+    # An empty last month, with a full pre window, fails the analysis before
+    # any fit of the full series; interior gaps are filled once, and the
+    # ARIMAX fit counts them all.
+    rng = np.random.default_rng(79)
+    vals = 50 + rng.normal(0, 1, 95)
+    lengths, calls = [], []
+    real_fit, real_fit_arimax = arima.fit, intervention.fit_arimax
+
+    def counting_fit(y, *args, **kwargs):
+        lengths.append(len(y))
+        return real_fit(y, *args, **kwargs)
+
+    def counting_fit_arimax(*args, **kwargs):
+        calls.append(1)
+        return real_fit_arimax(*args, **kwargs)
+
+    monkeypatch.setattr(arima, "fit", counting_fit)
+    monkeypatch.setattr(intervention, "fit_arimax", counting_fit_arimax)
+    edge = vals.copy()
+    edge[-1] = math.nan
+    with pytest.raises(ValueError, match="cannot interpolate missing values at the series edges"):
+        its_analysis(make_series(edge))
+    assert lengths and set(lengths) == {52} and not calls  # only the pre-window fits
+    gaps = vals.copy()
+    gaps[[10, 60, 61, 80]] = math.nan
+    res = its_analysis(make_series(gaps))
+    assert res.pre_fit.n_interpolated == 1
+    assert res.arimax.n_interpolated == 4
+
+
 # --- its_batch ---------------------------------------------------------------------
 
 def test_its_batch_ordering_and_failures():

@@ -23,6 +23,9 @@ check the harness itself.  Standard library only.
   stage's wall and CPU seconds, peak RSS (``os.wait4``, as
   ``perfbench/run.py`` reads it) and the SHA-256 of each output file.
 
+The BENCH file also records ``src_lines``, the line count of
+``src/rxgeo/*.py`` in each checkout, as ``cat src/rxgeo/*.py | wc -l`` gives it.
+
 Exits 1, after writing what it has, when a run is not correct, the two
 sides' digests differ on any workload and seed, or the two sides' ``--scale``
 outputs differ.
@@ -115,6 +118,12 @@ def run_scale(checkout: Path, n: int) -> dict:
     return stages
 
 
+def src_lines(checkout: Path) -> int:
+    """The newlines in ``src/rxgeo/*.py`` of a checkout."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "rxgeo").glob("*.py"))
+
+
 def quartiles(values: list[float]) -> dict:
     if len(values) == 1:
         return {"median": values[0], "n": 1, "q1": values[0], "q3": values[0]}
@@ -179,6 +188,7 @@ def main(argv: list[str] | None = None) -> int:
                   + "); the side that runs first swaps every pair; parent and change "
                     "each run from their own checkout",
         "digest_only_runs": {}, "host": {}, "scale_runs": {}, "workloads": {},
+        "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
     }
     for workload, seed, n in args.pairs:
         label = f"{workload}/seed{seed}"
