@@ -246,12 +246,17 @@ def _cmd_ingest(args, manifest: RunManifest) -> str:
     report, errors = records.FilterReport(), []
     with _input(Path(args.input), manifest) as fh, \
             open(_output(manifest, args.out), "w", newline="") as out:
-        for i, (table, bad) in enumerate(records.parse_chunks(fh)):
+        header = True
+        for table, bad in records.parse_chunks(fh):
             kept, part = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
                                        n_malformed=len(bad))
-            records.write_csv(kept, out, header=i == 0)
+            records.write_texts(out, records.CSV_COLUMNS,
+                                [kept.texts[name] for name in records.CSV_COLUMNS],
+                                header=header)
             report += part
             errors += bad
+            # Free the chunk's texts before the next chunk is read.
+            header, table, kept = False, None, None
     payload = report.to_dict()
     payload["row_errors"] = [{"line": e.line, "reason": e.reason} for e in errors]
     _output(manifest, args.report).write_text(_json(payload))
@@ -266,7 +271,8 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
     errors, unclean, counts = [], None, Counter()
     with _input(path, manifest) as fh, \
             open(_output(manifest, args.out), "w", newline="") as out:
-        for i, (table, bad) in enumerate(records.parse_chunks(fh)):
+        header = True
+        for table, bad in records.parse_chunks(fh):
             errors += bad
             if errors or unclean:
                 continue  # read on to count the malformed rows
@@ -275,8 +281,10 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
             except ValueError as exc:  # days_supply < 1: the input was not cleaned
                 unclean = exc
                 continue
-            write_classified_csv(out, classified, header=i == 0)
+            write_classified_csv(out, classified, header=header, texts=table.texts)
             counts.update(classified.class_counts())
+            # Free the chunk's texts before the next chunk is read.
+            header, table, classified = False, None, None
     if errors:
         raise DataError(f"{path}: {len(errors)} malformed rows "
                         f"(first: line {errors[0].line}: {errors[0].reason})")

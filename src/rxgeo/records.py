@@ -6,7 +6,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import date
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -41,8 +41,6 @@ CHUNK_ROWS = 4096
 # Lines built per write: the text of a block costs several times its bytes.
 WRITE_ROWS = 1024
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # the one fill_date form
-# The characters for which csv.writer's QUOTE_MINIMAL quotes a field.
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 class SchemaError(ValueError):
@@ -174,6 +172,22 @@ class TransactionTable:
 
 
 @dataclass(frozen=True)
+class _ReadTable(TransactionTable):
+    """A table as :func:`parse_chunks` reads it, with ``texts``: the field
+    text of each record, as read, by column name.  :meth:`take` keeps the
+    texts of the records it keeps, so :func:`clean` filters both at once."""
+
+    texts: dict[str, Sequence[str]] = field(repr=False, compare=False)
+
+    def take(self, keep: np.ndarray) -> "_ReadTable":
+        table = super().take(keep)
+        kept = keep.tolist()
+        texts = self.texts if all(kept) else {
+            name: list(compress(column, kept)) for name, column in self.texts.items()}
+        return _ReadTable(*(getattr(table, name) for name in CSV_COLUMNS), texts)
+
+
+@dataclass(frozen=True)
 class RowError:
     """A rejected CSV row: ``line`` is the 1-based file line number."""
 
@@ -228,6 +242,17 @@ def parse_date(text: str) -> date:
 
 
 # --- the CSV schemas -------------------------------------------------------------
+
+class Columns(dict):
+    """The converted columns of the rows that pass a schema, by name, with
+    ``texts``: the field texts of the same rows, as read, by header name."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, columns: dict[str, Sequence], texts: dict[str, Sequence[str]]):
+        super().__init__(columns)
+        self.texts = texts
+
 
 class Schema(NamedTuple):
     """The rules of one CSV file type, in reporting order: a row of the wrong
@@ -327,8 +352,8 @@ INGEST = Schema(_check_header, CSV_COLUMNS, ("drug_family",), (
 
 
 def check_rows(schema: Schema, header: list[str], rows: list[list[str]],
-               lines: Sequence[int]) -> tuple[dict[str, Sequence], list[RowError]]:
-    """The converted columns of the rows that pass ``schema``, by name, and a
+               lines: Sequence[int]) -> tuple[Columns, list[RowError]]:
+    """The :class:`Columns` of the rows that pass ``schema`` and a
     :class:`RowError` naming the first rule each other row breaks."""
     errors = []
     if set(map(len, rows)) - {len(header)}:
@@ -340,16 +365,17 @@ def check_rows(schema: Schema, header: list[str], rows: list[list[str]],
 
 
 def _check_columns(schema: Schema, values: dict[str, Sequence[str]], lines: Sequence[int],
-                   errors: list[RowError]) -> tuple[dict[str, Sequence], list[RowError]]:
+                   errors: list[RowError]) -> tuple[Columns, list[RowError]]:
     """:func:`check_rows` of rows of the header's length, given as columns by
-    name; ``errors`` holds those of the rows of another length."""
+    name; ``errors`` holds those of the rows of another length, in line
+    order.  When every row passes, the texts are ``values`` itself."""
     columns, masks = {}, []
     for column, test in schema.checks:
         columns[column], bad = test(values[column])
         masks.append(bad)
     keep = ~np.any(masks, axis=0)
-    if not errors and keep.all():
-        return columns, []
+    if keep.all():
+        return Columns(columns, values), errors
     first = np.argmax(masks, axis=0)  # the first check each row fails
     for i in np.flatnonzero(~keep).tolist():
         column = schema.checks[first[i]][0]
@@ -358,7 +384,9 @@ def _check_columns(schema: Schema, values: dict[str, Sequence[str]], lines: Sequ
         if column in schema.quoted and not blank:
             reason += f" {values[column][i].strip()!r}"
         errors.append(RowError(lines[i], reason))
-    return ({name: column[keep] for name, column in columns.items()},
+    kept = keep.tolist()
+    return (Columns({name: column[keep] for name, column in columns.items()},
+                    {name: list(compress(text, kept)) for name, text in values.items()}),
             sorted(errors, key=lambda e: e.line))
 
 
@@ -449,10 +477,12 @@ def duplicate_names(names: Sequence[str]) -> list[str]:
 
 def parse_chunks(stream: TextIO) -> Iterator[tuple[TransactionTable, list[RowError]]]:
     """A transaction CSV a chunk at a time, as :func:`read_csv` reads it with
-    the ``INGEST`` schema: each chunk's table and a :class:`RowError` for each
-    of its rows the schema rejects."""
+    the ``INGEST`` schema: each chunk's table, whose ``texts`` hold the field
+    texts of its records, and a :class:`RowError` for each of its rows the
+    schema rejects."""
     for columns, errors in read_csv(stream, INGEST):
-        yield TransactionTable(**columns), errors
+        yield _ReadTable(**columns, texts=columns.texts), errors
+        columns = None  # free the chunk's texts before the next is read
 
 
 def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
@@ -463,31 +493,64 @@ def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     parts, errors = [], []
-    for table, bad in parse_chunks(stream):
-        parts.append(table)
+    for columns, bad in read_csv(stream, INGEST):
+        parts.append(TransactionTable(**columns))
         errors += bad
     return TransactionTable.concat(parts), errors
 
 
-def _quoted(texts: list[str]) -> list[str]:
-    """Text fields as csv.writer's QUOTE_MINIMAL writes them: one holding a
-    comma, a double quote, CR or LF is wrapped in double quotes, each double
-    quote doubled."""
-    if not _NEEDS_QUOTES.search("".join(texts)):
+def _needs_quotes(text: str) -> bool:
+    """Whether csv.writer's QUOTE_MINIMAL quotes a field holding ``text``: it
+    holds a comma, a double quote, CR or LF.  Four searches for one
+    character are several times faster than one regular expression."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _quoted(texts: Sequence[str]) -> Sequence[str]:
+    """Text fields as csv.writer's QUOTE_MINIMAL writes them: one that
+    :func:`_needs_quotes` is wrapped in double quotes, each double quote
+    doubled."""
+    if not _needs_quotes("".join(texts)):
         return texts
-    return ['"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+    return ['"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
             for text in texts]
 
 
 def _field_texts(column: np.ndarray) -> list[str]:
-    """The CSV fields of a column: repr of a float, str of an int, and str of
-    anything else under the quoting rule of :func:`_quoted`."""
+    """The CSV field texts of a column: repr of a float, and str of anything
+    else."""
     values = column.tolist()
-    if column.dtype.kind == "f":
-        return list(map(repr, values))
-    if column.dtype.kind in "iub":
-        return list(map(str, values))
-    return _quoted(list(map(str, values)))
+    return list(map(repr if column.dtype.kind == "f" else str, values))
+
+
+def _write_blocks(path: str | Path | TextIO, names: Sequence[str] | None,
+                  blocks: Iterable[Sequence[Sequence[str]]]) -> None:
+    """Write the header line of ``names``, unless it is None, then each block
+    of text columns, each field under the quoting rule of :func:`_quoted`:
+    one CRLF-ended line per row, one write per block."""
+    own = isinstance(path, (str, Path))
+    stream = open(path, "w", newline="") if own else path
+    try:
+        if names is not None:
+            stream.write(",".join(_quoted(names)) + "\r\n")
+        for block in blocks:
+            stream.write("\r\n".join(map(",".join, zip(*map(_quoted, block)))) + "\r\n")
+    finally:
+        if own:
+            stream.close()
+
+
+def write_texts(path: str | Path | TextIO, names: Sequence[str],
+                columns: Sequence[Sequence[str]], header: bool = True) -> None:
+    """Write text columns as CSV fields, each as it is apart from the quoting
+    rule of :func:`_quoted`, under the header line of their ``names``;
+    without the ``header`` line, the rows follow what a stream already
+    holds.  The bytes are those of ``csv.writer`` given the texts: one
+    CRLF-ended line per row, ``WRITE_ROWS`` lines per write."""
+    n = len(columns[0]) if columns else 0
+    _write_blocks(path, names if header else None,
+                  ([column[start:start + WRITE_ROWS] for column in columns]
+                   for start in range(0, n, WRITE_ROWS)))
 
 
 def write_csv(table: TransactionTable, path: str | Path | TextIO,
@@ -497,30 +560,25 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO,
     the ``header`` line, the rows follow what a stream already holds, so a
     table can be written a part at a time.
 
-    The bytes are those of ``csv.writer``: one CRLF-ended line per record,
-    ``WRITE_ROWS`` lines per write, with a float as its repr, an int as its
-    str, and other values as their str under the quoting rule of
-    :func:`_quoted`.
+    ``WRITE_ROWS`` records at a time, each value is formatted as its text
+    (a float as its repr, a date as its ISO form, anything else as its
+    str) and the texts are written as :func:`write_texts` writes them, so
+    the bytes are those of ``csv.writer`` given the values.
     """
     extra = list(extra)
     arrays = [*table._arrays()[1:], *(column for _, column in extra)]
-    own = isinstance(path, (str, Path))
-    stream = open(path, "w", newline="") if own else path
-    try:
-        if header:
-            stream.write(",".join(_quoted([*CSV_COLUMNS, *(name for name, _ in extra)]))
-                         + "\r\n")
+
+    def blocks():
         for start in range(0, len(table), WRITE_ROWS):
             stop = start + WRITE_ROWS
             days = table.fill_date[start:stop].tolist()
             iso = {d: date.fromordinal(d).isoformat() for d in set(days)}
-            texts = [_quoted(list(map(str, table.record_id[start:stop]))),
-                     list(map(iso.__getitem__, days)),
-                     *(_field_texts(a[start:stop]) for a in arrays)]
-            stream.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
-    finally:
-        if own:
-            stream.close()
+            yield [list(map(str, table.record_id[start:stop])),
+                   list(map(iso.__getitem__, days)),
+                   *(_field_texts(a[start:stop]) for a in arrays)]
+
+    _write_blocks(path, [*CSV_COLUMNS, *(name for name, _ in extra)] if header else None,
+                  blocks())
 
 
 def clean(

@@ -22,24 +22,33 @@ from rxgeo import cli, geo, records, series, syngen
 from rxgeo.records import CSV_COLUMNS, FilterReport, TransactionTable, mme_per_day
 from row_reference import parse_row
 from writer_reference import write_csv as reference_write_csv
+from writer_reference import write_rows as reference_write_rows
 
 
 # --- chunked parser vs. a per-row oracle ----------------------------------------
 
-def _oracle(text):
-    """Records and (line, reason) errors of a row-at-a-time parse."""
+def _oracle_rows(text):
+    """(row, record) pairs and (line, reason) errors of a row-at-a-time
+    parse; each row is the field texts csv.DictReader reads, by stripped
+    header name."""
     reader = csv.DictReader(io.StringIO(text, newline=""))
     reader.fieldnames = [name.strip() for name in reader.fieldnames]
-    recs, errors = [], []
+    parsed, errors = [], []
     for row in reader:
         if None in row or None in row.values():
             errors.append((reader.line_num, "wrong field count"))
             continue
         try:
-            recs.append(parse_row(row))
+            parsed.append((row, parse_row(row)))
         except ValueError as exc:
             errors.append((reader.line_num, str(exc)))
-    return recs, errors
+    return parsed, errors
+
+
+def _oracle(text):
+    """Records and (line, reason) errors of a row-at-a-time parse."""
+    parsed, errors = _oracle_rows(text)
+    return [rec for _, rec in parsed], errors
 
 
 POOL = ["", " ", "1_000", " 7 ", "+7", "٣", "²", "nan", "inf", "-inf", "1e400",
@@ -204,6 +213,25 @@ def test_a_table_written_in_two_parts_is_written_once(case, cut, block):
     assert got.getvalue() == want.getvalue()
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 2, 1024]))
+def test_write_texts_writes_the_bytes_of_the_csv_writer_oracle(data, block):
+    """Text columns written in two parts are csv.writer's rows of the texts.
+    Rows have at least two fields: csv.writer quotes an empty field that is
+    a whole row, and no file rxgeo writes has a one-column row."""
+    width = data.draw(st.integers(2, 4), label="columns")
+    n = data.draw(st.integers(0, 9), label="rows")
+    names = data.draw(st.lists(_TEXT, min_size=width, max_size=width), label="names")
+    columns = [data.draw(st.lists(_TEXT, min_size=n, max_size=n), label="column")
+               for _ in range(width)]
+    cut = data.draw(st.integers(0, n), label="cut")
+    got = io.StringIO(newline="")
+    with mock.patch.object(records, "WRITE_ROWS", block):
+        records.write_texts(got, names, [column[:cut] for column in columns])
+        records.write_texts(got, names, [column[cut:] for column in columns], header=False)
+    assert got.getvalue() == _csv_text([names, *zip(*columns)])
+
+
 # --- producer stages vs. the per-record writers -----------------------------------
 
 def _reference_write_csv(recs, path):
@@ -221,22 +249,26 @@ def _reference_write_csv(recs, path):
             ])
 
 
+def _reference_classification(r, thresholds):
+    """The classified columns of one record, on the scalar classification path."""
+    g = geo.geometry(r)
+    return [repr(g.d_pp), repr(g.d_pd), repr(g.d_rd), repr(g.pi_total),
+            geo.class_code(r, thresholds).code, geo.risk_level(mme_per_day(r)).level]
+
+
 def _reference_write_classified(recs, path, thresholds=geo.ClassThresholds()):
     """The per-record classified writer, on the scalar classification path."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS + series.CLASSIFIED_EXTRA)
         for r in recs:
-            g = geo.geometry(r)
             writer.writerow([
                 r.record_id, r.fill_date.isoformat(),
                 repr(r.patient.lat), repr(r.patient.lon),
                 repr(r.prescriber.lat), repr(r.prescriber.lon),
                 repr(r.dispenser.lat), repr(r.dispenser.lon),
                 repr(r.mme_total), r.days_supply, r.drug_family,
-                repr(g.d_pp), repr(g.d_pd), repr(g.d_rd), repr(g.pi_total),
-                geo.class_code(r, thresholds).code,
-                geo.risk_level(mme_per_day(r)).level,
+                *_reference_classification(r, thresholds),
             ])
 
 
@@ -271,7 +303,8 @@ def _edit_raw(path):
              ("patient_lat", "95"), ("dispenser_lon", "-181"), ("mme_total", "abc"),
              ("days_supply", "1_0"), ("days_supply", str(10**20)), ("fill_date", ""),
              ("drug_family", " benzodiazepine "), ("record_id", "id\nwith a break"),
-             ("prescriber_lat", "-0.0"), ("mme_total", "nan")]
+             ("prescriber_lat", "-0.0"), ("mme_total", "nan"), ("days_supply", "7\r\n"),
+             ("record_id", 'id "q", x')]
     for k, row in enumerate(rows[5::37]):
         name, value = edits[k % len(edits)]
         row[col[name]] = value
@@ -287,6 +320,13 @@ def _edit_raw(path):
 
 @pytest.mark.parametrize("seed,edited", [(7, False), (21, True)])
 def test_producer_stages_write_what_the_record_writers_wrote(tmp_path, seed, edited):
+    """simulate writes what the record writer writes.  ingest and classify
+    copy each kept field's text through: on simulate's own output that is
+    what the record writers write, and on a raw file edited with accepted
+    spellings (``" benzodiazepine "``, ``"1_0"``, a days_supply that ends in
+    CRLF, record_ids holding a line break or a quote and a comma) it is each
+    kept row's field texts as csv.reader reads them, written again by
+    csv.writer, then the classification."""
     n = 3000
     raw, clean, classified = (tmp_path / name for name in
                               ("raw.csv", "clean.csv", "classified.csv"))
@@ -302,10 +342,16 @@ def test_producer_stages_write_what_the_record_writers_wrote(tmp_path, seed, edi
     assert cli.main(["ingest", "--input", str(raw), "--out", str(clean),
                      "--report", str(report_path)]) == 0
     with open(raw, newline="") as fh:
-        recs, errors = _oracle(fh.read())
-    kept, report = _reference_clean(recs, records.DEFAULT_MME_CAP,
+        parsed, errors = _oracle_rows(fh.read())
+    kept, report = _reference_clean([rec for _, rec in parsed], records.DEFAULT_MME_CAP,
                                     records.DEFAULT_CUTOFF, len(errors))
-    _reference_write_csv(kept, tmp_path / "ref_clean.csv")
+    if edited:
+        kept_set = set(kept)
+        texts = [[row[name] for name in CSV_COLUMNS] for row, rec in parsed if rec in kept_set]
+        assert len(texts) == len(kept)
+        reference_write_rows(tmp_path / "ref_clean.csv", CSV_COLUMNS, texts)
+    else:
+        _reference_write_csv(kept, tmp_path / "ref_clean.csv")
     assert clean.read_bytes() == (tmp_path / "ref_clean.csv").read_bytes()
     payload = report.to_dict()
     payload["row_errors"] = [{"line": line, "reason": reason} for line, reason in errors]
@@ -315,6 +361,87 @@ def test_producer_stages_write_what_the_record_writers_wrote(tmp_path, seed, edi
 
     assert cli.main(["classify", "--input", str(clean), "--out", str(classified),
                      "--near-miles", "40", "--isolation-ratio", "2.5"]) == 0
-    _reference_write_classified(kept, tmp_path / "ref_classified.csv",
-                                geo.ClassThresholds(40.0, 2.5))
+    thresholds = geo.ClassThresholds(40.0, 2.5)
+    if edited:
+        reference_write_rows(tmp_path / "ref_classified.csv",
+                             CSV_COLUMNS + series.CLASSIFIED_EXTRA,
+                             [text + _reference_classification(rec, thresholds)
+                              for text, rec in zip(texts, kept)])
+    else:
+        _reference_write_classified(kept, tmp_path / "ref_classified.csv", thresholds)
     assert classified.read_bytes() == (tmp_path / "ref_classified.csv").read_bytes()
+
+
+def _edit_spellings(path):
+    """Rewrite a raw CSV so that each data row tries one (column, value) of
+    ``POOL`` and keeps it if the row oracle accepts the row with it; return
+    the edited column names of each record_id, which is left as it is."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    tries = [(j, value) for j in range(1, len(CSV_COLUMNS)) for value in POOL]
+    edited = {}
+    for i, row in enumerate(rows[1:]):
+        j, value = tries[i % len(tries)]
+        new = [*row[:j], value, *row[j + 1:]]
+        try:
+            parse_row(dict(zip(CSV_COLUMNS, new)))
+        except ValueError:
+            continue
+        if value != row[j]:
+            row[j] = value
+            edited[row[0]] = {CSV_COLUMNS[j]}
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return edited
+
+
+def test_analytics_do_not_depend_on_spelling(tmp_path):
+    """ingest -> classify -> aggregate and summary-table on a raw file whose
+    fields use accepted spellings from ``POOL``, and on its canonical twin
+    (the oracle's records written by the record writer): the series and the
+    summary tables are the same bytes, and the clean and classified files
+    differ only in the edited fields."""
+    runs = {name: tmp_path / name for name in ("edited", "canonical")}
+    for work in runs.values():
+        work.mkdir()
+    raw = runs["edited"] / "raw.csv"
+    assert cli.main(["simulate", "--n", "2000", "--seed", "13", "--out", str(raw)]) == 0
+    edited = _edit_spellings(raw)
+    with open(raw, newline="") as fh:
+        recs, errors = _oracle(fh.read())
+    assert not errors and len(edited) > 500
+    _reference_write_csv(recs, runs["canonical"] / "raw.csv")
+
+    for work in runs.values():
+        for argv in (["ingest", "--input", "raw.csv", "--out", "clean.csv",
+                      "--report", "filter.json"],
+                     ["classify", "--input", "clean.csv", "--out", "classified.csv"],
+                     ["aggregate", "--input", "classified.csv", "--outdir", "series"],
+                     ["summary-table", "--input", "classified.csv", "--outdir", "tables"]):
+            assert cli.main([argv[0], *(a if a.startswith("--") else str(work / a)
+                                        for a in argv[1:])]) == 0
+
+    def outputs(work):
+        return {path.relative_to(work): path.read_bytes()
+                for sub in ("series", "tables") for path in sorted((work / sub).iterdir())
+                if not path.name.startswith("manifest_")}
+
+    got, want = outputs(runs["edited"]), outputs(runs["canonical"])
+    assert len(want) > 10 and got == want
+    assert (runs["edited"] / "filter.json").read_text() == \
+        (runs["canonical"] / "filter.json").read_text()
+
+    for name, header in (("clean.csv", CSV_COLUMNS),
+                         ("classified.csv", CSV_COLUMNS + series.CLASSIFIED_EXTRA)):
+        tables = []
+        for work in runs.values():
+            with open(work / name, newline="") as fh:
+                tables.append(list(csv.reader(fh)))
+        assert tables[0][0] == tables[1][0] == list(header)
+        assert len(tables[0]) == len(tables[1]) > 1000
+        changed = 0
+        for got_row, want_row in zip(*tables):
+            differ = {header[j] for j, (a, b) in enumerate(zip(got_row, want_row)) if a != b}
+            assert differ <= edited.get(got_row[0], set()), (got_row, want_row)
+            changed += bool(differ)
+        assert changed > 300

@@ -1,5 +1,6 @@
 """The table writer as it was before it joined the fields itself, for the
-oracle test of ``records.write_csv``.
+oracle test of ``records.write_csv``, and ``csv.writer`` on rows of field
+texts, for the oracle test of the stages that copy their input's texts.
 
 ``write_csv`` is the ``csv.writer`` writer the library used up to version
 0.9.0, copied unchanged apart from its chunk size, a constant here: the
@@ -42,3 +43,11 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO,
     finally:
         if own:
             stream.close()
+
+
+def write_rows(path: str | Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    """A header line and rows of field texts, as ``csv.writer`` writes them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
