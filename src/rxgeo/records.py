@@ -175,15 +175,16 @@ class TransactionTable:
 class _ReadTable(TransactionTable):
     """A table as :func:`parse_chunks` reads it, with ``texts``: the field
     text of each record, as read, by column name.  :meth:`take` keeps the
-    texts of the records it keeps, so :func:`clean` filters both at once."""
+    texts of the records it keeps, so :func:`clean` filters both at once,
+    and :func:`write_csv` writes the texts."""
 
     texts: dict[str, Sequence[str]] = field(repr=False, compare=False)
 
     def take(self, keep: np.ndarray) -> "_ReadTable":
-        table = super().take(keep)
-        kept = keep.tolist()
-        texts = self.texts if all(kept) else {
-            name: list(compress(column, kept)) for name, column in self.texts.items()}
+        if keep.all():
+            return self  # frozen: every record and its texts are kept as they are
+        table, kept = super().take(keep), keep.tolist()
+        texts = {name: list(compress(column, kept)) for name, column in self.texts.items()}
         return _ReadTable(*(getattr(table, name) for name in CSV_COLUMNS), texts)
 
 
@@ -517,40 +518,14 @@ def _quoted(texts: Sequence[str]) -> Sequence[str]:
 
 
 def _field_texts(column: np.ndarray) -> list[str]:
-    """The CSV field texts of a column: repr of a float, and str of anything
-    else."""
+    """The CSV fields of a column: repr of a float, str of an int, and str of
+    anything else under the quoting rule of :func:`_quoted`."""
     values = column.tolist()
-    return list(map(repr if column.dtype.kind == "f" else str, values))
-
-
-def _write_blocks(path: str | Path | TextIO, names: Sequence[str] | None,
-                  blocks: Iterable[Sequence[Sequence[str]]]) -> None:
-    """Write the header line of ``names``, unless it is None, then each block
-    of text columns, each field under the quoting rule of :func:`_quoted`:
-    one CRLF-ended line per row, one write per block."""
-    own = isinstance(path, (str, Path))
-    stream = open(path, "w", newline="") if own else path
-    try:
-        if names is not None:
-            stream.write(",".join(_quoted(names)) + "\r\n")
-        for block in blocks:
-            stream.write("\r\n".join(map(",".join, zip(*map(_quoted, block)))) + "\r\n")
-    finally:
-        if own:
-            stream.close()
-
-
-def write_texts(path: str | Path | TextIO, names: Sequence[str],
-                columns: Sequence[Sequence[str]], header: bool = True) -> None:
-    """Write text columns as CSV fields, each as it is apart from the quoting
-    rule of :func:`_quoted`, under the header line of their ``names``;
-    without the ``header`` line, the rows follow what a stream already
-    holds.  The bytes are those of ``csv.writer`` given the texts: one
-    CRLF-ended line per row, ``WRITE_ROWS`` lines per write."""
-    n = len(columns[0]) if columns else 0
-    _write_blocks(path, names if header else None,
-                  ([column[start:start + WRITE_ROWS] for column in columns]
-                   for start in range(0, n, WRITE_ROWS)))
+    if column.dtype.kind == "f":
+        return list(map(repr, values))
+    if column.dtype.kind in "iub":
+        return list(map(str, values))
+    return _quoted(list(map(str, values)))
 
 
 def write_csv(table: TransactionTable, path: str | Path | TextIO,
@@ -560,25 +535,37 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO,
     the ``header`` line, the rows follow what a stream already holds, so a
     table can be written a part at a time.
 
-    ``WRITE_ROWS`` records at a time, each value is formatted as its text
-    (a float as its repr, a date as its ISO form, anything else as its
-    str) and the texts are written as :func:`write_texts` writes them, so
-    the bytes are those of ``csv.writer`` given the values.
+    The bytes are those of ``csv.writer``: one CRLF-ended line per record,
+    ``WRITE_ROWS`` lines per write, with a float as its repr, an int as its
+    str, and other values as their str under the quoting rule of
+    :func:`_quoted`.  A table :func:`parse_chunks` read (or taken from one)
+    has its ingest columns written as the field texts it was read from,
+    each under the quoting rule of :func:`_quoted`, not formatted from its
+    values; its ``extra`` columns are formatted.
     """
     extra = list(extra)
-    arrays = [*table._arrays()[1:], *(column for _, column in extra)]
-
-    def blocks():
+    texts = table.texts if isinstance(table, _ReadTable) else None
+    own = isinstance(path, (str, Path))
+    stream = open(path, "w", newline="") if own else path
+    try:
+        if header:
+            stream.write(",".join(_quoted([*CSV_COLUMNS, *(name for name, _ in extra)]))
+                         + "\r\n")
         for start in range(0, len(table), WRITE_ROWS):
             stop = start + WRITE_ROWS
-            days = table.fill_date[start:stop].tolist()
-            iso = {d: date.fromordinal(d).isoformat() for d in set(days)}
-            yield [list(map(str, table.record_id[start:stop])),
-                   list(map(iso.__getitem__, days)),
-                   *(_field_texts(a[start:stop]) for a in arrays)]
-
-    _write_blocks(path, [*CSV_COLUMNS, *(name for name, _ in extra)] if header else None,
-                  blocks())
+            if texts is not None:
+                fields = [_quoted(texts[name][start:stop]) for name in CSV_COLUMNS]
+            else:
+                days = table.fill_date[start:stop].tolist()
+                iso = {d: date.fromordinal(d).isoformat() for d in set(days)}
+                fields = [_quoted(list(map(str, table.record_id[start:stop]))),
+                          list(map(iso.__getitem__, days)),
+                          *(_field_texts(a[start:stop]) for a in table._arrays()[1:])]
+            fields += [_field_texts(column[start:stop]) for _, column in extra]
+            stream.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+    finally:
+        if own:
+            stream.close()
 
 
 def clean(

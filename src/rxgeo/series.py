@@ -8,14 +8,14 @@ import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import NamedTuple, Sequence, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .geo import ALL_CLASS_CODES, RISK_HAZARD_RATIOS, ClassifiedTable
 from .records import (CSV_COLUMNS, INGEST, ReadError, Schema, TransactionTable,
-                      _field_texts, distinct_values, duplicate_names, floats, read_csv,
-                      whole_numbers, write_csv, write_texts)
+                      distinct_values, duplicate_names, floats, read_csv,
+                      whole_numbers, write_csv)
 from .stats import MeanCI, mean_ci
 
 INDEX_BASE_YEAR = 2014
@@ -341,19 +341,11 @@ SERIES = Schema(_series_header, (), (), (("mean_mme_day", floats(empty_ok=True))
 
 
 def write_classified_csv(path: str | Path | TextIO, c: ClassifiedTable,
-                         header: bool = True,
-                         texts: dict[str, Sequence[str]] | None = None) -> None:
+                         header: bool = True) -> None:
     """The ingest columns of the records, then ``CLASSIFIED_EXTRA``, as
-    :func:`records.write_csv` writes them to ``path``; or, given the
-    ``texts`` the records were read from (by column name), the ingest
-    columns as those texts, as :func:`records.write_texts` writes them."""
-    extra = (c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)
-    if texts is None:
-        write_csv(c.records, path, extra=zip(CLASSIFIED_EXTRA, extra), header=header)
-    else:
-        write_texts(path, CSV_COLUMNS + CLASSIFIED_EXTRA,
-                    [*(texts[name] for name in CSV_COLUMNS), *map(_field_texts, extra)],
-                    header=header)
+    :func:`records.write_csv` writes them to ``path``."""
+    write_csv(c.records, path, extra=zip(CLASSIFIED_EXTRA, (
+        c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)), header=header)
 
 
 def _read(stream: TextIO, schema: Schema, names: tuple[str, ...]) -> list[np.ndarray]:

@@ -5,15 +5,11 @@ each returns; a name the package no longer binds, or one the CLI does not
 call, leaves its layer at zero in a traced benchmark run.
 
 The producer stages stream their records: they call ``records.clean``,
-``geo.classify_records`` and a writer once per chunk or block, so the spans
-of a stage add up to its records.  simulate formats its records with
-``records.write_csv``; ingest and classify copy their input's field texts
-through ``records.write_texts``, which the tracer does not wrap, so the
-``records.write_csv`` layer times simulate's writes only.  The stages draw
-and parse records without calling ``syngen.generate`` or
-``records.parse_csv``, whose layers the tracer no longer sees in these
-stages: the last test, which asserts them, is a known failure until the
-tracer wraps the per-chunk functions.
+``geo.classify_records`` and ``records.write_csv`` once per chunk or block,
+so the spans of a stage add up to its records.  They draw and parse records
+without calling ``syngen.generate`` or ``records.parse_csv``, whose layers
+the tracer no longer sees in these stages: the last test, which asserts
+them, is a known failure until the tracer wraps the per-chunk functions.
 """
 
 import json
@@ -65,7 +61,8 @@ def test_traced_producer_stages_count_their_records(traced_stages):
     assert sum(s["excluded"] for s in cleaned_spans) == 0
     assert {s["run_id"] for s in classified_spans} == {"classify"}
     assert sum(s["records"] for s in classified_spans) == n
-    assert {s["run_id"] for s in by_name["records.write_csv"]} == {"simulate"}
+    assert {s["run_id"] for s in by_name["records.write_csv"]} == {"simulate", "ingest",
+                                                                   "classify"}
 
 
 @pytest.mark.xfail(strict=True, raises=(KeyError, AssertionError), reason=(

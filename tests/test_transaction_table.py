@@ -214,22 +214,26 @@ def test_a_table_written_in_two_parts_is_written_once(case, cut, block):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), block=st.sampled_from([1, 2, 1024]))
-def test_write_texts_writes_the_bytes_of_the_csv_writer_oracle(data, block):
-    """Text columns written in two parts are csv.writer's rows of the texts.
-    Rows have at least two fields: csv.writer quotes an empty field that is
-    a whole row, and no file rxgeo writes has a one-column row."""
-    width = data.draw(st.integers(2, 4), label="columns")
-    n = data.draw(st.integers(0, 9), label="rows")
-    names = data.draw(st.lists(_TEXT, min_size=width, max_size=width), label="names")
-    columns = [data.draw(st.lists(_TEXT, min_size=n, max_size=n), label="column")
-               for _ in range(width)]
+@given(case=_tables(), data=st.data(), block=st.sampled_from([1, 2, 1024]))
+def test_a_read_table_is_written_as_the_texts_it_was_read_from(case, data, block):
+    """A table that carries field texts, as ``parse_chunks`` reads one, is
+    written a part at a time (each part taken from it) as csv.writer's rows
+    of its texts, whatever its values, then the formatted ``extra``."""
+    table, extra = case
+    n = len(table)
+    texts = {name: data.draw(st.lists(_TEXT, min_size=n, max_size=n), label=name)
+             for name in CSV_COLUMNS}
+    read = records._ReadTable(*(getattr(table, name) for name in CSV_COLUMNS), texts)
     cut = data.draw(st.integers(0, n), label="cut")
+    head = np.arange(n) < cut
     got = io.StringIO(newline="")
     with mock.patch.object(records, "WRITE_ROWS", block):
-        records.write_texts(got, names, [column[:cut] for column in columns])
-        records.write_texts(got, names, [column[cut:] for column in columns], header=False)
-    assert got.getvalue() == _csv_text([names, *zip(*columns)])
+        for part, header in ((head, True), (~head, False)):
+            records.write_csv(read.take(part), got,
+                              [(name, column[part]) for name, column in extra], header)
+    rows = zip(*(texts[name] for name in CSV_COLUMNS),
+               *(column.tolist() for _, column in extra))
+    assert got.getvalue() == _csv_text([[*CSV_COLUMNS, *(name for name, _ in extra)], *rows])
 
 
 # --- producer stages vs. the per-record writers -----------------------------------
