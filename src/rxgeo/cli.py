@@ -246,13 +246,16 @@ def _cmd_ingest(args, manifest: RunManifest) -> str:
     report, errors = records.FilterReport(), []
     with _input(Path(args.input), manifest) as fh, \
             open(_output(manifest, args.out), "w", newline="") as out:
-        for i, (table, bad) in enumerate(records.parse_chunks(fh)):
+        # Not enumerate: its reused result tuple would hold the last chunk
+        # (and its texts) while the next one is read.
+        header = True
+        for table, bad in records.parse_chunks(fh):
             kept, part = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
                                        n_malformed=len(bad))
-            records.write_csv(kept, out, header=i == 0)
+            records.write_csv(kept, out, header=header)
             report += part
             errors += bad
-            table = kept = None  # free the chunk's texts before the next is read
+            header, table, kept = False, None, None  # free the chunk before the next is read
     payload = report.to_dict()
     payload["row_errors"] = [{"line": e.line, "reason": e.reason} for e in errors]
     _output(manifest, args.report).write_text(_json(payload))
@@ -267,7 +270,8 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
     errors, unclean, counts = [], None, Counter()
     with _input(path, manifest) as fh, \
             open(_output(manifest, args.out), "w", newline="") as out:
-        for i, (table, bad) in enumerate(records.parse_chunks(fh)):
+        header = True  # not enumerate, as in _cmd_ingest
+        for table, bad in records.parse_chunks(fh):
             errors += bad
             if errors or unclean:
                 continue  # read on to count the malformed rows
@@ -276,9 +280,9 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
             except ValueError as exc:  # days_supply < 1: the input was not cleaned
                 unclean = exc
                 continue
-            write_classified_csv(out, classified, header=i == 0)
+            write_classified_csv(out, classified, header=header)
             counts.update(classified.class_counts())
-            table = classified = None  # free the chunk's texts before the next is read
+            header, table, classified = False, None, None  # free the chunk before the next
     if errors:
         raise DataError(f"{path}: {len(errors)} malformed rows "
                         f"(first: line {errors[0].line}: {errors[0].reason})")
