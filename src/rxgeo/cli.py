@@ -161,10 +161,17 @@ def _read_input(path: Path, manifest: RunManifest, read):
         return read(fh)
 
 
-def _monthly_groups(table: RecordTable, family: str) -> dict[str, np.ndarray]:
-    """Per-class monthly means (months with records only)."""
-    return {s.class_code: s.observed()
-            for s in aggregate_monthly(table, group_by="class", family=family)}
+def _class_values(table: RecordTable, family: str, unit: str) -> dict:
+    """Each class's values in ``family``: for ``unit`` "monthly", its monthly
+    means (months with records only) as an array, in class-code order; for
+    "records", its records' MME/day as a list, in order of first appearance."""
+    if unit == "monthly":
+        return {s.class_code: s.observed()
+                for s in aggregate_monthly(table, group_by="class", family=family)}
+    fam = table.drug_family == family
+    codes, values = table.class_code[fam], table.mme_day[fam]
+    found, first = np.unique(codes, return_index=True)
+    return {code: values[codes == code].tolist() for code in found[np.argsort(first)]}
 
 
 def _output(manifest: RunManifest, path) -> Path:
@@ -330,16 +337,7 @@ def _cmd_summary_table(args, manifest: RunManifest) -> str:
 
 def _cmd_anova(args, manifest: RunManifest) -> str:
     table = _read_input(Path(args.input), manifest, read_classified_csv)
-    if args.unit == "monthly":
-        groups = [v for v in _monthly_groups(table, args.family).values()
-                  if len(v) >= 2]
-    else:
-        fam = table.drug_family == args.family
-        codes, values = table.class_code[fam], table.mme_day[fam]
-        found, first = np.unique(codes, return_index=True)
-        groups = [values[codes == code].tolist()
-                  for code in found[np.argsort(first)]]  # first-appearance order
-        groups = [v for v in groups if len(v) >= 2]
+    groups = [v for v in _class_values(table, args.family, args.unit).values() if len(v) >= 2]
     if len(groups) < 2:
         raise DataError("fewer than 2 classes have enough data for ANOVA")
     res = one_way_anova(groups)
@@ -352,11 +350,7 @@ def _cmd_anova(args, manifest: RunManifest) -> str:
 
 def _cmd_ttest(args, manifest: RunManifest) -> str:
     table = _read_input(Path(args.input), manifest, read_classified_csv)
-    if args.unit == "monthly":
-        values = _monthly_groups(table, args.family).get(args.class_code, [])
-    else:
-        values = table.mme_day[(table.drug_family == args.family)
-                               & (table.class_code == args.class_code)].tolist()
+    values = _class_values(table, args.family, args.unit).get(args.class_code, [])
     if len(values) < 2:
         raise DataError(f"class {args.class_code} has fewer than 2 {args.unit} values")
     res = t_test_greater(values, args.mu0)

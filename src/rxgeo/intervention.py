@@ -242,11 +242,10 @@ def its_analysis(
                             base_fit=base_fit)
     while current:
         evs = arimax_fit.event_coefficients()
-        weakest = max(evs, key=lambda cf: (cf.p_value if not math.isnan(cf.p_value)
-                                           else 2.0))
-        p_weakest = weakest.p_value if not math.isnan(weakest.p_value) else 2.0
-        if p_weakest < keep_level:
+        p = [2.0 if math.isnan(cf.p_value) else cf.p_value for cf in evs]  # a NaN drops first
+        if max(p) < keep_level:
             break
+        weakest = evs[p.index(max(p))]
         dropped.append(weakest.name)
         current = [e for e in current if e.label != weakest.name]
         arimax_fit = fit_arimax(y, orders, current, start_month=start_month,

@@ -111,12 +111,13 @@ def _require_days_supply(record_ids: Sequence[str], days_supply: Sequence[int]) 
 class TransactionTable:
     """A list of :class:`PrescriptionRecord` as one column per CSV field.
 
-    Field names and order follow ``CSV_COLUMNS``.  ``fill_date`` holds day
-    ordinals (``date.toordinal``); ``days_supply`` is int64, or an object
-    array of Python ints when a value does not fit in 64 bits.
+    Field names and order follow ``CSV_COLUMNS``.  ``record_id`` is an
+    object array of str; ``fill_date`` holds day ordinals
+    (``date.toordinal``); ``days_supply`` is int64, or an object array of
+    Python ints when a value does not fit in 64 bits.
     """
 
-    record_id: list[str]
+    record_id: np.ndarray  # object, of str
     fill_date: np.ndarray  # int64
     patient_lat: np.ndarray  # float64, as are the other coordinates
     patient_lon: np.ndarray
@@ -132,12 +133,12 @@ class TransactionTable:
         return len(self.record_id)
 
     def _arrays(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in CSV_COLUMNS[1:]]
+        return [getattr(self, name) for name in CSV_COLUMNS]
 
     @classmethod
     def from_records(cls, records: Sequence[PrescriptionRecord]) -> "TransactionTable":
         return cls(
-            [r.record_id for r in records],
+            np.array([r.record_id for r in records], dtype=object),
             np.array([r.fill_date.toordinal() for r in records], dtype=np.int64),
             *(np.array([getattr(getattr(r, point), axis) for r in records], dtype=float)
               for point in ("patient", "prescriber", "dispenser")
@@ -153,17 +154,15 @@ class TransactionTable:
                                    GeoPoint(rlat, rlon), GeoPoint(dlat, dlon),
                                    mme, days, family)
                 for rid, day, plat, plon, rlat, rlon, dlat, dlon, mme, days, family
-                in zip(self.record_id, *(a.tolist() for a in self._arrays()))]
+                in zip(*(a.tolist() for a in self._arrays()))]
 
     @classmethod
     def concat(cls, parts: Sequence["TransactionTable"]) -> "TransactionTable":
-        return cls(list(chain.from_iterable(p.record_id for p in parts)),
-                   *(np.concatenate(cols) for cols in zip(*(p._arrays() for p in parts))))
+        return cls(*(np.concatenate(cols) for cols in zip(*(p._arrays() for p in parts))))
 
     def take(self, keep: np.ndarray) -> "TransactionTable":
         """The records where the boolean mask ``keep`` is true."""
-        return TransactionTable(list(compress(self.record_id, keep.tolist())),
-                                *(a[keep] for a in self._arrays()))
+        return TransactionTable(*(a[keep] for a in self._arrays()))
 
     def mme_per_day(self) -> np.ndarray:
         """Daily dose of each record, as :func:`mme_per_day` computes it."""
@@ -183,9 +182,9 @@ class _ReadTable(TransactionTable):
     def take(self, keep: np.ndarray) -> "_ReadTable":
         if keep.all():
             return self  # frozen: every record and its texts are kept as they are
-        table, kept = super().take(keep), keep.tolist()
+        kept = keep.tolist()
         texts = {name: list(compress(column, kept)) for name, column in self.texts.items()}
-        return _ReadTable(*(getattr(table, name) for name in CSV_COLUMNS), texts)
+        return _ReadTable(*super().take(keep)._arrays(), texts)
 
 
 @dataclass(frozen=True)
@@ -243,17 +242,6 @@ def parse_date(text: str) -> date:
 
 
 # --- the CSV schemas -------------------------------------------------------------
-
-class Columns(dict):
-    """The converted columns of the rows that pass a schema, by name, with
-    ``texts``: the field texts of the same rows, as read, by header name."""
-
-    __slots__ = ("texts",)
-
-    def __init__(self, columns: dict[str, Sequence], texts: dict[str, Sequence[str]]):
-        super().__init__(columns)
-        self.texts = texts
-
 
 class Schema(NamedTuple):
     """The rules of one CSV file type, in reporting order: a row of the wrong
@@ -352,9 +340,10 @@ INGEST = Schema(_check_header, CSV_COLUMNS, ("drug_family",), (
 ))
 
 
-def check_rows(schema: Schema, header: list[str], rows: list[list[str]],
-               lines: Sequence[int]) -> tuple[Columns, list[RowError]]:
-    """The :class:`Columns` of the rows that pass ``schema`` and a
+def check_rows(schema: Schema, header: list[str], rows: list[list[str]], lines: Sequence[int]
+               ) -> tuple[dict[str, np.ndarray], dict[str, Sequence[str]], list[RowError]]:
+    """The converted columns of the rows that pass ``schema``, by name; the
+    field texts of the same rows, as read, by header name; and a
     :class:`RowError` naming the first rule each other row breaks."""
     errors = []
     if set(map(len, rows)) - {len(header)}:
@@ -366,7 +355,7 @@ def check_rows(schema: Schema, header: list[str], rows: list[list[str]],
 
 
 def _check_columns(schema: Schema, values: dict[str, Sequence[str]], lines: Sequence[int],
-                   errors: list[RowError]) -> tuple[Columns, list[RowError]]:
+                   errors: list[RowError]) -> tuple[dict, dict, list[RowError]]:
     """:func:`check_rows` of rows of the header's length, given as columns by
     name; ``errors`` holds those of the rows of another length, in line
     order.  When every row passes, the texts are ``values`` itself."""
@@ -376,7 +365,7 @@ def _check_columns(schema: Schema, values: dict[str, Sequence[str]], lines: Sequ
         masks.append(bad)
     keep = ~np.any(masks, axis=0)
     if keep.all():
-        return Columns(columns, values), errors
+        return columns, values, errors
     first = np.argmax(masks, axis=0)  # the first check each row fails
     for i in np.flatnonzero(~keep).tolist():
         column = schema.checks[first[i]][0]
@@ -386,8 +375,8 @@ def _check_columns(schema: Schema, values: dict[str, Sequence[str]], lines: Sequ
             reason += f" {values[column][i].strip()!r}"
         errors.append(RowError(lines[i], reason))
     kept = keep.tolist()
-    return (Columns({name: column[keep] for name, column in columns.items()},
-                    {name: list(compress(text, kept)) for name, text in values.items()}),
+    return ({name: column[keep] for name, column in columns.items()},
+            {name: list(compress(text, kept)) for name, text in values.items()},
             sorted(errors, key=lambda e: e.line))
 
 
@@ -411,7 +400,7 @@ def _plain_text(lines: list[str]) -> str | None:
     return text
 
 
-def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, list[RowError]]]:
+def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, dict, list[RowError]]]:
     """:func:`check_rows` of each chunk of up to ``CHUNK_ROWS`` rows of a CSV
     stream, after ``schema.header`` of its header row (None if the stream is
     empty); the last chunk may be empty.  Blank lines are skipped, as
@@ -481,9 +470,9 @@ def parse_chunks(stream: TextIO) -> Iterator[tuple[TransactionTable, list[RowErr
     the ``INGEST`` schema: each chunk's table, whose ``texts`` hold the field
     texts of its records, and a :class:`RowError` for each of its rows the
     schema rejects."""
-    for columns, errors in read_csv(stream, INGEST):
-        yield _ReadTable(**columns, texts=columns.texts), errors
-        columns = None  # free the chunk's texts before the next is read
+    for columns, texts, errors in read_csv(stream, INGEST):
+        yield _ReadTable(**columns, texts=texts), errors
+        columns = texts = None  # free the chunk before the next is read
 
 
 def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
@@ -494,9 +483,10 @@ def parse_csv(stream: TextIO | str) -> tuple[TransactionTable, list[RowError]]:
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     parts, errors = [], []
-    for columns, bad in read_csv(stream, INGEST):
+    for columns, texts, bad in read_csv(stream, INGEST):
         parts.append(TransactionTable(**columns))
         errors += bad
+        texts = None  # free the chunk's texts before the next is read
     return TransactionTable.concat(parts), errors
 
 
@@ -558,9 +548,9 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO,
             else:
                 days = table.fill_date[start:stop].tolist()
                 iso = {d: date.fromordinal(d).isoformat() for d in set(days)}
-                fields = [_quoted(list(map(str, table.record_id[start:stop]))),
+                fields = [_field_texts(table.record_id[start:stop]),
                           list(map(iso.__getitem__, days)),
-                          *(_field_texts(a[start:stop]) for a in table._arrays()[1:])]
+                          *(_field_texts(a[start:stop]) for a in table._arrays()[2:])]
             fields += [_field_texts(column[start:stop]) for _, column in extra]
             stream.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
     finally:

@@ -352,11 +352,11 @@ def _read(stream: TextIO, schema: Schema, names: tuple[str, ...]) -> list[np.nda
     """The ``names`` columns of a CSV stream checked by ``schema``; a
     :class:`ReadError` names its first bad row, and no later chunk is read."""
     parts = []
-    for columns, errors in read_csv(stream, schema):
+    for columns, texts, errors in read_csv(stream, schema):
         if errors:
             raise ReadError(f"line {errors[0].line}: {errors[0].reason}")
         parts.append([columns[name] for name in names])
-        columns = None  # free the chunk's texts before the next is read
+        columns = texts = None  # free the chunk before the next is read
     return [np.concatenate(column) for column in zip(*parts)]
 
 

@@ -23,26 +23,27 @@ from .geo import ALL_CLASS_CODES, EARTH_RADIUS_MILES
 from .records import FAMILIES, PrescriptionRecord, TransactionTable
 from .series import MonthKey, DEFAULT_POLICY_MONTH
 
-# Per-class defaults: record share, days-supply and total-MME moments, and
-# the mean MME/day the generator is calibrated to reproduce.
+# Per-class defaults: record share, days-supply moments, the spread of the
+# total-MME draw, and the mean MME/day the generator is calibrated to
+# reproduce (the total-MME location is solved from it).
 _DEFAULT_CLASS_TABLE = (
-    # code, share,  mean_days, sd_days, mean_mme, sd_mme,  target_mme_day
-    ("00", 12.05, 14.89, 4.87, 802.32, 310.46, 48.88),
-    ("01", 35.76, 15.05, 5.09, 771.95, 292.38, 46.90),
-    ("02", 3.87, 16.04, 4.91, 809.49, 304.97, 48.66),
-    ("03", 40.65, 15.40, 5.15, 800.95, 302.02, 47.96),
-    ("10", 0.19, 8.84, 3.74, 478.36, 362.17, 44.00),
-    ("11", 1.29, 14.89, 5.95, 815.39, 395.73, 47.51),
-    ("12", 0.08, 19.37, 7.62, 1064.53, 994.58, 55.26),
-    ("13", 1.66, 14.06, 5.20, 770.80, 357.95, 49.08),
-    ("20", 0.16, 7.56, 3.38, 309.30, 219.66, 37.84),
-    ("21", 0.80, 13.42, 6.25, 704.96, 411.89, 46.40),
-    ("22", 0.07, 18.93, 6.97, 1110.24, 746.99, 91.71),
-    ("23", 1.17, 12.69, 5.09, 721.36, 384.68, 52.46),
-    ("30", 0.19, 7.66, 3.15, 322.93, 230.59, 37.78),
-    ("31", 1.22, 12.69, 5.03, 723.15, 1336.44, 47.50),
-    ("32", 0.14, 20.06, 7.51, 1374.09, 1153.52, 96.50),
-    ("33", 1.87, 12.81, 4.67, 761.86, 375.38, 56.00),
+    # code, share,  mean_days, sd_days, sd_mme,  target_mme_day
+    ("00", 12.05, 14.89, 4.87, 310.46, 48.88),
+    ("01", 35.76, 15.05, 5.09, 292.38, 46.90),
+    ("02", 3.87, 16.04, 4.91, 304.97, 48.66),
+    ("03", 40.65, 15.40, 5.15, 302.02, 47.96),
+    ("10", 0.19, 8.84, 3.74, 362.17, 44.00),
+    ("11", 1.29, 14.89, 5.95, 395.73, 47.51),
+    ("12", 0.08, 19.37, 7.62, 994.58, 55.26),
+    ("13", 1.66, 14.06, 5.20, 357.95, 49.08),
+    ("20", 0.16, 7.56, 3.38, 219.66, 37.84),
+    ("21", 0.80, 13.42, 6.25, 411.89, 46.40),
+    ("22", 0.07, 18.93, 6.97, 746.99, 91.71),
+    ("23", 1.17, 12.69, 5.09, 384.68, 52.46),
+    ("30", 0.19, 7.66, 3.15, 230.59, 37.78),
+    ("31", 1.22, 12.69, 5.03, 1336.44, 47.50),
+    ("32", 0.14, 20.06, 7.51, 1153.52, 96.50),
+    ("33", 1.87, 12.81, 4.67, 375.38, 56.00),
 )
 
 # Overall mean MME/day the default opioid scenario is scaled to hit in the
@@ -59,7 +60,6 @@ class ClassProfile:
     record_share: float
     mean_days: float
     sd_days: float
-    mean_mme: float
     sd_mme: float
     target_mme_day: float
     post_policy_multiplier: float = 1.0
@@ -204,15 +204,12 @@ def default_config(seed: int = 0) -> ScenarioConfig:
 
     shares_raw = np.array([row[1] for row in _DEFAULT_CLASS_TABLE])
     shares = shares_raw / shares_raw.sum()
-    base_mean = float(sum(s * row[6] for s, row in zip(shares, _DEFAULT_CLASS_TABLE)))
+    base_mean = float(sum(s * row[5] for s, row in zip(shares, _DEFAULT_CLASS_TABLE)))
     scale = DEFAULT_PRE_MEAN / (base_mean * mean_factor)
     opioid_mult = DEFAULT_POST_MEAN / DEFAULT_PRE_MEAN
 
     def build(mult: float) -> list[ClassProfile]:
-        return [ClassProfile(code, share, mean_days, sd_days, mean_mme, sd_mme,
-                             target, post_policy_multiplier=mult)
-                for code, share, mean_days, sd_days, mean_mme, sd_mme, target
-                in _DEFAULT_CLASS_TABLE]
+        return [ClassProfile(*row, post_policy_multiplier=mult) for row in _DEFAULT_CLASS_TABLE]
 
     cfg.families = {
         "opioid": FamilySettings(record_share=0.75, level_scale=scale,
@@ -380,8 +377,9 @@ def _blocks(config: ScenarioConfig, draws: dict, n_records: int, seed: int | Non
             if month >= config.policy_month:
                 mme = mme * mult[cls]
 
-            ids = [f"r{s:07d}-{codes[c]}"
-                   for s, c in zip(range(serial, serial + count), cls.tolist())]
+            ids = np.array([f"r{s:07d}-{codes[c]}"
+                            for s, c in zip(range(serial, serial + count), cls.tolist())],
+                           dtype=object)
             serial += count
             yield TransactionTable(
                 ids, day_zero + days_of_month[order],

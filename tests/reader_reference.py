@@ -9,7 +9,7 @@ from typing import Iterator, TextIO
 from rxgeo.records import CHUNK_ROWS, ReadError, RowError, Schema, check_rows
 
 
-def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, list[RowError]]]:
+def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, dict, list[RowError]]]:
     """:func:`check_rows` of each chunk of up to ``CHUNK_ROWS`` rows of a CSV
     stream, after ``schema.header`` of its header row (None if the stream is
     empty); the last chunk may be empty.  Blank lines are skipped, as

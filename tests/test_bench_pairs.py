@@ -80,9 +80,37 @@ def test_scale_record_per_stage(bench_pairs, tmp_path, monkeypatch):
     assert sorted(scale) == ["100000", "1000000"]
     record = scale["1000000"]
     assert record["outputs_equal"] is True
-    assert record["parent"] == record["change"] == _scale_run(side, 0)
+    assert record["parent"] == record["change"] == [_scale_run(side, 0)] * 2
     assert record["change_over_parent"]["ingest"] == {"wall_s": 1.0, "cpu_s": 1.0,
                                                       "peak_rss_mb": 1.0}
+
+
+def test_scale_shots_run_in_abba_order(bench_pairs, tmp_path, monkeypatch):
+    # Every parent stage used to run before any change stage, so drift over
+    # the run read as a change.  Parent, change, change, parent cancels a
+    # linear drift in each side's mean: here wall time grows by 1 s a shot.
+    order = []
+
+    def drifting_run(checkout, n):
+        order.append(checkout.parent.name)
+        shot = _scale_run(checkout, n)
+        for stage in shot.values():
+            stage["wall_s"] = float(len(order))
+        return shot
+
+    monkeypatch.setattr(bench_pairs, "run_scale", drifting_run)
+    for name in ("parent", "change"):
+        (tmp_path / name / "side").mkdir(parents=True)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent" / "side"),
+                             "--change", str(tmp_path / "change" / "side"),
+                             "--out", str(out), "--scale", "1000"]) == 0
+    assert order == ["parent", "change", "change", "parent"]
+    record = json.loads(out.read_text())["scale_runs"]["1000"]
+    assert record["order"] == order
+    assert [shot["ingest"]["wall_s"] for shot in record["parent"]] == [1.0, 4.0]
+    assert [shot["ingest"]["wall_s"] for shot in record["change"]] == [2.0, 3.0]
+    assert record["change_over_parent"]["ingest"]["wall_s"] == 1.0
 
 
 def test_scale_record_with_other_outputs_exits_1(bench_pairs, tmp_path, monkeypatch):

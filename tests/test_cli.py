@@ -514,6 +514,8 @@ def _first_profile(**values):
 @pytest.mark.parametrize("edit,message", [
     (lambda scenario: [scenario], "expected a JSON object, got list"),
     (_first_profile(bogus=1), "'bogus'"),
+    # The generator never read mean_mme, so 0.13.0 removed it.
+    (_first_profile(mean_mme=802.32), "'mean_mme'"),
     (_first_profile(class_code="99"), "opioid class '99': not a class code"),
     (_first_profile(sd_days=0), "opioid class 00: sd_days must be finite > 0, got 0"),
     (_first_profile(target_mme_day=-5),
@@ -526,7 +528,7 @@ def _first_profile(**values):
         **scenario["families"],
         "opioid": {**scenario["families"]["opioid"], "level_scal": 2.0}}},
      "unknown opioid family key(s): 'level_scal'"),
-], ids=["json-array", "unknown-key", "class-99", "sd-days-0", "negative-target",
+], ids=["json-array", "unknown-key", "removed-mean-mme", "class-99", "sd-days-0", "negative-target",
         "text-sd", "negative-noise", "unknown-top-key", "unknown-family-key"])
 def test_bad_scenario_config_exits_2(pipeline, tmp_path, capsys, edit, message):
     # Each used to end in a traceback (exit 1): TypeError, TypeError,

@@ -357,6 +357,32 @@ def test_its_fills_the_full_series_once(monkeypatch):
     assert res.arimax.n_interpolated == 4
 
 
+def test_its_drops_an_event_with_a_nan_p_value_first(monkeypatch):
+    # A clear step keeps the level shift; with its standard error made NaN
+    # in every fit, its NaN p-value ranks above any other and goes first.
+    rng = np.random.default_rng(76)
+    vals = 50.0 + rng.normal(0, 0.5, 95)
+    vals[52:] -= 3.0
+    assert "level_shift" not in its_analysis(make_series(vals)).dropped_events
+    real_fit_arimax = intervention.fit_arimax
+    p_values = []
+
+    def nan_level_shift(*args, **kwargs):
+        fit = real_fit_arimax(*args, **kwargs)
+        if "level_shift" in fit.event_names:
+            fit.std_errors = fit.std_errors.copy()
+            fit.std_errors[1 + fit.event_names.index("level_shift")] = math.nan
+        p_values.append({c.name: c.p_value for c in fit.event_coefficients()})
+        return fit
+
+    monkeypatch.setattr(intervention, "fit_arimax", nan_level_shift)
+    res = its_analysis(make_series(vals))
+    assert math.isnan(p_values[0]["level_shift"])
+    assert max(p for name, p in p_values[0].items() if name != "level_shift") < 1.0
+    assert res.dropped_events[0] == "level_shift"
+    assert len(p_values) == len(res.dropped_events) + 1
+
+
 # --- its_batch ---------------------------------------------------------------------
 
 def test_its_batch_ordering_and_failures():
@@ -446,10 +472,10 @@ def test_its_batch_flags_only_true_effect_classes():
     from rxgeo.series import aggregate_monthly
 
     base = {
-        "03": (15.40, 5.15, 800.95, 302.02, 47.96),
-        "30": (7.66, 3.15, 322.93, 230.59, 37.78),
-        "22": (18.93, 6.97, 1110.24, 746.99, 91.71),
-        "32": (20.06, 7.51, 1374.09, 1153.52, 96.50),
+        "03": (15.40, 5.15, 302.02, 47.96),
+        "30": (7.66, 3.15, 230.59, 37.78),
+        "22": (18.93, 6.97, 746.99, 91.71),
+        "32": (20.06, 7.51, 1153.52, 96.50),
     }
     profiles = [
         syngen.ClassProfile(code, 0.25, *stats,

@@ -3,8 +3,9 @@
 The reader splits plain chunks at their commas and hands the rest of the
 stream to csv.reader from the first line that needs it.  On every input it
 must give what the old loop in ``reader_reference`` gives: the same chunks,
-with the same columns bit for bit and the same ``(line, reason)`` errors, or
-the same exception type and message after the same chunks.
+with the same columns bit for bit, the same field texts and the same
+``(line, reason)`` errors, or the same exception type and message after the
+same chunks.
 """
 
 import csv
@@ -97,15 +98,22 @@ def _bits(column):
 
 
 def _outcome(read, stream, schema):
-    """Each chunk's columns and errors, then the exception, if any."""
-    chunks = []
-    try:
-        for columns, errors in read(stream, schema):
-            chunks.append(({name: _bits(c) for name, c in columns.items()},
-                           [(e.line, e.reason) for e in errors]))
-    except Exception as exc:  # noqa: BLE001 - any exception must match
-        return chunks, (type(exc), str(exc))
-    return chunks, None
+    """Each chunk's columns, field texts and errors, then the exception the
+    reader raised, if any.  Only the reader's own step is in the ``try``, so
+    a chunk of the wrong shape fails the test instead of passing as an
+    exception that both readers raise."""
+    chunks, chunk_iter = [], read(stream, schema)
+    while True:
+        try:
+            chunk = next(chunk_iter)
+        except StopIteration:
+            return chunks, None
+        except Exception as exc:  # noqa: BLE001 - any exception must match
+            return chunks, (type(exc), str(exc))
+        columns, texts, errors = chunk
+        chunks.append(({name: _bits(c) for name, c in columns.items()},
+                       {name: list(t) for name, t in texts.items()},
+                       [(e.line, e.reason) for e in errors]))
 
 
 @contextmanager
@@ -188,9 +196,9 @@ def test_reader_matches_when_the_first_special_line_is_in_a_late_chunk(chunk, sp
     chunks, exc = _assert_same(text, "classified", chunk, limit=300)
     if special.startswith('"'):
         assert exc is None
-        assert sum(len(c["mme_total"][1]) // 8 + len(e) for c, e in chunks) == n
+        assert sum(len(c["mme_total"][1]) // 8 + len(e) for c, _, e in chunks) == n
     if special == "id,extra":
-        assert [e for c, e in chunks if e] == [[(2 * chunk + 5, "wrong field count")]]
+        assert [e for _, _, e in chunks if e] == [[(2 * chunk + 5, "wrong field count")]]
 
 
 def test_reader_reports_a_late_undecodable_byte_as_the_loop_does():

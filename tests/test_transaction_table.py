@@ -119,6 +119,37 @@ def test_days_supply_beyond_int64_keeps_its_value(base_rows):
     assert buf.getvalue() == _csv_text(rows)
 
 
+def test_record_id_is_an_object_array_on_every_path(base_rows):
+    # generate, parse_csv and take used to give a list, while a parse_chunks
+    # chunk, and clean of a chunk that excludes nothing, gave an object array.
+    rows = [list(r) for r in base_rows]
+    rows[2][CSV_COLUMNS.index("mme_total")] = "abc"  # a row error
+    rows[5][CSV_COLUMNS.index("fill_date")] = "2013-12-31"  # excluded by clean
+    text = _csv_text(rows)
+    generated = syngen.generate(syngen.default_config(), 80, seed=5)
+    parsed, _ = records.parse_csv(text)
+    chunk, _ = next(records.parse_chunks(io.StringIO(text, newline="")))
+    tables = {
+        "generate": generated,
+        "generate_blocks": next(syngen.generate_blocks(syngen.default_config(), 80, seed=5)),
+        "parse_csv": parsed,
+        "parse_chunks": chunk,
+        "clean, nothing excluded": records.clean(chunk.take(np.arange(len(chunk)) < 3))[0],
+        "clean, one excluded": records.clean(chunk)[0],
+        "take": generated.take(np.arange(len(generated)) < 5),
+        "concat": TransactionTable.concat([parsed, generated]),
+        "from_records": TransactionTable.from_records(parsed.to_records()),
+        "from_records, empty": TransactionTable.from_records([]),
+    }
+    for path, table in tables.items():
+        ids = table.record_id
+        assert isinstance(ids, np.ndarray) and ids.dtype == object and ids.ndim == 1, path
+        assert len(ids) == len(table.fill_date), path
+        assert all(type(i) is str for i in ids.tolist()), path
+    assert tables["clean, one excluded"].record_id.tolist() == [
+        r[0] for i, r in enumerate(rows[1:]) if i not in (1, 4)]
+
+
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_cli_exit_codes_on_mutated_input(base_rows, tmp_path_factory, data):
@@ -172,7 +203,8 @@ def _tables(draw):
         days_supply = np.array(([2**64] + column(st.integers(-2**70, 2**70)))[:n], dtype=object)
     else:
         days_supply = np.array(column(st.integers(-2**63, 2**63 - 1)), dtype=np.int64)
-    table = TransactionTable(column(_TEXT), np.array(column(_DAYS), dtype=np.int64),
+    table = TransactionTable(np.array(column(_TEXT), dtype=object),
+                             np.array(column(_DAYS), dtype=np.int64),
                              *(np.array(column(_FLOATS), dtype=float) for _ in range(7)),
                              days_supply, np.array(column(_TEXT), dtype=str))
     extra = [("d_pp", np.array(column(_FLOATS), dtype=float)),

@@ -28,7 +28,7 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO,
     float as its repr, an int or a string as its str.
     """
     extra = list(extra)
-    arrays = table._arrays()[1:] + [column for _, column in extra]
+    arrays = [getattr(table, name) for name in CSV_COLUMNS[2:]] + [column for _, column in extra]
     own = isinstance(path, (str, Path))
     stream = open(path, "w", newline="") if own else path
     try:

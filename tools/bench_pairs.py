@@ -19,15 +19,18 @@ check the harness itself.  Standard library only.
   keeps every metric the traced run reports, per-layer ones included.
 * ``--scale N`` runs ``rxgeo simulate --seed 42 --n N``, then ``ingest``,
   ``classify`` and ``aggregate`` (a reader stage, on the classified CSV),
-  once on each side, parent first, in a fresh directory.  It keeps each
-  stage's wall and CPU seconds, peak RSS (``os.wait4``, as
-  ``perfbench/run.py`` reads it) and the SHA-256 of each output file.
+  twice on each side in the order parent, change, change, parent, each
+  time in a fresh directory, so that drift that is linear over the run
+  cancels in each side's mean.  It keeps every shot: each stage's wall and
+  CPU seconds, peak RSS (``os.wait4``, as ``perfbench/run.py`` reads it)
+  and the SHA-256 of each output file.  ``change_over_parent`` is the ratio
+  of the two sides' means.
 
 The BENCH file also records ``src_lines``, the line count of
 ``src/rxgeo/*.py`` in each checkout, as ``cat src/rxgeo/*.py | wc -l`` gives it.
 
 Exits 1, after writing what it has, when a run is not correct, the two
-sides' digests differ on any workload and seed, or the two sides' ``--scale``
+sides' digests differ on any workload and seed, or any two ``--scale`` shots'
 outputs differ.
 """
 
@@ -45,6 +48,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SCALE_ORDER = ("parent", "change", "change", "parent")  # the --scale shots, in run order
 # The stages of a --scale run: the stage, its arguments, and glob patterns of
 # its outputs (manifests hold times, so they are left out).
 SCALE_STAGES = (
@@ -237,22 +241,30 @@ def main(argv: list[str] | None = None) -> int:
             "pairs": pairs,
         }
     for n in args.scale:
-        runs = {s: run_scale(dirs[s], n) for s in SIDES}
-        if any(len(r) < len(SCALE_STAGES) or any(st["exit"] for st in r.values())
-               for r in runs.values()):
+        shots: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for side in SCALE_ORDER:
+            shots[side].append(run_scale(dirs[side], n))
+        every_shot = [shot for side in SIDES for shot in shots[side]]
+        if any(len(shot) < len(SCALE_STAGES) or any(st["exit"] for st in shot.values())
+               for shot in every_shot):
             bad.append(f"scale {n}: a stage failed")
-        outputs = {s: {stage: r["sha256"] for stage, r in runs[s].items()} for s in SIDES}
-        if outputs["parent"] != outputs["change"]:
-            bad.append(f"scale {n}: the parent and change outputs differ")
+        outputs = [{stage: r["sha256"] for stage, r in shot.items()} for shot in every_shot]
+        equal = all(o == outputs[0] for o in outputs)
+        if not equal:
+            bad.append(f"scale {n}: the outputs of the shots differ")
+        stages = [stage for stage, _, _ in SCALE_STAGES
+                  if all(stage in shot for shot in every_shot)]
         out["scale_runs"][str(n)] = {
             "command": f"rxgeo simulate --seed 42 --n {n}, then ingest, classify and "
-                       "aggregate, once per side, parent first",
-            "outputs_equal": outputs["parent"] == outputs["change"],
+                       "aggregate, per shot",
+            "order": list(SCALE_ORDER),
+            "outputs_equal": equal,
             "change_over_parent": {
-                stage: {m: runs["change"][stage][m] / runs["parent"][stage][m]
+                stage: {m: statistics.mean(shot[stage][m] for shot in shots["change"])
+                        / statistics.mean(shot[stage][m] for shot in shots["parent"])
                         for m in ("wall_s", "cpu_s", "peak_rss_mb")}
-                for stage in runs["parent"] if stage in runs["change"]},
-            **runs,
+                for stage in stages},
+            **shots,
         }
     envs = [r["env"] for r in every if r["correct"]]
     out["host"] = envs[0] if envs else {}
