@@ -10,6 +10,7 @@ values and an independent reference implementation.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,12 +242,16 @@ def t_cdf(t: float, df: float) -> float:
     return 1.0 - t_sf(t, df)
 
 
+@lru_cache(maxsize=None, typed=True)
 def t_ppf(p: float, df: float) -> float:
     """
     Student-t quantile: the t with P(T <= t) = p.
 
     Bracketing bisection on the monotone CDF, refined until the bracket
-    width falls below 1e-13 relative.
+    width falls below 1e-13 relative.  The function is pure, so each
+    ``(p, df)`` is solved once per process and then read from a cache, by
+    argument type too: a numpy ``df`` gives a numpy float, a Python one a
+    Python float, as uncached.
     """
     if df <= 0.0:
         raise ValueError("df must be positive")

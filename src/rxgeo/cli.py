@@ -257,12 +257,12 @@ def _cmd_ingest(args, manifest: RunManifest) -> str:
         # (and its texts) while the next one is read.
         header = True
         for table, bad in records.parse_chunks(fh):
-            kept, part = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
-                                       n_malformed=len(bad))
-            records.write_csv(kept, out, header=header)
+            keep, part = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
+                                       n_malformed=len(bad), mask=True)
+            records.write_csv(table, out, header=header, rows=keep)
             report += part
             errors += bad
-            header, table, kept = False, None, None  # free the chunk before the next is read
+            header, table = False, None  # free the chunk before the next is read
     payload = report.to_dict()
     payload["row_errors"] = [{"line": e.line, "reason": e.reason} for e in errors]
     _output(manifest, args.report).write_text(_json(payload))
@@ -461,6 +461,7 @@ def _cmd_its(args, manifest: RunManifest) -> str:
                                         family=family, span=span)
         all_series += aggregate_monthly(table, group_by="class",
                                         family=family, span=span)
+    table = None  # the batch's worker processes are forked without the records
 
     batch = its_batch(all_series, policy_month=args.policy_month,
                       event_kinds=args.events, alpha=args.alpha,

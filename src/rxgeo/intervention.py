@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from .arima import (ArimaFit, ArimaOrders, Coefficient, FitError, Forecast,
                     difference)
 from .arima import significance_stars  # noqa: F401 - public name of this module
 from ._optimize import nelder_mead
+from ._workers import ordered_map
 from .series import DEFAULT_POLICY_MONTH, EVENT_KINDS, ClassSeries, MonthKey, split_pre_post
 
 MIN_PRE_MONTHS = 36
@@ -267,6 +269,14 @@ def _series_sort_key(s: ClassSeries) -> tuple:
     return (s.drug_family, s.class_code != "overall", s.class_code)
 
 
+def _its_outcome(series: ClassSeries, **options) -> ItsResult | str:
+    """:func:`its_analysis` of one series, or the message of its failure."""
+    try:
+        return its_analysis(series, **options)
+    except Exception as exc:  # noqa: BLE001 - failures are data
+        return str(exc)
+
+
 def its_batch(
     all_series: Sequence[ClassSeries],
     policy_month: MonthKey = DEFAULT_POLICY_MONTH,
@@ -275,17 +285,20 @@ def its_batch(
     announce_month: MonthKey | None = None,
 ) -> ItsBatchResult:
     """
-    Run :func:`its_analysis` over many series; per-series failures are
-    recorded and the batch continues.  Output order is deterministic:
-    by family, overall series first, then class codes ascending.
+    Run :func:`its_analysis` over many series, in worker processes where
+    there are CPUs for them (:func:`_workers.ordered_map`); per-series
+    failures are recorded and the batch continues.  Output order is
+    deterministic: by family, overall series first, then class codes
+    ascending.
     """
+    ordered = sorted(all_series, key=_series_sort_key)
+    analyse = partial(_its_outcome, policy_month=policy_month, event_kinds=event_kinds,
+                      alpha=alpha, announce_month=announce_month)
     results: list[ItsResult] = []
     failures: dict[str, str] = {}
-    for s in sorted(all_series, key=_series_sort_key):
-        try:
-            results.append(its_analysis(s, policy_month=policy_month,
-                                        event_kinds=event_kinds, alpha=alpha,
-                                        announce_month=announce_month))
-        except Exception as exc:  # noqa: BLE001 - failures are data
-            failures[f"{s.drug_family}/{s.class_code}"] = str(exc)
+    for s, outcome in zip(ordered, list(ordered_map(analyse, ordered))):
+        if isinstance(outcome, str):
+            failures[f"{s.drug_family}/{s.class_code}"] = outcome
+        else:
+            results.append(outcome)
     return ItsBatchResult(results=results, failures=failures)

@@ -14,6 +14,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from . import _workers
+
 FAMILIES = ("opioid", "benzodiazepine")
 
 CSV_COLUMNS = (
@@ -182,9 +184,13 @@ class _ReadTable(TransactionTable):
     def take(self, keep: np.ndarray) -> "_ReadTable":
         if keep.all():
             return self  # frozen: every record and its texts are kept as they are
-        kept = keep.tolist()
-        texts = {name: list(compress(column, kept)) for name, column in self.texts.items()}
-        return _ReadTable(*super().take(keep)._arrays(), texts)
+        return _ReadTable(*super().take(keep)._arrays(), _kept_texts(self.texts, keep))
+
+
+def _kept_texts(texts: dict[str, Sequence[str]], keep: np.ndarray) -> dict[str, list[str]]:
+    """The texts of the records where the boolean mask ``keep`` is true."""
+    kept = keep.tolist()
+    return {name: list(compress(column, kept)) for name, column in texts.items()}
 
 
 @dataclass(frozen=True)
@@ -400,7 +406,8 @@ def _plain_text(lines: list[str]) -> str | None:
     return text
 
 
-def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, dict, list[RowError]]]:
+def read_csv(stream: TextIO, schema: Schema, keep: Sequence[str] | None = None
+             ) -> Iterator[tuple]:
     """:func:`check_rows` of each chunk of up to ``CHUNK_ROWS`` rows of a CSV
     stream, after ``schema.header`` of its header row (None if the stream is
     empty); the last chunk may be empty.  Blank lines are skipped, as
@@ -413,34 +420,49 @@ def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, dict, list[
     chunk that is not, csv.reader reads the rest of the stream, starting
     with that chunk's lines, so the rows, line numbers, chunks and errors
     are always those of csv.reader.
+
+    Given ``keep``, column names, each chunk is ``(columns, errors)``: the
+    converted ``keep`` columns, in that order, and the errors.  As only
+    those columns travel back, the plain chunks are then split and checked
+    by :func:`_workers.ordered_map`, in worker processes where there are
+    CPUs for them, up to two chunks per worker ahead of the caller.
     """
+    def kept(chunk):
+        return chunk if keep is None else ([chunk[0][name] for name in keep], chunk[2])
+
     read = 0  # the lines split here; csv.reader reads the rest
     try:
         lines = list(islice(stream, 1))
         text = _plain_text(lines)
         if text is not None:
             header, read = schema.header(text.rstrip("\n").split(",")), 1
-            width = len(header)
-            while True:
-                lines = list(islice(stream, CHUNK_ROWS))
-                text = _plain_text(lines)
-                if text is None or set(map(str.count, lines, repeat(","))) != {width - 1}:
-                    break
-                n = len(lines)
-                numbers = range(read + 1, read + n + 1)
-                read += n
-                # Drop each copy of the chunk's text as soon as the next exists.
-                lines = None
-                text = text.replace("\n", ",")
-                cells = text.split(",")
-                text = None
+            width, ended = len(header), False
+
+            def plain_chunks():
+                """Each plain chunk's text, first line number and row count;
+                leaves ``lines`` at the lines of the first chunk that is not."""
+                nonlocal lines, read, ended
+                while not ended:
+                    lines = list(islice(stream, CHUNK_ROWS))
+                    text = _plain_text(lines)
+                    if text is None or set(map(str.count, lines, repeat(","))) != {width - 1}:
+                        return
+                    n, lines = len(lines), None
+                    ended = n < CHUNK_ROWS
+                    read += n
+                    yield text, read - n + 1, n
+
+            def split(chunk):
+                text, first, n = chunk
+                cells = text.replace("\n", ",").split(",")
                 del cells[n * width:]  # the empty cell after the last line end
                 values = {name: cells[j::width] for j, name in enumerate(header)}
                 cells = None
-                yield _check_columns(schema, values, numbers, [])
-                values = None
-                if n < CHUNK_ROWS:
-                    return
+                return kept(_check_columns(schema, values, range(first, first + n), []))
+
+            yield from (map if keep is None else _workers.ordered_map)(split, plain_chunks())
+            if ended:
+                return
         reader = csv.reader(chain(lines, stream))
         if not read:
             header = schema.header(next(reader, None))
@@ -451,9 +473,9 @@ def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, dict, list[
             rows.append(row)
             numbers.append(read + reader.line_num)
             if len(rows) == CHUNK_ROWS:
-                yield check_rows(schema, header, rows, numbers)
+                yield kept(check_rows(schema, header, rows, numbers))
                 rows, numbers = [], []
-        yield check_rows(schema, header, rows, numbers)
+        yield kept(check_rows(schema, header, rows, numbers))
     except csv.Error as exc:
         raise ReadError(f"line {read + reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -519,11 +541,14 @@ def _field_texts(column: np.ndarray) -> list[str]:
 
 
 def write_csv(table: TransactionTable, path: str | Path | TextIO,
-              extra: Iterable[tuple[str, np.ndarray]] = (), header: bool = True) -> None:
+              extra: Iterable[tuple[str, np.ndarray]] = (), header: bool = True,
+              rows: np.ndarray | None = None) -> None:
     """Write a table in the exact ingest schema, followed by the ``extra``
     (name, column) pairs; round-trips through :func:`parse_csv`.  Without
     the ``header`` line, the rows follow what a stream already holds, so a
-    table can be written a part at a time.
+    table can be written a part at a time.  Given ``rows``, a boolean mask,
+    only the records where it is true are written: of a table
+    :func:`parse_chunks` read, only their texts are taken, not the table.
 
     The bytes are those of ``csv.writer``: one CRLF-ended line per record,
     ``WRITE_ROWS`` lines per write, with a float as its repr, an int as its
@@ -535,13 +560,20 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO,
     """
     extra = list(extra)
     texts = table.texts if isinstance(table, _ReadTable) else None
+    if rows is not None and not rows.all():
+        extra = [(name, column[rows]) for name, column in extra]
+        if texts is None:
+            table = table.take(rows)
+        else:
+            texts = _kept_texts(texts, rows)
+    n = len(table) if texts is None else len(texts["record_id"])
     own = isinstance(path, (str, Path))
     stream = open(path, "w", newline="") if own else path
     try:
         if header:
             stream.write(",".join(_quoted([*CSV_COLUMNS, *(name for name, _ in extra)]))
                          + "\r\n")
-        for start in range(0, len(table), WRITE_ROWS):
+        for start in range(0, n, WRITE_ROWS):
             stop = start + WRITE_ROWS
             if texts is not None:
                 fields = [_quoted(texts[name][start:stop]) for name in CSV_COLUMNS]
@@ -563,7 +595,8 @@ def clean(
     cap: float = DEFAULT_MME_CAP,
     cutoff_date: date = DEFAULT_CUTOFF,
     n_malformed: int = 0,
-) -> tuple[TransactionTable, FilterReport]:
+    mask: bool = False,
+) -> tuple[TransactionTable | np.ndarray, FilterReport]:
     """
     Apply the exclusion filters and tally each drop by first-matching reason.
 
@@ -571,6 +604,9 @@ def clean(
     coordinates) so that a record failing several filters is counted once.
     ``n_malformed`` folds upstream parse failures into the report so that
     ``total_in == total_kept + sum(exclusions)`` holds over the whole file.
+    With ``mask``, the first item is the boolean mask of the kept records in
+    place of the kept table, which is then not built: ingest writes the kept
+    records of a chunk it read as their texts (``write_csv(rows=...)``).
     """
     report = FilterReport(malformed_row=n_malformed, total_in=n_malformed + len(table))
     keep = np.ones(len(table), dtype=bool)
@@ -587,4 +623,4 @@ def clean(
         setattr(report, reason, int(dropped.sum()))
         keep &= ~dropped
     report.total_kept = int(keep.sum())
-    return table.take(keep), report
+    return (keep if mask else table.take(keep)), report

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -349,14 +350,16 @@ def write_classified_csv(path: str | Path | TextIO, c: ClassifiedTable,
 
 
 def _read(stream: TextIO, schema: Schema, names: tuple[str, ...]) -> list[np.ndarray]:
-    """The ``names`` columns of a CSV stream checked by ``schema``; a
-    :class:`ReadError` names its first bad row, and no later chunk is read."""
+    """The ``names`` columns of a CSV stream checked by ``schema``, a chunk at
+    a time in worker processes (:func:`records.read_csv` with ``keep``); a
+    :class:`ReadError` names its first bad row, and no chunk after those in
+    flight is read."""
     parts = []
-    for columns, texts, errors in read_csv(stream, schema):
-        if errors:
-            raise ReadError(f"line {errors[0].line}: {errors[0].reason}")
-        parts.append([columns[name] for name in names])
-        columns = texts = None  # free the chunk before the next is read
+    with closing(read_csv(stream, schema, names)) as chunks:
+        for columns, errors in chunks:
+            if errors:
+                raise ReadError(f"line {errors[0].line}: {errors[0].reason}")
+            parts.append(columns)
     return [np.concatenate(column) for column in zip(*parts)]
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ def bench_pairs(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
 
-    def run_bench(checkout, workload, seed, seconds, trace):
+    def run_bench(checkout, workload, seed, seconds, trace, cpu=None):
         return {"correct": True, "input_digest": "in", "pass_digest": checkout.name,
                 "env": {"python": "3"}, "metrics": dict(METRICS)}
     monkeypatch.setattr(module, "run_bench", run_bench)
@@ -36,6 +37,39 @@ def test_traced_pairs_keep_every_reported_metric(bench_pairs, tmp_path):
                              "--out", str(out), "--traced", "etl:42:2"]) == 0
     pairs = json.loads(out.read_text())["traced_etl_seed42"]["pairs"]
     assert pairs == [{s: {**METRICS, "pass_digest": "side"} for s in ("parent", "change")}] * 2
+
+
+def test_traced_children_alone_run_on_one_cpu(tmp_path):
+    # rxgeo works in worker processes on more than one CPU, where the tracer
+    # records no span; a traced child is pinned, and nothing else is.
+    spec = importlib.util.spec_from_file_location("bench_pairs_real", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    side = tmp_path / "side"
+    (side / "perfbench").mkdir(parents=True)
+    (side / "perfbench" / "run.py").write_text(
+        "import json, os\n"
+        "cpus = sorted(os.sched_getaffinity(0))\n"
+        "print(json.dumps({'input_digest': 'in', 'pass_digest': 'p', 'env': {}}))\n"
+        "print(json.dumps({'correct': True, 'metrics': {\n"
+        "    'cpus': {'value': len(cpus)}, 'first_cpu_from_1': {'value': cpus[0] + 1}}}))\n")
+    out = tmp_path / "bench.json"
+    assert module.main(["--parent", str(side), "--change", str(side), "--out", str(out),
+                        "--seconds", "1", "--pairs", "etl:42:1", "--traced", "its:42:2",
+                        "--traced-unpinned", "its:42:1"]) == 0
+    record = json.loads(out.read_text())
+    mine = sorted(os.sched_getaffinity(0))
+    traced = record["traced_its_seed42"]
+    assert traced["pinned_cpu"] == mine[0]
+    assert [run["cpus"] for pair in traced["pairs"] for run in pair.values()] == [1] * 4
+    assert {run["first_cpu_from_1"] for pair in traced["pairs"]
+            for run in pair.values()} == {mine[0] + 1}
+    unpinned = record["traced_unpinned_its_seed42"]
+    assert unpinned["pinned_cpu"] is None
+    assert [run["cpus"] for run in unpinned["pairs"][0].values()] == [len(mine)] * 2
+    runs = record["workloads"]["etl/seed42"]["metrics"]["cpus"]
+    assert runs["parent_runs"] == runs["change_runs"] == [len(mine)]
+    assert sorted(os.sched_getaffinity(0)) == mine  # this process is not pinned
 
 
 def test_traced_pairs_with_other_digests_exit_1(bench_pairs, tmp_path):

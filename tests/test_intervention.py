@@ -1,12 +1,13 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxgeo import _optimize, arima, intervention
+from rxgeo import _optimize, _workers, arima, intervention
 from rxgeo.arima import ArimaOrders, ArimaParams
 from rxgeo.cli import _its_result_payload
 from rxgeo.intervention import (CollinearityError, EventInput, event_regressor,
@@ -415,11 +416,15 @@ def _batch_outputs(series):
     return payload, arrays
 
 
-def test_its_batch_matches_reference_simplex_and_objective(monkeypatch):
+def test_its_batch_matches_reference_simplex_and_objective(monkeypatch, tmp_path):
     # The same batch through the array-free simplex and per-model evaluators,
     # and through the list-of-arrays simplex and the objective they replaced.
+    # Two workers fit the series; each forks with the references patched in,
+    # and notes its pid in a file on each reference simplex run.
     from test_arima import reference_css_objective
     from test_optimize import reference_nelder_mead
+    monkeypatch.setattr(_workers, "worker_count", lambda: 2)
+    runs = tmp_path / "reference_runs"
 
     rng = np.random.default_rng(80)
     shift = np.r_[np.zeros(52), np.full(43, -3.0)]
@@ -436,12 +441,16 @@ def test_its_batch_matches_reference_simplex_and_objective(monkeypatch):
     lean = _batch_outputs(series)
 
     def reference(func, x0):
+        with open(runs, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
         return reference_nelder_mead(func, x0, _optimize._MAX_EVALS)
     for module in (arima, intervention):
         monkeypatch.setattr(module, "nelder_mead", reference)
         monkeypatch.setattr(module, "_css_objective", reference_css_objective)
     assert _batch_outputs(series) == lean
     assert '"failures": {"opioid/31"' in lean[0]
+    pids = set(runs.read_text().split())
+    assert pids and str(os.getpid()) not in pids
 
 
 def test_its_batch_34_series_structural():

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reader_reference
-from rxgeo import geo, records, series, syngen
+from rxgeo import _workers, geo, records, series, syngen
 
 SCHEMAS = {"ingest": records.INGEST, "classified": series.CLASSIFIED,
            "series": series.SERIES}
@@ -215,8 +215,19 @@ def test_reader_reports_a_late_undecodable_byte_as_the_loop_does():
         assert outcomes[0][1] == (records.ReadError, "cannot decode byte 0xff as utf-8")
 
 
+def _keeping(read):
+    """``read`` as ``series._read`` calls it: with ``keep``, the kept columns
+    and the errors of each chunk."""
+    def read_kept(stream, schema, keep):
+        for columns, _, errors in read(stream, schema):
+            yield [columns[name] for name in keep], errors
+    return read_kept
+
+
 def _peak(read, path):
-    with mock.patch.object(series, "read_csv", read), open(path, newline="") as fh:
+    # One worker: the whole read runs in this process, where tracemalloc sees it.
+    with mock.patch.object(series, "read_csv", read), open(path, newline="") as fh, \
+            mock.patch.object(_workers, "worker_count", lambda: 1):
         tracemalloc.start()
         try:
             table = series.read_classified_csv(fh)
@@ -230,10 +241,11 @@ def test_classified_read_peak_memory_is_no_higher_than_the_loops(tmp_path):
     path = tmp_path / "classified.csv"
     series.write_classified_csv(path, geo.classify_records(kept))
     assert len(kept) > 19000
-    for read in (reader_reference.read_csv, records.read_csv):  # fill any cache first
+    reference_read = _keeping(reader_reference.read_csv)
+    for read in (reference_read, records.read_csv):  # fill any cache first
         with mock.patch.object(series, "read_csv", read), open(path, newline="") as fh:
             series.read_classified_csv(fh)
-    want, reference = _peak(reader_reference.read_csv, path)
+    want, reference = _peak(reference_read, path)
     got, table = _peak(records.read_csv, path)
     for name in ("drug_family", "month_index", "mme_total", "days_supply", "class_code",
                  "mme_day"):

@@ -103,6 +103,23 @@ def test_t_ppf_against_scipy():
     assert t_ppf(0.25, 9) == pytest.approx(-t_ppf(0.75, 9), abs=1e-12)
 
 
+def test_t_ppf_solves_each_argument_pair_once(monkeypatch):
+    from rxgeo import _special
+    t_ppf.cache_clear()
+    calls = []
+
+    def counted(t, df):
+        calls.append(t)
+        return t_cdf(t, df)
+    monkeypatch.setattr(_special, "t_cdf", counted)
+    first = t_ppf(0.975, 17)
+    solved = len(calls)
+    assert solved > 10
+    assert t_ppf(0.975, 17) == first and len(calls) == solved
+    assert t_ppf.__wrapped__(0.975, 17) == first and len(calls) == 2 * solved
+    assert t_ppf(0.975, 17.0) == first and len(calls) == 3 * solved  # typed: solved again
+
+
 def test_t_sf_handles_extremes():
     assert t_sf(math.inf, 5) == 0.0
     assert t_sf(-math.inf, 5) == 1.0

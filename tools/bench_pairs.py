@@ -2,7 +2,8 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
         --pairs its:42:10 --pairs its:1234:10 --pairs etl:42:6 \
-        --digest etl:1234 --traced its:42:2 --scale 1000000 [--seconds 22]
+        --digest etl:1234 --traced its:42:2 --traced-unpinned its:42:1 \
+        --scale 1000000 [--seconds 22]
 
 ``DIR`` is the root of a source checkout of each side; ``perfbench/run.py``
 runs from there, as its docstring asks.  Give the same directory twice to
@@ -16,7 +17,14 @@ check the harness itself.  Standard library only.
 * ``--digest W:S`` runs each side once with ``--seconds 1`` and keeps its
   ``correct`` flag and digests.
 * ``--traced W:S:N`` runs N traced pairs with ``--seconds 1 --trace 1`` and
-  keeps every metric the traced run reports, per-layer ones included.
+  keeps every metric the traced run reports, per-layer ones included.  Each
+  traced run is pinned to one CPU (``os.sched_setaffinity`` on that child
+  only), so rxgeo does its work in the stage process, where
+  ``perfbench/tracer.py`` records it: on more CPUs, the spans of the work
+  done in worker processes (every fit of ``its``) are lost.
+* ``--traced-unpinned W:S:N`` runs N traced pairs as ``--traced`` does, on
+  every CPU, as ``--pairs`` runs do; the layers of the stage process, such
+  as ``intervention.its_batch``, are whole.
 * ``--scale N`` runs ``rxgeo simulate --seed 42 --n N``, then ``ingest``,
   ``classify`` and ``aggregate`` (a reader stage, on the classified CSV),
   twice on each side in the order parent, change, change, parent, each
@@ -62,11 +70,14 @@ SCALE_STAGES = (
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
-              trace: int) -> dict:
-    """One run.py run: its result line, with the digests of its details line."""
+              trace: int, cpu: int | None = None) -> dict:
+    """One run.py run, on CPU ``cpu`` alone if given: its result line, with
+    the digests of its details line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          preexec_fn=pin)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
     if proc.returncode or not result.get("correct"):
@@ -166,14 +177,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=lambda t: spec(t, 3), action="append", default=[])
     ap.add_argument("--digest", type=lambda t: spec(t, 2), action="append", default=[])
     ap.add_argument("--traced", type=lambda t: spec(t, 3), action="append", default=[])
+    ap.add_argument("--traced-unpinned", type=lambda t: spec(t, 3), action="append",
+                    default=[])
     ap.add_argument("--scale", type=int, action="append", default=[])
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bad: list[str] = []
     every: list[dict] = []
 
-    def bench(side: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-        every.append(run_bench(dirs[side], workload, seed, seconds, trace))
+    def bench(side: str, workload: str, seed: int, seconds: float, trace: int,
+              cpu: int | None = None) -> dict:
+        every.append(run_bench(dirs[side], workload, seed, seconds, trace, cpu))
         return every[-1]
 
     def check(label: str, runs: dict[str, dict]) -> None:
@@ -225,21 +239,26 @@ def main(argv: list[str] | None = None) -> int:
         out["digest_only_runs"][label] = {
             s: {k: r.get(k) for k in ("correct", "input_digest", "pass_digest")}
             for s, r in runs.items()}
-    for workload, seed, n in args.traced:
-        pairs = []
-        for i in range(n):
-            runs = {s: bench(s, workload, seed, 1, 1) for s in swapped(i)}
-            check(f"traced {workload}/seed{seed} pair {i + 1}", runs)
-            pairs.append({s: {**runs[s]["metrics"], "pass_digest": runs[s].get("pass_digest")}
-                          for s in SIDES})
-        out[f"traced_{workload}_seed{seed}"] = {
-            "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
-                       "--seconds 1 --trace 1",
-            "note": "one traced run per side per pair, the side that runs first "
-                    "swapping every pair; the per-layer value is the minimum over "
-                    "the traced passes of a run",
-            "pairs": pairs,
-        }
+    pinned_cpu = min(os.sched_getaffinity(0))
+    for key, specs, cpu in (("traced", args.traced, pinned_cpu),
+                            ("traced_unpinned", args.traced_unpinned, None)):
+        for workload, seed, n in specs:
+            pairs = []
+            for i in range(n):
+                runs = {s: bench(s, workload, seed, 1, 1, cpu) for s in swapped(i)}
+                check(f"{key} {workload}/seed{seed} pair {i + 1}", runs)
+                pairs.append({s: {**runs[s]["metrics"],
+                                  "pass_digest": runs[s].get("pass_digest")}
+                              for s in SIDES})
+            out[f"{key}_{workload}_seed{seed}"] = {
+                "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
+                           "--seconds 1 --trace 1",
+                "note": "one traced run per side per pair, the side that runs first "
+                        "swapping every pair; the per-layer value is the minimum over "
+                        "the traced passes of a run",
+                "pinned_cpu": cpu,
+                "pairs": pairs,
+            }
     for n in args.scale:
         shots: dict[str, list[dict]] = {side: [] for side in SIDES}
         for side in SCALE_ORDER:
