@@ -29,11 +29,13 @@ def _call(item):
 def ordered_map(func: Callable, items: Iterable) -> Iterator:
     """``map(func, items)``: the same results, and the same exception at the
     same place, whether an item raised in ``func`` or the iteration of
-    ``items`` raised.  With two or more CPUs, two or more items and the
-    ``fork`` start method, ``func`` runs in forked worker processes, one per
-    CPU, with at most two items per worker sent and not yet done (results
-    done ahead of an earlier one wait here); otherwise it runs in this
-    process.  ``func`` is inherited by the fork, not pickled (it may be
+    ``items`` raised.  With two or more CPUs, two or more items, the
+    ``fork`` start method and no other thread in this process (a fork
+    copies only the calling thread, so a lock another thread held would
+    stay held in the worker), ``func`` runs in forked worker processes, one
+    per CPU, with at most two items per worker sent and not yet done
+    (results done ahead of an earlier one wait here); otherwise it runs in
+    this process.  ``func`` is inherited by the fork, not pickled (it may be
     a closure); the items and results are pickled.  Once the results end,
     or the caller closes the iterator, no worker is left running."""
     failed: list[Exception] = []
@@ -47,7 +49,8 @@ def ordered_map(func: Callable, items: Iterable) -> Iterator:
     rest = pulled()
     head = list(islice(rest, 2))
     workers = worker_count()
-    if len(head) < 2 or workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if (len(head) < 2 or workers < 2 or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
         yield from map(func, chain(head, rest))
     else:
         slots = threading.Semaphore(2 * workers)  # items sent and not yet done

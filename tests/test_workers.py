@@ -11,6 +11,7 @@ import io
 import json
 import multiprocessing
 import os
+import threading
 from contextlib import contextmanager
 from unittest import mock
 
@@ -52,6 +53,7 @@ def _assert_no_worker_left(pids):
     assert started and os.getpid() not in started
     assert multiprocessing.active_children() == []
     assert not any(map(_alive, started))
+    return started
 
 
 @contextmanager
@@ -99,6 +101,21 @@ def test_ordered_map_of_one_item_or_one_cpu_starts_no_process():
         for n, items in ((2, [3]), (2, []), (1, range(9))):
             with _workers_of(n):
                 assert list(_workers.ordered_map(str, items)) == list(map(str, items))
+
+
+def test_ordered_map_beside_another_thread_starts_no_process():
+    # A fork copies only the calling thread: a lock another thread holds
+    # would stay held in the worker.
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with _no_fork(), _workers_of(2):
+            assert list(_workers.ordered_map(str, range(9))) == list(map(str, range(9)))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 def test_ordered_map_closed_early_leaves_no_worker(tmp_path):
@@ -219,13 +236,15 @@ def _stage(capsys, *argv):
 
 
 def test_reader_and_its_stages_leave_no_worker(capsys, classified, tmp_path):
-    for argv in (["aggregate", "--input", classified, "--outdir", tmp_path / "series"],
-                 ["its", "--input", classified, "--outdir", tmp_path / "its"]):
+    # aggregate forks two workers to read; its two more to fit.
+    for argv, forked in (
+            (["aggregate", "--input", classified, "--outdir", tmp_path / "series"], 2),
+            (["its", "--input", classified, "--outdir", tmp_path / "its"], 4)):
         pids = tmp_path / f"{argv[0]}.pids"
         with mock.patch.object(records, "CHUNK_ROWS", 50), _workers_of(2, pids):
             code, err = _stage(capsys, *argv)
         assert code == 0, err
-        _assert_no_worker_left(pids)
+        assert len(_assert_no_worker_left(pids)) == forked
     results = json.loads((tmp_path / "its" / "its_results.json").read_text())
     assert results["results"]
 
