@@ -2,42 +2,30 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
-from collections import deque
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
-_func: Callable | None = None  # a worker's function, set when it is forked
-
 
 def worker_count() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
-def _adopt(func: Callable) -> None:
-    global _func
-    _func = func
-
-
-def _call(item):
-    return _func(item)
+    """The CPUs this process may run on (every CPU where the platform cannot
+    tell)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def ordered_map(func: Callable, items: Iterable) -> Iterator:
     """``map(func, items)``: the same results, and the same exception at the
     same place, whether an item raised in ``func`` or the iteration of
-    ``items`` raised.  With two or more CPUs, two or more items, the
-    ``fork`` start method and no other thread in this process (a fork
-    copies only the calling thread, so a lock another thread held would
-    stay held in the worker), ``func`` runs in forked worker processes, one
-    per CPU, with at most two items per worker sent and not yet done
-    (results done ahead of an earlier one wait here); otherwise it runs in
-    this process.  ``func`` is inherited by the fork, not pickled (it may be
-    a closure); the items and results are pickled.  Once the results end,
-    or the caller closes the iterator, no worker is left running."""
+    ``items`` raised.  With two or more CPUs, two or more items, ``fork``
+    and no other thread in this process (a fork copies only the calling
+    thread, so a lock another thread held would stay held in the worker),
+    ``func`` runs in forked worker processes, one per CPU; otherwise it runs
+    in this process.  ``func`` is inherited by the fork, not pickled (it may
+    be a closure); the items and results are pickled.  Once the results
+    end, or the caller closes the iterator, no worker is left running."""
     failed: list[Exception] = []
 
     def pulled():
@@ -49,24 +37,81 @@ def ordered_map(func: Callable, items: Iterable) -> Iterator:
     rest = pulled()
     head = list(islice(rest, 2))
     workers = worker_count()
-    if (len(head) < 2 or workers < 2 or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    if len(head) < 2 or workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         yield from map(func, chain(head, rest))
     else:
-        slots = threading.Semaphore(2 * workers)  # items sent and not yet done
-
-        def done(_):
-            slots.release()
-
-        with multiprocessing.get_context("fork").Pool(workers, _adopt, (func,)) as pool:
-            pending: deque = deque()
-            for item in chain(head, rest):
-                slots.acquire()
-                pending.append(pool.apply_async(_call, (item,), callback=done,
-                                                error_callback=done))
-                while pending and pending[0].ready():
-                    yield pending.popleft().get()
-            while pending:
-                yield pending.popleft().get()
+        yield from _forked(func, chain(head, rest), workers)
     if failed:
         raise failed[0]
+
+
+def _serve(link, func: Callable) -> None:
+    """A worker: ``func`` of each item received, sent back as (raised, value)."""
+    while True:
+        try:
+            item = link.recv()
+        except EOFError:  # the caller is gone
+            return
+        try:
+            outcome = (False, func(item))
+        except Exception as exc:  # noqa: BLE001 - raised in the caller
+            outcome = (True, exc)
+        link.send(outcome)
+
+
+def _value(outcome: tuple[bool, object]):
+    raised, value = outcome
+    if raised:
+        raise value
+    return value
+
+
+def _forked(func: Callable, items: Iterator, workers: int) -> Iterator:
+    """:func:`ordered_map` in ``workers`` forked processes.  Each worker has
+    at most one item: this process writes an item only to a worker that is
+    waiting for one, so neither side can block writing to the other.  It
+    pickles and unpickles in its own thread, so the memory of the results
+    it keeps is allocated where that of the items it frees was.  A result
+    done ahead of an earlier one waits here."""
+    import multiprocessing  # here: the stages that never fork do not load it
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    links, processes = [], []
+    busy: dict = {}  # link -> the index of the item its worker has
+    done: dict = {}  # index -> (raised, value)
+    sent = out = 0
+
+    def collect():
+        for link in wait(list(busy)):
+            done[busy.pop(link)] = link.recv()
+
+    try:
+        for _ in range(workers):
+            link, theirs = context.Pipe()
+            processes.append(context.Process(target=_serve, args=(theirs, func), daemon=True))
+            processes[-1].start()
+            theirs.close()
+            links.append(link)
+        for item in items:
+            while len(busy) == workers:
+                collect()
+            link = next(link for link in links if link not in busy)
+            link.send(item)
+            busy[link] = sent
+            sent += 1
+            while out in done:
+                yield _value(done.pop(out))
+                out += 1
+        while out < sent:
+            while out not in done:
+                collect()
+            yield _value(done.pop(out))
+            out += 1
+    finally:
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join()
+        for link in links:
+            link.close()

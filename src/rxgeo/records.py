@@ -425,7 +425,7 @@ def read_csv(stream: TextIO, schema: Schema, keep: Sequence[str] | None = None
     converted ``keep`` columns, in that order, and the errors.  As only
     those columns travel back, the plain chunks are then split and checked
     by :func:`_workers.ordered_map`, in worker processes where there are
-    CPUs for them, up to two chunks per worker ahead of the caller.
+    CPUs for them.
     """
     def kept(chunk):
         return chunk if keep is None else ([chunk[0][name] for name in keep], chunk[2])

@@ -349,18 +349,42 @@ def write_classified_csv(path: str | Path | TextIO, c: ClassifiedTable,
         c.d_pp, c.d_pd, c.d_rd, c.pi_total, c.class_codes(), c.risk_level)), header=header)
 
 
+# Chunks whose column parts are joined into one block as they are read (see _read).
+JOIN_CHUNKS = 32
+
+
 def _read(stream: TextIO, schema: Schema, names: tuple[str, ...]) -> list[np.ndarray]:
     """The ``names`` columns of a CSV stream checked by ``schema``, a chunk at
     a time in worker processes (:func:`records.read_csv` with ``keep``); a
     :class:`ReadError` names its first bad row, and no chunk after those in
-    flight is read."""
-    parts = []
+    flight is read.
+
+    Every ``JOIN_CHUNKS`` chunks, their parts of each column are joined into
+    one block.  A part is too small for the allocator to give it pages of
+    its own, so the parts of a whole file would leave the memory they held
+    with this process after they are freed (aggregate's peak at 1M records
+    read 237 MB, against 200 MB when one process checked every chunk); the
+    parts of a few chunks reuse the same memory, and a block, large enough
+    for pages of its own, returns them when the columns are joined at the
+    end."""
+    blocks, parts = [], []
     with closing(read_csv(stream, schema, names)) as chunks:
         for columns, errors in chunks:
             if errors:
                 raise ReadError(f"line {errors[0].line}: {errors[0].reason}")
             parts.append(columns)
-    return [np.concatenate(column) for column in zip(*parts)]
+            if len(parts) == JOIN_CHUNKS:
+                blocks.append(_joined(parts))
+                parts = []
+    if parts:
+        blocks.append(_joined(parts))
+    return _joined(blocks)
+
+
+def _joined(parts: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Each column of the parts, joined, one column at a time: each part's
+    copy of a column is dropped once it is joined."""
+    return [np.concatenate([part.pop(0) for part in parts]) for _ in range(len(parts[0]))]
 
 
 def read_classified_csv(stream: TextIO) -> RecordTable:

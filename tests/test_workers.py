@@ -28,14 +28,14 @@ FIELDS = ("drug_family", "month_index", "mme_total", "days_supply", "class_code"
 def _workers_of(n, pids=None):
     """``worker_count`` reading ``n``; each worker forked appends its pid to
     the file ``pids`` names, if given."""
-    adopt = _workers._adopt
+    serve = _workers._serve
 
-    def adopt_and_record(func):
+    def record_and_serve(link, func):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        adopt(func)
+        serve(link, func)
     with mock.patch.object(_workers, "worker_count", lambda: n), \
-            mock.patch.object(_workers, "_adopt", adopt_and_record if pids else adopt):
+            mock.patch.object(_workers, "_serve", record_and_serve if pids else serve):
         yield
 
 
