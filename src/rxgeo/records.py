@@ -14,8 +14,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from . import _workers
-
 FAMILIES = ("opioid", "benzodiazepine")
 
 CSV_COLUMNS = (
@@ -460,7 +458,11 @@ def read_csv(stream: TextIO, schema: Schema, keep: Sequence[str] | None = None
                 cells = None
                 return kept(_check_columns(schema, values, range(first, first + n), []))
 
-            yield from (map if keep is None else _workers.ordered_map)(split, plain_chunks())
+            if keep is None:
+                yield from map(split, plain_chunks())
+            else:
+                from ._workers import ordered_map  # here: the producer stages do not load it
+                yield from ordered_map(split, plain_chunks())
             if ended:
                 return
         reader = csv.reader(chain(lines, stream))
