@@ -22,10 +22,15 @@ def ordered_map(func: Callable, items: Iterable) -> Iterator:
     ``items`` raised.  With two or more CPUs, two or more items, ``fork``
     and no other thread in this process (a fork copies only the calling
     thread, so a lock another thread held would stay held in the worker),
-    ``func`` runs in forked worker processes, one per CPU; otherwise it runs
-    in this process.  ``func`` is inherited by the fork, not pickled (it may
-    be a closure); the items and results are pickled.  Once the results
-    end, or the caller closes the iterator, no worker is left running."""
+    ``func`` runs in forked worker processes, at most one per CPU;
+    otherwise it runs in this process, which then reads no item ahead.
+    ``func`` is inherited by the fork, not pickled (it may be a closure);
+    the items and results are pickled.  Once the results end, or the caller
+    closes the iterator, no worker is left running."""
+    workers = worker_count()
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        yield from map(func, items)
+        return
     failed: list[Exception] = []
 
     def pulled():
@@ -36,9 +41,8 @@ def ordered_map(func: Callable, items: Iterable) -> Iterator:
 
     rest = pulled()
     head = list(islice(rest, 2))
-    workers = worker_count()
-    if len(head) < 2 or workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        yield from map(func, chain(head, rest))
+    if len(head) < 2:
+        yield from map(func, head)
     else:
         yield from _forked(func, chain(head, rest), workers)
     if failed:
@@ -67,36 +71,39 @@ def _value(outcome: tuple[bool, object]):
 
 
 def _forked(func: Callable, items: Iterator, workers: int) -> Iterator:
-    """:func:`ordered_map` in ``workers`` forked processes.  Each worker has
-    at most one item: this process writes an item only to a worker that is
-    waiting for one, so neither side can block writing to the other.  It
-    pickles and unpickles in its own thread, so the memory of the results
-    it keeps is allocated where that of the items it frees was.  A result
-    done ahead of an earlier one waits here."""
+    """:func:`ordered_map` in up to ``workers`` forked processes.  A worker
+    is forked only when an item is ready and every worker forked so far has
+    one.  Each worker has at most one item: this process writes an item
+    only to a worker that is waiting for one, so neither side can block
+    writing to the other.  It pickles and unpickles in its own thread, so
+    the memory of the results it keeps is allocated where that of the items
+    it frees was.  A result done ahead of an earlier one waits here."""
     import multiprocessing  # here: the stages that never fork do not load it
     from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
-    links, processes = [], []
+    idle, processes = [], []  # the links to the workers waiting for an item; every worker
     busy: dict = {}  # link -> the index of the item its worker has
     done: dict = {}  # index -> (raised, value)
     sent = out = 0
 
-    def collect():
-        for link in wait(list(busy)):
+    def collect(timeout=None):
+        for link in wait(list(busy), timeout):
             done[busy.pop(link)] = link.recv()
+            idle.append(link)
 
     try:
-        for _ in range(workers):
-            link, theirs = context.Pipe()
-            processes.append(context.Process(target=_serve, args=(theirs, func), daemon=True))
-            processes[-1].start()
-            theirs.close()
-            links.append(link)
         for item in items:
-            while len(busy) == workers:
+            collect(0)
+            if not idle and len(processes) < workers:
+                link, theirs = context.Pipe()
+                processes.append(context.Process(target=_serve, args=(theirs, func), daemon=True))
+                processes[-1].start()
+                theirs.close()
+                idle.append(link)
+            while not idle:
                 collect()
-            link = next(link for link in links if link not in busy)
+            link = idle.pop()
             link.send(item)
             busy[link] = sent
             sent += 1
@@ -113,5 +120,5 @@ def _forked(func: Callable, items: Iterator, workers: int) -> Iterator:
             process.terminate()
         for process in processes:
             process.join()
-        for link in links:
+        for link in [*idle, *busy]:
             link.close()

@@ -257,12 +257,12 @@ def _cmd_ingest(args, manifest: RunManifest) -> str:
         # (and its texts) while the next one is read.
         header = True
         for table, bad in records.parse_chunks(fh):
-            keep, part = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
-                                       n_malformed=len(bad), mask=True)
-            records.write_csv(table, out, header=header, rows=keep)
+            kept, part = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
+                                       n_malformed=len(bad))
+            records.write_csv(kept, out, header=header)
             report += part
             errors += bad
-            header, table = False, None  # free the chunk before the next is read
+            header, table, kept = False, None, None  # free the chunk before the next is read
     payload = report.to_dict()
     payload["row_errors"] = [{"line": e.line, "reason": e.reason} for e in errors]
     _output(manifest, args.report).write_text(_json(payload))

@@ -182,13 +182,9 @@ class _ReadTable(TransactionTable):
     def take(self, keep: np.ndarray) -> "_ReadTable":
         if keep.all():
             return self  # frozen: every record and its texts are kept as they are
-        return _ReadTable(*super().take(keep)._arrays(), _kept_texts(self.texts, keep))
-
-
-def _kept_texts(texts: dict[str, Sequence[str]], keep: np.ndarray) -> dict[str, list[str]]:
-    """The texts of the records where the boolean mask ``keep`` is true."""
-    kept = keep.tolist()
-    return {name: list(compress(column, kept)) for name, column in texts.items()}
+        kept = keep.tolist()
+        texts = {name: list(compress(column, kept)) for name, column in self.texts.items()}
+        return _ReadTable(*super().take(keep)._arrays(), texts)
 
 
 @dataclass(frozen=True)
@@ -404,8 +400,7 @@ def _plain_text(lines: list[str]) -> str | None:
     return text
 
 
-def read_csv(stream: TextIO, schema: Schema, keep: Sequence[str] | None = None
-             ) -> Iterator[tuple]:
+def read_csv(stream: TextIO, schema: Schema) -> Iterator[tuple[dict, dict, list[RowError]]]:
     """:func:`check_rows` of each chunk of up to ``CHUNK_ROWS`` rows of a CSV
     stream, after ``schema.header`` of its header row (None if the stream is
     empty); the last chunk may be empty.  Blank lines are skipped, as
@@ -418,16 +413,28 @@ def read_csv(stream: TextIO, schema: Schema, keep: Sequence[str] | None = None
     chunk that is not, csv.reader reads the rest of the stream, starting
     with that chunk's lines, so the rows, line numbers, chunks and errors
     are always those of csv.reader.
-
-    Given ``keep``, column names, each chunk is ``(columns, errors)``: the
-    converted ``keep`` columns, in that order, and the errors.  As only
-    those columns travel back, the plain chunks are then split and checked
-    by :func:`_workers.ordered_map`, in worker processes where there are
-    CPUs for them.
     """
-    def kept(chunk):
-        return chunk if keep is None else ([chunk[0][name] for name in keep], chunk[2])
+    return _read_chunks(stream, schema, map, lambda chunk: chunk)
 
+
+def read_columns(stream: TextIO, schema: Schema, names: Sequence[str]
+                 ) -> Iterator[tuple[list[np.ndarray], list[RowError]]]:
+    """The converted ``names`` columns, in that order, and the errors of each
+    chunk :func:`read_csv` reads.  As only those columns travel back, the
+    plain chunks are split and checked by :func:`_workers.ordered_map`, in
+    worker processes where there are CPUs for them.  (:func:`read_csv`
+    checks every chunk in this process: its chunks keep every field's text,
+    and sending those back from workers raised ingest's peak RSS at 200k
+    records from 39 MB to 45-48 MB and saved no time.)"""
+    from ._workers import ordered_map  # here: the producer stages do not load it
+    return _read_chunks(stream, schema, ordered_map,
+                        lambda chunk: ([chunk[0][name] for name in names], chunk[2]))
+
+
+def _read_chunks(stream: TextIO, schema: Schema, run: Callable, project: Callable) -> Iterator:
+    """:func:`read_csv`'s chunks, each passed through ``project``; ``run``
+    (``map`` or one like it) maps the splitting and checking, and
+    ``project``, over the plain chunks."""
     read = 0  # the lines split here; csv.reader reads the rest
     try:
         lines = list(islice(stream, 1))
@@ -437,7 +444,7 @@ def read_csv(stream: TextIO, schema: Schema, keep: Sequence[str] | None = None
             width, ended = len(header), False
 
             def plain_chunks():
-                """Each plain chunk's text, first line number and row count;
+                """Each plain chunk as [first line number, rows, text];
                 leaves ``lines`` at the lines of the first chunk that is not."""
                 nonlocal lines, read, ended
                 while not ended:
@@ -448,21 +455,19 @@ def read_csv(stream: TextIO, schema: Schema, keep: Sequence[str] | None = None
                     n, lines = len(lines), None
                     ended = n < CHUNK_ROWS
                     read += n
-                    yield text, read - n + 1, n
+                    chunk, text = [read - n + 1, n, text], None
+                    yield chunk
 
             def split(chunk):
-                text, first, n = chunk
-                cells = text.replace("\n", ",").split(",")
+                first, n = chunk[:2]
+                # Popped, the text's one copy goes as soon as its next exists.
+                cells = chunk.pop().replace("\n", ",").split(",")
                 del cells[n * width:]  # the empty cell after the last line end
                 values = {name: cells[j::width] for j, name in enumerate(header)}
                 cells = None
-                return kept(_check_columns(schema, values, range(first, first + n), []))
+                return project(_check_columns(schema, values, range(first, first + n), []))
 
-            if keep is None:
-                yield from map(split, plain_chunks())
-            else:
-                from ._workers import ordered_map  # here: the producer stages do not load it
-                yield from ordered_map(split, plain_chunks())
+            yield from run(split, plain_chunks())
             if ended:
                 return
         reader = csv.reader(chain(lines, stream))
@@ -475,9 +480,9 @@ def read_csv(stream: TextIO, schema: Schema, keep: Sequence[str] | None = None
             rows.append(row)
             numbers.append(read + reader.line_num)
             if len(rows) == CHUNK_ROWS:
-                yield kept(check_rows(schema, header, rows, numbers))
+                yield project(check_rows(schema, header, rows, numbers))
                 rows, numbers = [], []
-        yield kept(check_rows(schema, header, rows, numbers))
+        yield project(check_rows(schema, header, rows, numbers))
     except csv.Error as exc:
         raise ReadError(f"line {read + reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -543,14 +548,11 @@ def _field_texts(column: np.ndarray) -> list[str]:
 
 
 def write_csv(table: TransactionTable, path: str | Path | TextIO,
-              extra: Iterable[tuple[str, np.ndarray]] = (), header: bool = True,
-              rows: np.ndarray | None = None) -> None:
+              extra: Iterable[tuple[str, np.ndarray]] = (), header: bool = True) -> None:
     """Write a table in the exact ingest schema, followed by the ``extra``
     (name, column) pairs; round-trips through :func:`parse_csv`.  Without
     the ``header`` line, the rows follow what a stream already holds, so a
-    table can be written a part at a time.  Given ``rows``, a boolean mask,
-    only the records where it is true are written: of a table
-    :func:`parse_chunks` read, only their texts are taken, not the table.
+    table can be written a part at a time.
 
     The bytes are those of ``csv.writer``: one CRLF-ended line per record,
     ``WRITE_ROWS`` lines per write, with a float as its repr, an int as its
@@ -562,20 +564,13 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO,
     """
     extra = list(extra)
     texts = table.texts if isinstance(table, _ReadTable) else None
-    if rows is not None and not rows.all():
-        extra = [(name, column[rows]) for name, column in extra]
-        if texts is None:
-            table = table.take(rows)
-        else:
-            texts = _kept_texts(texts, rows)
-    n = len(table) if texts is None else len(texts["record_id"])
     own = isinstance(path, (str, Path))
     stream = open(path, "w", newline="") if own else path
     try:
         if header:
             stream.write(",".join(_quoted([*CSV_COLUMNS, *(name for name, _ in extra)]))
                          + "\r\n")
-        for start in range(0, n, WRITE_ROWS):
+        for start in range(0, len(table), WRITE_ROWS):
             stop = start + WRITE_ROWS
             if texts is not None:
                 fields = [_quoted(texts[name][start:stop]) for name in CSV_COLUMNS]
@@ -597,8 +592,7 @@ def clean(
     cap: float = DEFAULT_MME_CAP,
     cutoff_date: date = DEFAULT_CUTOFF,
     n_malformed: int = 0,
-    mask: bool = False,
-) -> tuple[TransactionTable | np.ndarray, FilterReport]:
+) -> tuple[TransactionTable, FilterReport]:
     """
     Apply the exclusion filters and tally each drop by first-matching reason.
 
@@ -606,9 +600,6 @@ def clean(
     coordinates) so that a record failing several filters is counted once.
     ``n_malformed`` folds upstream parse failures into the report so that
     ``total_in == total_kept + sum(exclusions)`` holds over the whole file.
-    With ``mask``, the first item is the boolean mask of the kept records in
-    place of the kept table, which is then not built: ingest writes the kept
-    records of a chunk it read as their texts (``write_csv(rows=...)``).
     """
     report = FilterReport(malformed_row=n_malformed, total_in=n_malformed + len(table))
     keep = np.ones(len(table), dtype=bool)
@@ -625,4 +616,4 @@ def clean(
         setattr(report, reason, int(dropped.sum()))
         keep &= ~dropped
     report.total_kept = int(keep.sum())
-    return (keep if mask else table.take(keep)), report
+    return table.take(keep), report

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geo import ALL_CLASS_CODES, RISK_HAZARD_RATIOS, ClassifiedTable
 from .records import (CSV_COLUMNS, INGEST, ReadError, Schema, TransactionTable,
-                      distinct_values, duplicate_names, floats, read_csv,
+                      distinct_values, duplicate_names, floats, read_columns,
                       whole_numbers, write_csv)
 from .stats import MeanCI, mean_ci
 
@@ -355,7 +355,7 @@ JOIN_CHUNKS = 32
 
 def _read(stream: TextIO, schema: Schema, names: tuple[str, ...]) -> list[np.ndarray]:
     """The ``names`` columns of a CSV stream checked by ``schema``, a chunk at
-    a time in worker processes (:func:`records.read_csv` with ``keep``); a
+    a time in worker processes (:func:`records.read_columns`); a
     :class:`ReadError` names its first bad row, and no chunk after those in
     flight is read.
 
@@ -368,7 +368,7 @@ def _read(stream: TextIO, schema: Schema, names: tuple[str, ...]) -> list[np.nda
     for pages of its own, returns them when the columns are joined at the
     end."""
     blocks, parts = [], []
-    with closing(read_csv(stream, schema, names)) as chunks:
+    with closing(read_columns(stream, schema, names)) as chunks:
         for columns, errors in chunks:
             if errors:
                 raise ReadError(f"line {errors[0].line}: {errors[0].reason}")

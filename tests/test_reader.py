@@ -216,17 +216,17 @@ def test_reader_reports_a_late_undecodable_byte_as_the_loop_does():
 
 
 def _keeping(read):
-    """``read`` as ``series._read`` calls it: with ``keep``, the kept columns
-    and the errors of each chunk."""
-    def read_kept(stream, schema, keep):
+    """``read`` as :func:`records.read_columns`: the kept columns and the
+    errors of each chunk."""
+    def read_kept(stream, schema, names):
         for columns, _, errors in read(stream, schema):
-            yield [columns[name] for name in keep], errors
+            yield [columns[name] for name in names], errors
     return read_kept
 
 
 def _peak(read, path):
     # One worker: the whole read runs in this process, where tracemalloc sees it.
-    with mock.patch.object(series, "read_csv", read), open(path, newline="") as fh, \
+    with mock.patch.object(series, "read_columns", read), open(path, newline="") as fh, \
             mock.patch.object(_workers, "worker_count", lambda: 1):
         tracemalloc.start()
         try:
@@ -242,11 +242,11 @@ def test_classified_read_peak_memory_is_no_higher_than_the_loops(tmp_path):
     series.write_classified_csv(path, geo.classify_records(kept))
     assert len(kept) > 19000
     reference_read = _keeping(reader_reference.read_csv)
-    for read in (reference_read, records.read_csv):  # fill any cache first
-        with mock.patch.object(series, "read_csv", read), open(path, newline="") as fh:
+    for read in (reference_read, records.read_columns):  # fill any cache first
+        with mock.patch.object(series, "read_columns", read), open(path, newline="") as fh:
             series.read_classified_csv(fh)
     want, reference = _peak(reference_read, path)
-    got, table = _peak(records.read_csv, path)
+    got, table = _peak(records.read_columns, path)
     for name in ("drug_family", "month_index", "mme_total", "days_supply", "class_code",
                  "mme_day"):
         assert _bits(getattr(table, name)) == _bits(getattr(reference, name))

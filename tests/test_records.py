@@ -211,23 +211,6 @@ def test_clean_conservation_property(rows):
         assert r.patient.is_valid
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(
-    st.dates(min_value=date(2010, 1, 1), max_value=date(2022, 12, 31)),
-    st.floats(min_value=0, max_value=2e5, allow_nan=False),
-    st.integers(min_value=0, max_value=90),
-), max_size=40))
-def test_clean_mask_keeps_the_records_of_the_kept_table(rows):
-    table = records.TransactionTable.from_records([
-        make_record(record_id=f"r{i}", fill_date=d, mme_total=m, days_supply=ds)
-        for i, (d, m, ds) in enumerate(rows)])
-    kept, report = records.clean(table, n_malformed=2)
-    keep, mask_report = records.clean(table, n_malformed=2, mask=True)
-    assert keep.dtype == bool and len(keep) == len(table)
-    assert table.take(keep).to_records() == kept.to_records()
-    assert mask_report == report
-
-
 # --- mme_per_day ---------------------------------------------------------------
 
 def test_mme_per_day_examples():

@@ -7,7 +7,6 @@ in a late chunk must leave nothing behind, and their peak memory must not
 grow with the record count.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -62,29 +61,6 @@ def test_outputs_do_not_depend_on_where_chunks_end(capsys, raw, tmp_path):
     assert b'"row_errors": [\n    {' in files["filter_report.json"]
     assert b'"id\nwith a break"' in files["classified.csv"]
     assert summary.startswith("classify: 00=")
-
-
-def test_ingest_copies_no_typed_column_of_a_chunk(capsys, raw, tmp_path):
-    # Each chunk with an excluded record used to be taken as a whole typed
-    # table, eleven column copies, of which ingest wrote only the texts.
-    want = tmp_path / "want.csv"
-    with open(raw, newline="") as fh, open(want, "w", newline="") as out:
-        for i, (table, _) in enumerate(records.parse_chunks(fh)):
-            records.write_csv(records.clean(table)[0], out, header=i == 0)
-    taken = []
-    take = records.TransactionTable.take
-
-    def counted(self, keep):
-        taken.append(len(self))
-        return take(self, keep)
-    with mock.patch.object(records.TransactionTable, "take", counted):
-        code, _, err = _run(capsys, "ingest", "--input", raw, "--out", tmp_path / "clean.csv",
-                            "--report", tmp_path / "filter_report.json")
-    assert code == 0, err
-    assert taken == []
-    assert (tmp_path / "clean.csv").read_bytes() == want.read_bytes()
-    report = json.loads((tmp_path / "filter_report.json").read_text())
-    assert all(report[reason] for reason in records.FilterReport.REASONS)
 
 
 def _spoil_last_row(src, dst, column, value):

@@ -268,26 +268,6 @@ def test_a_read_table_is_written_as_the_texts_it_was_read_from(case, data, block
     assert got.getvalue() == _csv_text([[*CSV_COLUMNS, *(name for name, _ in extra)], *rows])
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=_tables(), data=st.data())
-def test_writing_rows_of_a_table_is_writing_the_table_they_take(case, data):
-    """``write_csv(rows=mask)`` writes what ``write_csv`` of ``take(mask)``
-    writes, for a typed table and for one that carries its field texts."""
-    table, extra = case
-    n = len(table)
-    texts = {name: data.draw(st.lists(_TEXT, min_size=n, max_size=n), label=name)
-             for name in CSV_COLUMNS}
-    read = records._ReadTable(*(getattr(table, name) for name in CSV_COLUMNS), texts)
-    rows = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="rows"),
-                    dtype=bool)
-    for whole in (table, read):
-        got, want = io.StringIO(newline=""), io.StringIO(newline="")
-        records.write_csv(whole, got, extra, rows=rows)
-        records.write_csv(whole.take(rows), want,
-                          [(name, column[rows]) for name, column in extra])
-        assert got.getvalue() == want.getvalue()
-
-
 # --- producer stages vs. the per-record writers -----------------------------------
 
 def _reference_write_csv(recs, path):
