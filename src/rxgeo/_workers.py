@@ -1,4 +1,4 @@
-"""``map`` in forked worker processes, one per CPU this process may use."""
+"""``map`` in forked worker processes, at most one per CPU this process may use."""
 
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ def ordered_map(func: Callable, items: Iterable) -> Iterator:
     and no other thread in this process (a fork copies only the calling
     thread, so a lock another thread held would stay held in the worker),
     ``func`` runs in forked worker processes, at most one per CPU;
-    otherwise it runs in this process, which then reads no item ahead.
+    otherwise it runs in this process (on one CPU, or beside another
+    thread, with no item read ahead).
     ``func`` is inherited by the fork, not pickled (it may be a closure);
     the items and results are pickled.  Once the results end, or the caller
     closes the iterator, no worker is left running."""
