@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterator, TextIO
 import numpy as np
 
 from . import __version__, geo, records, report
-from .series import (DEFAULT_POLICY_MONTH, EVENT_KINDS, MonthKey, RecordTable,
+from .series import (DEFAULT_ALPHA, DEFAULT_POLICY_MONTH, EVENT_KINDS, MonthKey, RecordTable,
                      aggregate_monthly, pre_post_table, read_classified_csv, read_series_csv,
                      summarize_classes, write_classified_csv, write_series_csv)
 from .stats import mean_ci, one_way_anova, t_test_greater
@@ -547,9 +547,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("classify", help="append geometry and class codes")
     p.add_argument("--input", required=True, help="cleaned records CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--near-miles", type=_typed(_positive, "a positive number"), default=50.0)
+    p.add_argument("--near-miles", type=_typed(_positive, "a positive number"),
+                   default=geo.ClassThresholds.near_miles)
     p.add_argument("--isolation-ratio", type=_typed(_positive, "a positive number"),
-                   default=3.0)
+                   default=geo.ClassThresholds.isolation_ratio)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("aggregate", help="build monthly series CSVs")
@@ -600,7 +601,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--policy-month", type=_typed(MonthKey.parse, "YYYY-MM"),
                    default=DEFAULT_POLICY_MONTH)
     p.add_argument("--events", type=_events_arg, default=",".join(EVENT_KINDS))
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--announce-month", type=_typed(MonthKey.parse, "YYYY-MM"), default=None,
                    help="optional second onset for announcement effects")
     p.set_defaults(func=_cmd_its)

@@ -23,7 +23,8 @@ from .arima import (ArimaFit, ArimaOrders, Coefficient, FitError, Forecast,
 from .arima import significance_stars  # noqa: F401 - public name of this module
 from ._optimize import nelder_mead
 from ._workers import ordered_map
-from .series import DEFAULT_POLICY_MONTH, EVENT_KINDS, ClassSeries, MonthKey, split_pre_post
+from .series import (DEFAULT_ALPHA, DEFAULT_POLICY_MONTH, EVENT_KINDS, ClassSeries, MonthKey,
+                     split_pre_post)
 
 MIN_PRE_MONTHS = 36
 MIN_POST_MONTHS = 12
@@ -179,7 +180,7 @@ class ItsResult:
     mismatch: list[MismatchPoint]
     dropped_events: list[str] = field(default_factory=list)
 
-    def significant_events(self, alpha: float = 0.05) -> list[Coefficient]:
+    def significant_events(self, alpha: float = DEFAULT_ALPHA) -> list[Coefficient]:
         return [c for c in self.arimax.event_coefficients()
                 if not math.isnan(c.p_value) and c.p_value < alpha]
 
@@ -188,7 +189,7 @@ def its_analysis(
     series: ClassSeries,
     policy_month: MonthKey = DEFAULT_POLICY_MONTH,
     event_kinds: Sequence[str] = EVENT_KINDS,
-    alpha: float = 0.05,
+    alpha: float = DEFAULT_ALPHA,
     announce_month: MonthKey | None = None,
 ) -> ItsResult:
     """
@@ -281,7 +282,7 @@ def its_batch(
     all_series: Sequence[ClassSeries],
     policy_month: MonthKey = DEFAULT_POLICY_MONTH,
     event_kinds: Sequence[str] = EVENT_KINDS,
-    alpha: float = 0.05,
+    alpha: float = DEFAULT_ALPHA,
     announce_month: MonthKey | None = None,
 ) -> ItsBatchResult:
     """

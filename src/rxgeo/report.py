@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable
 
-from .series import ClassSeries, ClassSummaryRow
+from .series import DEFAULT_ALPHA, ClassSeries, ClassSummaryRow
 from .stats import MeanCI
 
 if TYPE_CHECKING:  # the stages that only read tables do not load the model code
@@ -142,7 +142,7 @@ TABLE_HEADER = ["Class", "Model", "Coefficient", "Estimate", "Standard Error",
 
 
 def arimax_table_rows(results: Iterable[ItsResult],
-                      alpha: float = 0.05) -> list[list[str]]:
+                      alpha: float = DEFAULT_ALPHA) -> list[list[str]]:
     """
     Coefficient rows for the final per-series ARIMAX models, listing only
     the series with at least one significant event input (the report shape).
@@ -168,7 +168,7 @@ def arimax_table_rows(results: Iterable[ItsResult],
     return rows
 
 
-def arimax_markdown(results: Iterable[ItsResult], alpha: float = 0.05) -> str:
+def arimax_markdown(results: Iterable[ItsResult], alpha: float = DEFAULT_ALPHA) -> str:
     rows = arimax_table_rows(results, alpha=alpha)
     title = "## Intervention models (series with significant event inputs)\n\n"
     if not rows:

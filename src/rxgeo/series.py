@@ -57,9 +57,11 @@ class MonthKey:
 
 
 DEFAULT_POLICY_MONTH = MonthKey(2018, 5)
-# The event inputs intervention.its_analysis can fit at an onset month; here,
-# so that the CLI parser reads them without loading the model code.
+# The event inputs intervention.its_analysis can fit at an onset month, and
+# the level below which an event's p-value counts as significant; here, so
+# that the CLI parser reads them without loading the model code.
 EVENT_KINDS = ("level_shift", "ramp", "inverse_trend")
+DEFAULT_ALPHA = 0.05
 
 
 class SeriesPoint(NamedTuple):

@@ -86,9 +86,8 @@ class ScenarioConfig:
     end: MonthKey = MonthKey(2021, 11)
     policy_month: MonthKey = DEFAULT_POLICY_MONTH
     trend_slope: float = 0.0          # relative level drift per month
-    seasonal_amplitude: float = 0.02  # relative, period 12
-    noise_sd: float = 0.01            # relative month-level disturbance
-    seed: int = 0
+    seasonal_amplitude: float = 0.0   # relative, period 12
+    noise_sd: float = 0.0             # relative month-level disturbance
     families: dict[str, FamilySettings] = field(default_factory=dict)
 
     def n_months(self) -> int:
@@ -189,7 +188,7 @@ def _mean_inverse_days(mean: float, sd: float) -> float:
     return float((probs / ks).sum())
 
 
-def default_config(seed: int = 0) -> ScenarioConfig:
+def default_config() -> ScenarioConfig:
     """
     Default two-family scenario over 2014-01..2021-11.
 
@@ -197,7 +196,7 @@ def default_config(seed: int = 0) -> ScenarioConfig:
     MME/day is 53.68, and every opioid class carries the same post-policy
     multiplier 51.09 / 53.68; the control family has no policy effect.
     """
-    cfg = ScenarioConfig(seed=seed)
+    cfg = ScenarioConfig(seasonal_amplitude=0.02, noise_sd=0.01)
     months = cfg.month_keys()
     pre_factors = [_month_factor(cfg, m) for m in months if m < cfg.policy_month]
     mean_factor = sum(pre_factors) / len(pre_factors)
@@ -287,8 +286,7 @@ def _triangles(r: np.ndarray, pi_lo: np.ndarray, pi_hi: np.ndarray,
     return [*patient, *prescriber, *dispenser]
 
 
-def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
-             ) -> TransactionTable:
+def generate(config: ScenarioConfig, n_records: int, seed: int) -> TransactionTable:
     """
     Draw a synthetic transaction set: the blocks of :func:`generate_blocks`
     as one table.
@@ -296,7 +294,7 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     return TransactionTable.concat(list(generate_blocks(config, n_records, seed)))
 
 
-def generate_blocks(config: ScenarioConfig, n_records: int, seed: int | None = None
+def generate_blocks(config: ScenarioConfig, n_records: int, seed: int
                     ) -> Iterator[TransactionTable]:
     """
     Draw a synthetic transaction set one (family, month) block at a time;
@@ -326,9 +324,9 @@ def generate_blocks(config: ScenarioConfig, n_records: int, seed: int | None = N
     return _blocks(config, draws, n_records, seed)
 
 
-def _blocks(config: ScenarioConfig, draws: dict, n_records: int, seed: int | None
+def _blocks(config: ScenarioConfig, draws: dict, n_records: int, seed: int
             ) -> Iterator[TransactionTable]:
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     months = config.month_keys()
     n_months = len(months)
     serial = 1  # the number in the next record's id
@@ -411,8 +409,9 @@ def _check_keys(section: dict, settings, where: str) -> None:
 
 def config_from_dict(d: dict) -> ScenarioConfig:
     """The scenario of a JSON object; ValueError, or KeyError for a missing
-    key, unless :func:`generate` can draw from it.  An unknown key, at the top
-    level or in a family or class section, is a ValueError naming it."""
+    key, unless :func:`generate` can draw from it.  A month-factor knob it
+    omits takes the :class:`ScenarioConfig` default.  An unknown key, at the
+    top level or in a family or class section, is a ValueError naming it."""
     if not isinstance(d, dict):
         raise ValueError(f"expected a JSON object, got {type(d).__name__}")
     try:
@@ -421,11 +420,8 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             start=MonthKey.parse(d["start"]),
             end=MonthKey.parse(d["end"]),
             policy_month=MonthKey.parse(d["policy_month"]),
-            trend_slope=float(d.get("trend_slope", 0.0)),
-            seasonal_amplitude=float(d.get("seasonal_amplitude", 0.0)),
-            noise_sd=float(d.get("noise_sd", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
+            **{k: float(d[k]) for k in ("trend_slope", "seasonal_amplitude", "noise_sd")
+               if k in d})
         for name, fam in d.get("families", {}).items():
             _check_keys(fam, FamilySettings, f"{name} family")
             cfg.families[name] = FamilySettings(

@@ -7,8 +7,9 @@ was before it took each bin edge's CDF once, for the oracle test of
 one block of uniform draws per (family, month, class), with the six
 uniforms of a class drawn by six ``Generator.uniform`` calls.
 ``_rounded_days_distribution`` and ``_mean_inverse_days`` are those of
-version 0.9.0.  Each is copied unchanged; the helpers that stayed in
-``syngen`` are imported from it.
+version 0.9.0.  Each is copied unchanged, except that ``generate`` takes
+its seed only as an argument, as the library's does since 0.15.0; the
+helpers that stayed in ``syngen`` are imported from it.
 """
 
 import calendar
@@ -97,8 +98,7 @@ def _truncnorm_draws(rng: np.random.Generator, mu: float, sigma: float,
     return mu + sigma * normal_ppf_vec(u)
 
 
-def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
-             ) -> TransactionTable:
+def generate(config: ScenarioConfig, n_records: int, seed: int) -> TransactionTable:
     """
     Draw a synthetic transaction set.
 
@@ -114,7 +114,7 @@ def generate(config: ScenarioConfig, n_records: int, seed: int | None = None
     draws = config.class_draws()
     if n_records <= 0:
         raise ValueError("n_records must be positive")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     months = config.month_keys()
     n_months = len(months)
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from rxgeo.cli import main
+from rxgeo import geo, intervention, report, series
+from rxgeo.cli import build_parser, main
 
 
 def run(*argv):
@@ -48,6 +50,28 @@ def test_simulate_and_manifest(pipeline):
     assert manifest["seed"] == 7
     assert "data.csv" in manifest["outputs"]
     assert manifest["version"]
+
+
+def test_dumped_scenario_reproduces_the_records_with_the_same_seed(pipeline, tmp_path):
+    # The dump used to write "seed": 0 for a --seed 7 run, a seed that only
+    # syngen.generate called without a seed read.
+    assert "seed" not in json.loads((pipeline / "scenario.json").read_text())
+    again = tmp_path / "again.csv"
+    assert run("simulate", "--n", 4000, "--seed", 7, "--config", pipeline / "scenario.json",
+               "--out", again) == 0
+    assert again.read_bytes() == (pipeline / "data.csv").read_bytes()
+
+
+def test_cli_analysis_defaults_are_the_librarys():
+    _, sub = build_parser()
+    thresholds = geo.ClassThresholds()
+    assert sub["classify"].get_default("near_miles") == thresholds.near_miles
+    assert sub["classify"].get_default("isolation_ratio") == thresholds.isolation_ratio
+    alphas = {inspect.signature(f).parameters["alpha"].default
+              for f in (intervention.its_analysis, intervention.its_batch,
+                        intervention.ItsResult.significant_events,
+                        report.arimax_table_rows, report.arimax_markdown)}
+    assert alphas == {sub["its"].get_default("alpha")} == {series.DEFAULT_ALPHA}
 
 
 def test_filter_report_conserves(pipeline):
@@ -516,6 +540,9 @@ def _first_profile(**values):
     (_first_profile(bogus=1), "'bogus'"),
     # The generator never read mean_mme, so 0.13.0 removed it.
     (_first_profile(mean_mme=802.32), "'mean_mme'"),
+    # generate drew with this seed only when called without one, which the
+    # CLI never did; 0.15.0 removed it, so --seed is the run's one seed.
+    (lambda scenario: {**scenario, "seed": 7}, "unknown scenario key(s): 'seed'"),
     (_first_profile(class_code="99"), "opioid class '99': not a class code"),
     (_first_profile(sd_days=0), "opioid class 00: sd_days must be finite > 0, got 0"),
     (_first_profile(target_mme_day=-5),
@@ -528,8 +555,8 @@ def _first_profile(**values):
         **scenario["families"],
         "opioid": {**scenario["families"]["opioid"], "level_scal": 2.0}}},
      "unknown opioid family key(s): 'level_scal'"),
-], ids=["json-array", "unknown-key", "removed-mean-mme", "class-99", "sd-days-0", "negative-target",
-        "text-sd", "negative-noise", "unknown-top-key", "unknown-family-key"])
+], ids=["json-array", "unknown-key", "removed-mean-mme", "removed-seed", "class-99", "sd-days-0",
+        "negative-target", "text-sd", "negative-noise", "unknown-top-key", "unknown-family-key"])
 def test_bad_scenario_config_exits_2(pipeline, tmp_path, capsys, edit, message):
     # Each used to end in a traceback (exit 1): TypeError, TypeError,
     # IndexError, ZeroDivisionError, then three ValueErrors from generate.

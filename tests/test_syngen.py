@@ -48,13 +48,23 @@ def test_default_config_pre_mean_calibration():
 
 
 def test_config_json_roundtrip():
-    cfg = syngen.default_config(seed=5)
+    cfg = syngen.default_config()
     d = syngen.config_to_dict(cfg)
     back = syngen.config_from_dict(d)
     assert back.start == cfg.start and back.end == cfg.end
     assert back.families["opioid"].profiles == cfg.families["opioid"].profiles
-    assert back.seed == 5
     assert syngen.config_to_dict(back) == d
+
+
+def test_omitted_month_factor_knobs_read_as_the_dataclass_defaults():
+    # config_from_dict used to restate 0.0 for each omitted knob, while
+    # ScenarioConfig declared 0.02 and 0.01; the built-in scenario sets those.
+    knobs = ("trend_slope", "seasonal_amplitude", "noise_sd")
+    d = {k: v for k, v in syngen.config_to_dict(syngen.default_config()).items()
+         if k not in knobs}
+    back, default = syngen.config_from_dict(d), syngen.ScenarioConfig()
+    assert [getattr(back, k) for k in knobs] == [getattr(default, k) for k in knobs]
+    assert [getattr(syngen.default_config(), k) for k in knobs] == [0.0, 0.02, 0.01]
 
 
 def test_config_validation():
@@ -232,10 +242,10 @@ def _assert_bit_identical(got, want):
         assert a.tobytes() == b.tobytes(), col
 
 
-def _scenario(seed, **changes):
+def _scenario(**changes):
     """The default scenario with top-level fields, class fields (a dict per
     class code, both families) or families (a list of names) changed."""
-    cfg = syngen.default_config(seed)
+    cfg = syngen.default_config()
     for code, fields in changes.pop("classes", {}).items():
         for fam in cfg.families.values():
             fam.profiles = [dataclasses.replace(p, **fields) if p.class_code == code else p
@@ -248,26 +258,32 @@ def _scenario(seed, **changes):
 @pytest.mark.parametrize("n", [1_000, 25_000, 100_000])
 @pytest.mark.parametrize("seed", [42, 1234, 7])
 def test_generate_matches_block_by_block_loop_on_default_config(n, seed):
-    cfg = syngen.default_config(seed)
-    _assert_bit_identical(syngen.generate(cfg, n), syngen_reference.generate(cfg, n))
+    cfg = syngen.default_config()
+    _assert_bit_identical(syngen.generate(cfg, n, seed), syngen_reference.generate(cfg, n, seed))
+
+
+# The seed each scenario below is drawn with.
+_SCENARIO_SEEDS = {"noise-trend-season-multipliers": 3, "zero-share-class-and-empty-months": 11,
+                   "no-records-at-all": 2, "benzodiazepine-only": 9, "opioid-only-late-policy": 2}
 
 
 @pytest.mark.parametrize("name,cfg,n", [
     ("noise-trend-season-multipliers",
-     _scenario(3, noise_sd=0.2, trend_slope=-0.004, seasonal_amplitude=0.3,
+     _scenario(noise_sd=0.2, trend_slope=-0.004, seasonal_amplitude=0.3,
                classes={"30": {"post_policy_multiplier": 1.6},
                         "33": {"post_policy_multiplier": 2.5},
                         "01": {"post_policy_multiplier": 0.0}}), 20_000),
     ("zero-share-class-and-empty-months",
-     _scenario(11, classes={"03": {"record_share": 0.0}, "12": {"record_share": 0.0}}),
+     _scenario(classes={"03": {"record_share": 0.0}, "12": {"record_share": 0.0}}),
      150),
-    ("no-records-at-all", _scenario(2), 1),
-    ("benzodiazepine-only", _scenario(9, families=["benzodiazepine"]), 5_000),
-    ("opioid-only-late-policy", _scenario(2, families=["opioid"],
+    ("no-records-at-all", _scenario(), 1),
+    ("benzodiazepine-only", _scenario(families=["benzodiazepine"]), 5_000),
+    ("opioid-only-late-policy", _scenario(families=["opioid"],
                                           policy_month=MonthKey(2021, 11)), 5_000),
 ])
 def test_generate_matches_block_by_block_loop_on_scenarios(name, cfg, n):
-    got, want = syngen.generate(cfg, n), syngen_reference.generate(cfg, n)
+    seed = _SCENARIO_SEEDS[name]
+    got, want = syngen.generate(cfg, n, seed), syngen_reference.generate(cfg, n, seed)
     _assert_bit_identical(got, want)
     if name == "zero-share-class-and-empty-months":
         months = {MonthKey.from_date(d).index for d in map(date.fromordinal, got.fill_date)}
@@ -311,8 +327,8 @@ def test_days_distribution_matches_its_reference(mean, sd):
 
 
 @pytest.mark.parametrize("cfg", [syngen.default_config(),
-                                 _scenario(3, classes={"32": {"sd_days": 0.2},
-                                                       "10": {"mean_days": 1.0}})])
+                                 _scenario(classes={"32": {"sd_days": 0.2},
+                                                    "10": {"mean_days": 1.0}})])
 def test_class_draws_match_the_reference_days_distribution(cfg, monkeypatch):
     got = {name: _hex(draws) for name, draws in cfg.class_draws().items()}
     monkeypatch.setattr(syngen, "_mean_inverse_days", syngen_reference._mean_inverse_days)
