@@ -1000,7 +1000,7 @@ def simulate(orders: ArimaOrders, params: ArimaParams, n: int, seed: int) -> np.
     """
     Draw a seeded realization of the model: ARMA recursion on Gaussian
     noise with a discarded burn-in, then d simple and D seasonal
-    integrations.
+    integrations from a zero history.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
@@ -1010,23 +1010,14 @@ def simulate(orders: ArimaOrders, params: ArimaParams, n: int, seed: int) -> np.
         raise ValueError("params.sigma2 must be set to a finite nonnegative value")
     sigma = math.sqrt(params.sigma2)
     a, m = _ar_ma_lag_coefs(orders, params)
-    ar_at_one = 1.0 - a.sum()
-    mu = params.c / ar_at_one
+    mu = params.c / (1.0 - a.sum())
 
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, sigma, n + _BURNIN).tolist()
     v = _arma_recursion([], eps, a.tolist(), m.tolist())
     z = mu + np.asarray(v[_BURNIN:])
-
-    y = z
-    for _ in range(orders.d):
-        y = np.cumsum(y)
-    for _ in range(orders.D):
-        out = y.copy()
-        for t in range(orders.s, n):
-            out[t] += out[t - orders.s]
-        y = out
-    return y
+    lags = [orders.s] * orders.D + [1] * orders.d
+    return _integrate_extension([*map(np.zeros, lags), z], lags, z)
 
 
 def simulate_forecast_paths(fit_result: ArimaFit, h: int, n_paths: int,

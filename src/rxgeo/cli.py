@@ -394,14 +394,16 @@ def _fit_to_payload(f: ArimaFit) -> dict:
 
 def _cmd_fit(args, manifest: RunManifest) -> str:
     from . import arima
+    try:
+        orders = (args.orders if args.orders == "auto"
+                  else arima.ArimaOrders(*args.orders, s=args.season))
+    except ValueError as exc:
+        raise UsageError(f"rxgeo fit: bad --orders: {exc}") from None
     y = _read_input(Path(args.input), manifest, read_series_csv)
     if args.impute == "none" and np.any(~np.isfinite(y)):
         raise DataError("series has missing months and --impute none was given")
     try:
-        if args.orders == "auto":
-            f = arima.auto_fit(y, s=args.season)
-        else:
-            f = arima.fit(y, arima.ArimaOrders(*args.orders, s=args.season))
+        f = arima.auto_fit(y, s=args.season) if orders == "auto" else arima.fit(y, orders)
     except (arima.FitError, ValueError) as exc:
         raise DataError(f"fit failed: {exc}") from exc
     _output(manifest, args.out).write_text(_json(_fit_to_payload(f)))
@@ -441,12 +443,10 @@ def _cmd_its(args, manifest: RunManifest) -> str:
                          "--policy-month; the two onsets would be collinear")
     from .intervention import its_batch
     table = _read_input(Path(args.input), manifest, read_classified_csv)
-    spans = {}
-    for family in _families(args.family):
-        months = table.month_index[table.drug_family == family]
-        if months.size:
-            spans[family] = (MonthKey.from_index(int(months.min())),
-                             MonthKey.from_index(int(months.max())))
+    # Each family's overall series spans its first to last month with records.
+    overall = [s for family in _families(args.family)
+               for s in aggregate_monthly(table, group_by="overall", family=family)]
+    spans = {s.drug_family: (s.points[0].month, s.points[-1].month) for s in overall}
     onsets = [("--policy-month", args.policy_month),
               ("--announce-month", args.announce_month)]
     for family, (first, last) in spans.items():
@@ -455,12 +455,8 @@ def _cmd_its(args, manifest: RunManifest) -> str:
                 raise DataError(f"rxgeo its: {flag} {month} is outside the {family} "
                                 f"data span {first} to {last}")
 
-    all_series = []
-    for family, span in spans.items():
-        all_series += aggregate_monthly(table, group_by="overall",
-                                        family=family, span=span)
-        all_series += aggregate_monthly(table, group_by="class",
-                                        family=family, span=span)
+    all_series = overall + [c for s in overall for c in aggregate_monthly(
+        table, group_by="class", family=s.drug_family, span=spans[s.drug_family])]
     table = None  # the batch's worker processes are forked without the records
 
     batch = its_batch(all_series, policy_month=args.policy_month,
@@ -668,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (DataError, OSError, records.SchemaError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -115,7 +115,7 @@ def fit_arimax(
     y: Sequence[float] | np.ndarray,
     orders: ArimaOrders,
     events: Sequence[EventInput],
-    start_month: MonthKey = MonthKey(2014, 1),
+    start_month: MonthKey = MonthKey.from_index(0),
     base_fit: ArimaFit | None = None,
 ) -> ArimaFit:
     """
@@ -241,18 +241,15 @@ def its_analysis(
     current = list(events)
     keep_level = alpha / max(len(events), 1)
     base_fit = _base_fit(y, orders)
-    arimax_fit = fit_arimax(y, orders, current, start_month=start_month,
-                            base_fit=base_fit)
-    while current:
+    while True:
+        arimax_fit = fit_arimax(y, orders, current, start_month=start_month, base_fit=base_fit)
         evs = arimax_fit.event_coefficients()
         p = [2.0 if math.isnan(cf.p_value) else cf.p_value for cf in evs]  # a NaN drops first
-        if max(p) < keep_level:
+        if not current or max(p) < keep_level:
             break
         weakest = evs[p.index(max(p))]
         dropped.append(weakest.name)
         current = [e for e in current if e.label != weakest.name]
-        arimax_fit = fit_arimax(y, orders, current, start_month=start_month,
-                                base_fit=base_fit)
     arimax_fit.n_interpolated = n_interp
 
     return ItsResult(drug_family=series.drug_family, class_code=series.class_code,

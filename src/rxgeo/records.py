@@ -6,7 +6,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -43,10 +43,6 @@ WRITE_ROWS = 1024
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # the one fill_date form
 
 
-class SchemaError(ValueError):
-    """The CSV header does not match the expected column set."""
-
-
 class ReadError(ValueError):
     """A CSV stream that cannot be read: a byte that does not decode, a field
     the csv module refuses, or, in a reader that stops at the first error, a
@@ -56,6 +52,10 @@ class ReadError(ValueError):
     @classmethod
     def undecodable(cls, exc: UnicodeDecodeError) -> "ReadError":
         return cls(f"cannot decode byte {exc.object[exc.start]:#04x} as {exc.encoding}")
+
+
+class SchemaError(ReadError):
+    """The CSV header does not match the expected column set."""
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,7 @@ class FilterReport:
         return sum(getattr(self, r) for r in self.REASONS)
 
     def to_dict(self) -> dict:
-        d = {r: getattr(self, r) for r in self.REASONS}
-        d["total_in"] = self.total_in
-        d["total_kept"] = self.total_kept
-        return d
+        return asdict(self)
 
     def __add__(self, other: "FilterReport") -> "FilterReport":
         """The tallies of two parts of one input, added."""

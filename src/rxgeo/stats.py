@@ -30,20 +30,23 @@ class TestResult:
     alternative: str  # "greater" | "two_sided"
 
 
+def _sample(values) -> tuple[int, float, float]:
+    """The size, mean and sample SD of ``values``: at least 2 finite numbers."""
+    x = np.asarray(values, dtype=float)
+    if x.size < 2:
+        raise ValueError(f"need at least 2 values, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("values must be finite")
+    return int(x.size), float(np.mean(x)), float(np.std(x, ddof=1))
+
+
 def mean_ci(values, level: float = 0.95) -> MeanCI:
     """
     Mean of ``values`` with a t-distribution CI: mean +/- t_{1-a/2, n-1} * sd/sqrt(n).
     """
-    x = np.asarray(values, dtype=float)
-    if x.size < 2:
-        raise ValueError(f"need at least 2 values for a CI, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("values must be finite")
+    n, m, sd = _sample(values)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    n = int(x.size)
-    m = float(np.mean(x))
-    sd = float(np.std(x, ddof=1))
     half = t_ppf(1.0 - (1.0 - level) / 2.0, n - 1) * sd / math.sqrt(n)
     return MeanCI(mean=m, lo=m - half, hi=m + half, level=level, n=n)
 
@@ -88,14 +91,7 @@ def t_test_greater(values, mu0: float) -> TestResult:
     0.5 when the mean equals ``mu0`` (no evidence either way), and to 0 or
     1 according to the sign of the difference otherwise.
     """
-    x = np.asarray(values, dtype=float)
-    if x.size < 2:
-        raise ValueError(f"need at least 2 values, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("values must be finite")
-    n = int(x.size)
-    m = float(np.mean(x))
-    sd = float(np.std(x, ddof=1))
+    n, m, sd = _sample(values)
     df = (float(n - 1),)
     if sd == 0.0:
         if m == mu0:

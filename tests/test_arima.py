@@ -415,6 +415,32 @@ def test_simulate_integration_lengths():
     assert y2.size == 150
 
 
+def _integrated_as_before(z, d, D, s):
+    """The integration ``simulate`` used to write out: d cumulative sums,
+    then D seasonal passes from zero history."""
+    y = z
+    for _ in range(d):
+        y = np.cumsum(y)
+    for _ in range(D):
+        out = y.copy()
+        for t in range(s, y.size):
+            out[t] += out[t - s]
+        y = out
+    return y
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("D", [0, 1])
+@pytest.mark.parametrize("s", [4, 12])
+def test_simulate_integrates_bit_for_bit_as_cumulative_sums(d, D, s):
+    params = ArimaParams(c=0.3, phi=[0.4], theta=[0.2], sigma2=2.0)
+    for seed in range(5):
+        z = simulate(ArimaOrders(p=1, q=1, s=s), params, 60, seed=seed)
+        got = simulate(ArimaOrders(p=1, d=d, q=1, D=D, s=s), params, 60, seed=seed)
+        want = _integrated_as_before(z, d, D, s)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
 # --- adf ---------------------------------------------------------------------------
 
 def test_adf_white_noise_rejects():

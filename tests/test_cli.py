@@ -316,6 +316,24 @@ def test_unreadable_csv_exits_2(pipeline, tmp_path, capsys, command, src, column
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,src,column,argv", _READERS[:2])
+def test_bad_transaction_header_names_the_file(pipeline, tmp_path, capsys, command, src,
+                                               column, argv):
+    # ingest and classify used to print "error: bad header: ..." without the
+    # file, while every other CSV error names it.
+    bad = tmp_path / "bad.csv"
+    header, rest = (pipeline / src).read_bytes().split(b"\n", 1)
+    bad.write_bytes(header.replace(b"days_supply", b"days") + b"\n" + rest)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--input", bad, *(out / a if isinstance(a, Path) else a
+                                          for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: bad header: missing columns ['days_supply']")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,argv", [
     ("anova", []), ("ttest", ["--class-code", "03", "--mu0", "50"])])
 def test_anova_and_ttest_reject_family_both(tmp_path, capsys, command, argv):
@@ -433,6 +451,17 @@ def test_fit_season_below_2_is_usage_error(tmp_path, capsys, argv):
                "--out", tmp_path / "out" / "fit.json", *argv) == 1
     err = capsys.readouterr().err
     assert "--season" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("orders", ["-1,0,0", "0,0,0,3,0,0", "0,2,0,0,2,0"])
+def test_fit_orders_that_arima_rejects_are_a_usage_error(tmp_path, capsys, orders):
+    # A negative order, a seasonal order over the cap and d + D over 3 used
+    # to read the input first and exit 2 with "fit failed: ...".
+    assert run("fit", "--input", tmp_path / "absent.csv",
+               "--out", tmp_path / "out" / "fit.json", f"--orders={orders}") == 1
+    err = capsys.readouterr().err
+    assert "--orders" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -89,6 +89,9 @@ def test_parse_bad_header_fatal():
         parse_csv(HEADER.replace("days_supply", "days") + f"\n{VALID_ROW}\n")
     with pytest.raises(SchemaError):
         parse_csv("")
+    # A schema error is a read error, so every stage names its file.
+    with pytest.raises(records.ReadError, match="^bad header: missing columns"):
+        parse_csv("a,b,c\n1,2,3\n")
 
 
 def test_parse_rejects_a_column_named_twice():
