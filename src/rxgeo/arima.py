@@ -444,11 +444,11 @@ def adf_test(y: Sequence[float] | np.ndarray) -> AdfResult:
             cols.append(dy[rows - j])
         return np.column_stack(cols), dy[rows]
 
+    # As n >= 20 and max_lag <= n // 2 - 3, every regression below has at
+    # least 3 more rows than columns: n - 1 - start rows, k + 2 columns.
     best_k, best_aic = 0, math.inf
     for k in range(0, max_lag + 1):
         x, dep = design(k, max_lag)
-        if x.shape[0] <= x.shape[1] + 1:
-            break
         _, rss = _ols(x, dep)
         n_c = dep.size
         aic = n_c * math.log(max(rss / n_c, 1e-300)) + 2 * (k + 2)
@@ -458,9 +458,6 @@ def adf_test(y: Sequence[float] | np.ndarray) -> AdfResult:
     x, dep = design(best_k, best_k)
     beta, rss = _ols(x, dep)
     n_c, n_cols = x.shape
-    if n_c <= n_cols:
-        warnings.warn("ADF regression is degenerate; not rejecting")
-        return AdfResult(math.nan, False)
     sigma2 = rss / (n_c - n_cols)
     xtx_inv = np.linalg.pinv(x.T @ x)
     se = math.sqrt(max(sigma2 * xtx_inv[1, 1], 0.0))
@@ -806,8 +803,9 @@ def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
                     event_names=list(event_names))
 
 
-def _degenerate_fit(y: np.ndarray, orders: ArimaOrders, n_interp: int) -> ArimaFit:
-    z = difference(y, orders.d, orders.D, orders.s) if (orders.d or orders.D) else y
+def _degenerate_fit(y: np.ndarray, z: np.ndarray, orders: ArimaOrders,
+                    n_interp: int) -> ArimaFit:
+    """The fit of a series whose differenced series ``z`` is constant."""
     params = ArimaParams(c=float(z[0]), phi=np.zeros(orders.p),
                          theta=np.zeros(orders.q), Phi=np.zeros(orders.P),
                          Theta=np.zeros(orders.Q), sigma2=0.0)
@@ -852,7 +850,7 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders) -> ArimaFit:
         raise ValueError(f"series of length {y.size} too short for {orders.label()}")
     y, n_interp, z = _filled_differences(y, orders)
     if np.ptp(z) == 0.0:
-        return _degenerate_fit(y, orders, n_interp)
+        return _degenerate_fit(y, z, orders, n_interp)
 
     no_events = np.zeros((z.size, 0))
     x0 = _pack(hannan_rissanen_start(z, orders))
@@ -880,7 +878,7 @@ def auto_fit(y: Sequence[float] | np.ndarray, s: int = 12) -> ArimaFit:
         raise ValueError(f"need at least {3 * s} observations, got {y.size}")
     y, n_interp = fill_missing(y)
     if np.ptp(y) == 0.0:
-        return _degenerate_fit(y, ArimaOrders(0, 0, 0, 0, 0, 0, s), n_interp)
+        return _degenerate_fit(y, y, ArimaOrders(0, 0, 0, 0, 0, 0, s), n_interp)
 
     d, D = select_differencing(y, s=s)
     z = difference(y, d, D, s)

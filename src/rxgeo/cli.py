@@ -16,7 +16,7 @@ import shutil
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, TextIO
@@ -378,11 +378,9 @@ def _orders_arg(text: str):
 
 
 def _fit_to_payload(f: ArimaFit) -> dict:
-    o = f.orders
     return {
-        "orders": {"p": o.p, "d": o.d, "q": o.q, "P": o.P, "D": o.D, "Q": o.Q,
-                   "s": o.s},
-        "model": o.label(),
+        "orders": asdict(f.orders),
+        "model": f.orders.label(),
         "coefficients": [c._asdict() for c in f.coefficients()],
         "sigma2": f.params.sigma2,
         "bic": f.bic,
@@ -400,8 +398,6 @@ def _cmd_fit(args, manifest: RunManifest) -> str:
     except ValueError as exc:
         raise UsageError(f"rxgeo fit: bad --orders: {exc}") from None
     y = _read_input(Path(args.input), manifest, read_series_csv)
-    if args.impute == "none" and np.any(~np.isfinite(y)):
-        raise DataError("series has missing months and --impute none was given")
     try:
         f = arima.auto_fit(y, s=args.season) if orders == "auto" else arima.fit(y, orders)
     except (arima.FitError, ValueError) as exc:
@@ -573,7 +569,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("ttest", help="one-sided t-test of a class against a threshold")
     p.add_argument("--input", required=True, help="classified CSV")
     p.add_argument("--family", choices=records.FAMILIES, default="opioid")
-    p.add_argument("--class-code", required=True)
+    p.add_argument("--class-code", choices=geo.ALL_CLASS_CODES, required=True)
     p.add_argument("--mu0", type=_typed(_finite, "a finite number"), required=True)
     p.add_argument("--unit", choices=("monthly", "records"), default="monthly")
     p.add_argument("--out", required=True)
@@ -585,7 +581,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    default=12)
     p.add_argument("--orders", type=_orders_arg, default="auto",
                    help="'auto' or p,d,q[,P,D,Q]")
-    p.add_argument("--impute", choices=("linear", "none"), default="linear")
     p.add_argument("--out", required=True, help="fit JSON")
     p.add_argument("--residuals", help="optional residuals CSV")
     p.set_defaults(func=_cmd_fit)

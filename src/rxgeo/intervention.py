@@ -218,10 +218,9 @@ def its_analysis(
     h = len(post)
     fc = arima.forecast(pre_fit, h)
 
-    post_vals = post.values()
     mismatch = []
     for i, point in enumerate(post.points):
-        actual = post_vals[i]
+        actual = point.mean_mme_day
         if math.isnan(actual):
             mismatch.append(MismatchPoint(point.month, math.nan, False))
         else:

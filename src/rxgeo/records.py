@@ -89,14 +89,6 @@ class PrescriptionRecord:
     drug_family: str
 
 
-def _int_column(values: Sequence[int]) -> np.ndarray:
-    """int64, or Python ints in an object array when one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _require_days_supply(record_ids: Sequence[str], days_supply: Sequence[int]) -> None:
     """ValueError naming the first record with ``days_supply < 1``, whose
     daily dose is undefined."""
@@ -113,8 +105,7 @@ class TransactionTable:
 
     Field names and order follow ``CSV_COLUMNS``.  ``record_id`` is an
     object array of str; ``fill_date`` holds day ordinals
-    (``date.toordinal``); ``days_supply`` is int64, or an object array of
-    Python ints when a value does not fit in 64 bits.
+    (``date.toordinal``).
     """
 
     record_id: np.ndarray  # object, of str
@@ -126,7 +117,7 @@ class TransactionTable:
     dispenser_lat: np.ndarray
     dispenser_lon: np.ndarray
     mme_total: np.ndarray  # float64
-    days_supply: np.ndarray
+    days_supply: np.ndarray  # int64
     drug_family: np.ndarray  # str
 
     def __len__(self) -> int:
@@ -144,7 +135,7 @@ class TransactionTable:
               for point in ("patient", "prescriber", "dispenser")
               for axis in ("lat", "lon")),
             np.array([r.mme_total for r in records], dtype=float),
-            _int_column([r.days_supply for r in records]),
+            np.array([r.days_supply for r in records], dtype=np.int64),
             np.array([r.drug_family for r in records], dtype=str),
         )
 
@@ -286,15 +277,11 @@ def floats(low: float = -math.inf, empty_ok: bool = False) -> Callable:
 
 
 def whole_numbers(low: int) -> Callable:
-    """The test of an integer column: a value must be at least ``low`` and
-    convert to a float, as MME/day divides by it."""
+    """The test of an int64 column: a value must be an integer of at least
+    ``low`` that fits in 64 bits."""
     def test(values):
-        ints = _convert(int, values, low - 1)
-        column = _int_column(ints)
-        bad = np.asarray(column < low, dtype=bool)
-        if column.dtype == object:  # only a value beyond int64 can overflow a float
-            bad |= np.isnan(_convert(float, ints, math.nan, float))
-        return column, bad
+        column = _convert(int, values, low - 1, np.int64)
+        return column, column < low
     return test
 
 

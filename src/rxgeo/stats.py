@@ -62,17 +62,13 @@ def one_way_anova(groups) -> TestResult:
     arrays = [np.asarray(g, dtype=float) for g in groups]
     if len(arrays) < 2:
         raise ValueError(f"need at least 2 groups, got {len(arrays)}")
-    for i, g in enumerate(arrays):
-        if g.size < 2:
-            raise ValueError(f"group {i} has fewer than 2 values")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"group {i} contains non-finite values")
+    sizes, means, _ = zip(*map(_sample, arrays))
 
     k = len(arrays)
-    n_total = sum(g.size for g in arrays)
+    n_total = sum(sizes)
     grand = sum(float(np.sum(g)) for g in arrays) / n_total
-    ss_between = sum(g.size * (float(np.mean(g)) - grand) ** 2 for g in arrays)
-    ss_within = sum(float(np.sum((g - np.mean(g)) ** 2)) for g in arrays)
+    ss_between = sum(n * (m - grand) ** 2 for n, m in zip(sizes, means))
+    ss_within = sum(float(np.sum((g - m) ** 2)) for g, m in zip(arrays, means))
     df = (float(k - 1), float(n_total - k))
 
     if ss_within == 0.0:

@@ -2,9 +2,10 @@
 tests of the column checks in ``records`` and ``series``.
 
 ``parse_row`` and ``parse_float`` are the row parser the library used before
-its reader checked whole columns; the only change is the fill_date rule,
+its reader checked whole columns; the only changes are the fill_date rule,
 which accepts exactly ``YYYY-MM-DD`` (ASCII digits) after stripping
-surrounding whitespace, on every Python version.
+surrounding whitespace, on every Python version, and the days_supply rule,
+which accepts only a value that fits in int64.
 """
 
 import math
@@ -45,10 +46,9 @@ def parse_row(row: dict[str, str]) -> PrescriptionRecord:
 
     try:
         days_supply = int(row["days_supply"])
-        if days_supply < 0:
-            raise ValueError("negative")
-        float(days_supply)  # MME/day divides by it as a float
-    except (ValueError, OverflowError):
+        if not 0 <= days_supply < 2**63:
+            raise ValueError("outside int64 or negative")
+    except ValueError:
         raise ValueError("invalid days_supply") from None
 
     drug_family = row["drug_family"].strip()

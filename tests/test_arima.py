@@ -475,6 +475,16 @@ def test_adf_constant_series_warns():
     assert any("degenerate" in str(w.message) for w in caught)
 
 
+def test_adf_white_noise_never_warns_for_any_length_from_20_to_400():
+    # Covers the regressions near the lag cap n // 2 - 3, which every short
+    # series reaches: each keeps at least 3 more rows than columns.
+    rng = np.random.default_rng(20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(20, 401):
+            assert math.isfinite(adf_test(rng.normal(size=n)).statistic), n
+
+
 def test_adf_short_series_error():
     with pytest.raises(ValueError):
         adf_test(np.arange(10.0))

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -463,6 +464,34 @@ def test_fit_orders_that_arima_rejects_are_a_usage_error(tmp_path, capsys, order
     err = capsys.readouterr().err
     assert "--orders" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("code", ["99", "overall", "3"])
+def test_ttest_class_code_outside_the_16_codes_is_a_usage_error(tmp_path, capsys, code):
+    # These used to read the whole input and exit 2 with "class 99 has fewer
+    # than 2 monthly values".
+    assert run("ttest", "--input", tmp_path / "absent.csv", "--class-code", code,
+               "--mu0", 90, "--out", tmp_path / "out" / "ttest.json") == 1
+    err = capsys.readouterr().err
+    assert "--class-code" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_impute_is_a_usage_error(tmp_path, capsys):
+    assert run("fit", "--input", tmp_path / "absent.csv", "--impute", "none",
+               "--out", tmp_path / "out" / "fit.json") == 1
+    assert "--impute" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_subcommand_flag_is_named_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    _, subparsers = build_parser()
+    missing = [f"{command} {flag}" for command, parser in subparsers.items()
+               for action in parser._actions if action.dest != "help"
+               for flag in action.option_strings
+               if not re.search(re.escape(flag) + r"(?![\w-])", readme)]
+    assert not missing
 
 
 def test_report_requires_its_outputs(pipeline, tmp_path, capsys):

@@ -107,16 +107,19 @@ def test_chunked_parser_matches_row_oracle(base_rows, data):
     assert [(e.line, e.reason) for e in errors] == expected_errors
 
 
-def test_days_supply_beyond_int64_keeps_its_value(base_rows):
+def test_days_supply_beyond_int64_is_a_malformed_row(base_rows):
     rows = [list(r) for r in base_rows]
-    rows[3][CSV_COLUMNS.index("days_supply")] = str(10**20)
+    rows[2][CSV_COLUMNS.index("days_supply")] = str(2**63 - 1)
+    rows[3][CSV_COLUMNS.index("days_supply")] = str(2**63)
     table, errors = records.parse_csv(_csv_text(rows))
-    assert not errors and table.days_supply.tolist()[2] == 10**20
+    assert [(e.line, e.reason) for e in errors] == [(4, "invalid days_supply")]
+    assert table.days_supply.dtype == np.int64
+    assert table.days_supply.tolist()[1] == 2**63 - 1
     kept, report = records.clean(table)
-    assert report.total_kept == len(kept) == len(rows) - 1
+    assert report.total_kept == len(kept) == len(rows) - 2
     buf = io.StringIO(newline="")
     records.write_csv(kept, buf)
-    assert buf.getvalue() == _csv_text(rows)
+    assert buf.getvalue() == _csv_text(rows[:3] + rows[4:])
 
 
 def test_record_id_is_an_object_array_on_every_path(base_rows):
