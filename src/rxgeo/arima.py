@@ -17,6 +17,7 @@ minimum-BIC fit.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import warnings
@@ -397,6 +398,9 @@ def _filled_differences(y: Sequence[float] | np.ndarray,
 # Source: MacKinnon (2010), "Critical Values for Cointegration Tests",
 # Queen's Economics Department WP 1227, Table 2 (no trend, N=1).
 _ADF_CRIT_5PCT = (-2.86154, -2.8903, -4.234, -40.040)
+# An RSS below this share of dy's sum of squares is rounding error (an exact
+# linear trend in y), so the regression's t statistic is degenerate.
+_ADF_EXACT_FIT = 1e-20
 
 
 class AdfResult(NamedTuple):
@@ -423,7 +427,9 @@ def adf_test(y: Sequence[float] | np.ndarray) -> AdfResult:
     k <= ceil(12 (n/100)^(1/4)) chosen by AIC on a common sample, then
     refits at the chosen k on the maximal sample.  The unit root is
     rejected when the t statistic of the y_{t-1} coefficient falls below
-    the embedded 5% critical value.
+    the embedded 5% critical value.  A constant series, or a final
+    regression that fits exactly, is degenerate: it warns and does not
+    reject.
     """
     y = np.asarray(y, dtype=float)
     if y.size < 20:
@@ -461,7 +467,7 @@ def adf_test(y: Sequence[float] | np.ndarray) -> AdfResult:
     sigma2 = rss / (n_c - n_cols)
     xtx_inv = np.linalg.pinv(x.T @ x)
     se = math.sqrt(max(sigma2 * xtx_inv[1, 1], 0.0))
-    if se == 0.0 or not math.isfinite(se):
+    if se == 0.0 or not math.isfinite(se) or rss <= _ADF_EXACT_FIT * float(dep @ dep):
         warnings.warn("ADF regression is degenerate; not rejecting")
         return AdfResult(math.nan, False)
     stat = float(beta[1] / se)
@@ -604,21 +610,14 @@ def hannan_rissanen_start(z: np.ndarray, orders: ArimaOrders) -> ArimaParams:
     lags_v = list(range(1, o.p + 1)) + [o.s * i for i in range(1, o.P + 1)]
     lags_e = list(range(1, o.q + 1)) + [o.s * j for j in range(1, o.Q + 1)]
 
-    phi = np.zeros(o.p)
-    theta = np.zeros(o.q)
-    Phi = np.zeros(o.P)
-    Theta = np.zeros(o.Q)
+    beta = np.zeros(len(lags_v) + len(lags_e))
     if lags_v or lags_e:
         v, long_order, e = _long_ar(z)
         start = max(long_order + max(lags_e, default=0), max(lags_v, default=0))
         rows = np.arange(start, v.size)
-        if rows.size > len(lags_v) + len(lags_e) + 2:
+        if rows.size > beta.size + 2:
             beta, _ = _lag_regression(v, e, rows, lags_v, lags_e)
-            k = 0
-            phi = beta[k:k + o.p]; k += o.p
-            Phi = beta[k:k + o.P]; k += o.P
-            theta = beta[k:k + o.q]; k += o.q
-            Theta = beta[k:k + o.Q]
+    phi, Phi, theta, Theta = np.split(beta, np.cumsum([o.p, o.P, o.q]))
     mu = float(np.mean(z))
     c = mu * float((1.0 - phi.sum()) * (1.0 - Phi.sum()))
     return ArimaParams(c=c, phi=phi, theta=theta, Phi=Phi, Theta=Theta)
@@ -886,18 +885,15 @@ def auto_fit(y: Sequence[float] | np.ndarray, s: int = 12) -> ArimaFit:
 
     best: ArimaFit | None = None
     failures: list[tuple[ArimaOrders, str]] = []
-    for p in range(tentative.p + 1):
-        for q in range(tentative.q + 1):
-            for P in range(tentative.P + 1):
-                for Q in range(tentative.Q + 1):
-                    orders = ArimaOrders(p, d, q, P, D, Q, s)
-                    try:
-                        cand = fit(y, orders)
-                    except (FitError, ValueError) as exc:
-                        failures.append((orders, str(exc)))
-                        continue
-                    if best is None or cand.bic < best.bic - 1e-12:
-                        best = cand
+    for p, q, P, Q in itertools.product(*(range(bound + 1) for bound in tentative)):
+        orders = ArimaOrders(p, d, q, P, D, Q, s)
+        try:
+            cand = fit(y, orders)
+        except (FitError, ValueError) as exc:
+            failures.append((orders, str(exc)))
+            continue
+        if best is None or cand.bic < best.bic - 1e-12:
+            best = cand
     if best is None:
         raise FitError(f"all {len(failures)} candidate models failed",
                        diagnostics={"failures": failures})

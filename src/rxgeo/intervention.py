@@ -205,8 +205,8 @@ def its_analysis(
        initially included``, so the chance of keeping any spurious event on
        a null series stays near ``alpha`` overall; with a single event it
        reduces to plain ``alpha``.  The full series' interior gaps are
-       interpolated once, and its no-event base model is attempted once
-       and, if it succeeds, seeds every refit.
+       interpolated once, before step 1, and its no-event base model is
+       attempted once and, if it succeeds, seeds every refit.
     """
     pre, post = split_pre_post(series, policy_month)
     if len(pre) < MIN_PRE_MONTHS:
@@ -214,18 +214,15 @@ def its_analysis(
     if len(post) < MIN_POST_MONTHS:
         raise ValueError(f"need >= {MIN_POST_MONTHS} post-policy months, got {len(post)}")
 
+    # Filled once, before any fit: an empty edge month fails here.
+    y, n_interp = arima.fill_missing(series.values())
     pre_fit = arima.auto_fit(pre.values())
-    h = len(post)
-    fc = arima.forecast(pre_fit, h)
-
-    mismatch = []
-    for i, point in enumerate(post.points):
-        actual = point.mean_mme_day
-        if math.isnan(actual):
-            mismatch.append(MismatchPoint(point.month, math.nan, False))
-        else:
-            outside = not (fc.lower[i] <= actual <= fc.upper[i])
-            mismatch.append(MismatchPoint(point.month, actual - fc.point[i], outside))
+    fc = arima.forecast(pre_fit, len(post))
+    mismatch = [MismatchPoint(point.month, point.mean_mme_day - mid,
+                              not math.isnan(point.mean_mme_day)
+                              and not lo <= point.mean_mme_day <= hi)
+                for point, mid, lo, hi in zip(post.points, fc.point.tolist(),
+                                              fc.lower.tolist(), fc.upper.tolist())]
 
     start_month = series.points[0].month
     events = [EventInput(kind, policy_month) for kind in event_kinds]
@@ -233,8 +230,6 @@ def its_analysis(
         events += [EventInput(kind, announce_month, name=f"{kind}@announce")
                    for kind in event_kinds]
 
-    # Filled once: an empty edge month fails here, before any fit of the full series.
-    y, n_interp = arima.fill_missing(series.values())
     orders = pre_fit.orders
     dropped: list[str] = []
     current = list(events)

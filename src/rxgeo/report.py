@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable
 
-from .series import DEFAULT_ALPHA, ClassSeries, ClassSummaryRow
+from .series import DEFAULT_ALPHA, ClassSeries, ClassSummaryRow, split_pre_post
 from .stats import MeanCI
 
 if TYPE_CHECKING:  # the stages that only read tables do not load the model code
@@ -189,27 +189,17 @@ def plot_data_rows(res: ItsResult, series: "ClassSeries") -> list[list]:
     """
     rows: list[list] = [list(PLOT_COLUMNS)]
     pre_fit = res.pre_fit
-    orders = pre_fit.orders
-    offset = orders.d + orders.D * orders.s
-
-    pre_points = [p for p in series.points if p.month < res.policy_month]
-    fitted_by_month: dict[int, float] = {}
-    for t in range(offset, len(pre_points)):
-        fitted_by_month[pre_points[t].month.index] = float(
-            pre_fit.y[t] - pre_fit.residuals[t - offset])
-
-    post_pos = {m.month.index: i for i, m in enumerate(res.mismatch)}
+    offset = pre_fit.orders.d + pre_fit.orders.D * pre_fit.orders.s
+    fitted = [""] * offset + [repr(v) for v in (pre_fit.y[offset:] - pre_fit.residuals).tolist()]
     fc = res.post_forecast
-    for p in series.points:
-        actual = "" if math.isnan(p.mean_mme_day) else repr(float(p.mean_mme_day))
-        if p.month < res.policy_month:
-            fit_txt = fitted_by_month.get(p.month.index)
-            rows.append([str(p.month), actual,
-                         repr(fit_txt) if fit_txt is not None else "",
-                         "", "", "", 0])
-        else:
-            i = post_pos[p.month.index]
-            rows.append([str(p.month), actual, "",
-                         repr(float(fc.point[i])), repr(float(fc.lower[i])),
-                         repr(float(fc.upper[i])), 1])
+    pre, post = split_pre_post(series, res.policy_month)
+
+    def actual(p) -> str:
+        return "" if math.isnan(p.mean_mme_day) else repr(float(p.mean_mme_day))
+
+    for p, fit_txt in zip(pre.points, fitted):
+        rows.append([str(p.month), actual(p), fit_txt, "", "", "", 0])
+    for p, mid, lo, hi in zip(post.points, fc.point.tolist(), fc.lower.tolist(),
+                              fc.upper.tolist()):
+        rows.append([str(p.month), actual(p), "", repr(mid), repr(lo), repr(hi), 1])
     return rows

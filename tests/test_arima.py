@@ -502,6 +502,18 @@ def test_select_differencing_cases():
     assert select_differencing(seasonal)[1] == 1
 
 
+def test_select_differencing_exact_linear_trend():
+    # Every ADF regression of an exact trend, or of its differences, fits
+    # exactly, so none rejects and d reaches its cap.
+    with pytest.warns(UserWarning, match="degenerate"):
+        stat, reject = adf_test(2 * np.arange(100) + 1.0)
+    assert math.isnan(stat) and not reject
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in range(36, 201):
+            assert select_differencing(2 * np.arange(n) + 1.0) == (2, 0), n
+
+
 def test_select_differencing_length_guard():
     with pytest.raises(ValueError):
         select_differencing(np.arange(20.0), s=12)

@@ -271,6 +271,21 @@ def test_its_step1_never_sees_post_data():
     assert np.array_equal(r1.pre_fit.params.vector(), r2.pre_fit.params.vector())
 
 
+def test_its_empty_post_month_has_no_delta():
+    # A post month without records has a NaN delta, lies inside no interval,
+    # and is written as a null delta.
+    rng = np.random.default_rng(78)
+    vals = 50 + rng.normal(0, 1, 95)
+    vals[60] = math.nan
+    res = its_analysis(make_series(vals))
+    empty = res.mismatch[60 - 52]
+    assert str(empty.month) == "2019-01"
+    assert math.isnan(empty.delta) and empty.outside_interval is False
+    assert not any(math.isnan(m.delta) for m in res.mismatch if m is not empty)
+    written = json.loads(json.dumps(_its_result_payload(res)))["mismatch"][60 - 52]
+    assert written == {"month": "2019-01", "delta": None, "outside_interval": False}
+
+
 def test_its_mismatch_covers_post_months():
     rng = np.random.default_rng(78)
     res = its_analysis(make_series(50 + rng.normal(0, 1, 95)))
@@ -327,30 +342,30 @@ def test_its_failed_base_fit_is_not_retried(monkeypatch):
     assert lengths.count(95) == 1
 
 
-def test_its_fills_the_full_series_once(monkeypatch):
-    # An empty last month, with a full pre window, fails the analysis before
-    # any fit of the full series; interior gaps are filled once, and the
-    # ARIMAX fit counts them all.
+def test_its_fails_an_empty_edge_before_any_fit(monkeypatch):
+    # The pre window is full, so it could be fitted; the empty last month
+    # fails the analysis before any fit of either window.
     rng = np.random.default_rng(79)
     vals = 50 + rng.normal(0, 1, 95)
-    lengths, calls = [], []
-    real_fit, real_fit_arimax = arima.fit, intervention.fit_arimax
+    assert arima.auto_fit(vals[:52]).n_interpolated == 0
+    calls = []
+    real_fit = arima.fit
 
-    def counting_fit(y, *args, **kwargs):
-        lengths.append(len(y))
-        return real_fit(y, *args, **kwargs)
-
-    def counting_fit_arimax(*args, **kwargs):
+    def counting_fit(*args, **kwargs):
         calls.append(1)
-        return real_fit_arimax(*args, **kwargs)
+        return real_fit(*args, **kwargs)
 
     monkeypatch.setattr(arima, "fit", counting_fit)
-    monkeypatch.setattr(intervention, "fit_arimax", counting_fit_arimax)
-    edge = vals.copy()
-    edge[-1] = math.nan
+    vals[-1] = math.nan
     with pytest.raises(ValueError, match="cannot interpolate missing values at the series edges"):
-        its_analysis(make_series(edge))
-    assert lengths and set(lengths) == {52} and not calls  # only the pre-window fits
+        its_analysis(make_series(vals))
+    assert not calls
+
+
+def test_its_fills_the_full_series_once():
+    # Interior gaps are filled once, and the ARIMAX fit counts them all.
+    rng = np.random.default_rng(79)
+    vals = 50 + rng.normal(0, 1, 95)
     gaps = vals.copy()
     gaps[[10, 60, 61, 80]] = math.nan
     res = its_analysis(make_series(gaps))

@@ -99,3 +99,17 @@ def test_plot_data_fitted_matches_residuals():
     fitted = float(rows[1 + t][2])
     expected = res.pre_fit.y[t] - res.pre_fit.residuals[t - offset]
     assert fitted == float(expected)
+
+
+def test_plot_data_fitted_blank_before_the_differencing_offset():
+    # A random walk's pre model is differenced, so its first months have no
+    # one-step fit; every later pre month has one.
+    rng = np.random.default_rng(94)
+    series = make_series(50 + np.cumsum(rng.normal(0, 1.0, 95)))
+    res = its_analysis(series)
+    offset = res.pre_fit.orders.d + res.pre_fit.orders.D * res.pre_fit.orders.s
+    assert res.pre_fit.orders.d >= 1
+    pre_rows = [r for r in plot_data_rows(res, series)[1:] if r[6] == 0]
+    assert len(pre_rows) == 52
+    assert [r[2] for r in pre_rows[:offset]] == [""] * offset
+    assert all(r[2] != "" for r in pre_rows[offset:])

@@ -54,7 +54,7 @@ def _oracle(text):
 POOL = ["", " ", "1_000", " 7 ", "+7", "٣", "²", "nan", "inf", "-inf", "1e400",
         "-0.0", "0", "-1", "2.5", "abc", str(10**20), "95", "181", "2013-12-31",
         " 2016-07-01 ", "20190305", "2018-02-30", " opioid", "Opioid",
-        "benzodiazepine", "1" + "0" * 400]
+        "benzodiazepine", "1" + "0" * 400, str(2**63), str(2**63 - 1)]
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +80,14 @@ def test_chunked_parser_matches_row_oracle(base_rows, data):
         rows[0] = [f" {name} " if i % 3 == 0 else name
                    for i, name in enumerate(rows[0])]
     for row in rows[1:]:
-        kind = data.draw(st.sampled_from(["keep", "keep", "cell", "cell", "short",
-                                          "long", "multi-line id"]))
+        kind = data.draw(st.sampled_from(["keep", "keep", "cell", "cell", "days_supply",
+                                          "short", "long", "multi-line id"]))
         if kind == "cell":  # one mutated cell in this row
             col = data.draw(st.integers(0, len(CSV_COLUMNS) - 1), label="column")
             row[col] = data.draw(st.sampled_from(POOL), label="value")
+        elif kind == "days_supply":  # the column whose bound is 64 bits
+            row[CSV_COLUMNS.index("days_supply")] = data.draw(st.sampled_from(POOL),
+                                                              label="value")
         elif kind == "short":
             row.pop()
         elif kind == "long":
@@ -202,10 +205,8 @@ def _tables(draw):
 
     def column(values):
         return draw(st.lists(values, min_size=n, max_size=n))
-    if draw(st.booleans(), label="days_supply beyond int64"):
-        days_supply = np.array(([2**64] + column(st.integers(-2**70, 2**70)))[:n], dtype=object)
-    else:
-        days_supply = np.array(column(st.integers(-2**63, 2**63 - 1)), dtype=np.int64)
+    days_supply = np.array(column(st.one_of(st.sampled_from([-2**63, 2**63 - 1]),
+                                            st.integers(-2**63, 2**63 - 1))), dtype=np.int64)
     table = TransactionTable(np.array(column(_TEXT), dtype=object),
                              np.array(column(_DAYS), dtype=np.int64),
                              *(np.array(column(_FLOATS), dtype=float) for _ in range(7)),
