@@ -8,7 +8,7 @@ model code in ``arima``, ``intervention`` and ``_optimize``, nor ``syngen``.
 
 import importlib
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 _EXPORTS = {
     "records": ("FAMILIES", "FilterReport", "GeoPoint", "PrescriptionRecord",

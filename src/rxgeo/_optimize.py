@@ -1,4 +1,5 @@
-"""Derivative-free simplex minimizer used by the model-fitting routines."""
+"""Minimizers used by the model-fitting routines: Levenberg-Marquardt on a
+residual vector, and a derivative-free simplex for the fits it cannot finish."""
 
 from __future__ import annotations
 
@@ -20,6 +21,19 @@ _INITIAL_STEP = 0.1
 _MAX_EVALS = 2000
 # Stop when the spread of simplex values is within this of the best value.
 _REL_TOL = 1e-10
+# Levenberg-Marquardt: an iteration cap; a stop once an accepted step lowers
+# the sum of squares by at most this share of it; the first damping, relative
+# to the diagonal of J'J, and its factors after an accepted and a rejected
+# step; and the damping past which no step lowers the sum, so the point is a
+# minimum to working precision.
+_LM_MAX_ITER = 100
+_LM_REL_TOL = 1e-12
+_LM_DAMPING = 1e-3
+_LM_DOWN = 0.1
+_LM_UP = 10.0
+_LM_MAX_DAMPING = 1e10
+# Forward-difference Jacobian step, relative to max(1, |x_i|).
+_JAC_STEP = 1.4901161193847656e-08  # sqrt of the float64 machine epsilon
 
 
 @dataclass
@@ -126,3 +140,65 @@ def nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray) -> Minimize
         if f2 <= f_best:
             x_best, f_best, conv = x2, f2, conv2 or conv
     return MinimizeResult(x=np.array(x_best), fun=f_best, n_evals=evals, converged=conv)
+
+
+def levenberg_marquardt(residuals: Callable[[np.ndarray], np.ndarray | None],
+                        x0: np.ndarray) -> MinimizeResult | None:
+    """
+    Minimize the sum of squares of ``residuals(x)`` from ``x0`` by
+    Levenberg-Marquardt (Marquardt 1963), with a forward-difference
+    Jacobian.  ``residuals`` returns None where the point is infeasible.
+
+    Each iteration solves the damped normal equations
+    (J'J + lam diag(J'J)) step = -J'r and takes the step only when the sum
+    of squares falls, so the result is never worse than ``x0``.  It stops
+    once an accepted step gains at most ``_LM_REL_TOL`` of the sum, or once
+    the damping passes ``_LM_MAX_DAMPING`` with no step accepted.  Returns
+    None, for the caller's fallback, when it cannot finish: ``x0`` or a
+    Jacobian point is infeasible, the Jacobian is not finite or has a zero
+    column (a coordinate that moves no residual), the equations are
+    singular, or ``_LM_MAX_ITER`` iterations pass.
+    """
+    x = np.array(x0, dtype=float)
+    r = residuals(x)
+    if r is None:
+        return None
+    fun = float(r @ r)
+    evals = 1
+    lam = _LM_DAMPING
+    for _ in range(_LM_MAX_ITER):
+        h = _JAC_STEP * np.maximum(1.0, np.abs(x))
+        jac = np.empty((r.size, x.size))
+        for i in range(x.size):
+            xi = x.copy()
+            xi[i] += h[i]
+            ri = residuals(xi)
+            if ri is None:
+                return None
+            jac[:, i] = (ri - r) / h[i]
+        evals += x.size
+        if not (np.all(np.isfinite(jac)) and np.all(jac.any(axis=0))):
+            return None
+        normal = jac.T @ jac
+        grad = jac.T @ r
+        scale = np.diag(np.diag(normal))
+        while True:
+            try:
+                step = np.linalg.solve(normal + lam * scale, -grad)
+            except np.linalg.LinAlgError:
+                return None
+            x_new = x + step
+            r_new = residuals(x_new)
+            evals += 1
+            fun_new = math.inf if r_new is None else float(r_new @ r_new)
+            if fun_new < fun:
+                gain = fun - fun_new
+                x, r, fun = x_new, r_new, fun_new
+                lam *= _LM_DOWN
+                if gain <= _LM_REL_TOL * fun:
+                    return MinimizeResult(x=x, fun=fun, n_evals=evals, converged=True)
+                break
+            lam *= _LM_UP
+            if lam > _LM_MAX_DAMPING:
+                return MinimizeResult(x=x, fun=fun, n_evals=evals, converged=True)
+    return None

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._optimize import nelder_mead
+from ._optimize import MinimizeResult, levenberg_marquardt, nelder_mead
 from ._special import chi2_sf, normal_ppf, normal_sf
 from .stats import TestResult
 
@@ -672,7 +672,8 @@ def css_objective(z: Sequence[float] | np.ndarray, orders: ArimaOrders,
         raise ValueError("parameter lengths do not match the orders")
     if not (params.is_stationary and params.is_invertible):
         return _PENALTY
-    return _css_objective(z, np.zeros((z.size, 0)), orders, raw=True)(params.vector())
+    no_events = np.zeros((z.size, 0))
+    return _sum_of_squares(_css_residuals(z, no_events, orders, raw=True))(params.vector())
 
 
 # ---------------------------------------------------------------------------
@@ -726,40 +727,63 @@ def _fd_hessian(func, x0: np.ndarray, f0: float) -> np.ndarray:
     return hess
 
 
-def _css_objective(z: np.ndarray, x: np.ndarray, orders: ArimaOrders, raw: bool = False):
+def _css_residuals(z: np.ndarray, x: np.ndarray, orders: ArimaOrders, raw: bool = False):
     """
-    The CSS of regression with ARMA errors, z - x betas following the model,
-    at a vector [c, betas..., ARMA...]; ``x`` has one differenced event
-    regressor per column, none for ARIMA.  The ARMA part is raw coefficients
-    with ``raw`` and optimizer coordinates otherwise.  The CSS is the sum of
-    squared one-step errors of w - c / (1 - sum a), or ``_PENALTY`` when
-    |1 - sum a| < 1e-10 or the sum is not finite.  What does not depend on
-    the point is fixed here, once per model.
+    The one-step errors of regression with ARMA errors, z - x betas
+    following the model, at a vector [c, betas..., ARMA...]; ``x`` has one
+    differenced event regressor per column, none for ARIMA.  The ARMA part
+    is raw coefficients with ``raw`` and optimizer coordinates otherwise.
+    The errors are those of w - c / (1 - sum a), or None, the CSS penalty,
+    when |1 - sum a| < 1e-10 or their sum of squares is not finite.  What
+    does not depend on the point is fixed here, once per model.
     """
     n_events = x.shape[1]
     k = 1 + n_events
     if orders.n_coefficients == 1:
         # No ARMA part, so both coordinate systems agree: mu = c / (1 - 0) = c,
         # and the errors are w - c.
-        def objective(vec: np.ndarray) -> float:
+        def residuals(vec: np.ndarray) -> np.ndarray | None:
             eps = (z - x @ vec[1:k] if n_events else z) - float(vec[0])
-            css = float(eps @ eps)
-            return css if math.isfinite(css) else _PENALTY
-        return objective
+            return eps if math.isfinite(float(eps @ eps)) else None
+        return residuals
 
     layout = _LagLayout(orders)
     arma = (lambda u: layout.split(u.tolist())) if raw else layout.arma_coefs
 
-    def objective(vec: np.ndarray) -> float:
+    def residuals(vec: np.ndarray) -> np.ndarray | None:
         a, m = layout.coefs(*arma(vec[k:]))
         ar_at_one = 1.0 - a.sum()
         if abs(ar_at_one) < 1e-10:
-            return _PENALTY
+            return None
         w = z - x @ vec[1:k] if n_events else z
         eps = _residuals_from_lags(w - float(vec[0]) / ar_at_one, a, m)
-        css = float(eps @ eps)
-        return css if math.isfinite(css) else _PENALTY
+        return eps if math.isfinite(float(eps @ eps)) else None
+    return residuals
+
+
+def _sum_of_squares(residuals):
+    """The CSS objective of a residual function: ``_PENALTY`` where it has none."""
+    def objective(vec: np.ndarray) -> float:
+        eps = residuals(vec)
+        return _PENALTY if eps is None else float(eps @ eps)
     return objective
+
+
+def _minimize_css(residuals, x0: np.ndarray, orders: ArimaOrders,
+                  n_events: int = 0) -> MinimizeResult:
+    """
+    The CSS optimum from ``x0`` by Levenberg-Marquardt on the residuals.
+    Where LM cannot finish, or ends with a partial autocorrelation on the
+    transform's clip or at roots that fail the root check, the simplex from
+    ``x0`` decides instead, as it did before LM.
+    """
+    result = levenberg_marquardt(residuals, x0)
+    if result is not None:
+        params = _unpack(result.x, orders, n_events)
+        inside = np.all(np.abs(np.tanh(result.x[1 + n_events:])) < _PACF_CLIP)
+        if inside and params.is_stationary and params.is_invertible:
+            return result
+    return nelder_mead(_sum_of_squares(residuals), x0)
 
 
 def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
@@ -775,12 +799,12 @@ def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
     n_events = x.shape[1]
     params = _unpack(vec, o, n_events)
     betas = vec[1:1 + n_events].copy()
-    a, m = _ar_ma_lag_coefs(o, params)
-    w = z - x @ betas if n_events else z
-    residuals = _residuals_from_lags(w - params.c / (1.0 - a.sum()), a, m)
     vec0 = _coefficient_vector(params, betas)
-    objective = _css_objective(z, x, o, raw=True)
-    css = objective(vec0)
+    raw_residuals = _css_residuals(z, x, o, raw=True)
+    residuals = raw_residuals(vec0)
+    if residuals is None:
+        raise FitError(f"the CSS of {o.label()} is not finite at its optimum")
+    css = float(residuals @ residuals)
     n_eff = z.size
     sigma2 = css / n_eff
     params.sigma2 = sigma2
@@ -789,7 +813,7 @@ def _css_finish(y: np.ndarray, n_interp: int, z: np.ndarray, x: np.ndarray,
 
     std_errors = np.zeros(vec0.size)
     if sigma2 > 0:
-        hess = _fd_hessian(objective, vec0, css)
+        hess = _fd_hessian(_sum_of_squares(raw_residuals), vec0, css)
         diag = np.full(vec0.size, np.nan)
         if np.all(np.isfinite(hess)):
             diag = np.diag(2.0 * sigma2 * np.linalg.pinv(hess)).copy()
@@ -839,7 +863,13 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders) -> ArimaFit:
     The zero-event case of the CSS estimator behind ``fit_arimax``.
     Starting values come from Hannan-Rissanen least squares; coefficients
     are optimized through a partial-autocorrelation transform, so every
-    point the optimizer visits is stationary and invertible.
+    point the optimizer visits is stationary and invertible.  The
+    optimizer is Levenberg-Marquardt on the vector of one-step errors, with
+    a forward-difference Jacobian.  A fit that it cannot finish, or that
+    ends on the transform's clip (a unit root) or fails the root check,
+    runs the Nelder-Mead simplex from the same start instead; its failure
+    to converge or to pass the root check raises ``FitError``.  Standard
+    errors come from the Hessian of the CSS at the optimum either way.
     """
     y = np.asarray(y, dtype=float)
     total_orders = orders.p + orders.q + orders.P + orders.Q + orders.d + orders.D * orders.s
@@ -852,8 +882,9 @@ def fit(y: Sequence[float] | np.ndarray, orders: ArimaOrders) -> ArimaFit:
         return _degenerate_fit(y, z, orders, n_interp)
 
     no_events = np.zeros((z.size, 0))
+    residuals = _css_residuals(z, no_events, orders)
     x0 = _pack(hannan_rissanen_start(z, orders))
-    result = nelder_mead(_css_objective(z, no_events, orders), x0)
+    result = _minimize_css(residuals, x0, orders)
     params = _unpack(result.x, orders)
     if not result.converged:
         raise FitError(

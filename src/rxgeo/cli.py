@@ -421,6 +421,7 @@ def _its_result_payload(res) -> dict:
             "coefficients": [{**c._asdict(), "stars": c.stars}
                              for c in res.arimax.coefficients()],
             "bic": res.arimax.bic,
+            "n_interpolated": res.arimax.n_interpolated,
         },
         "dropped_events": res.dropped_events,
         "mismatch": [

@@ -18,10 +18,9 @@ import numpy as np
 
 from . import arima
 from .arima import (ArimaFit, ArimaOrders, Coefficient, FitError, Forecast,
-                    _css_finish, _css_objective, _filled_differences, _pack,
-                    difference)
+                    _css_finish, _css_residuals, _filled_differences, _minimize_css,
+                    _pack, _sum_of_squares, difference)
 from .arima import significance_stars  # noqa: F401 - public name of this module
-from ._optimize import nelder_mead
 from ._workers import ordered_map
 from .series import (DEFAULT_ALPHA, DEFAULT_POLICY_MONTH, EVENT_KINDS, ClassSeries, MonthKey,
                      split_pre_post)
@@ -123,9 +122,10 @@ def fit_arimax(
 
     Event regressors are built in level space and then differenced exactly
     like the series, so the regression lives in one stationary frame.  The
-    optimizer starts from the better of an OLS+Hannan-Rissanen point and
-    the no-event base fit with zero betas, which makes the optimized CSS
-    never exceed the base model's (nested-model property).  The base fit is
+    optimizer, as in ``arima.fit``, starts from the better of an
+    OLS+Hannan-Rissanen point and the no-event base fit with zero betas,
+    which makes the optimized CSS never exceed the base model's
+    (nested-model property).  The base fit is
     computed here unless ``base_fit`` supplies it.  Objective, residuals,
     BIC and standard errors come from the CSS core that ``arima.fit`` uses,
     and the result is an ``ArimaFit`` whose coefficients list the events
@@ -143,7 +143,8 @@ def fit_arimax(
     for j, level in enumerate(levels):
         x[:, j] = difference(level, o.d, o.D, o.s)
     _check_collinearity(x, names)
-    objective = _css_objective(z, x, o)
+    residuals = _css_residuals(z, x, o)
+    objective = _sum_of_squares(residuals)
 
     # Start 1: OLS for betas, Hannan-Rissanen on the OLS residuals.
     design = np.column_stack([np.ones(z.size), x])
@@ -157,9 +158,9 @@ def fit_arimax(
     if base_fit is not _BASE_FIT_FAILED:
         candidates.append(_pack(base_fit.params, np.zeros(len(names))))
 
-    # Each start is scored once.  The simplex keeps its start point, so its
-    # result is never worse than the best start.
-    result = nelder_mead(objective, min(candidates, key=objective))
+    # Each start is scored once.  LM and the simplex, its fallback, both keep
+    # their start point, so the result is never worse than the best start.
+    result = _minimize_css(residuals, min(candidates, key=objective), o, len(names))
     return _css_finish(y, n_interp, z, x, names, o, result.x)
 
 
@@ -206,7 +207,8 @@ def its_analysis(
        a null series stays near ``alpha`` overall; with a single event it
        reduces to plain ``alpha``.  The full series' interior gaps are
        interpolated once, before step 1, and its no-event base model is
-       attempted once and, if it succeeds, seeds every refit.
+       attempted once and, if it succeeds, seeds every refit and is the
+       ARIMAX fit once every event is dropped.
     """
     pre, post = split_pre_post(series, policy_month)
     if len(pre) < MIN_PRE_MONTHS:
@@ -236,6 +238,9 @@ def its_analysis(
     keep_level = alpha / max(len(events), 1)
     base_fit = _base_fit(y, orders)
     while True:
+        if not current and base_fit is not _BASE_FIT_FAILED:
+            arimax_fit = base_fit  # the no-event model is already fitted
+            break
         arimax_fit = fit_arimax(y, orders, current, start_month=start_month, base_fit=base_fit)
         evs = arimax_fit.event_coefficients()
         p = [2.0 if math.isnan(cf.p_value) else cf.p_value for cf in evs]  # a NaN drops first

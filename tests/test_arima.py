@@ -296,6 +296,25 @@ def reference_css_objective(z, x, orders, raw=False):
     return objective
 
 
+def reference_css_residuals(z, x, orders, raw=False):
+    """The one-step errors that ``reference_css_objective`` squares and sums,
+    or None where it gives the penalty."""
+    n_events = x.shape[1]
+
+    def residuals(vec):
+        layout = arima._LagLayout(orders)
+        arma = (layout.split(vec[1 + n_events:].tolist()) if raw
+                else _reference_arma_coefs(vec, orders, n_events))
+        a, m = layout.coefs(*arma)
+        ar_at_one = 1.0 - a.sum()
+        if abs(ar_at_one) < 1e-10:
+            return None
+        w = z - x @ vec[1:1 + n_events] if n_events else z
+        eps = _reference_residuals(w - float(vec[0]) / ar_at_one, a, m)
+        return eps if math.isfinite(float(eps @ eps)) else None
+    return residuals
+
+
 def reference_public_css(z, orders, params):
     """``css_objective`` as a root check and then the CSS of the model's own
     full-lag coefficients."""
@@ -337,7 +356,7 @@ def _random_raw_arma(rng, orders, trial):
 
 
 def test_css_evaluator_matches_reference_composition():
-    # Both coordinate systems.  Optimizer coordinates mix exact zeros (tanh(0)
+    # The objective and the residual function it sums.  Both coordinate systems.  Optimizer coordinates mix exact zeros (tanh(0)
     # = 0 meets the zero skip) and coordinates past the clip; raw coefficients
     # mix exact zeros and AR parts with 1 - sum a at or near 0.
     rng = np.random.default_rng(39)
@@ -352,10 +371,15 @@ def test_css_evaluator_matches_reference_composition():
         raw_vec = np.concatenate((rng.normal(size=1 + n_events),
                                   _random_raw_arma(rng, orders, trial)))
         for raw, point in ((False, vec), (True, raw_vec)):
-            got = arima._css_objective(z, x, orders, raw=raw)(point)
+            got = arima._sum_of_squares(arima._css_residuals(z, x, orders, raw=raw))(point)
             want = reference_css_objective(z, x, orders, raw=raw)(point)
             assert type(got) is float
             assert got.hex() == want.hex(), (trial, raw, orders, n_events)
+            eps = arima._css_residuals(z, x, orders, raw=raw)(point)
+            want_eps = reference_css_residuals(z, x, orders, raw=raw)(point)
+            assert (eps is None) == (want_eps is None) == (want == arima._PENALTY)
+            if eps is not None:
+                assert eps.tobytes() == want_eps.tobytes(), (trial, raw, orders, n_events)
 
 
 def test_css_objective_matches_reference_composition():

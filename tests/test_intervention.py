@@ -13,7 +13,7 @@ from rxgeo.cli import _its_result_payload
 from rxgeo.intervention import (CollinearityError, EventInput, event_regressor,
                                 fit_arimax, its_analysis, its_batch,
                                 significance_stars)
-from rxgeo.series import ClassSeries, MonthKey, SeriesPoint
+from rxgeo.series import EVENT_KINDS, ClassSeries, MonthKey, SeriesPoint
 
 
 def make_series(values, family="opioid", code="overall",
@@ -196,33 +196,38 @@ def test_arimax_bic_counts_event_coefficients():
 
 
 def test_arimax_scores_each_start_once(monkeypatch):
-    # the objective runs once per start point plus once per simplex step
+    # the residual function runs once per start point plus once per LM
+    # evaluation; LM finishes, so the simplex never runs
     rng = np.random.default_rng(76)
     y = rng.normal(size=120)
     y[60:] += 2.0
     base = arima.fit(y, ArimaOrders(p=1))
     evals = []
-    real_objective = intervention._css_objective
+    real_residuals = intervention._css_residuals
 
-    def counting_objective(z, x, orders):
-        objective = real_objective(z, x, orders)
+    def counting_residuals(z, x, orders):
+        residuals = real_residuals(z, x, orders)
 
         def counted(vec):
             evals.append(1)
-            return objective(vec)
+            return residuals(vec)
         return counted
 
     runs = []
-    real_nelder_mead = intervention.nelder_mead
+    real_lm = arima.levenberg_marquardt
 
-    def recording_nelder_mead(*args, **kwargs):
-        runs.append(real_nelder_mead(*args, **kwargs))
+    def recording_lm(*args):
+        runs.append(real_lm(*args))
         return runs[-1]
 
-    monkeypatch.setattr(intervention, "_css_objective", counting_objective)
-    monkeypatch.setattr(intervention, "nelder_mead", recording_nelder_mead)
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(intervention, "_css_residuals", counting_residuals)
+    monkeypatch.setattr(arima, "levenberg_marquardt", recording_lm)
+    monkeypatch.setattr(arima, "nelder_mead", no_simplex)
     fit_arimax(y, ArimaOrders(p=1), [EventInput("level_shift", 60)], base_fit=base)
-    assert len(runs) == 1
+    assert len(runs) == 1 and runs[0] is not None
     assert len(evals) == runs[0].n_evals + 2  # OLS start and base-fit start
 
 
@@ -311,6 +316,43 @@ def test_its_fits_base_model_once(monkeypatch):
     res = its_analysis(make_series(vals))
     assert len(res.dropped_events) >= 2
     assert lengths.count(95) == 1
+
+
+def test_its_that_drops_every_event_keeps_the_base_fit(monkeypatch):
+    # a null series that drops all its events: one fit_arimax call per
+    # event, no refit without events, and the ARIMAX fit is the base fit
+    rng = np.random.default_rng(78)
+    vals = 50 + rng.normal(0, 1, 95)
+    calls, bases = [], []
+    real_fit_arimax = intervention.fit_arimax
+    real_base_fit = intervention._base_fit
+
+    def counting_fit_arimax(*args, **kwargs):
+        calls.append(1)
+        return real_fit_arimax(*args, **kwargs)
+
+    def recording_base_fit(*args):
+        bases.append(real_base_fit(*args))
+        return bases[-1]
+
+    monkeypatch.setattr(intervention, "fit_arimax", counting_fit_arimax)
+    monkeypatch.setattr(intervention, "_base_fit", recording_base_fit)
+    res = its_analysis(make_series(vals))
+    assert sorted(res.dropped_events) == sorted(EVENT_KINDS)
+    assert len(calls) == len(EVENT_KINDS)
+    assert res.arimax is bases[0]
+    assert res.arimax.event_coefficients() == []
+
+
+def test_its_writes_the_interpolated_count_of_the_arimax_fit():
+    # two empty post months are filled in the full series, not in the pre
+    # window, and each block of its_results.json says how many it filled
+    rng = np.random.default_rng(78)
+    vals = 50 + rng.normal(0, 1, 95)
+    vals[[10, 60, 70]] = math.nan
+    written = json.loads(json.dumps(_its_result_payload(its_analysis(make_series(vals)))))
+    assert written["pre_fit"]["n_interpolated"] == 1
+    assert written["arimax"]["n_interpolated"] == 3
 
 
 def test_its_failed_base_fit_is_not_retried(monkeypatch):
@@ -432,14 +474,18 @@ def _batch_outputs(series):
 
 
 def test_its_batch_matches_reference_simplex_and_objective(monkeypatch, tmp_path):
-    # The same batch through the array-free simplex and per-model evaluators,
-    # and through the list-of-arrays simplex and the objective they replaced.
-    # Two workers fit the series; each forks with the references patched in,
-    # and notes its pid in a file on each reference simplex run.
-    from test_arima import reference_css_objective
+    # The same batch through the array-free simplex and per-model residual
+    # functions, and through the list-of-arrays simplex and the residuals of
+    # the objective they replaced.  Two workers fit the series; each forks
+    # with the references patched in, and notes its pid in a file on each
+    # reference residual function it builds and each reference simplex run.
+    # The MA(1) series near its invertibility bound sends some fits of its
+    # order grid to the simplex, so the reference simplex is checked too.
+    from test_arima import reference_css_residuals
     from test_optimize import reference_nelder_mead
     monkeypatch.setattr(_workers, "worker_count", lambda: 2)
-    runs = tmp_path / "reference_runs"
+    residual_runs = tmp_path / "reference_residual_runs"
+    simplex_runs = tmp_path / "reference_simplex_runs"
 
     rng = np.random.default_rng(80)
     shift = np.r_[np.zeros(52), np.full(43, -3.0)]
@@ -447,7 +493,8 @@ def test_its_batch_matches_reference_simplex_and_objective(monkeypatch, tmp_path
               (ArimaOrders(p=1), ArimaParams(c=20.0, phi=[0.6], sigma2=1.0)),
               (ArimaOrders(q=1), ArimaParams(c=50.0, theta=[0.5], sigma2=1.0)),
               (ArimaOrders(p=1, P=1), ArimaParams(c=10.0, phi=[0.4], Phi=[0.5],
-                                                  sigma2=1.0))]
+                                                  sigma2=1.0)),
+              (ArimaOrders(q=1), ArimaParams(c=50.0, theta=[-0.95], sigma2=1.0))]
     series = [make_series(arima.simulate(o, params, 95, seed=81 + i) + shift,
                           code=f"{i}0")
               for i, (o, params) in enumerate(models)]
@@ -455,17 +502,25 @@ def test_its_batch_matches_reference_simplex_and_objective(monkeypatch, tmp_path
                               start=MonthKey(2017, 1)))  # too short: a failure
     lean = _batch_outputs(series)
 
-    def reference(func, x0):
-        with open(runs, "a") as fh:
+    def note(path):
+        with open(path, "a") as fh:
             fh.write(f"{os.getpid()}\n")
+
+    def residuals(*args, **kwargs):
+        note(residual_runs)
+        return reference_css_residuals(*args, **kwargs)
+
+    def simplex(func, x0):
+        note(simplex_runs)
         return reference_nelder_mead(func, x0, _optimize._MAX_EVALS)
     for module in (arima, intervention):
-        monkeypatch.setattr(module, "nelder_mead", reference)
-        monkeypatch.setattr(module, "_css_objective", reference_css_objective)
+        monkeypatch.setattr(module, "_css_residuals", residuals)
+    monkeypatch.setattr(arima, "nelder_mead", simplex)
     assert _batch_outputs(series) == lean
     assert '"failures": {"opioid/31"' in lean[0]
-    pids = set(runs.read_text().split())
-    assert pids and str(os.getpid()) not in pids
+    for runs in (residual_runs, simplex_runs):
+        pids = set(runs.read_text().split())
+        assert pids and str(os.getpid()) not in pids
 
 
 def test_its_batch_34_series_structural():
