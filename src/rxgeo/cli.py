@@ -25,8 +25,9 @@ import numpy as np
 
 from . import __version__, geo, records, report
 from .series import (DEFAULT_ALPHA, DEFAULT_POLICY_MONTH, EVENT_KINDS, MonthKey, RecordTable,
-                     aggregate_monthly, pre_post_table, read_classified_csv, read_series_csv,
-                     summarize_classes, write_classified_csv, write_series_csv)
+                     SidecarWriter, aggregate_monthly, pre_post_table, read_classified_csv,
+                     read_series_csv, read_sidecar, sidecar_path, summarize_classes,
+                     write_classified_csv, write_series_csv)
 from .stats import mean_ci, one_way_anova, t_test_greater
 
 # syngen (simulate) and the model code in arima, intervention and _optimize
@@ -161,6 +162,20 @@ def _read_input(path: Path, manifest: RunManifest, read):
         return read(fh)
 
 
+def _read_classified(path: Path, manifest: RunManifest) -> RecordTable:
+    """The records of a classified CSV, as :func:`_input` opens it: from its
+    column sidecar if that is keyed by the CSV's hash and checks out (it is
+    then listed in the manifest's inputs with its own hash), parsed
+    otherwise."""
+    with _input(path, manifest) as fh:
+        found = read_sidecar(sidecar_path(path), manifest.inputs[str(path)])
+        if found is None:
+            return read_classified_csv(fh)
+        table, digest = found
+        manifest.inputs[str(sidecar_path(path))] = digest
+        return table
+
+
 def _class_values(table: RecordTable, family: str, unit: str) -> dict:
     """Each class's values in ``family``: for ``unit`` "monthly", its monthly
     means (months with records only) as an array, in class-code order; for
@@ -276,7 +291,9 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
                                      isolation_ratio=args.isolation_ratio)
     errors, unclean, counts = [], None, Counter()
     with _input(path, manifest) as fh, \
-            open(_output(manifest, args.out), "w", newline="") as out:
+            open(_output(manifest, args.out), "w", newline="") as out, \
+            open(_output(manifest, sidecar_path(args.out)), "wb") as side:
+        sidecar = SidecarWriter(side)
         header = True  # not enumerate, as in _cmd_ingest
         for table, bad in records.parse_chunks(fh):
             errors += bad
@@ -288,18 +305,24 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
                 unclean = exc
                 continue
             write_classified_csv(out, classified, header=header)
+            sidecar.append(classified)
             counts.update(classified.class_counts())
             header, table, classified = False, None, None  # free the chunk before the next
-    if errors:
-        raise DataError(f"{path}: {len(errors)} malformed rows "
-                        f"(first: line {errors[0].line}: {errors[0].reason})")
-    if unclean:
-        raise DataError(f"{path}: {unclean}") from unclean
+        if errors:
+            raise DataError(f"{path}: {len(errors)} malformed rows "
+                            f"(first: line {errors[0].line}: {errors[0].reason})")
+        if unclean:
+            raise DataError(f"{path}: {unclean}") from unclean
+        out.close()  # flushed, so that the sidecar is keyed by the hash of all its bytes
+        sidecar.finish(_sha256(Path(out.name)))
+    if not sidecar.valid:  # a row fails a classified-row check: no sidecar
+        manifest.outputs.remove(str(sidecar_path(args.out)))
+        _partial(sidecar_path(args.out)).unlink()
     return "classify: " + " ".join(f"{k}={v}" for k, v in counts.items() if v)
 
 
 def _cmd_aggregate(args, manifest: RunManifest) -> str:
-    table = _read_input(Path(args.input), manifest, read_classified_csv)
+    table = _read_classified(Path(args.input), manifest)
     outdir = Path(args.outdir)
     summary = {}
     for family in _families(args.family):
@@ -319,7 +342,7 @@ def _cmd_aggregate(args, manifest: RunManifest) -> str:
 
 
 def _cmd_summary_table(args, manifest: RunManifest) -> str:
-    table = _read_input(Path(args.input), manifest, read_classified_csv)
+    table = _read_classified(Path(args.input), manifest)
     outdir = Path(args.outdir)
     for family in _families(args.family):
         rows = summarize_classes(table, family=family)
@@ -336,7 +359,7 @@ def _cmd_summary_table(args, manifest: RunManifest) -> str:
 
 
 def _cmd_anova(args, manifest: RunManifest) -> str:
-    table = _read_input(Path(args.input), manifest, read_classified_csv)
+    table = _read_classified(Path(args.input), manifest)
     groups = [v for v in _class_values(table, args.family, args.unit).values() if len(v) >= 2]
     if len(groups) < 2:
         raise DataError("fewer than 2 classes have enough data for ANOVA")
@@ -349,7 +372,7 @@ def _cmd_anova(args, manifest: RunManifest) -> str:
 
 
 def _cmd_ttest(args, manifest: RunManifest) -> str:
-    table = _read_input(Path(args.input), manifest, read_classified_csv)
+    table = _read_classified(Path(args.input), manifest)
     values = _class_values(table, args.family, args.unit).get(args.class_code, [])
     if len(values) < 2:
         raise DataError(f"class {args.class_code} has fewer than 2 {args.unit} values")
@@ -439,7 +462,7 @@ def _cmd_its(args, manifest: RunManifest) -> str:
         raise UsageError(f"rxgeo its: --announce-month {args.announce_month} equals "
                          "--policy-month; the two onsets would be collinear")
     from .intervention import its_batch
-    table = _read_input(Path(args.input), manifest, read_classified_csv)
+    table = _read_classified(Path(args.input), manifest)
     # Each family's overall series spans its first to last month with records.
     overall = [s for family in _families(args.family)
                for s in aggregate_monthly(table, group_by="overall", family=family)]

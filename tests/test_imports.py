@@ -96,3 +96,20 @@ def test_the_package_exports_the_same_names():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         rxgeo.no_such_name
+
+
+def test_a_reader_stage_that_loads_the_sidecar_loads_no_worker_code(tmp_path):
+    for argv in (["simulate", "--n", 600, "--out", "raw.csv"],
+                 ["ingest", "--input", "raw.csv", "--out", "clean.csv", "--report", "r.json"],
+                 ["classify", "--input", "clean.csv", "--out", "classified.csv"]):
+        _stage_modules(tmp_path, *argv)
+    code, loaded = _python(tmp_path, (
+        "import json, sys\n"
+        "from rxgeo import cli\n"
+        "code = cli.main(['anova', '--input', 'classified.csv', '--out', 'anova.json'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                             if m.startswith(('rxgeo', 'multiprocessing')))]))"))
+    assert code == 0
+    assert not {"rxgeo._workers", "multiprocessing"} & set(loaded)
+    assert "classified.csv.columns" in json.loads(
+        (tmp_path / "manifest_anova.json").read_text())["inputs"]

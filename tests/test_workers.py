@@ -149,6 +149,8 @@ def classified(tmp_path_factory):
                  ["ingest", "--input", raw, "--out", clean, "--report", work / "report.json"],
                  ["classify", "--input", clean, "--out", classified]):
         assert cli.main(list(map(str, argv))) == 0
+    # Without its column sidecar, a reader stage parses the CSV in workers.
+    series.sidecar_path(classified).unlink()
     return classified
 
 
