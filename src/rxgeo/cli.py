@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -24,9 +25,9 @@ from typing import TYPE_CHECKING, Iterator, TextIO
 import numpy as np
 
 from . import __version__, geo, records, report
-from .series import (DEFAULT_ALPHA, DEFAULT_POLICY_MONTH, EVENT_KINDS, MonthKey, RecordTable,
-                     SidecarWriter, aggregate_monthly, pre_post_table, read_classified_csv,
-                     read_series_csv, read_sidecar, sidecar_path, summarize_classes,
+from .series import (CLASSIFIED_LAYOUT, DEFAULT_ALPHA, DEFAULT_POLICY_MONTH, EVENT_KINDS,
+                     MonthKey, RecordTable, aggregate_monthly, classified_rows, pre_post_table,
+                     read_classified_csv, read_series_csv, read_sidecar, summarize_classes,
                      write_classified_csv, write_series_csv)
 from .stats import mean_ci, one_way_anova, t_test_greater
 
@@ -162,17 +163,31 @@ def _read_input(path: Path, manifest: RunManifest, read):
         return read(fh)
 
 
+def _chunks(fh: TextIO, path: Path, manifest: RunManifest
+            ) -> Iterator[tuple[records.TransactionTable, list[records.RowError]]]:
+    """The chunks of the transaction CSV that :func:`_input` opened at
+    ``path``: read from its column sidecar if that is keyed by the CSV's
+    hash and checks out (it is then listed in the manifest's inputs with its
+    own hash), parsed otherwise."""
+    sidecar = records.open_sidecar(records.sidecar_path(path), manifest.inputs[str(path)],
+                                   records.INGEST_LAYOUT)
+    if sidecar is None:
+        return records.parse_chunks(fh)
+    manifest.inputs[str(records.sidecar_path(path))] = sidecar.sha256
+    return records.sidecar_chunks(fh, sidecar)
+
+
 def _read_classified(path: Path, manifest: RunManifest) -> RecordTable:
     """The records of a classified CSV, as :func:`_input` opens it: from its
     column sidecar if that is keyed by the CSV's hash and checks out (it is
     then listed in the manifest's inputs with its own hash), parsed
     otherwise."""
     with _input(path, manifest) as fh:
-        found = read_sidecar(sidecar_path(path), manifest.inputs[str(path)])
+        found = read_sidecar(records.sidecar_path(path), manifest.inputs[str(path)])
         if found is None:
             return read_classified_csv(fh)
         table, digest = found
-        manifest.inputs[str(sidecar_path(path))] = digest
+        manifest.inputs[str(records.sidecar_path(path))] = digest
         return table
 
 
@@ -199,6 +214,38 @@ def _output(manifest: RunManifest, path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     manifest.outputs.append(str(path))
     return _partial(path)
+
+
+class _HashedFile(io.BufferedWriter):
+    """A file opened for writing whose ``sha256`` hashes what is written."""
+
+    def __init__(self, path: Path):
+        super().__init__(io.FileIO(path, "w"))
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return super().write(data)
+
+
+@contextmanager
+def _csv_output(manifest: RunManifest, path, layout: records.SidecarLayout
+                ) -> Iterator[tuple[TextIO, records.SidecarWriter]]:
+    """The text stream of a CSV output at ``path`` (see :func:`_output`) and
+    the writer of its column sidecar, an output listed after it.  Once the
+    body is done, the sidecar is keyed by the SHA-256 of the bytes written
+    to the CSV, or, if the writer turned invalid, removed from the outputs."""
+    side = records.sidecar_path(path)
+    csv_file = _HashedFile(_output(manifest, path))
+    with io.TextIOWrapper(csv_file, newline="") as out, \
+            open(_output(manifest, side), "wb") as stream:
+        sidecar = records.SidecarWriter(stream, layout)
+        yield out, sidecar
+        out.flush()
+        sidecar.finish(csv_file.sha256.hexdigest())
+    if not sidecar.valid:
+        manifest.outputs.remove(str(side))
+        _partial(side).unlink()
 
 
 def _partial(path) -> Path:
@@ -254,9 +301,10 @@ def _cmd_simulate(args, manifest: RunManifest) -> str:
     else:
         cfg = syngen.default_config()
     n = 0
-    with open(_output(manifest, args.out), "w", newline="") as out:
+    with _csv_output(manifest, args.out, records.INGEST_LAYOUT) as (out, sidecar):
         for i, block in enumerate(syngen.generate_blocks(cfg, args.n, seed=args.seed)):
-            records.write_csv(block, out, header=i == 0)
+            plain = records.write_csv(block, out, header=i == 0)
+            sidecar.append(records.ingest_rows(block) if plain else None)
             n += len(block)
     if args.dump_config:
         _output(manifest, args.dump_config).write_text(
@@ -265,16 +313,18 @@ def _cmd_simulate(args, manifest: RunManifest) -> str:
 
 
 def _cmd_ingest(args, manifest: RunManifest) -> str:
+    path = Path(args.input)
     report, errors = records.FilterReport(), []
-    with _input(Path(args.input), manifest) as fh, \
-            open(_output(manifest, args.out), "w", newline="") as out:
+    with _input(path, manifest) as fh, \
+            _csv_output(manifest, args.out, records.INGEST_LAYOUT) as (out, sidecar):
         # Not enumerate: its reused result tuple would hold the last chunk
         # (and its texts) while the next one is read.
         header = True
-        for table, bad in records.parse_chunks(fh):
+        for table, bad in _chunks(fh, path, manifest):
             kept, part = records.clean(table, cap=args.cap, cutoff_date=args.cutoff_date,
                                        n_malformed=len(bad))
-            records.write_csv(kept, out, header=header)
+            plain = records.write_csv(kept, out, header=header)
+            sidecar.append(records.ingest_rows(kept) if plain else None)
             report += part
             errors += bad
             header, table, kept = False, None, None  # free the chunk before the next is read
@@ -291,21 +341,19 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
                                      isolation_ratio=args.isolation_ratio)
     errors, unclean, counts = [], None, Counter()
     with _input(path, manifest) as fh, \
-            open(_output(manifest, args.out), "w", newline="") as out, \
-            open(_output(manifest, sidecar_path(args.out)), "wb") as side:
-        sidecar = SidecarWriter(side)
+            _csv_output(manifest, args.out, CLASSIFIED_LAYOUT) as (out, sidecar):
         header = True  # not enumerate, as in _cmd_ingest
-        for table, bad in records.parse_chunks(fh):
+        for table, bad in _chunks(fh, path, manifest):
             errors += bad
             if errors or unclean:
                 continue  # read on to count the malformed rows
             try:
                 classified = geo.classify_records(table, thresholds)
-            except ValueError as exc:  # days_supply < 1: the input was not cleaned
+            except ValueError as exc:  # a record clean() drops: the input was not cleaned
                 unclean = exc
                 continue
             write_classified_csv(out, classified, header=header)
-            sidecar.append(classified)
+            sidecar.append(classified_rows(classified))
             counts.update(classified.class_counts())
             header, table, classified = False, None, None  # free the chunk before the next
         if errors:
@@ -313,11 +361,6 @@ def _cmd_classify(args, manifest: RunManifest) -> str:
                             f"(first: line {errors[0].line}: {errors[0].reason})")
         if unclean:
             raise DataError(f"{path}: {unclean}") from unclean
-        out.close()  # flushed, so that the sidecar is keyed by the hash of all its bytes
-        sidecar.finish(_sha256(Path(out.name)))
-    if not sidecar.valid:  # a row fails a classified-row check: no sidecar
-        manifest.outputs.remove(str(sidecar_path(args.out)))
-        _partial(sidecar_path(args.out)).unlink()
     return "classify: " + " ".join(f"{k}={v}" for k, v in counts.items() if v)
 
 

@@ -14,7 +14,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .records import GeoPoint, PrescriptionRecord, TransactionTable
+from .records import (GeoPoint, PrescriptionRecord, TransactionTable, _require_days_supply,
+                      _valid_coordinates)
 
 # Mean Earth radius; fixed so distances are bit-reproducible.
 EARTH_RADIUS_MILES = 3958.7613
@@ -192,12 +193,23 @@ def _risk_levels(mme_day: np.ndarray) -> np.ndarray:
 
 def classify_records(table: TransactionTable,
                      thresholds: ClassThresholds = ClassThresholds()) -> ClassifiedTable:
-    """Classify every record of a table (``ValueError`` if one has
-    ``days_supply < 1``)."""
+    """Classify every record of a table.  ``ValueError`` names the first
+    record that :func:`records.clean` would drop for its ``days_supply < 1``
+    or for a latitude beyond 90 or a longitude beyond 180 degrees (either
+    sign), or one that is not finite, whose distances are undefined."""
+    points = {name: (getattr(table, f"{name}_lat"), getattr(table, f"{name}_lon"))
+              for name in ("patient", "prescriber", "dispenser")}
+    valid = {name: _valid_coordinates(*point) for name, point in points.items()}
+    outside = np.flatnonzero(~np.logical_and.reduce(list(valid.values())))
+    if outside.size:
+        i = outside[0]
+        _require_days_supply(table.record_id[:i + 1], table.days_supply[:i + 1])
+        name = next(name for name, ok in valid.items() if not ok[i])
+        lat, lon = (column[i] for column in points[name])
+        raise ValueError(f"record {table.record_id[i]}: {name} coordinates out of range, "
+                         f"got ({lat}, {lon}); run clean() first")
+    patient, prescriber, dispenser = points.values()
     mme_day = table.mme_per_day()
-    patient = table.patient_lat, table.patient_lon
-    prescriber = table.prescriber_lat, table.prescriber_lon
-    dispenser = table.dispenser_lat, table.dispenser_lon
     d_pp = _pairwise_miles(*patient, *prescriber)
     d_pd = _pairwise_miles(*patient, *dispenser)
     d_rd = _pairwise_miles(*prescriber, *dispenser)

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
+import os
 import re
+import struct
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -163,18 +166,23 @@ class TransactionTable:
 
 @dataclass(frozen=True)
 class _ReadTable(TransactionTable):
-    """A table as :func:`parse_chunks` reads it, with ``texts``: the field
-    text of each record, as read, by column name.  :meth:`take` keeps the
-    texts of the records it keeps, so :func:`clean` filters both at once,
-    and :func:`write_csv` writes the texts."""
+    """A table as :func:`parse_chunks` or :func:`sidecar_chunks` reads it,
+    with ``texts``: the field text of each record, as read, by column name;
+    or, from a sidecar, a list of each record's whole line, without its line
+    end.  :meth:`take` keeps the texts of the records it keeps, so
+    :func:`clean` filters both at once, and :func:`write_csv` writes the
+    texts."""
 
-    texts: dict[str, Sequence[str]] = field(repr=False, compare=False)
+    texts: dict[str, Sequence[str]] | list[str] = field(repr=False, compare=False)
 
     def take(self, keep: np.ndarray) -> "_ReadTable":
         if keep.all():
             return self  # frozen: every record and its texts are kept as they are
         kept = keep.tolist()
-        texts = {name: list(compress(column, kept)) for name, column in self.texts.items()}
+        if isinstance(self.texts, list):
+            texts = list(compress(self.texts, kept))
+        else:
+            texts = {name: list(compress(column, kept)) for name, column in self.texts.items()}
         return _ReadTable(*super().take(keep)._arrays(), texts)
 
 
@@ -532,11 +540,13 @@ def _field_texts(column: np.ndarray) -> list[str]:
 
 
 def write_csv(table: TransactionTable, path: str | Path | TextIO,
-              extra: Iterable[tuple[str, np.ndarray]] = (), header: bool = True) -> None:
+              extra: Iterable[tuple[str, np.ndarray]] = (), header: bool = True) -> bool:
     """Write a table in the exact ingest schema, followed by the ``extra``
     (name, column) pairs; round-trips through :func:`parse_csv`.  Without
     the ``header`` line, the rows follow what a stream already holds, so a
-    table can be written a part at a time.
+    table can be written a part at a time.  Returns whether every field was
+    written plain (:func:`_quoted` quoted none), so that each record is one
+    line, the text between its commas each field's text.
 
     The bytes are those of ``csv.writer``: one CRLF-ended line per record,
     ``WRITE_ROWS`` lines per write, with a float as its repr, an int as its
@@ -544,19 +554,24 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO,
     :func:`_quoted`.  A table :func:`parse_chunks` read (or taken from one)
     has its ingest columns written as the field texts it was read from,
     each under the quoting rule of :func:`_quoted`, not formatted from its
-    values; its ``extra`` columns are formatted.
+    values, and one :func:`sidecar_chunks` read as the lines it was read
+    from; its ``extra`` columns are formatted.
     """
     extra = list(extra)
     texts = table.texts if isinstance(table, _ReadTable) else None
     own = isinstance(path, (str, Path))
     stream = open(path, "w", newline="") if own else path
+    quoted = False  # a quoted field holds a double quote, and a plain one none
     try:
         if header:
-            stream.write(",".join(_quoted([*CSV_COLUMNS, *(name for name, _ in extra)]))
-                         + "\r\n")
+            line = ",".join(_quoted([*CSV_COLUMNS, *(name for name, _ in extra)]))
+            quoted = '"' in line
+            stream.write(line + "\r\n")
         for start in range(0, len(table), WRITE_ROWS):
             stop = start + WRITE_ROWS
-            if texts is not None:
+            if isinstance(texts, list):
+                fields = [texts[start:stop]]
+            elif texts is not None:
                 fields = [_quoted(texts[name][start:stop]) for name in CSV_COLUMNS]
             else:
                 days = table.fill_date[start:stop].tolist()
@@ -565,10 +580,14 @@ def write_csv(table: TransactionTable, path: str | Path | TextIO,
                           list(map(iso.__getitem__, days)),
                           *(_field_texts(a[start:stop]) for a in table._arrays()[2:])]
             fields += [_field_texts(column[start:stop]) for _, column in extra]
-            stream.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+            lines = fields[0] if len(fields) == 1 else map(",".join, zip(*fields))
+            block = "\r\n".join(lines) + "\r\n"
+            quoted = quoted or '"' in block
+            stream.write(block)
     finally:
         if own:
             stream.close()
+    return not quoted
 
 
 def clean(
@@ -601,3 +620,189 @@ def clean(
         keep &= ~dropped
     report.total_kept = int(keep.sum())
     return table.take(keep), report
+
+
+# --- column sidecars ----------------------------------------------------------------
+#
+# A stage that writes a CSV may write its values beside it, in a column
+# sidecar: one packed little-endian row per record (a SidecarLayout's row), then
+# a trailer (_SIDECAR_TRAILER): the SHA-256 of the CSV's bytes (the key), the
+# SHA-256 of the rows, the row count, the format version and the layout's
+# magic string.  No path or time is in it, so the same CSV always has the same
+# sidecar.  A stage that reads the CSV takes its columns from the sidecar only
+# if the sidecar checks out (open_sidecar), and parses the CSV otherwise.
+
+SIDECAR_SUFFIX = ".columns"
+SIDECAR_VERSION = 1
+_SIDECAR_TRAILER = struct.Struct("<32s32sQI8s")
+
+
+class SidecarLayout(NamedTuple):
+    """The rows of one kind of sidecar: their packed dtype, the magic string
+    that ends the trailer, and each index field with the number of values it
+    indexes (a sidecar with a larger index does not check out)."""
+
+    row: np.dtype
+    magic: bytes
+    indexes: tuple[tuple[str, int], ...]
+
+
+# Every value of a transaction CSV that simulate or ingest writes but the
+# record_id, with the family as its index in FAMILIES.  Such a sidecar is
+# written only if every field of its CSV is plain, so that row i is line i + 1.
+INGEST_LAYOUT = SidecarLayout(np.dtype([
+    ("fill_date", "<i8"), *((name, "<f8") for name in COORDINATE_COLUMNS),
+    ("mme_total", "<f8"), ("days_supply", "<i8"), ("family", "u1")]),
+    b"RXGEOING", (("family", len(FAMILIES)),))
+
+
+def sidecar_path(csv_path: str | Path) -> Path:
+    """Where the column sidecar of the CSV at ``csv_path`` goes."""
+    return Path(f"{csv_path}{SIDECAR_SUFFIX}")
+
+
+def family_index(drug_family: np.ndarray) -> np.ndarray:
+    """The index of each family in ``FAMILIES``, as uint8; ``len(FAMILIES)``
+    for any other value."""
+    index = np.full(len(drug_family), len(FAMILIES), np.uint8)
+    for i, family in enumerate(FAMILIES):
+        index[drug_family == family] = i
+    return index
+
+
+def ingest_rows(table: TransactionTable) -> np.ndarray | None:
+    """The ``INGEST_LAYOUT`` rows of a table; None if the CSV row written for
+    a record would fail an ``INGEST`` check (a blank record_id, a coordinate
+    or MME that is not finite, a negative MME or days_supply, another
+    family), as a scenario whose month factors turn negative draws."""
+    family = family_index(table.drug_family)
+    mme = table.mme_total
+    if not (np.isfinite([getattr(table, name) for name in COORDINATE_COLUMNS]).all()
+            and (np.isfinite(mme) & (mme >= 0)).all() and (table.days_supply >= 0).all()
+            and (family < len(FAMILIES)).all() and all(map(str.strip, table.record_id))):
+        return None
+    rows = np.empty(len(table), INGEST_LAYOUT.row)
+    for name in INGEST_LAYOUT.row.names[:-1]:
+        rows[name] = getattr(table, name)
+    rows["family"] = family
+    return rows
+
+
+class SidecarWriter:
+    """The column sidecar of a CSV, in ``layout``, written to ``stream`` a
+    chunk at a time as the CSV is (:meth:`append`), and keyed by the CSV's
+    SHA-256 once it is complete (:meth:`finish`).  ``valid`` turns false at
+    the first chunk the sidecar cannot hold; nothing more is written then,
+    and the CSV gets no sidecar."""
+
+    def __init__(self, stream: BinaryIO, layout: SidecarLayout):
+        self._stream, self._layout = stream, layout
+        self._hash, self._rows, self.valid = hashlib.sha256(), 0, True
+
+    def append(self, rows: np.ndarray | None) -> None:
+        """Append rows of the layout, or None for a chunk it cannot hold."""
+        self.valid = self.valid and rows is not None
+        if self.valid:
+            data = rows.tobytes()
+            self._stream.write(data)
+            self._hash.update(data)
+            self._rows += len(rows)
+
+    def finish(self, csv_sha256: str) -> None:
+        """The trailer, keyed by the hex SHA-256 of the complete CSV (only
+        while ``valid``)."""
+        if self.valid:
+            self._stream.write(_SIDECAR_TRAILER.pack(
+                bytes.fromhex(csv_sha256), self._hash.digest(), self._rows,
+                SIDECAR_VERSION, self._layout.magic))
+
+
+class Sidecar(NamedTuple):
+    """A sidecar that checked out: its file, open at the first row, its
+    layout, its row count and its own hex SHA-256."""
+
+    file: BinaryIO
+    layout: SidecarLayout
+    rows: int
+    sha256: str
+
+    def read(self, n: int) -> np.ndarray:
+        """The next ``n`` rows; :class:`ReadError` if the file has fewer, as
+        it has when it shrank after it checked out."""
+        data = self.file.read(n * self.layout.row.itemsize)
+        if len(data) != n * self.layout.row.itemsize:
+            raise ReadError(f"{self.file.name}: changed while it was read")
+        return np.frombuffer(data, self.layout.row)
+
+
+def open_sidecar(path: str | Path, csv_sha256: str, layout: SidecarLayout) -> Sidecar | None:
+    """The sidecar at ``path`` if it holds ``layout`` rows of the CSV whose
+    hex SHA-256 is ``csv_sha256``, which then equal the parse of that CSV;
+    None if it is missing or unreadable, of another version or layout,
+    keyed by other bytes, truncated, or its rows do not match their checksum
+    or hold an index out of range.  The check reads the rows a block at a
+    time, so it holds no more of them than a read of ``CHUNK_ROWS`` rows."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    try:
+        found = _check_sidecar(fh, bytes.fromhex(csv_sha256), layout)
+        if found is not None:
+            fh.seek(0)
+            return Sidecar(fh, layout, *found)
+    except OSError:
+        pass
+    fh.close()
+    return None
+
+
+def _check_sidecar(fh: BinaryIO, key: bytes, layout: SidecarLayout) -> tuple[int, str] | None:
+    """:func:`open_sidecar`'s checks: the row count and the hex SHA-256 of
+    the file, or None."""
+    end = os.fstat(fh.fileno()).st_size - _SIDECAR_TRAILER.size
+    if end < 0:
+        return None
+    fh.seek(end)
+    trailer = fh.read(_SIDECAR_TRAILER.size + 1)
+    if len(trailer) != _SIDECAR_TRAILER.size:
+        return None
+    found, check, n, version, magic = _SIDECAR_TRAILER.unpack(trailer)
+    if (magic, version, found) != (layout.magic, SIDECAR_VERSION, key) \
+            or end != n * layout.row.itemsize:
+        return None
+    fh.seek(0)
+    digest, block = hashlib.sha256(), CHUNK_ROWS * layout.row.itemsize
+    for start in range(0, end, block):
+        data = fh.read(min(block, end - start))
+        if len(data) != min(block, end - start):
+            return None
+        digest.update(data)
+        rows = np.frombuffer(data, layout.row)
+        if any((rows[name] >= bound).any() for name, bound in layout.indexes):
+            return None
+    if digest.digest() != check:
+        return None
+    digest.update(trailer)
+    return n, digest.hexdigest()
+
+
+def sidecar_chunks(stream: TextIO, sidecar: Sidecar
+                   ) -> Iterator[tuple[TransactionTable, list[RowError]]]:
+    """:func:`parse_chunks` of a transaction CSV whose ``INGEST_LAYOUT``
+    sidecar checked out, without parsing it: the same chunks and values,
+    and no row errors.  Each chunk's columns are read from the sidecar, and
+    its texts are its lines, without their line ends (row i of the sidecar
+    is line i + 1 of the CSV), so a record_id is the text before the first
+    comma.  The sidecar is closed when the last chunk has been read."""
+    families = np.array(FAMILIES)
+    with sidecar.file:
+        stream.readline()  # the header, which is CSV_COLUMNS
+        for start in range(0, sidecar.rows + 1, CHUNK_ROWS):
+            rows = sidecar.read(min(CHUNK_ROWS, sidecar.rows - start))
+            lines = "".join(islice(stream, len(rows))).split("\r\n")
+            del lines[-1]  # the empty text after the last line end
+            ids = np.array([line.partition(",")[0] for line in lines], dtype=object)
+            yield _ReadTable(ids, *(rows[name].copy() for name in INGEST_LAYOUT.row.names[:-1]),
+                             families[rows["family"]], texts=lines), []
+            rows = lines = ids = None  # free the chunk before the next is read

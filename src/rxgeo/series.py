@@ -4,21 +4,20 @@ per-class summary tables, and the classified and series CSV files."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
-import struct
 from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import BinaryIO, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .geo import ALL_CLASS_CODES, RISK_HAZARD_RATIOS, ClassifiedTable
-from .records import (CSV_COLUMNS, FAMILIES, INGEST, ReadError, Schema, TransactionTable,
-                      _require_days_supply, distinct_values, duplicate_names, floats,
-                      read_columns, whole_numbers, write_csv)
+from .records import (CSV_COLUMNS, FAMILIES, INGEST, ReadError, Schema, SidecarLayout,
+                      TransactionTable, _require_days_supply, distinct_values, duplicate_names,
+                      family_index, floats, open_sidecar, read_columns, whole_numbers,
+                      write_csv)
 from .stats import MeanCI, mean_ci
 
 INDEX_BASE_YEAR = 2014
@@ -411,93 +410,38 @@ def read_classified_csv(stream: TextIO) -> RecordTable:
 
 # --- the column sidecar of a classified CSV ---------------------------------------
 #
-# classify writes, beside its CSV, the five columns read_classified_csv keeps:
-# one packed little-endian row per record (_SIDECAR_ROW, family and class as
-# their index in FAMILIES and ALL_CLASS_CODES), then a trailer (_SIDECAR_TRAILER):
-# the SHA-256 of the CSV's bytes, the SHA-256 of the rows, the row count, the
-# format version and a magic string.  No path or time is in it, so the same
-# CSV always has the same sidecar.
+# classify writes, beside its CSV, the five columns read_classified_csv keeps
+# (records.SidecarWriter, in CLASSIFIED_LAYOUT): family and class as their
+# index in FAMILIES and ALL_CLASS_CODES.  Its readers never read the CSV's
+# lines, so it is written for a CSV with quoted fields too.
 
-SIDECAR_SUFFIX = ".columns"
-SIDECAR_VERSION = 1
-_SIDECAR_MAGIC = b"RXGEOCOL"
-_SIDECAR_ROW = np.dtype([("fill_date", "<i8"), ("mme_total", "<f8"), ("days_supply", "<i8"),
-                         ("family", "u1"), ("class", "u1")])
-_SIDECAR_TRAILER = struct.Struct("<32s32sQI8s")
+CLASSIFIED_LAYOUT = SidecarLayout(np.dtype([
+    ("fill_date", "<i8"), ("mme_total", "<f8"), ("days_supply", "<i8"), ("family", "u1"),
+    ("class", "u1")]), b"RXGEOCOL", (("family", len(FAMILIES)), ("class", len(ALL_CLASS_CODES))))
 
 
-def sidecar_path(csv_path: str | Path) -> Path:
-    """Where the column sidecar of the classified CSV at ``csv_path`` goes."""
-    return Path(f"{csv_path}{SIDECAR_SUFFIX}")
-
-
-class SidecarWriter:
-    """The column sidecar of a classified CSV, written to ``stream`` a chunk at
-    a time as the CSV is (:meth:`append`), and keyed by the CSV's SHA-256 once
-    it is complete (:meth:`finish`).
-
-    ``valid`` turns false at the first record with a distance or ``pi_total``
-    that is not finite: its CSV row fails the ``CLASSIFIED`` check of that
-    column, and the CSV then gets no sidecar.  Every other ``CLASSIFIED`` check
-    passes on a record ``classify`` writes: its ingest columns passed the
-    ``INGEST`` ones, ``classify_records`` refused ``days_supply < 1``, and the
-    class code and risk tier are computed in range."""
-
-    def __init__(self, stream: BinaryIO):
-        self._stream, self._hash, self._rows, self.valid = stream, hashlib.sha256(), 0, True
-
-    def append(self, c: ClassifiedTable) -> None:
-        self.valid = self.valid and all(
-            np.isfinite(column).all() for column in (c.d_pp, c.d_pd, c.d_rd, c.pi_total))
-        if not self.valid:
-            return
-        rows = np.empty(len(c), _SIDECAR_ROW)
-        rows["fill_date"], rows["mme_total"] = c.records.fill_date, c.records.mme_total
-        rows["days_supply"], rows["class"] = c.records.days_supply, c.code
-        for i, family in enumerate(FAMILIES):
-            rows["family"][c.records.drug_family == family] = i
-        data = rows.tobytes()
-        self._stream.write(data)
-        self._hash.update(data)
-        self._rows += len(c)
-
-    def finish(self, csv_sha256: str) -> None:
-        """The trailer, keyed by the hex SHA-256 of the complete CSV (only
-        while ``valid``)."""
-        if self.valid:
-            self._stream.write(_SIDECAR_TRAILER.pack(
-                bytes.fromhex(csv_sha256), self._hash.digest(), self._rows,
-                SIDECAR_VERSION, _SIDECAR_MAGIC))
+def classified_rows(c: ClassifiedTable) -> np.ndarray:
+    """The ``CLASSIFIED_LAYOUT`` rows of a classified table."""
+    rows = np.empty(len(c), CLASSIFIED_LAYOUT.row)
+    rows["fill_date"], rows["mme_total"] = c.records.fill_date, c.records.mme_total
+    rows["days_supply"], rows["class"] = c.records.days_supply, c.code
+    rows["family"] = family_index(c.records.drug_family)
+    return rows
 
 
 def read_sidecar(path: str | Path, csv_sha256: str) -> tuple[RecordTable, str] | None:
     """The :class:`RecordTable` the sidecar at ``path`` holds, which equals
     :func:`read_classified_csv` of the CSV whose hex SHA-256 is
-    ``csv_sha256``, and the sidecar's own hex SHA-256; None if the sidecar
-    is missing or unreadable, of another version, keyed by other bytes,
-    truncated, or its rows do not match their checksum."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
+    ``csv_sha256``, and the sidecar's own hex SHA-256; None if it does not
+    check out (:func:`records.open_sidecar`)."""
+    sidecar = open_sidecar(path, csv_sha256, CLASSIFIED_LAYOUT)
+    if sidecar is None:
         return None
-    end = len(data) - _SIDECAR_TRAILER.size
-    if end < 0:
-        return None
-    key, check, n, version, magic = _SIDECAR_TRAILER.unpack_from(data, end)
-    if ((magic, version, key) != (_SIDECAR_MAGIC, SIDECAR_VERSION, bytes.fromhex(csv_sha256))
-            or end != n * _SIDECAR_ROW.itemsize):
-        return None
-    digest = hashlib.sha256(memoryview(data)[:end])
-    if digest.digest() != check:
-        return None
-    rows = np.frombuffer(data, _SIDECAR_ROW, n)
-    if n and (rows["family"].max() >= len(FAMILIES)
-              or rows["class"].max() >= len(ALL_CLASS_CODES)):
-        return None
-    digest.update(memoryview(data)[end:])
+    with sidecar.file:
+        rows = sidecar.read(sidecar.rows)
     return RecordTable.from_columns(
         np.array(FAMILIES)[rows["family"]], rows["fill_date"], rows["mme_total"].copy(),
-        rows["days_supply"], np.array(ALL_CLASS_CODES)[rows["class"]]), digest.hexdigest()
+        rows["days_supply"], np.array(ALL_CLASS_CODES)[rows["class"]]), sidecar.sha256
 
 
 def write_series_csv(path: str | Path, s: ClassSeries) -> None:

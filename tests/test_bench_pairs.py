@@ -171,3 +171,64 @@ def test_scale_run_of_the_producer_stages(bench_pairs):
     assert written[-1] == "series/aggregate_summary.json"
     assert "series/series_opioid_overall.csv" in written and len(written) > 3
     assert not any("manifest" in name for name in written)
+
+
+def test_pairs_of_a_workload_with_new_outputs_record_other_digests(bench_pairs, tmp_path,
+                                                                  monkeypatch):
+    def run_bench(checkout, workload, seed, seconds, trace, cpu=None):
+        return {"correct": True, "input_digest": "in", "pass_digest": checkout.name,
+                "env": {}, "metrics": {"records_per_s": 1.0}}
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    for name in ("side", "other"):
+        (tmp_path / name).mkdir()
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "side"), "--change", str(tmp_path / "other"),
+            "--out", str(out), "--pairs", "etl:42:1", "--note", "a note"]
+    assert bench_pairs.main(argv) == 1
+    assert bench_pairs.main([*argv, "--new-outputs", "etl"]) == 0
+    record = json.loads(out.read_text())
+    assert record["notes"] == ["a note"]
+    assert {s: d["pass_digest"] for s, d in
+            record["workloads"]["etl/seed42"]["digests"].items()} == {"parent": "side",
+                                                                      "change": "other"}
+
+
+def test_outputs_and_cap_ingest_runs_of_this_checkout(bench_pairs, tmp_path):
+    # Both sides are this checkout: the same files, and, for --cap-ingest,
+    # the same outputs from the sidecar as from the parse.
+    out = tmp_path / "bench.json"
+    here = str(TOOL.parents[1])
+    assert bench_pairs.main(["--parent", here, "--change", here, "--out", str(out),
+                             "--outputs", "300:5", "--cap-ingest", "300:50:1"]) == 0
+    record = json.loads(out.read_text())
+    outputs = record["output_runs"]["300:5"]
+    assert outputs["only_in_change"] == []
+    assert outputs["parent"] == outputs["change"]
+    assert sorted(outputs["change"]["sha256"]) == [
+        "classified.csv", "classified.csv.columns", "clean.csv", "clean.csv.columns",
+        "filter_report.json", "raw.csv", "raw.csv.columns"]
+    assert outputs["change"]["digest"] != outputs["change"]["digest_without_columns"]
+    cap = record["cap_ingest_runs"]["300:50"]
+    assert cap["outputs_equal"] is True
+    assert sorted(cap["median_wall_s"]) == ["change", "change_parsed", "parent"]
+    assert all(len(cap[way]) == 1 and cap[way][0]["exit"] == 0 for way in cap["median_wall_s"])
+
+
+@pytest.mark.parametrize("change,code", [({"a.csv": "1", "a.csv.columns": "2"}, 0),
+                                         ({"a.csv": "2", "a.csv.columns": "2"}, 1),
+                                         ({"a.csv": "1", "b.csv": "3"}, 1)])
+def test_outputs_may_differ_only_by_new_sidecars(bench_pairs, tmp_path, monkeypatch,
+                                                 change, code):
+    def run_outputs(checkout, n, seed):
+        files = {"a.csv": "1"} if checkout.name == "side" else change
+        return {"exit": {"simulate": 0}, "sha256": files, "digest": "d",
+                "digest_without_columns": "d"}
+    monkeypatch.setattr(bench_pairs, "run_outputs", run_outputs)
+    for name in ("side", "other"):
+        (tmp_path / name).mkdir()
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "side"), "--change",
+                             str(tmp_path / "other"), "--out", str(out),
+                             "--outputs", "100:1"]) == code
+    assert json.loads(out.read_text())["output_runs"]["100:1"]["only_in_change"] == sorted(
+        set(change) - {"a.csv"})

@@ -688,17 +688,19 @@ def test_second_output_in_a_new_directory(pipeline, tmp_path):
     # written, and left no manifest.
     assert run("aggregate", "--input", pipeline / "classified.csv",
                "--family", "opioid", "--outdir", tmp_path / "series") == 0
-    for command, argv, first, flag, second in (
-            ("simulate", ["--n", 100], "s/d.csv", "--dump-config", "b/x.json"),
-            ("ingest", ["--input", pipeline / "data.csv"], "i/c.csv", "--report", "d/r.json"),
+    # simulate and ingest write the column sidecar of their CSV right after it.
+    for command, argv, first, flag, second, sidecar in (
+            ("simulate", ["--n", 100], "s/d.csv", "--dump-config", "b/x.json", ["d.csv.columns"]),
+            ("ingest", ["--input", pipeline / "data.csv"], "i/c.csv", "--report", "d/r.json",
+             ["c.csv.columns"]),
             ("fit", ["--input", tmp_path / "series" / "series_opioid_overall.csv"],
-             "f/fit.json", "--residuals", "e/res.csv")):
+             "f/fit.json", "--residuals", "e/res.csv", [])):
         first, second = tmp_path / first, tmp_path / second
         assert run(command, *argv, "--out", first, flag, second) == 0
         assert first.is_file() and second.is_file()
         manifest = first.parent / f"manifest_{command}.json"
         assert json.loads(manifest.read_text())["outputs"] == [
-            first.name, os.path.join("..", second.parent.name, second.name)]
+            first.name, *sidecar, os.path.join("..", second.parent.name, second.name)]
 
 
 # The ten stages in pipeline order: the command, its arguments (a Path is

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -320,3 +321,20 @@ def test_classify_records_matches_scalar_path():
         # equal to the last bit, so both paths bucket a record alike at an edge
         assert (d_pp, d_pd, d_rd) == (g.d_pp, g.d_pd, g.d_rd)
         assert pi_total == g.pi_total
+
+
+def test_classify_records_refuses_the_first_record_clean_would_drop():
+    inside, outside = GeoPoint(34.0, -81.0), GeoPoint(34.0, 181.0)
+    recs = [make_record(inside, inside, inside),
+            make_record(inside, inside, outside),
+            make_record(inside, inside, inside, days=0)]
+    table = TransactionTable.from_records(
+        [replace(r, record_id=f"r{i}") for i, r in enumerate(recs)])
+    with pytest.raises(ValueError, match=r"^record r1: dispenser coordinates out of range, "
+                                         r"got \(34\.0, 181\.0\); run clean\(\) first$"):
+        classify_records(table)
+    with pytest.raises(ValueError, match=r"^record r2: days_supply must be >= 1"):
+        classify_records(table.take(np.array([True, False, True])))
+    nan = TransactionTable.from_records([make_record(GeoPoint(math.nan, 0.0), inside, inside)])
+    with pytest.raises(ValueError, match="patient coordinates out of range, got \\(nan, 0.0\\)"):
+        classify_records(nan)

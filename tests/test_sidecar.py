@@ -9,13 +9,15 @@ import csv
 import hashlib
 import json
 import shutil
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from rxgeo import cli, records, series
-from rxgeo.series import SIDECAR_SUFFIX, read_classified_csv, read_sidecar
+from rxgeo import cli, records
+from rxgeo.records import SIDECAR_SUFFIX
+from rxgeo.series import read_classified_csv, read_sidecar
 
 # Every accepted non-canonical spelling, as (column, text).
 SPELLINGS = [("days_supply", " 7 "), ("fill_date", " 2016-07-01 "),
@@ -85,8 +87,8 @@ def _outputs(capsys, csv_path, outdir, stage):
 
 def test_sidecar_equals_the_parse_of_its_csv(classified):
     key = hashlib.sha256(classified.read_bytes()).hexdigest()
-    table, digest = read_sidecar(series.sidecar_path(classified), key)
-    assert digest == hashlib.sha256(series.sidecar_path(classified).read_bytes()).hexdigest()
+    table, digest = read_sidecar(records.sidecar_path(classified), key)
+    assert digest == hashlib.sha256(records.sidecar_path(classified).read_bytes()).hexdigest()
     with mock.patch.object(records, "CHUNK_ROWS", 7), open(classified, newline="") as fh:
         parsed = read_classified_csv(fh)
     for name in ("drug_family", "month_index", "mme_total", "days_supply", "class_code",
@@ -102,7 +104,7 @@ def test_reader_stages_write_the_same_with_and_without_the_sidecar(capsys, class
                                                                    tmp_path, stage):
     (with_sidecar, inputs) = _outputs(capsys, classified, tmp_path / "hit", stage)
     assert with_sidecar[0] == 0, with_sidecar[2]
-    sidecar = series.sidecar_path(classified)
+    sidecar = records.sidecar_path(classified)
     listed = {name: h for name, h in inputs.items() if name.endswith(SIDECAR_SUFFIX)}
     assert list(listed.values()) == [hashlib.sha256(sidecar.read_bytes()).hexdigest()]
     alone = tmp_path / "alone"
@@ -139,9 +141,9 @@ def test_a_sidecar_that_does_not_check_out_falls_back_to_the_parse(capsys, class
                                                                    tmp_path, how, stage):
     work = tmp_path / "work"
     work.mkdir()
-    csv_path, sidecar = work / classified.name, work / series.sidecar_path(classified).name
+    csv_path, sidecar = work / classified.name, work / records.sidecar_path(classified).name
     csv_path.write_bytes(classified.read_bytes())
-    sidecar.write_bytes(series.sidecar_path(classified).read_bytes())
+    sidecar.write_bytes(records.sidecar_path(classified).read_bytes())
     _spoil(csv_path, sidecar, how)
     plain = tmp_path / "plain"
     plain.mkdir()
@@ -161,15 +163,16 @@ def test_classify_writes_the_same_sidecar_twice(capsys, classified, tmp_path):
         assert code == 0, err
     sidecars = [(tmp_path / name / f"classified.csv{SIDECAR_SUFFIX}").read_bytes()
                 for name in ("a", "b")]
-    assert sidecars[0] == sidecars[1] == series.sidecar_path(classified).read_bytes()
+    assert sidecars[0] == sidecars[1] == records.sidecar_path(classified).read_bytes()
     manifest = json.loads((tmp_path / "a" / "manifest_classify.json").read_text())
     assert manifest["outputs"] == ["classified.csv", f"classified.csv{SIDECAR_SUFFIX}"]
 
 
-def test_a_non_finite_distance_gets_no_sidecar_and_the_readers_reject_it(capsys, tmp_path):
-    # A patient at latitude 91 (ingest would drop it, classify does not) and a
-    # prescriber at 89, half the world apart: the haversine term under the
-    # square root rounds below 0, so d_pp is NaN.
+def test_out_of_range_coordinates_fail_classify_with_no_output(capsys, tmp_path):
+    # A patient at latitude 91 (ingest would drop it) and a prescriber at 89,
+    # half the world apart: the haversine term under the square root would
+    # round below 0, and d_pp be NaN.  classify refuses the record, as it
+    # refuses days_supply < 1, so no classified CSV or sidecar holds a NaN.
     assert cli.main(["simulate", "--n", "300", "--seed", "3",
                      "--out", str(tmp_path / "clean.csv")]) == 0
     with open(tmp_path / "clean.csv", newline="") as fh:
@@ -181,15 +184,11 @@ def test_a_non_finite_distance_gets_no_sidecar_and_the_readers_reject_it(capsys,
     with open(tmp_path / "clean.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):
-        code, _, err = _run(capsys, "classify", "--input", tmp_path / "clean.csv",
-                            "--out", out / "classified.csv")
-    assert code == 0, err
-    assert sorted(p.name for p in out.iterdir()) == ["classified.csv", "manifest_classify.json"]
-    assert json.loads((out / "manifest_classify.json").read_text())["outputs"] == [
-        "classified.csv"]
-    for stage in READERS:
-        (code, stdout, err, made), _ = _outputs(capsys, out / "classified.csv",
-                                                tmp_path / stage, stage)
-        assert (code, stdout, made) == (2, "", {})
-        assert err == f"error: {out / 'classified.csv'}: line {len(rows)}: invalid d_pp\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "invalid value encountered in sqrt"
+        code, stdout, err = _run(capsys, "classify", "--input", tmp_path / "clean.csv",
+                                 "--out", out / "classified.csv")
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: {tmp_path / 'clean.csv'}: record {rows[-1][0]}: patient "
+                   "coordinates out of range, got (91.0, 0.0); run clean() first\n")
+    assert not out.exists()

@@ -166,15 +166,25 @@ PEAK_GROWTH_BOUND = 1.2
 
 
 def test_ingest_and_classify_peak_memory_does_not_grow_with_records(tmp_path):
+    # Each stage reads its input's column sidecar, then, once the sidecars
+    # are deleted, parses its input.
     peaks = {}
     for n in (10_000, 100_000):
         work = tmp_path / str(n)
         work.mkdir()
         _peak_rss_mb(work, "simulate", "--n", n, "--seed", 42, "--out", "raw.csv")
-        peaks["ingest", n] = _peak_rss_mb(work, "ingest", "--input", "raw.csv",
-                                          "--out", "clean.csv", "--report", "report.json")
-        peaks["classify", n] = _peak_rss_mb(work, "classify", "--input", "clean.csv",
-                                            "--out", "classified.csv")
+        for path in ("sidecar", "parsed"):
+            if path == "parsed":
+                records.sidecar_path(work / "raw.csv").unlink()
+            peaks["ingest", path, n] = _peak_rss_mb(
+                work, "ingest", "--input", "raw.csv", "--out", "clean.csv",
+                "--report", "report.json")
+            if path == "parsed":
+                records.sidecar_path(work / "clean.csv").unlink()
+            peaks["classify", path, n] = _peak_rss_mb(
+                work, "classify", "--input", "clean.csv", "--out", "classified.csv")
         (work / "raw.csv").unlink()
     for stage in ("ingest", "classify"):
-        assert peaks[stage, 100_000] <= PEAK_GROWTH_BOUND * peaks[stage, 10_000], peaks
+        for path in ("sidecar", "parsed"):
+            assert (peaks[stage, path, 100_000]
+                    <= PEAK_GROWTH_BOUND * peaks[stage, path, 10_000]), peaks

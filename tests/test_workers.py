@@ -150,7 +150,7 @@ def classified(tmp_path_factory):
                  ["classify", "--input", clean, "--out", classified]):
         assert cli.main(list(map(str, argv))) == 0
     # Without its column sidecar, a reader stage parses the CSV in workers.
-    series.sidecar_path(classified).unlink()
+    records.sidecar_path(classified).unlink()
     return classified
 
 

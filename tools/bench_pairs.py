@@ -25,6 +25,23 @@ check the harness itself.  Standard library only.
 * ``--traced-unpinned W:S:N`` runs N traced pairs as ``--traced`` does, on
   every CPU, as ``--pairs`` runs do; the layers of the stage process, such
   as ``intervention.its_batch``, are whole.
+* ``--new-outputs W`` records the digests of W's ``--pairs`` and
+  ``--digest`` runs without requiring the two sides' to be equal: for a
+  change that adds output files, which ``--outputs`` shows.
+* ``--outputs N:S`` runs ``rxgeo simulate --seed S --n N``, ``ingest`` and
+  ``classify`` once on each side, as the etl workload does, and keeps the
+  SHA-256 of each file they write, manifests left out, with the digest
+  ``perfbench/run.py`` takes of them, once over every file and once with
+  the ``*.columns`` sidecars left out.  Every file the parent writes must
+  be the same bytes on the change side, and a file only the change writes
+  must be a ``*.columns`` sidecar.
+* ``--cap-ingest N:CAP:K`` simulates N records at seed 42 with the change,
+  then times ``rxgeo ingest --cap CAP`` on them K times each: the parent,
+  the change reading the input's column sidecar, and the change parsing a
+  copy of the input without it, in an order that rotates every round.  It
+  keeps each run's wall and CPU seconds, peak RSS and output digests, which
+  must all be equal (the change's ``clean.csv.columns`` left out).
+* ``--note TEXT`` adds a line to the file's ``notes``.
 * ``--scale N`` runs ``rxgeo simulate --seed 42 --n N``, then ``ingest``,
   ``classify`` and ``aggregate`` (a reader stage, on the classified CSV),
   twice on each side in the order parent, change, change, parent, each
@@ -48,6 +65,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -98,39 +116,99 @@ def sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def run_scale(checkout: Path, n: int) -> dict:
-    """The --scale stages on ``n`` records, each once as its own process;
-    per stage its exit status, times, peak RSS and output digests.  Stops at
-    the first stage that fails."""
+def run_stage(checkout: Path, work: Path, stage: str, args: list[str],
+              outputs: list[str]) -> dict:
+    """One rxgeo stage of ``checkout`` as its own process in ``work``: its
+    exit status, times, peak RSS and the digests of the ``outputs`` glob
+    patterns' files."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(checkout / "src"), os.environ.get("PYTHONPATH")) if p),
         PYTHONHASHSEED="0", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
         MKL_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "rxgeo.cli", stage, *args]
+    with open(work / f"{stage}.log", "w") as log:
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=log, stderr=subprocess.STDOUT)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        print(f"{checkout}: {' '.join(cmd[1:])} exited {code}\n"
+              f"{(work / f'{stage}.log').read_text()[-2000:]}", file=sys.stderr)
+    return {"exit": code, "wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "sha256": {path.relative_to(work).as_posix(): sha256(path)
+                       for pattern in outputs for path in sorted(work.glob(pattern))}}
+
+
+def run_scale(checkout: Path, n: int) -> dict:
+    """The --scale stages on ``n`` records, each once as its own process;
+    per stage its exit status, times, peak RSS and output digests.  Stops at
+    the first stage that fails."""
     stages = {}
     with tempfile.TemporaryDirectory(prefix="bench_scale_") as tmp:
-        work = Path(tmp)
         for stage, args, outputs in SCALE_STAGES:
-            cmd = [sys.executable, "-m", "rxgeo.cli", stage, *args]
-            if stage == "simulate":
-                cmd += ["--n", str(n)]
-            with open(work / f"{stage}.log", "w") as log:
-                start = time.perf_counter()
-                proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=log,
-                                        stderr=subprocess.STDOUT)
-                _, status, usage = os.wait4(proc.pid, 0)
-                wall = time.perf_counter() - start
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            stages[stage] = {"exit": proc.returncode, "wall_s": wall,
-                             "cpu_s": usage.ru_utime + usage.ru_stime,
-                             "peak_rss_mb": usage.ru_maxrss / 1024.0,
-                             "sha256": {path.relative_to(work).as_posix(): sha256(path)
-                                        for pattern in outputs
-                                        for path in sorted(work.glob(pattern))}}
-            if proc.returncode:
-                print(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}\n"
-                      f"{(work / f'{stage}.log').read_text()[-2000:]}", file=sys.stderr)
+            args = [*args, "--n", str(n)] if stage == "simulate" else args
+            stages[stage] = run_stage(checkout, Path(tmp), stage, args, outputs)
+            if stages[stage]["exit"]:
                 break
     return stages
+
+
+def tree_digest(directory: Path, leave_out: str | None = None) -> str:
+    """The digest ``perfbench/run.py`` takes of a directory: SHA-256 over
+    each file's relative path and bytes, in sorted order, manifests left
+    out, and also the files whose name ends with ``leave_out``, if given."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        if not path.name.startswith("manifest_") and not (
+                leave_out and path.name.endswith(leave_out)):
+            h.update(str(path.relative_to(directory)).encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def run_outputs(checkout: Path, n: int, seed: int) -> dict:
+    """simulate, ingest and classify as the etl workload runs them, on
+    ``n`` records at ``seed``: the exit status of each stage, and the
+    digests of the files they write."""
+    with tempfile.TemporaryDirectory(prefix="bench_outputs_") as tmp:
+        work = Path(tmp)
+        steps = [("simulate", ["--out", "raw.csv", "--n", str(n), "--seed", str(seed)]),
+                 *((stage, args) for stage, args, _ in SCALE_STAGES[1:3])]
+        exits = {stage: run_stage(checkout, work, stage, args, [])["exit"]
+                 for stage, args in steps}
+        for log in work.glob("*.log"):
+            log.unlink()
+        return {"exit": exits,
+                "sha256": {p.name: sha256(p) for p in sorted(work.iterdir())
+                           if not p.name.startswith("manifest_")},
+                "digest": tree_digest(work), "digest_without_columns": tree_digest(
+                    work, ".columns")}
+
+
+def run_cap_ingest(dirs: dict[str, Path], n: int, cap: int, rounds: int) -> dict:
+    """``--cap-ingest``: each run of each way, in run order per way."""
+    ways = {"parent": (dirs["parent"], "hit"), "change": (dirs["change"], "hit"),
+            "change_parsed": (dirs["change"], "parsed")}
+    runs: dict[str, list[dict]] = {way: [] for way in ways}
+    with tempfile.TemporaryDirectory(prefix="bench_cap_") as tmp:
+        work = Path(tmp)
+        for sub in ("hit", "parsed"):
+            (work / sub).mkdir()
+        run_stage(dirs["change"], work / "hit", "simulate",
+                  ["--seed", "42", "--n", str(n), "--out", "raw.csv"], [])
+        shutil.copyfile(work / "hit" / "raw.csv", work / "parsed" / "raw.csv")
+        names = list(ways)
+        for r in range(rounds):
+            for way in names[r % 3:] + names[:r % 3]:
+                checkout, sub = ways[way]
+                runs[way].append(run_stage(checkout, work / sub, "ingest", [
+                    "--input", "raw.csv", "--out", "out/clean.csv", "--report",
+                    "out/filter_report.json", "--cap", str(cap)],
+                    ["out/clean.csv", "out/filter_report.json"]))
+                shutil.rmtree(work / sub / "out", ignore_errors=True)
+    return runs
 
 
 def src_lines(checkout: Path) -> int:
@@ -180,6 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--traced-unpinned", type=lambda t: spec(t, 3), action="append",
                     default=[])
     ap.add_argument("--scale", type=int, action="append", default=[])
+    ap.add_argument("--new-outputs", action="append", default=[])
+    ap.add_argument("--outputs", type=lambda t: spec(t, 2), action="append", default=[])
+    ap.add_argument("--cap-ingest", type=lambda t: spec(t, 3), action="append", default=[])
+    ap.add_argument("--note", action="append", default=[])
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bad: list[str] = []
@@ -190,12 +272,12 @@ def main(argv: list[str] | None = None) -> int:
         every.append(run_bench(dirs[side], workload, seed, seconds, trace, cpu))
         return every[-1]
 
-    def check(label: str, runs: dict[str, dict]) -> None:
+    def check(label: str, runs: dict[str, dict], digests: bool = True) -> None:
         for side, r in runs.items():
             if not r["correct"]:
                 bad.append(f"{label}: a {side} run is not correct")
-        digests = {(r.get("input_digest"), r.get("pass_digest")) for r in runs.values()}
-        if len(digests) != 1:
+        if digests and len({(r.get("input_digest"), r.get("pass_digest"))
+                            for r in runs.values()}) != 1:
             bad.append(f"{label}: the parent and change digests differ")
 
     out: dict = {
@@ -206,6 +288,7 @@ def main(argv: list[str] | None = None) -> int:
                   + "); the side that runs first swaps every pair; parent and change "
                     "each run from their own checkout",
         "digest_only_runs": {}, "host": {}, "scale_runs": {}, "workloads": {},
+        "notes": args.note, "output_runs": {}, "cap_ingest_runs": {},
         "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
     }
     for workload, seed, n in args.pairs:
@@ -217,7 +300,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{label} pair {i + 1}/{n} {s}: "
                       f"{runs[s][-1]['metrics'].get('completed_per_s')}", file=sys.stderr)
         for i in range(n):
-            check(f"{label} pair {i + 1}", {s: runs[s][i] for s in SIDES})
+            check(f"{label} pair {i + 1}", {s: runs[s][i] for s in SIDES},
+                  workload not in args.new_outputs)
         if any(not r["correct"] for side in SIDES for r in runs[side]):
             continue
         metrics = runs["parent"][0]["metrics"]
@@ -235,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload, seed in args.digest:
         label = f"{workload}/seed{seed}"
         runs = {s: bench(s, workload, seed, 1, 0) for s in SIDES}
-        check(label, runs)
+        check(label, runs, workload not in args.new_outputs)
         out["digest_only_runs"][label] = {
             s: {k: r.get(k) for k in ("correct", "input_digest", "pass_digest")}
             for s, r in runs.items()}
@@ -285,6 +369,30 @@ def main(argv: list[str] | None = None) -> int:
                 for stage in stages},
             **shots,
         }
+    for n, seed in args.outputs:
+        sides = {side: run_outputs(dirs[side], n, seed) for side in SIDES}
+        if any(code for r in sides.values() for code in r["exit"].values()):
+            bad.append(f"outputs {n}:{seed}: a stage failed")
+        parent, change = sides["parent"]["sha256"], sides["change"]["sha256"]
+        only_in_change = sorted(set(change) - set(parent))
+        if any(change.get(name) != digest for name, digest in parent.items()) or not all(
+                name.endswith(".columns") for name in only_in_change):
+            bad.append(f"outputs {n}:{seed}: the files differ by more than new sidecars")
+        out["output_runs"][f"{n}:{seed}"] = {
+            "command": f"rxgeo simulate --n {n} --seed {seed}, then ingest and classify",
+            "only_in_change": only_in_change, **sides}
+    for n, cap, rounds in args.cap_ingest:
+        runs = run_cap_ingest(dirs, n, cap, rounds)
+        shots = [r for way in runs.values() for r in way]
+        equal = all(r["sha256"] == shots[0]["sha256"] for r in shots)
+        if any(r["exit"] for r in shots) or not equal:
+            bad.append(f"cap-ingest {n}:{cap}: a run failed or the outputs differ")
+        out["cap_ingest_runs"][f"{n}:{cap}"] = {
+            "command": f"rxgeo ingest --cap {cap} on rxgeo simulate --seed 42 --n {n}",
+            "outputs_equal": equal,
+            "median_wall_s": {way: statistics.median(r["wall_s"] for r in way_runs)
+                              for way, way_runs in runs.items()},
+            **runs}
     envs = [r["env"] for r in every if r["correct"]]
     out["host"] = envs[0] if envs else {}
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
