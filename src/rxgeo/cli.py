@@ -20,7 +20,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterator, TextIO
 
 import numpy as np
 
@@ -121,18 +121,24 @@ class RunManifest:
             "outputs": [os.path.relpath(p, outdir) for p in self.outputs]}))
 
 
-def _sha256(path: Path) -> str:
+def _sha256(fh: BinaryIO) -> str:
+    """The hex SHA-256 of the rest of an open binary file."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        h.update(chunk)
     return h.hexdigest()
 
 
-def _track_input(manifest: RunManifest, path: Path) -> None:
+def _open_input(path: Path) -> BinaryIO:
+    """The input at ``path``, open in binary; a DataError if it is missing."""
     if not path.exists():
         raise DataError(f"missing input file: {path}")
-    manifest.inputs[str(path)] = _sha256(path)
+    return open(path, "rb")
+
+
+def _track_input(manifest: RunManifest, path: Path) -> None:
+    with _open_input(path) as fh:
+        manifest.inputs[str(path)] = _sha256(fh)
 
 
 # --- shared I/O --------------------------------------------------------------
@@ -148,9 +154,13 @@ def _read_text(path: Path) -> str:
 @contextmanager
 def _input(path: Path, manifest: RunManifest) -> Iterator[TextIO]:
     """The open input, hashed into the manifest; a ReadError while it is open
-    becomes a DataError naming it."""
-    _track_input(manifest, path)
-    with open(path, newline="") as fh:
+    becomes a DataError naming it.  The hash is taken of the open file the
+    stage then reads, so that it, and a sidecar keyed by it, are of the bytes
+    read even if the file at ``path`` is replaced in between."""
+    raw = _open_input(path)
+    with io.TextIOWrapper(raw, newline="") as fh:
+        manifest.inputs[str(path)] = _sha256(raw)
+        raw.seek(0)
         try:
             yield fh
         except records.ReadError as exc:
@@ -304,7 +314,8 @@ def _cmd_simulate(args, manifest: RunManifest) -> str:
     with _csv_output(manifest, args.out, records.INGEST_LAYOUT) as (out, sidecar):
         for i, block in enumerate(syngen.generate_blocks(cfg, args.n, seed=args.seed)):
             plain = records.write_csv(block, out, header=i == 0)
-            sidecar.append(records.ingest_rows(block) if plain else None)
+            sidecar.append(records.ingest_rows(block)
+                           if plain and records.passes_ingest(block) else None)
             n += len(block)
     if args.dump_config:
         _output(manifest, args.dump_config).write_text(

@@ -670,22 +670,30 @@ def family_index(drug_family: np.ndarray) -> np.ndarray:
     return index
 
 
-def ingest_rows(table: TransactionTable) -> np.ndarray | None:
-    """The ``INGEST_LAYOUT`` rows of a table; None if the CSV row written for
-    a record would fail an ``INGEST`` check (a blank record_id, a coordinate
-    or MME that is not finite, a negative MME or days_supply, another
-    family), as a scenario whose month factors turn negative draws."""
-    family = family_index(table.drug_family)
-    mme = table.mme_total
-    if not (np.isfinite([getattr(table, name) for name in COORDINATE_COLUMNS]).all()
-            and (np.isfinite(mme) & (mme >= 0)).all() and (table.days_supply >= 0).all()
-            and (family < len(FAMILIES)).all() and all(map(str.strip, table.record_id))):
-        return None
+def ingest_rows(table: TransactionTable) -> np.ndarray:
+    """The ``INGEST_LAYOUT`` rows of a table whose records pass the
+    ``INGEST`` checks: one :func:`parse_chunks` or :func:`sidecar_chunks`
+    read, or :func:`clean` kept of one, or one :func:`passes_ingest`
+    accepts."""
     rows = np.empty(len(table), INGEST_LAYOUT.row)
     for name in INGEST_LAYOUT.row.names[:-1]:
         rows[name] = getattr(table, name)
-    rows["family"] = family
+    rows["family"] = family_index(table.drug_family)
     return rows
+
+
+def passes_ingest(table: TransactionTable) -> bool:
+    """Whether every record of a table that was not read from a CSV, such as
+    a block simulate generates, would pass the ``INGEST`` checks as
+    :func:`write_csv` writes it: not so for a blank record_id, a coordinate
+    or MME that is not finite, a negative MME or days_supply, or another
+    family, as a scenario whose month factors turn negative draws.  (A
+    family with surrounding blanks, which the parse strips, fails here.)"""
+    mme = table.mme_total
+    return bool(np.isfinite([getattr(table, name) for name in COORDINATE_COLUMNS]).all()
+                and (np.isfinite(mme) & (mme >= 0)).all() and (table.days_supply >= 0).all()
+                and (family_index(table.drug_family) < len(FAMILIES)).all()
+                and all(map(str.strip, table.record_id)))
 
 
 class SidecarWriter:
@@ -794,7 +802,9 @@ def sidecar_chunks(stream: TextIO, sidecar: Sidecar
     and no row errors.  Each chunk's columns are read from the sidecar, and
     its texts are its lines, without their line ends (row i of the sidecar
     is line i + 1 of the CSV), so a record_id is the text before the first
-    comma.  The sidecar is closed when the last chunk has been read."""
+    comma.  A CSV with another number of lines than the sidecar has rows,
+    as one written to while it is read has, raises :class:`ReadError`.  The
+    sidecar is closed when the last chunk has been read."""
     families = np.array(FAMILIES)
     with sidecar.file:
         stream.readline()  # the header, which is CSV_COLUMNS
@@ -802,6 +812,9 @@ def sidecar_chunks(stream: TextIO, sidecar: Sidecar
             rows = sidecar.read(min(CHUNK_ROWS, sidecar.rows - start))
             lines = "".join(islice(stream, len(rows))).split("\r\n")
             del lines[-1]  # the empty text after the last line end
+            if len(lines) != len(rows) or (start + len(rows) == sidecar.rows
+                                           and stream.read(1)):
+                raise ReadError("changed while it was read")
             ids = np.array([line.partition(",")[0] for line in lines], dtype=object)
             yield _ReadTable(ids, *(rows[name].copy() for name in INGEST_LAYOUT.row.names[:-1]),
                              families[rows["family"]], texts=lines), []

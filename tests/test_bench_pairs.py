@@ -173,26 +173,6 @@ def test_scale_run_of_the_producer_stages(bench_pairs):
     assert not any("manifest" in name for name in written)
 
 
-def test_pairs_of_a_workload_with_new_outputs_record_other_digests(bench_pairs, tmp_path,
-                                                                  monkeypatch):
-    def run_bench(checkout, workload, seed, seconds, trace, cpu=None):
-        return {"correct": True, "input_digest": "in", "pass_digest": checkout.name,
-                "env": {}, "metrics": {"records_per_s": 1.0}}
-    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
-    for name in ("side", "other"):
-        (tmp_path / name).mkdir()
-    out = tmp_path / "bench.json"
-    argv = ["--parent", str(tmp_path / "side"), "--change", str(tmp_path / "other"),
-            "--out", str(out), "--pairs", "etl:42:1", "--note", "a note"]
-    assert bench_pairs.main(argv) == 1
-    assert bench_pairs.main([*argv, "--new-outputs", "etl"]) == 0
-    record = json.loads(out.read_text())
-    assert record["notes"] == ["a note"]
-    assert {s: d["pass_digest"] for s, d in
-            record["workloads"]["etl/seed42"]["digests"].items()} == {"parent": "side",
-                                                                      "change": "other"}
-
-
 def test_outputs_and_cap_ingest_runs_of_this_checkout(bench_pairs, tmp_path):
     # Both sides are this checkout: the same files, and, for --cap-ingest,
     # the same outputs from the sidecar as from the parse.

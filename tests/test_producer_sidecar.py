@@ -10,7 +10,10 @@ summary and exits with the same code.
 
 import csv
 import hashlib
+import io
 import json
+import math
+import os
 import shutil
 import warnings
 from unittest import mock
@@ -19,7 +22,8 @@ import numpy as np
 import pytest
 
 from rxgeo import cli, records
-from rxgeo.records import INGEST_LAYOUT, SIDECAR_SUFFIX, sidecar_path
+from rxgeo.records import (COORDINATE_COLUMNS, FAMILIES, INGEST_LAYOUT, SIDECAR_SUFFIX,
+                           sidecar_path)
 from rxgeo.series import CLASSIFIED_LAYOUT
 
 
@@ -189,6 +193,87 @@ def test_a_scenario_with_negative_mme_gets_no_raw_sidecar(capsys, tmp_path):
     (code, stdout, err, made), _ = _stage(capsys, raw, tmp_path / "out", "ingest")
     assert code == 0 and json.loads(made["filter_report.json"])["malformed_row"] > 0
     assert f"clean.csv{SIDECAR_SUFFIX}" in made
+
+
+_ONE_RECORD = {"record_id": "r1", "fill_date": 735600, "mme_total": 30.0, "days_supply": 5,
+               "drug_family": "opioid", **dict.fromkeys(COORDINATE_COLUMNS, 34.0)}
+
+_BOUNDARY = [
+    *(("record_id", v) for v in ("r1", " r1 ", "", "  ", "a,b")),
+    *((name, v) for name in COORDINATE_COLUMNS
+      for v in (-0.0, 1e308, 5e-324, math.inf, -math.inf, math.nan)),
+    *(("mme_total", v) for v in (0.0, -0.0, 5e-324, -5e-324, 1e308, math.inf, math.nan)),
+    *(("days_supply", v) for v in (0, -1, 2**63 - 1, -2**63)),
+    *(("drug_family", v) for v in (*FAMILIES, "", "other", "Opioid")),
+]
+
+
+@pytest.mark.parametrize("column,value", _BOUNDARY)
+def test_passes_ingest_accepts_what_the_parse_accepts(column, value):
+    # simulate writes a raw sidecar only for blocks passes_ingest accepts, so
+    # it must accept a record exactly when parse_csv of its written row does,
+    # and the sidecar rows must then be those of the parse.
+    values = {**_ONE_RECORD, column: value}
+    table = records.TransactionTable(
+        np.array([values["record_id"]], dtype=object),
+        *(np.array([values[name]], dtype=np.int64 if name in ("fill_date", "days_supply")
+                   else float) for name in records.CSV_COLUMNS[1:-1]),
+        np.array([values["drug_family"]], dtype=str))
+    text = io.StringIO(newline="")
+    records.write_csv(table, text)
+    parsed, errors = records.parse_csv(io.StringIO(text.getvalue(), newline=""))
+    assert records.passes_ingest(table) == (not errors)
+    if not errors:
+        assert records.ingest_rows(parsed).tobytes() == records.ingest_rows(table).tobytes()
+
+
+def _copy_with_sidecar(csv_path, directory):
+    directory.mkdir()
+    copy = directory / csv_path.name
+    shutil.copyfile(csv_path, copy)
+    shutil.copyfile(sidecar_path(csv_path), sidecar_path(copy))
+    return copy
+
+
+def test_an_input_replaced_after_it_is_hashed_is_read_as_hashed(capsys, raw, tmp_path,
+                                                                monkeypatch):
+    # The hash, the sidecar it keys and the lines all come from one open file,
+    # so a CSV moved over the input in between is not read.
+    want, _ = _stage(capsys, _copy_with_sidecar(raw, tmp_path / "plain"),
+                     tmp_path / "plain" / "out", "ingest")
+    copy = _copy_with_sidecar(raw, tmp_path / "work")
+    other = tmp_path / "other.csv"
+    text = raw.read_bytes()
+    at = text.index(b"\r\n") + 2  # a record_id's "r" is an "s"
+    other.write_bytes(text[:at] + b"s" + text[at + 1:])
+    real = cli._sha256
+
+    def hash_then_replace(fh):
+        digest = real(fh)
+        if other.exists():
+            os.replace(other, copy)
+        return digest
+    monkeypatch.setattr(cli, "_sha256", hash_then_replace)
+    got, inputs = _stage(capsys, copy, tmp_path / "work" / "out", "ingest")
+    assert not other.exists()
+    assert got[0] == 0 and got[3] == want[3], got[2]
+    assert inputs["../raw.csv"] == hashlib.sha256(text).hexdigest()
+
+
+def test_a_csv_written_to_while_it_is_read_fails_the_stage(capsys, raw, tmp_path,
+                                                          monkeypatch):
+    copy = _copy_with_sidecar(raw, tmp_path / "work")
+    real = records.open_sidecar
+
+    def open_then_append(*args):
+        found = real(*args)
+        with open(copy, "ab") as fh:
+            fh.write(raw.read_bytes().splitlines(keepends=True)[-1])
+        return found
+    monkeypatch.setattr(records, "open_sidecar", open_then_append)
+    (code, stdout, err, _), _ = _stage(capsys, copy, tmp_path / "work" / "out", "ingest")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {copy}: changed while it was read\n"
 
 
 def _spoil(csv_path, how):

@@ -25,9 +25,6 @@ check the harness itself.  Standard library only.
 * ``--traced-unpinned W:S:N`` runs N traced pairs as ``--traced`` does, on
   every CPU, as ``--pairs`` runs do; the layers of the stage process, such
   as ``intervention.its_batch``, are whole.
-* ``--new-outputs W`` records the digests of W's ``--pairs`` and
-  ``--digest`` runs without requiring the two sides' to be equal: for a
-  change that adds output files, which ``--outputs`` shows.
 * ``--outputs N:S`` runs ``rxgeo simulate --seed S --n N``, ``ingest`` and
   ``classify`` once on each side, as the etl workload does, and keeps the
   SHA-256 of each file they write, manifests left out, with the digest
@@ -41,7 +38,6 @@ check the harness itself.  Standard library only.
   copy of the input without it, in an order that rotates every round.  It
   keeps each run's wall and CPU seconds, peak RSS and output digests, which
   must all be equal (the change's ``clean.csv.columns`` left out).
-* ``--note TEXT`` adds a line to the file's ``notes``.
 * ``--scale N`` runs ``rxgeo simulate --seed 42 --n N``, then ``ingest``,
   ``classify`` and ``aggregate`` (a reader stage, on the classified CSV),
   twice on each side in the order parent, change, change, parent, each
@@ -55,8 +51,12 @@ The BENCH file also records ``src_lines``, the line count of
 ``src/rxgeo/*.py`` in each checkout, as ``cat src/rxgeo/*.py | wc -l`` gives it.
 
 Exits 1, after writing what it has, when a run is not correct, the two
-sides' digests differ on any workload and seed, or any two ``--scale`` shots'
-outputs differ.
+sides' digests differ on any workload and seed, any two ``--scale`` shots'
+outputs differ, an ``--outputs`` run differs by more than new sidecars, or a
+``--cap-ingest`` run fails or writes other outputs.  A change that adds an
+output file changes the digests of every workload that writes it, so its
+pairs exit 1; ``--outputs`` then shows whether the sidecars are the only
+difference.
 """
 
 from __future__ import annotations
@@ -258,10 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--traced-unpinned", type=lambda t: spec(t, 3), action="append",
                     default=[])
     ap.add_argument("--scale", type=int, action="append", default=[])
-    ap.add_argument("--new-outputs", action="append", default=[])
     ap.add_argument("--outputs", type=lambda t: spec(t, 2), action="append", default=[])
     ap.add_argument("--cap-ingest", type=lambda t: spec(t, 3), action="append", default=[])
-    ap.add_argument("--note", action="append", default=[])
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bad: list[str] = []
@@ -272,12 +270,11 @@ def main(argv: list[str] | None = None) -> int:
         every.append(run_bench(dirs[side], workload, seed, seconds, trace, cpu))
         return every[-1]
 
-    def check(label: str, runs: dict[str, dict], digests: bool = True) -> None:
+    def check(label: str, runs: dict[str, dict]) -> None:
         for side, r in runs.items():
             if not r["correct"]:
                 bad.append(f"{label}: a {side} run is not correct")
-        if digests and len({(r.get("input_digest"), r.get("pass_digest"))
-                            for r in runs.values()}) != 1:
+        if len({(r.get("input_digest"), r.get("pass_digest")) for r in runs.values()}) != 1:
             bad.append(f"{label}: the parent and change digests differ")
 
     out: dict = {
@@ -288,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
                   + "); the side that runs first swaps every pair; parent and change "
                     "each run from their own checkout",
         "digest_only_runs": {}, "host": {}, "scale_runs": {}, "workloads": {},
-        "notes": args.note, "output_runs": {}, "cap_ingest_runs": {},
+        "output_runs": {}, "cap_ingest_runs": {},
         "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
     }
     for workload, seed, n in args.pairs:
@@ -300,8 +297,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{label} pair {i + 1}/{n} {s}: "
                       f"{runs[s][-1]['metrics'].get('completed_per_s')}", file=sys.stderr)
         for i in range(n):
-            check(f"{label} pair {i + 1}", {s: runs[s][i] for s in SIDES},
-                  workload not in args.new_outputs)
+            check(f"{label} pair {i + 1}", {s: runs[s][i] for s in SIDES})
         if any(not r["correct"] for side in SIDES for r in runs[side]):
             continue
         metrics = runs["parent"][0]["metrics"]
@@ -319,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload, seed in args.digest:
         label = f"{workload}/seed{seed}"
         runs = {s: bench(s, workload, seed, 1, 0) for s in SIDES}
-        check(label, runs, workload not in args.new_outputs)
+        check(label, runs)
         out["digest_only_runs"][label] = {
             s: {k: r.get(k) for k in ("correct", "input_digest", "pass_digest")}
             for s, r in runs.items()}
